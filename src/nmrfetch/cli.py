@@ -161,36 +161,49 @@ def direct_oracle_unitary(system: SpinSystem, pattern: QueryPattern) -> np.ndarr
     return h @ (phases[:, None] * h)
 
 
-def _initial_state(cfg: RunConfig) -> DensityState:
-    if cfg.init == "thermal":
-        return thermal_state(cfg.system)
-    return effective_pure_ancilla(cfg.system)
+def _initial_state(system: SpinSystem, init: str) -> DensityState:
+    if init == "thermal":
+        return thermal_state(system)
+    return effective_pure_ancilla(system)
 
 
 def _readout(
+    state: DensityState,
+    system: SpinSystem,
+    params: AcquisitionParams,
+    tolerance_hz: float,
+) -> tuple[Spectrum, list, float]:
+    """FID-route spectrum, its decoded peaks, and the route gap.
+
+    The route gap is the largest difference between the FID-route and the
+    closed-form spectrum, relative to the tallest closed-form amplitude.
+    """
+    spec = fft_spectrum(acquire_fid(state, system, params), params)
+    ref = analytic_spectrum(state, system, params)
+    top = float(np.max(np.abs(ref.amplitude)))
+    gap = float(np.max(np.abs(spec.amplitude - ref.amplitude))) / top if top > 0.0 else 0.0
+    peaks = decode_peaks(pick_peaks(spec), system, tolerance_hz)
+    return spec, peaks, gap
+
+
+def _guarded_readout(
     state: DensityState, cfg: RunConfig, params: AcquisitionParams
 ) -> tuple[Spectrum, list]:
-    """FID route spectrum plus decoded peaks, guarded by the analytic route."""
-    fid = acquire_fid(state, cfg.system, params)
-    spec = fft_spectrum(fid, params)
-    ref = analytic_spectrum(state, cfg.system, params)
-    top = float(np.max(np.abs(ref.amplitude)))
-    if top > 0.0:
-        gap = float(np.max(np.abs(spec.amplitude - ref.amplitude))) / top
-        if gap > _ROUTE_GUARD:
-            raise DecodeError(
-                f"time-domain and closed-form spectra disagree ({gap:.2e} relative)"
-            )
-    peaks = decode_peaks(pick_peaks(spec), cfg.system, cfg.decode_tolerance_hz)
+    """``_readout`` that fails when the two routes disagree beyond the guard."""
+    spec, peaks, gap = _readout(state, cfg.system, params, cfg.decode_tolerance_hz)
+    if gap > _ROUTE_GUARD:
+        raise DecodeError(
+            f"time-domain and closed-form spectra disagree ({gap:.2e} relative)"
+        )
     return spec, peaks
 
 
 def run_fetch(cfg: RunConfig) -> RunResult:
     """Prepare, query once, read out, decode, and verify."""
     params = cfg.params or AcquisitionParams.for_system(cfg.system)
-    state = _initial_state(cfg)
+    state = _initial_state(cfg.system, cfg.init)
 
-    before_spec, before_peaks = _readout(state, cfg, params)
+    before_spec, before_peaks = _guarded_readout(state, cfg, params)
 
     oracle_calls = 0
     sequence: GateSequence | None = None
@@ -205,7 +218,7 @@ def run_fetch(cfg: RunConfig) -> RunResult:
         queried = apply_unitary(state, u)
         oracle_calls += 1
 
-    after_spec, after_peaks = _readout(queried, cfg, params)
+    after_spec, after_peaks = _guarded_readout(queried, cfg, params)
 
     verdict = classify_marked(after_peaks)
     expected = tuple(classical_oracle(cfg.pattern, cfg.system.n_database))
@@ -478,13 +491,10 @@ def _cmd_spectrum(args) -> int:
     system = _load_system(args.system)
     params = _acq_from_args(system, args)
     init = _INITS[args.init]
-    state = (
-        thermal_state(system) if init == "thermal" else effective_pure_ancilla(system)
-    )
-    fid = acquire_fid(state, system, params)
-    spec = fft_spectrum(fid, params)
-    peaks = decode_peaks(pick_peaks(spec), system)
+    state = _initial_state(system, init)
+    spec, peaks, gap = _readout(state, system, params, RunConfig.decode_tolerance_hz)
     print(f"spectral width: {params.spectral_width_hz:g} Hz, {params.n_points} points")
+    print(f"route gap: {gap:.2e} (simulate fails above {_ROUTE_GUARD:g})")
     print(f"peaks found: {len(peaks)}")
     for p in peaks:
         print(

@@ -15,26 +15,30 @@ half the ancilla population difference of the item, so items flipped by a
 query show up as inverted peaks.
 
 Two independent readout routes are provided: a closed-form sum of
-absorptive Lorentzians on the frequency grid, and a time-domain FID from
-a simulated 90-degree pulse plus free evolution, Fourier transformed with
-the half-first-point correction.  On the default grids they agree to well
-below 1e-6 of the maximum amplitude.
+absorptive Lorentzians on the frequency grid, and a time-domain FID of the
+physically expanded register after a 90-degree ancilla pulse, Fourier
+transformed with the half-first-point correction.  On the default grids
+they agree to well below 1e-6 of the maximum amplitude.  The closed-form
+route takes its line frequencies from the line table; the FID takes them
+from the diagonal Hamiltonian of the expanded register, so neither route
+can inherit an error of the other.
+
+All of readout is array code.  Each register gets one line table, built on
+first use and kept while the register lives; it is sorted by frequency, so
+decoding a peak is a binary search.  The FID needs no pulse matrix (see
+``acquire_fid``) and is synthesised in blocks as one matrix product.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import find_peaks
 
-from .operators import (
-    MAX_DENSE_QUBITS,
-    single_spin_rotation,
-    zz_hamiltonian_diagonal,
-)
+from .operators import MAX_DENSE_QUBITS, zz_hamiltonian_diagonal
 from .spin_system import SpinSystem
 from .states import DensityState
 
@@ -58,6 +62,9 @@ __all__ = [
     "spectrum_csv",
 ]
 
+# elements per work buffer of the closed-form line sum (512 KiB of float64)
+_CHUNK_ELEMENTS = 1 << 16
+
 
 class SpectrometerError(ValueError):
     """Raised for unusable acquisition settings or states."""
@@ -73,7 +80,8 @@ class AcquisitionParams:
 
     ``dwell_s`` sets the spectral width (1/dwell); ``t2_s`` the coherence
     decay and hence the Lorentzian full width 1/(pi t2).  ``carrier_hz``
-    only relabels the frequency axis.
+    is the receiver reference: the FID is demodulated at it, and the
+    frequency axis is centred on it.
     """
 
     n_points: int = 16384
@@ -117,13 +125,15 @@ class AcquisitionParams:
         outermost line (plus tails); the point count is raised if needed so
         the closest pair of distinct lines spans at least four bins.
         """
-        freqs = sorted(line.freq_hz for line in line_table(system))
-        span = max(abs(f - carrier_hz) for f in freqs)
+        freqs = _lines(system).block_freq
+        span = float(np.max(np.abs(freqs - carrier_hz)))
         need = 2.0 * (span + 3.0 / (math.pi * t2_s)) + 10.0
         sw = 2.0 ** math.ceil(math.log2(need))
-        gaps = [b - a for a, b in zip(freqs, freqs[1:]) if b - a > 1e-9]
-        if gaps:
-            while sw / n_points > min(gaps) / 4.0:
+        gaps = np.diff(freqs)
+        gaps = gaps[gaps > 1e-9]
+        if gaps.size:
+            min_gap = float(gaps.min())
+            while sw / n_points > min_gap / 4.0:
                 n_points *= 2
         return cls(n_points=n_points, dwell_s=1.0 / sw, t2_s=t2_s, carrier_hz=carrier_hz)
 
@@ -185,44 +195,112 @@ def _manifolds(multiplicity: int, bit: int) -> list[tuple[float, float]]:
     return out
 
 
-def line_table(system: SpinSystem) -> list[SpectralLine]:
-    """All expected ancilla lines of the register, item by item."""
+@dataclass(frozen=True, eq=False)
+class _LineTable:
+    """Expected lines of one register as arrays, in ``line_table`` order.
+
+    Lines run item by item; within an item, composite manifolds vary in
+    ``itertools.product`` order.  ``by_freq`` sorts the lines by frequency
+    (stable, so equal frequencies keep table order) and the distinct
+    frequencies form blocks: ``block_freq[k]`` is shared by the lines
+    ``by_freq[block_start[k] : block_start[k] + block_size[k]]``.
+    """
+
+    freq_hz: np.ndarray
+    item: np.ndarray
+    manifold: tuple[str, ...]
+    fraction: np.ndarray
+    by_freq: np.ndarray
+    block_freq: np.ndarray
+    block_start: np.ndarray
+    block_size: np.ndarray
+
+
+# SpinSystem is frozen, compares by identity and its j_hz is read-only, so
+# a table stays valid for as long as its register exists
+_TABLES: "weakref.WeakKeyDictionary[SpinSystem, _LineTable]" = weakref.WeakKeyDictionary()
+
+
+def _lines(system: SpinSystem) -> _LineTable:
+    """The register's line table, built on first use."""
+    table = _TABLES.get(system)
+    if table is None:
+        table = _TABLES[system] = _build_line_table(system)
+    return table
+
+
+def _build_line_table(system: SpinSystem) -> _LineTable:
     n = system.n_database
     if n > 16:
         raise SpectrometerError("line enumeration capped at 16 database qubits")
     absj = system.ancilla_couplings_abs()
-    mults = [s.multiplicity for s in system.spins[1:]]
-    base_offset = system.spins[0].offset_hz
+    items = np.arange(2**n)
 
-    lines: list[SpectralLine] = []
-    for item in range(2**n):
-        bits = [(item >> (n - 1 - i)) & 1 for i in range(n)]
-        freq = base_offset
-        composite: list[list[tuple[float, float]]] = []
-        for i in range(n):
-            if mults[i] == 1:
-                freq += absj[i] * (1 - 2 * bits[i]) / 2.0
-            else:
-                composite.append(
-                    [
-                        (absj[i] * m, w, abs(m), mults[i] / 2.0)
-                        for m, w in _manifolds(mults[i], bits[i])
-                    ]
-                )
-        if not composite:
-            lines.append(SpectralLine(freq, item, "n/a", 1.0))
+    # plain spins shift each item's frequency; composite spins fan it out
+    # into one line per manifold combination, (items, combos) arrays below
+    freq = np.full(2**n, float(system.spins[0].offset_hz))
+    shift = np.zeros((2**n, 1))
+    fraction = np.ones((2**n, 1))
+    inner = np.ones((2**n, 1), dtype=bool)
+    outer = np.ones((2**n, 1), dtype=bool)
+    composite = False
+
+    def fan(acc, new, op):
+        return op(acc[:, :, None], new[:, None, :]).reshape(2**n, -1)
+
+    for i, spin in enumerate(system.spins[1:]):
+        bit = (items >> (n - 1 - i)) & 1
+        mu = spin.multiplicity
+        if mu == 1:
+            freq = freq + absj[i] * (1 - 2 * bit) / 2.0
             continue
-        for combo in itertools.product(*composite):
-            shift = sum(c[0] for c in combo)
-            fraction = math.prod(c[1] for c in combo)
-            if all(c[2] == 0.5 for c in combo):
-                tag = "inner"
-            elif all(c[2] == c[3] for c in combo):
-                tag = "outer"
-            else:
-                tag = "mixed"
-            lines.append(SpectralLine(freq + shift, item, tag, fraction))
-    return lines
+        composite = True
+        (m0, w0), (m1, w1) = (np.array(_manifolds(mu, b)).T for b in (0, 1))
+        m = np.where(bit[:, None] == 0, m0, m1)
+        w = np.where(bit[:, None] == 0, w0, w1)
+        shift = fan(shift, absj[i] * m, np.add)
+        fraction = fan(fraction, w, np.multiply)
+        inner = fan(inner, np.abs(m) == 0.5, np.logical_and)
+        outer = fan(outer, np.abs(m) == mu / 2.0, np.logical_and)
+
+    per_item = shift.shape[1]
+    if composite:
+        freq = (freq[:, None] + shift).ravel()
+        tags = np.where(inner, "inner", np.where(outer, "outer", "mixed")).ravel()
+        manifold = tuple(str(t) for t in tags)
+    else:
+        manifold = ("n/a",) * len(freq)
+    by_freq = np.argsort(freq, kind="stable")
+    ordered = freq[by_freq]
+    block_start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    return _LineTable(
+        freq_hz=freq,
+        item=np.repeat(items, per_item),
+        manifold=manifold,
+        fraction=fraction.ravel(),
+        by_freq=by_freq,
+        block_freq=ordered[block_start],
+        block_start=block_start,
+        block_size=np.diff(np.r_[block_start, len(freq)]),
+    )
+
+
+def line_table(system: SpinSystem) -> list[SpectralLine]:
+    """All expected ancilla lines of the register, item by item."""
+    table = _lines(system)
+    return [
+        SpectralLine(f, i, m, w)
+        for f, i, m, w in zip(
+            table.freq_hz.tolist(), table.item.tolist(), table.manifold, table.fraction.tolist()
+        )
+    ]
+
+
+def _line_amplitudes(state: DensityState, system: SpinSystem, table: _LineTable) -> np.ndarray:
+    """Signed amplitude per line: half the item's ancilla difference times its weight."""
+    if state.n_qubits != system.n_spins:
+        raise SpectrometerError("state and system register sizes differ")
+    return 0.5 * state.ancilla_difference()[table.item] * table.fraction
 
 
 def spectral_lines(state: DensityState, system: SpinSystem) -> list[SpectralLine]:
@@ -232,17 +310,12 @@ def spectral_lines(state: DensityState, system: SpinSystem) -> list[SpectralLine
     (peak area scale): half the item's ancilla population difference times
     the manifold weight.
     """
-    if state.n_qubits != system.n_spins:
-        raise SpectrometerError("state and system register sizes differ")
-    diff = state.ancilla_difference()
-    return [
-        replace(line, fraction=0.5 * diff[line.item] * line.fraction)
-        for line in line_table(system)
-    ]
+    amps = _line_amplitudes(state, system, _lines(system))
+    return [replace(line, fraction=a) for line, a in zip(line_table(system), amps.tolist())]
 
 
-def _check_coverage(lines, params: AcquisitionParams) -> None:
-    span = max((abs(ln.freq_hz - params.carrier_hz) for ln in lines), default=0.0)
+def _check_coverage(table: _LineTable, params: AcquisitionParams) -> None:
+    span = float(np.max(np.abs(table.block_freq - params.carrier_hz)))
     if params.spectral_width_hz < 2.0 * (span + 3.0 * params.linewidth_hz):
         raise SpectrometerError(
             f"spectral width {params.spectral_width_hz:g} Hz too small for lines "
@@ -261,18 +334,40 @@ def analytic_spectrum(
     the textbook Lorentzian A*t2 / (1 + (2 pi (nu-f) t2)^2); at finite
     dwell it also carries the spectral-window images, so it matches an
     ideal noiseless FFT readout of the same grid without aliasing error.
+
+    With d = |z| and theta = 2 pi (f - nu) dwell the real part is
+    (1 - d^2) / (2 |1-z|^2) and |1-z|^2 = (1-d)^2 + 4 d sin^2(theta/2).
+    The half angle splits into a per-line and a per-bin angle, so sines
+    and cosines are taken once and the lines are summed a few at a time.
     """
-    lines = spectral_lines(state, system)
-    _check_coverage(line_table(system), params)
+    table = _lines(system)
+    amps = _line_amplitudes(state, system, table)
+    _check_coverage(table, params)
     grid = params.frequency_grid()
     dt = params.dwell_s
     decay = math.exp(-dt / params.t2_s)
+    one_minus_d = -math.expm1(-dt / params.t2_s)  # no cancellation
+    keep = amps != 0.0
+    weights = amps[keep] * dt * one_minus_d * (1.0 + decay) / 2.0
+    line_angle = math.pi * dt * table.freq_hz[keep]
+    bin_angle = math.pi * dt * grid
+    scale = 2.0 * math.sqrt(decay)  # folds 4 d into the squared sine
+    sin_l = (scale * np.sin(line_angle))[:, None]
+    cos_l = (scale * np.cos(line_angle))[:, None]
+    sin_b, cos_b = np.sin(bin_angle), np.cos(bin_angle)
+
     amp = np.zeros_like(grid)
-    for line in lines:
-        if line.fraction == 0.0:
-            continue
-        z = decay * np.exp(2.0j * math.pi * (line.freq_hz - grid) * dt)
-        amp += line.fraction * dt * ((1.0 + z) / (2.0 * (1.0 - z))).real
+    rows = max(1, _CHUNK_ELEMENTS // len(grid))
+    work = np.empty((2, rows, len(grid)))
+    for lo in range(0, len(weights), rows):
+        hi = min(lo + rows, len(weights))
+        den, tmp = work[:, : hi - lo]
+        np.multiply(sin_l[lo:hi], cos_b, out=den)
+        np.multiply(cos_l[lo:hi], sin_b, out=tmp)
+        np.subtract(den, tmp, out=den)  # 2 sqrt(d) sin(theta/2)
+        np.square(den, out=den)
+        den += one_minus_d * one_minus_d
+        amp += weights[lo:hi] @ np.reciprocal(den, out=den)
     return Spectrum(freqs_hz=grid, amplitude=amp)
 
 
@@ -337,36 +432,44 @@ def acquire_fid(
 ) -> np.ndarray:
     """Simulated FID: 90-degree ancilla pulse, free evolution, decay.
 
-    Composite qubits are unfolded into their physical spin copies, the
-    state is conjugated by the actual pulse matrix and the ancilla
-    coherence Tr(rho(t) I+) is sampled on the acquisition grid.  The
-    receiver phase is fixed so that positive ancilla polarization gives
-    positive absorptive lines after fft_spectrum.
+    Composite qubits are unfolded into their physical spin copies and the
+    ancilla coherence Tr(rho(t) I+) is sampled on the acquisition grid,
+    demodulated at the carrier.  The state must be a population state
+    (``as_populations`` refuses anything else), and for a diagonal rho an
+    x pulse exp(-i pi/2 I_x) on the ancilla leaves exactly
+    <1,d| rho |0,d> = -i/2 (p(0,d) - p(1,d)) for each configuration d of
+    the other spins: the closed form of the conjugation, with no matrix
+    needed.  Each coherence then precesses at the ancilla transition of
+    its configuration, taken from the diagonal Hamiltonian of the expanded
+    register.  The receiver phase is fixed so that positive ancilla
+    polarization gives positive absorptive lines after fft_spectrum.
+
+    Samples are synthesised in blocks: with t = (m B + b) dwell, each term
+    exp(i w t) is exp(i w m B dwell) * exp(i w b dwell), so the whole FID is
+    one (blocks x terms) @ (terms x B) product.
     """
     if state.n_qubits != system.n_spins:
         raise SpectrometerError("state and system register sizes differ")
-    _check_coverage(line_table(system), params)
+    _check_coverage(_lines(system), params)
     pops = state.as_populations()
 
     offsets, couplings, logical_index, weight = _expanded_register(system)
-    n_phys = len(offsets)
     phys_pops = pops[logical_index] * weight
-
-    pulse = single_spin_rotation(0, "x", math.pi / 2.0, n_phys)
-    rho = pulse @ np.diag(phys_pops.astype(complex)) @ pulse.conj().T
-
+    half = len(phys_pops) // 2
+    # receiver phase i times the coherence -i/2 (p0 - p1): a real amplitude
+    amp = 0.5 * (phys_pops[:half] - phys_pops[half:])
     energies = zz_hamiltonian_diagonal(offsets, couplings)
-    half = 2 ** (n_phys - 1)
-    coherence = rho[half:, :half].diagonal()  # <1,d| rho |0,d>
-    delta = energies[half:] - energies[:half]  # rad/s per database config
+    keep = amp != 0.0
+    # exp(-i (E1 - E0) t), demodulated at the carrier; rad/s per configuration
+    omega = energies[:half][keep] - energies[half:][keep] - 2.0 * math.pi * params.carrier_hz
 
     times = params.times()
-    fid = np.zeros(params.n_points, dtype=complex)
-    for c, d in zip(coherence, delta):
-        if c != 0.0:
-            fid += c * np.exp(-1.0j * d * times)
+    block = 1 << (params.n_points.bit_length() - 1) // 2  # ~sqrt(n_points)
+    starts = np.exp(1.0j * np.outer(times[::block], omega))
+    offsets_in_block = np.exp(1.0j * np.outer(omega, times[:block]))
+    fid = ((starts * amp[keep]) @ offsets_in_block).ravel()
     fid *= np.exp(-times / params.t2_s)
-    return 1.0j * fid  # receiver phase: absorptive real part
+    return fid
 
 
 def fft_spectrum(
@@ -432,6 +535,53 @@ def pick_peaks(spectrum: Spectrum, threshold_frac: float = 0.05) -> list[Peak]:
     return sorted(peaks, key=lambda p: p.freq_hz)
 
 
+def _nearest_two(table: _LineTable, freqs: np.ndarray):
+    """Nearest and second-nearest line per frequency, with their distances.
+
+    Lines are ranked by distance, ties in table order.  The two best lie in
+    the two nearest distinct-frequency blocks on each side of the
+    frequency, and within a block only its first two lines can rank, so
+    eight candidates per frequency decide.  Missing candidates have
+    distance inf.
+    """
+    n_blocks = len(table.block_freq)
+    blocks = np.searchsorted(table.block_freq, freqs)[:, None] + np.arange(-2, 2)
+    in_range = (blocks >= 0) & (blocks < n_blocks)
+    blocks = np.clip(blocks, 0, n_blocks - 1)
+    first = table.block_start[blocks]
+    pos = np.stack([first, first + 1], axis=-1).reshape(len(freqs), -1)
+    valid = np.stack([in_range, in_range & (table.block_size[blocks] > 1)], axis=-1)
+    valid = valid.reshape(len(freqs), -1)
+    line = table.by_freq[np.where(valid, pos, 0)]
+    dist = np.where(valid, np.abs(freqs[:, None] - table.freq_hz[line]), np.inf)
+    rank = np.lexsort((np.where(valid, line, len(table.freq_hz)), dist), axis=-1)[:, :2]
+    best, second = np.take_along_axis(line, rank, axis=-1).T
+    best_d, second_d = np.take_along_axis(dist, rank, axis=-1).T
+    return best, best_d, second, second_d
+
+
+def _decode(
+    freqs: list[float], system: SpinSystem, tolerance_hz: float
+) -> list[tuple[int, str]]:
+    """(item, manifold) per frequency; DecodeError for the first that fails."""
+    if not freqs:
+        return []
+    table = _lines(system)
+    best, best_d, second, second_d = _nearest_two(table, np.asarray(freqs, dtype=float))
+    bad = (best_d > tolerance_hz) | (second_d <= tolerance_hz)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if best_d[k] > tolerance_hz:
+            raise DecodeError(
+                f"no expected line within {tolerance_hz} Hz of {freqs[k]:.4f} Hz"
+            )
+        raise DecodeError(
+            f"ambiguous peak at {freqs[k]:.4f} Hz: items "
+            f"{table.item[best[k]]} and {table.item[second[k]]} both within tolerance"
+        )
+    return [(int(table.item[b]), table.manifold[b]) for b in best.tolist()]
+
+
 def decode_item(
     freq_hz: float, system: SpinSystem, tolerance_hz: float = 0.3
 ) -> tuple[int, str]:
@@ -440,32 +590,15 @@ def decode_item(
     Raises DecodeError when no line lies within the tolerance or when the
     two nearest lines both do (ambiguous assignment).
     """
-    lines = line_table(system)
-    dists = sorted(
-        ((abs(freq_hz - ln.freq_hz), ln) for ln in lines), key=lambda pair: pair[0]
-    )
-    best_d, best = dists[0]
-    if best_d > tolerance_hz:
-        raise DecodeError(
-            f"no expected line within {tolerance_hz} Hz of {freq_hz:.4f} Hz"
-        )
-    if len(dists) > 1 and dists[1][0] <= tolerance_hz:
-        raise DecodeError(
-            f"ambiguous peak at {freq_hz:.4f} Hz: items "
-            f"{best.item} and {dists[1][1].item} both within tolerance"
-        )
-    return best.item, best.manifold
+    return _decode([freq_hz], system, tolerance_hz)[0]
 
 
 def decode_peaks(
     peaks: list[Peak], system: SpinSystem, tolerance_hz: float = 0.3
 ) -> list[Peak]:
     """Fill item / manifold assignments on picked peaks."""
-    out = []
-    for p in peaks:
-        item, manifold = decode_item(p.freq_hz, system, tolerance_hz)
-        out.append(replace(p, item=item, manifold=manifold))
-    return out
+    decoded = _decode([p.freq_hz for p in peaks], system, tolerance_hz)
+    return [replace(p, item=item, manifold=m) for p, (item, m) in zip(peaks, decoded)]
 
 
 def classify_marked(peaks: list[Peak]) -> MarkedClassification:

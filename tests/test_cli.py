@@ -267,6 +267,17 @@ def test_spectrum_unresolvable_settings_exit_numerical(tmp_path):
     assert code == EXIT_NUMERICAL
 
 
+def test_route_guard_fails_simulate_and_spectrum_reports_gap(monkeypatch, capsys):
+    import nmrfetch.cli as climod
+
+    assert main(["spectrum"]) == EXIT_OK
+    gap = float(re.search(r"route gap: (\S+)", capsys.readouterr().out).group(1))
+    assert 0.0 < gap < 1e-6
+    monkeypatch.setattr(climod, "_ROUTE_GUARD", 0.0)  # tighter than any real gap
+    assert main(["simulate", "--pattern", "100xxx", "--backend", "fast"]) == EXIT_NUMERICAL
+    assert "disagree" in capsys.readouterr().err
+
+
 def test_compile_listing_grammar(capsys):
     assert main(["compile", "--pattern", "100xxx"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nmrfetch import (
     AcquisitionParams,
@@ -28,9 +29,104 @@ from nmrfetch import (
     spectral_lines,
     thermal_state,
 )
-from nmrfetch.spectrometer import Peak, spectrum_csv
+from nmrfetch import spectrometer
+from nmrfetch.cli import RunConfig, run_fetch
+from nmrfetch.operators import single_spin_rotation, zz_hamiltonian_diagonal
+from nmrfetch.spectrometer import Peak, _expanded_register, spectrum_csv
 
 from conftest import make_system
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the dense-pulse FID, the per-line sum and the
+# brute-force nearest-line decoder that the array code replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_fid(state, system, params):
+    """Conjugate by the dense 90-degree pulse, then sum coherence by coherence."""
+    pops = state.as_populations()
+    offsets, couplings, logical_index, weight = _expanded_register(system)
+    n_phys = len(offsets)
+    phys_pops = pops[logical_index] * weight
+    pulse = single_spin_rotation(0, "x", math.pi / 2.0, n_phys)
+    rho = pulse @ np.diag(phys_pops.astype(complex)) @ pulse.conj().T
+    energies = zz_hamiltonian_diagonal(offsets, couplings)
+    half = 2 ** (n_phys - 1)
+    coherence = rho[half:, :half].diagonal()
+    delta = energies[half:] - energies[:half]
+    times = params.times()
+    fid = np.zeros(params.n_points, dtype=complex)
+    for c, d in zip(coherence, delta):
+        if c != 0.0:
+            fid += c * np.exp(-1.0j * d * times)
+    fid *= np.exp(-times / params.t2_s)
+    fid *= np.exp(-2.0j * math.pi * params.carrier_hz * times)
+    return 1.0j * fid
+
+
+def reference_analytic(state, system, params):
+    """Closed-form spectrum summed one line at a time."""
+    grid = params.frequency_grid()
+    dt = params.dwell_s
+    decay = math.exp(-dt / params.t2_s)
+    amp = np.zeros_like(grid)
+    for line in spectral_lines(state, system):
+        if line.fraction == 0.0:
+            continue
+        z = decay * np.exp(2.0j * math.pi * (line.freq_hz - grid) * dt)
+        amp += line.fraction * dt * ((1.0 + z) / (2.0 * (1.0 - z))).real
+    return amp
+
+
+def brute_decode(freq_hz, lines, tolerance_hz):
+    """Rank every line by distance (ties in table order); same errors as decode_item."""
+    dists = sorted(((abs(freq_hz - ln.freq_hz), ln) for ln in lines), key=lambda pair: pair[0])
+    best_d, best = dists[0]
+    if best_d > tolerance_hz:
+        raise DecodeError(f"no expected line within {tolerance_hz} Hz of {freq_hz:.4f} Hz")
+    if len(dists) > 1 and dists[1][0] <= tolerance_hz:
+        raise DecodeError(
+            f"ambiguous peak at {freq_hz:.4f} Hz: items "
+            f"{best.item} and {dists[1][1].item} both within tolerance"
+        )
+    return best.item, best.manifold
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DecodeError as exc:
+        return ("DecodeError", str(exc))
+
+
+def relative_gap(got, want):
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
+def superincreasing_system(rng, n):
+    scale = rng.uniform(1.25, 1.75)
+    row = [rng.choice((-1, 1)) * scale * 2 ** (n - i) for i in range(1, n + 1)]
+    offsets = [rng.uniform(-10.0, 10.0)] + [0.0] * n
+    return make_system(row, offsets=offsets)
+
+
+@st.composite
+def small_composite_systems(draw):
+    """1-3 database qubits, one of them a three-spin group, couplings of either sign."""
+    n = draw(st.integers(1, 3))
+    coupling = st.floats(2.0, 30.0).map(lambda v: round(v, 2))
+    row = [draw(coupling) * draw(st.sampled_from((-1, 1))) for _ in range(n)]
+    mults = [1] * n
+    mults[draw(st.integers(0, n - 1))] = 3
+    offsets = [round(draw(st.floats(-10.0, 10.0)), 2) for _ in range(n + 1)]
+    return make_system(row, multiplicities=mults, offsets=offsets)
+
+
+def random_population_state(system, seed):
+    rng = np.random.default_rng(seed)
+    pops = rng.random(2**system.n_spins)
+    return DensityState.from_populations(pops / pops.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +348,51 @@ def test_methyl_composite_closed_form():
     assert inner / outer == pytest.approx(3.0, rel=0.02)
 
 
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.sampled_from((1024, 4096)),
+    carrier=st.sampled_from((0.0, -3.5)),
+)
+def test_fid_matches_dense_pulse_reference_builtin(seed, n_points, carrier):
+    sys = crotonic_default()
+    params = AcquisitionParams(n_points=n_points, dwell_s=1.0 / 512.0, t2_s=0.5, carrier_hz=carrier)
+    state = random_population_state(sys, seed)
+    assert relative_gap(acquire_fid(state, sys, params), reference_fid(state, sys, params)) <= 1e-12
+    assert relative_gap(
+        analytic_spectrum(state, sys, params).amplitude, reference_analytic(state, sys, params)
+    ) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sys=small_composite_systems(),
+    seed=st.integers(0, 2**32 - 1),
+    t2=st.floats(0.5, 4.0),
+    carrier=st.floats(-20.0, 20.0),
+)
+def test_fid_matches_dense_pulse_reference_composite(sys, seed, t2, carrier):
+    params = AcquisitionParams(n_points=2048, dwell_s=1.0 / 256.0, t2_s=t2, carrier_hz=carrier)
+    state = random_population_state(sys, seed)
+    assert relative_gap(acquire_fid(state, sys, params), reference_fid(state, sys, params)) <= 1e-12
+    assert relative_gap(
+        analytic_spectrum(state, sys, params).amplitude, reference_analytic(state, sys, params)
+    ) <= 1e-12
+
+
+def test_nonzero_carrier_routes_agree_and_decode():
+    sys = crotonic_default()
+    params = AcquisitionParams.for_system(sys, carrier_hz=5.0)
+    state = effective_pure_ancilla(sys)
+    via_fft = fft_spectrum(acquire_fid(state, sys, params), params)
+    direct = analytic_spectrum(state, sys, params)
+    assert relative_gap(via_fft.amplitude, direct.amplitude) < 1e-6
+    decoded = decode_peaks(pick_peaks(via_fft), sys)
+    assert sorted((p.item, p.manifold) for p in decoded) == sorted(
+        (l.item, l.manifold) for l in line_table(sys)
+    )
+
+
 # ---------------------------------------------------------------------------
 # peak picking and decoding
 # ---------------------------------------------------------------------------
@@ -299,6 +440,73 @@ def test_decode_rejects_ambiguous_frequency():
     sys = make_system([10.0, 10.2])  # items 1 and 2 sit 0.2 Hz apart
     with pytest.raises(DecodeError):
         decode_item(0.0, sys, tolerance_hz=0.3)
+
+
+def decode_probes(lines):
+    """Every line, points just off and halfway between neighbours, and far outside."""
+    freqs = sorted({l.freq_hz for l in lines})
+    probes = list(freqs)
+    probes += [f + d for f in freqs for d in (-0.31, -0.2, 0.05, 0.3)]
+    probes += [(a + b) / 2.0 for a, b in zip(freqs, freqs[1:])]
+    probes += [freqs[0] - 50.0, freqs[-1] + 50.0]
+    return probes
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [
+        crotonic_default(),
+        make_system([10.0, 10.0]),  # items 1 and 2 exactly degenerate
+        make_system([10.0, 10.2]),
+        make_system([30.0, -8.0], multiplicities=[3, 1], offsets=[1.5, 0.0, 0.0]),
+    ]
+    + [superincreasing_system(np.random.default_rng(seed), n) for seed, n in ((1, 6), (2, 8), (3, 9))],
+)
+@pytest.mark.parametrize("tolerance_hz", [0.3, 6.0])
+def test_decode_matches_brute_force(sys, tolerance_hz):
+    lines = line_table(sys)
+    probes = decode_probes(lines)
+    for freq in probes:
+        assert outcome(decode_item, freq, sys, tolerance_hz) == outcome(
+            brute_decode, freq, lines, tolerance_hz
+        )
+    # decode_peaks fails on the first peak that fails, as a loop over peaks would
+    peaks = [Peak(freq_hz=f, amplitude=1.0) for f in probes]
+    want = []
+    for p in peaks:
+        got = outcome(brute_decode, p.freq_hz, lines, tolerance_hz)
+        if got[0] == "DecodeError":
+            want = got
+            break
+        want.append(got)
+    got = outcome(decode_peaks, peaks, sys, tolerance_hz)
+    if isinstance(got, list):
+        got = [(p.item, p.manifold) for p in got]
+    assert got == want
+
+
+def test_decode_degenerate_lines_are_ambiguous():
+    sys = make_system([10.0, 10.0])
+    with pytest.raises(DecodeError, match="items 1 and 2"):
+        decode_item(0.0, sys, tolerance_hz=0.3)
+    assert decode_item(10.1, sys, tolerance_hz=0.3) == (0, "n/a")
+
+
+def test_run_fetch_builds_line_table_once_per_register(monkeypatch):
+    calls = []
+    build = spectrometer._build_line_table
+
+    def counting(system):
+        calls.append(system)
+        return build(system)
+
+    monkeypatch.setattr(spectrometer, "_build_line_table", counting)
+    sys = crotonic_default()  # a fresh register, so nothing is cached yet
+    cfg = RunConfig(sys, QueryPattern.from_string("100xxx"), backend="fast_diagonal")
+    assert run_fetch(cfg).verified
+    assert calls == [sys]
+    assert run_fetch(cfg).verified and len(line_table(sys)) == 128
+    assert calls == [sys]
 
 
 def test_decode_peaks_annotates():
