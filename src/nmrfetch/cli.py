@@ -527,11 +527,6 @@ def _cmd_spectrum(args) -> int:
 def _cmd_compile(args) -> int:
     system = _load_system(args.system)
     pattern = QueryPattern.from_string(args.pattern)
-    if len(pattern.constraints) != system.n_database:
-        raise ConfigError(
-            f"pattern length {len(pattern.constraints)} does not match "
-            f"{system.n_database} database qubits"
-        )
     seq = build_query_network(system, pattern)
     if args.backend == "hard":
         seq = expand_to_hard_pulses(seq, system)
@@ -550,11 +545,6 @@ def _cmd_compile(args) -> int:
 def _cmd_verify(args) -> int:
     system = _load_system(args.system)
     pattern = QueryPattern.from_string(args.pattern)
-    if len(pattern.constraints) != system.n_database:
-        raise ConfigError(
-            f"pattern length {len(pattern.constraints)} does not match "
-            f"{system.n_database} database qubits"
-        )
     if system.n_spins > MAX_DENSE_QUBITS:
         raise ConfigError("verify needs a dense register")
 

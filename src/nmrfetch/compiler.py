@@ -22,6 +22,13 @@ ZZ periods and eight selective pulses.  The ideal gate list can further be
 expanded into a hard-pulse schedule (delays under the always-on coupling
 Hamiltonian plus refocusing pi pulses) in which every unwanted coupling
 and chemical shift integrates to zero over the block.
+
+``sequence_unitary`` simulates either list exactly, gate by gate, but does
+dense O(4^n) work only where a pulse mixes basis states.  Delays, ZZ
+periods and frame z rotations are diagonal, and a pi pulse about x or y is
+-i sigma, a signed bit flip; a diagonal moved through a signed flip stays
+diagonal (Pauli-frame bookkeeping), so every run of such gates is one
+signed permutation times a diagonal phase, built in O(2^n) per gate.
 """
 
 from __future__ import annotations
@@ -106,15 +113,13 @@ class GateSequence:
     """Time-ordered gate list (first gate acts first) on a register.
 
     ``mode`` is "ideal" (rotations, ZZ periods and virtual z only) or
-    "hard_pulse" (rotations, delays and virtual z only).  ``pulse_duration_s``
-    is only used for duration accounting; pulses are simulated as
-    instantaneous either way.
+    "hard_pulse" (rotations, delays and virtual z only).  Pulses are
+    instantaneous, so the duration of a sequence is the sum of its delays.
     """
 
     n_qubits: int
     gates: tuple[Gate, ...]
     mode: str = "ideal"
-    pulse_duration_s: float = 0.0
 
     def __post_init__(self):
         if self.mode not in ("ideal", "hard_pulse"):
@@ -386,22 +391,26 @@ def expand_to_hard_pulses(seq: GateSequence, system: SpinSystem) -> GateSequence
     Selective pulses pass through unchanged and virtual z rotations stay
     virtual (adjacent ones on the same spin are folded together).  The
     result reproduces the ideal sequence's unitary up to a global phase.
+    Equal ZZ periods recur many times in a query network, so each distinct
+    one is expanded once per call.
     """
     if seq.mode != "ideal":
         raise CompileError("only ideal sequences can be expanded")
     if seq.n_qubits != system.n_spins:
         raise CompileError("sequence register size does not match the system")
+    blocks: dict[ZZEvolution, list[Gate]] = {}
     gates: list[Gate] = []
     for gate in seq.gates:
         if isinstance(gate, ZZEvolution):
-            gates.extend(_echo_block(gate, system))
+            if gate not in blocks:
+                blocks[gate] = _echo_block(gate, system)
+            gates.extend(blocks[gate])
         else:
             gates.append(gate)
     return GateSequence(
         n_qubits=seq.n_qubits,
         gates=tuple(_fold_virtual_z(gates)),
         mode="hard_pulse",
-        pulse_duration_s=seq.pulse_duration_s,
     )
 
 
@@ -410,9 +419,26 @@ def expand_to_hard_pulses(seq: GateSequence, system: SpinSystem) -> GateSequence
 # ---------------------------------------------------------------------------
 
 
-def _apply_single(block: np.ndarray, qubit: int, acc: np.ndarray, n: int) -> np.ndarray:
+# The diagonal of a pi pulse's 2x2 block is cos(pi/2) in floating point,
+# about 6e-17.  A block whose diagonal is below this bound is applied as the
+# exact signed bit flip its off-diagonal describes.
+_FLIP_DIAGONAL = 1e-15
+
+
+def _mix_rows(acc: np.ndarray, qubit: int, block: np.ndarray) -> None:
+    """acc <- (block on ``qubit``) @ acc, in place: one two-row combination."""
     view = acc.reshape(2**qubit, 2, -1)
-    return np.einsum("ab,qbr->qar", block, view).reshape(acc.shape)
+    top, bottom = view[:, 0], view[:, 1]
+    new_top = block[0, 0] * top + block[0, 1] * bottom
+    view[:, 1] = block[1, 0] * top + block[1, 1] * bottom
+    view[:, 0] = new_top
+
+
+def _gather_rows(
+    acc: np.ndarray, src: np.ndarray, sign: np.ndarray, phase: np.ndarray
+) -> np.ndarray:
+    """M @ acc for the monomial M: row i is sign[i] exp(-i phase[i]) acc[src[i]]."""
+    return (sign * np.exp(-1.0j * phase))[:, None] * acc[src]
 
 
 def sequence_unitary(seq: GateSequence, system: SpinSystem | None = None) -> np.ndarray:
@@ -420,6 +446,27 @@ def sequence_unitary(seq: GateSequence, system: SpinSystem | None = None) -> np.
 
     Hard-pulse sequences need the register to evaluate delays under the
     always-on Hamiltonian.
+
+    The product is built in one pass that holds one pending factor and
+    multiplies it into the dense accumulator only when the kind of gate
+    changes:
+
+    * a monomial factor M (a signed permutation times a diagonal phase),
+      stored as a source row, a complex sign and an accumulated phase angle
+      per row: (M A)[i] = sign[i] exp(-i phase[i]) A[src[i]].  Delays
+      (ham * t under the always-on Hamiltonian), virtual z, ZZ periods and
+      every pulse whose block is a signed bit flip (angle = pi mod 2 pi)
+      fold into it at O(2^n): a diagonal adds to ``phase``, a flip permutes
+      the three vectors and scales ``sign``.  Its flush is one row gather
+      and scale.
+    * a 2x2 block collecting consecutive other pulses on one qubit.  Its
+      flush is one two-row linear combination.
+
+    Dense O(4^n) work is therefore done once per run of such pulses, not
+    once per gate.  Every gate is still applied exactly (a pi pulse's
+    dropped diagonal is rounding, see ``_FLIP_DIAGONAL``); only the
+    representation of the running product differs from a gate-by-gate
+    multiplication.
     """
     n = seq.n_qubits
     if n > MAX_DENSE_QUBITS:
@@ -432,17 +479,57 @@ def sequence_unitary(seq: GateSequence, system: SpinSystem | None = None) -> np.
         if system.n_spins != n:
             raise CompileError("sequence register size does not match the system")
         ham = free_hamiltonian_diagonal(system)
+    rows = np.arange(dim)
+    z = np.array([z_eigenvalues(n, q) for q in range(n)])
+    partner = rows ^ (1 << (n - 1 - np.arange(n)))[:, None]  # row with qubit q flipped
+
     acc = np.eye(dim, dtype=complex)
+    src, sign, phase = rows, np.ones(dim, dtype=complex), np.zeros(dim)
+    monomial = False  # does (src, sign, phase) hold gates not yet in acc?
+    block, block_qubit = None, -1
+    # per distinct pulse: (partner rows, flip coefficients) or its 2x2 block
+    pulses: dict[SelectivePulse, tuple | np.ndarray] = {}
     for gate in seq.gates:
         if isinstance(gate, SelectivePulse):
-            acc = _apply_single(rotation_block(gate.axis, gate.angle), gate.qubit, acc, n)
-        elif isinstance(gate, ZZEvolution):
-            zz = z_eigenvalues(n, gate.q1) * z_eigenvalues(n, gate.q2)
-            acc = np.exp(-2.0j * gate.angle * zz)[:, None] * acc
-        elif isinstance(gate, VirtualZ):
-            acc = np.exp(-1.0j * gate.angle * z_eigenvalues(n, gate.qubit))[:, None] * acc
+            action = pulses.get(gate)
+            if action is None:
+                rot = rotation_block(gate.axis, gate.angle)
+                if abs(rot[0, 0]) < _FLIP_DIAGONAL:
+                    # row i takes its partner with rot[0, 1] if qubit q of
+                    # i is 0, with rot[1, 0] if it is 1
+                    coef = np.where(z[gate.qubit] < 0, rot[1, 0], rot[0, 1])
+                    action = (partner[gate.qubit], coef)
+                else:
+                    action = rot
+                pulses[gate] = action
+            if isinstance(action, np.ndarray):
+                if monomial:
+                    acc = _gather_rows(acc, src, sign, phase)
+                    src, sign, phase = rows, np.ones(dim, dtype=complex), np.zeros(dim)
+                    monomial = False
+                if block is not None and block_qubit != gate.qubit:
+                    _mix_rows(acc, block_qubit, block)
+                    block = None
+                block = action if block is None else action @ block
+                block_qubit = gate.qubit
+                continue
+        if block is not None:
+            _mix_rows(acc, block_qubit, block)
+            block = None
+        if isinstance(gate, SelectivePulse):
+            flip, coef = action
+            src, sign, phase = src[flip], coef * sign[flip], phase[flip]
         elif isinstance(gate, Delay):
-            acc = np.exp(-1.0j * ham * gate.seconds)[:, None] * acc
+            phase = phase + ham * gate.seconds
+        elif isinstance(gate, VirtualZ):
+            phase = phase + gate.angle * z[gate.qubit]
+        else:
+            phase = phase + 2.0 * gate.angle * z[gate.q1] * z[gate.q2]
+        monomial = True
+    if block is not None:
+        _mix_rows(acc, block_qubit, block)
+    if monomial:
+        acc = _gather_rows(acc, src, sign, phase)
     return acc
 
 
@@ -465,7 +552,6 @@ def sequence_report(seq: GateSequence) -> SequenceReport:
     for gate in seq.gates:
         if isinstance(gate, SelectivePulse):
             pulse_counts[(gate.axis, round(math.degrees(gate.angle), 6))] += 1
-            duration += seq.pulse_duration_s
         elif isinstance(gate, ZZEvolution):
             n_zz += 1
         elif isinstance(gate, VirtualZ):

@@ -8,7 +8,13 @@ import textwrap
 import numpy as np
 import pytest
 
-from nmrfetch import QueryPattern, crotonic_default
+from nmrfetch import (
+    QueryPattern,
+    build_query_network,
+    crotonic_default,
+    distance_up_to_global_phase,
+    sequence_unitary,
+)
 from nmrfetch.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -120,6 +126,19 @@ def test_backends_agree_on_small_system():
     assert marked == {(4, 5)}
 
 
+def test_run_fetch_hard_pulse_flagship_pattern():
+    # the paper's run: the full refocused hard-pulse schedule for 100101
+    sys = crotonic_default()
+    pat = QueryPattern.from_string("100101")
+    res = run_fetch(RunConfig(sys, pat, backend="hard_pulse"))
+    assert res.verified
+    assert res.marked == (37,)
+    assert res.sequence.mode == "hard_pulse"
+    ideal = sequence_unitary(build_query_network(sys, pat), sys)
+    hard = sequence_unitary(res.sequence, sys)
+    assert distance_up_to_global_phase(hard, ideal) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # command line: argument handling and exit codes
 # ---------------------------------------------------------------------------
@@ -182,6 +201,13 @@ def test_simulate_records_seed_env(tmp_path, monkeypatch):
 
 def test_simulate_bad_pattern_length_exit_config():
     assert main(["simulate", "--pattern", "10"]) == EXIT_CONFIG
+
+
+def test_compile_and_verify_bad_pattern_length_exit_config(capsys):
+    assert main(["compile", "--pattern", "10"]) == EXIT_CONFIG
+    assert main(["verify", "--pattern", "10"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("pattern length 2 != database size 6") == 2
 
 
 def test_simulate_bad_flag_exit_config(capsys):

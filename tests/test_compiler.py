@@ -25,7 +25,8 @@ from nmrfetch import (
     sequence_unitary,
 )
 from nmrfetch.cli import direct_oracle_unitary
-from nmrfetch.compiler import GateSequence
+from nmrfetch.compiler import GateSequence, free_hamiltonian_diagonal
+from nmrfetch.operators import rotation_block, z_eigenvalues
 
 from conftest import make_system, random_full_system
 
@@ -339,14 +340,95 @@ def test_full_query_expansion_on_builtin():
 
 
 def test_pulse_durations_add_to_total():
+    # pulses are instantaneous: the duration is the sum of the delays
     seq = GateSequence(
         2,
-        (SelectivePulse(0, "x", math.pi), Delay(0.01), SelectivePulse(1, "y", math.pi)),
+        (
+            SelectivePulse(0, "x", math.pi),
+            Delay(0.01),
+            SelectivePulse(1, "y", math.pi),
+            Delay(0.0025),
+        ),
         mode="hard_pulse",
-        pulse_duration_s=0.001,
     )
     rep = sequence_report(seq)
-    assert rep.total_duration_s == pytest.approx(0.012)
+    assert rep.total_duration_s == pytest.approx(0.0125)
+
+
+# ---------------------------------------------------------------------------
+# folded product vs gate-by-gate product
+# ---------------------------------------------------------------------------
+
+
+def reference_unitary(seq, system=None):
+    """Gate-by-gate product: one dense 2^n x 2^n update for every gate."""
+    n = seq.n_qubits
+    ham = free_hamiltonian_diagonal(system) if seq.mode == "hard_pulse" else None
+    acc = np.eye(2**n, dtype=complex)
+    for gate in seq.gates:
+        if isinstance(gate, SelectivePulse):
+            view = acc.reshape(2**gate.qubit, 2, -1)
+            block = rotation_block(gate.axis, gate.angle)
+            acc = np.einsum("ab,qbr->qar", block, view).reshape(acc.shape)
+        elif isinstance(gate, ZZEvolution):
+            zz = z_eigenvalues(n, gate.q1) * z_eigenvalues(n, gate.q2)
+            acc = np.exp(-2.0j * gate.angle * zz)[:, None] * acc
+        elif isinstance(gate, VirtualZ):
+            acc = np.exp(-1.0j * gate.angle * z_eigenvalues(n, gate.qubit))[:, None] * acc
+        elif isinstance(gate, Delay):
+            acc = np.exp(-1.0j * ham * gate.seconds)[:, None] * acc
+    return acc
+
+
+# pi-multiples exercise the signed-flip path (3 pi and -pi included), 0 and
+# pi/2 the dense 2x2 path, arbitrary floats either.  Both products round each
+# phase to about eps relative, so they may differ by about eps times the
+# total phase turned; delays of at most 50 ms and angles of at most 10 rad
+# keep that below 1e-12, inside the tolerance.
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi, -math.pi]),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_sequence_unitary_matches_per_gate_product(data):
+    n = data.draw(st.integers(1, 4))
+    mode = data.draw(st.sampled_from(["ideal", "hard_pulse"]))
+    sys = random_full_system(random.Random(data.draw(st.integers(0, 10**6))), n - 1)
+    kinds = ["pulses", "vz"]
+    if mode == "hard_pulse":
+        kinds.append("delay")
+    elif n > 1:
+        kinds.append("zz")
+    qubit = st.integers(0, n - 1)
+    axis = st.sampled_from(["x", "y", "-x", "-y"])
+    gates = []
+    for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=20)):
+        if kind == "pulses":  # a run, so pulses meet pulses on other qubits
+            for _ in range(data.draw(st.integers(1, 3))):
+                gates.append(
+                    SelectivePulse(data.draw(qubit), data.draw(axis), data.draw(_ANGLES))
+                )
+        elif kind == "vz":
+            gates.append(VirtualZ(data.draw(qubit), data.draw(_ANGLES)))
+        elif kind == "zz":
+            q1, q2 = data.draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            gates.append(ZZEvolution(q1, q2, data.draw(_ANGLES)))
+        else:
+            gates.append(Delay(data.draw(st.floats(min_value=0.0, max_value=0.05))))
+    seq = GateSequence(n, tuple(gates), mode=mode)
+    got = sequence_unitary(seq, sys)
+    assert np.max(np.abs(got - reference_unitary(seq, sys))) <= 1e-11
+
+
+def test_sequence_unitary_matches_per_gate_product_on_flagship_schedule():
+    sys = crotonic_default()
+    net = build_query_network(sys, QueryPattern.from_string("100101"))
+    hard = expand_to_hard_pulses(net, sys)
+    got = sequence_unitary(hard, sys)
+    assert np.max(np.abs(got - reference_unitary(hard, sys))) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
