@@ -44,8 +44,8 @@ from .spectrometer import (
     DecodeError,
     Spectrum,
     SpectrometerError,
-    acquire_fid,
-    analytic_spectrum,
+    acquire_fids,
+    analytic_spectra,
     classify_marked,
     decode_peaks,
     fft_spectrum,
@@ -168,42 +168,42 @@ def _initial_state(system: SpinSystem, init: str) -> DensityState:
 
 
 def _readout(
-    state: DensityState,
+    states: tuple[DensityState, ...],
     system: SpinSystem,
     params: AcquisitionParams,
     tolerance_hz: float,
-) -> tuple[Spectrum, list, float]:
-    """FID-route spectrum, its decoded peaks, and the route gap.
+    guard: float = math.inf,
+) -> list[tuple[Spectrum, list, float]]:
+    """FID-route spectrum, its decoded peaks and the route gap, per state.
 
-    The route gap is the largest difference between the FID-route and the
-    closed-form spectrum, relative to the tallest closed-form amplitude.
+    All states are read out in one pass: one ``acquire_fids`` and one
+    ``analytic_spectra`` call share the expanded register, the FID tables
+    and the closed-form kernel.  The route gap is the largest difference
+    between the FID-route and the closed-form spectrum, relative to the
+    tallest closed-form amplitude.  State by state, in order, the peaks are
+    picked and decoded and then the gap is checked against ``guard``, so
+    the first state's decode and route failures come before the second's.
     """
-    spec = fft_spectrum(acquire_fid(state, system, params), params)
-    ref = analytic_spectrum(state, system, params)
-    top = float(np.max(np.abs(ref.amplitude)))
-    gap = float(np.max(np.abs(spec.amplitude - ref.amplitude))) / top if top > 0.0 else 0.0
-    peaks = decode_peaks(pick_peaks(spec), system, tolerance_hz)
-    return spec, peaks, gap
-
-
-def _guarded_readout(
-    state: DensityState, cfg: RunConfig, params: AcquisitionParams
-) -> tuple[Spectrum, list]:
-    """``_readout`` that fails when the two routes disagree beyond the guard."""
-    spec, peaks, gap = _readout(state, cfg.system, params, cfg.decode_tolerance_hz)
-    if gap > _ROUTE_GUARD:
-        raise DecodeError(
-            f"time-domain and closed-form spectra disagree ({gap:.2e} relative)"
-        )
-    return spec, peaks
+    fids = acquire_fids(states, system, params)
+    refs = analytic_spectra(states, system, params)
+    out = []
+    for fid, ref in zip(fids, refs):
+        spec = fft_spectrum(fid, params)
+        top = float(np.max(np.abs(ref.amplitude)))
+        gap = float(np.max(np.abs(spec.amplitude - ref.amplitude))) / top if top > 0.0 else 0.0
+        peaks = decode_peaks(pick_peaks(spec), system, tolerance_hz)
+        if gap > guard:
+            raise DecodeError(
+                f"time-domain and closed-form spectra disagree ({gap:.2e} relative)"
+            )
+        out.append((spec, peaks, gap))
+    return out
 
 
 def run_fetch(cfg: RunConfig) -> RunResult:
-    """Prepare, query once, read out, decode, and verify."""
+    """Prepare, query once, read out before and after in one pass, decode, verify."""
     params = cfg.params or AcquisitionParams.for_system(cfg.system)
     state = _initial_state(cfg.system, cfg.init)
-
-    before_spec, before_peaks = _guarded_readout(state, cfg, params)
 
     oracle_calls = 0
     sequence: GateSequence | None = None
@@ -218,7 +218,9 @@ def run_fetch(cfg: RunConfig) -> RunResult:
         queried = apply_unitary(state, u)
         oracle_calls += 1
 
-    after_spec, after_peaks = _guarded_readout(queried, cfg, params)
+    (before_spec, before_peaks, _), (after_spec, after_peaks, _) = _readout(
+        (state, queried), cfg.system, params, cfg.decode_tolerance_hz, guard=_ROUTE_GUARD
+    )
 
     verdict = classify_marked(after_peaks)
     expected = tuple(classical_oracle(cfg.pattern, cfg.system.n_database))
@@ -492,7 +494,7 @@ def _cmd_spectrum(args) -> int:
     params = _acq_from_args(system, args)
     init = _INITS[args.init]
     state = _initial_state(system, init)
-    spec, peaks, gap = _readout(state, system, params, RunConfig.decode_tolerance_hz)
+    ((spec, peaks, gap),) = _readout((state,), system, params, RunConfig.decode_tolerance_hz)
     print(f"spectral width: {params.spectral_width_hz:g} Hz, {params.n_points} points")
     print(f"route gap: {gap:.2e} (simulate fails above {_ROUTE_GUARD:g})")
     print(f"peaks found: {len(peaks)}")

@@ -26,7 +26,14 @@ can inherit an error of the other.
 All of readout is array code.  Each register gets one line table, built on
 first use and kept while the register lives; it is sorted by frequency, so
 decoding a peak is a binary search.  The FID needs no pulse matrix (see
-``acquire_fid``) and is synthesised in blocks as one matrix product.
+``acquire_fids``) and is synthesised in blocks, one matrix product per state.
+
+A run reads out once: ``acquire_fids`` and ``analytic_spectra`` take all
+states of the run (before and after the query) together, and build what
+does not depend on the state once per call - the expanded register, the
+FID's frequency and exponential tables and the closed-form line x bin
+kernel.  ``acquire_fid`` and ``analytic_spectrum`` are the same routes for
+one state.
 """
 
 from __future__ import annotations
@@ -53,7 +60,9 @@ __all__ = [
     "line_table",
     "spectral_lines",
     "analytic_spectrum",
+    "analytic_spectra",
     "acquire_fid",
+    "acquire_fids",
     "fft_spectrum",
     "pick_peaks",
     "decode_item",
@@ -323,10 +332,10 @@ def _check_coverage(table: _LineTable, params: AcquisitionParams) -> None:
         )
 
 
-def analytic_spectrum(
-    state: DensityState, system: SpinSystem, params: AcquisitionParams
-) -> Spectrum:
-    """Closed-form absorptive spectrum on the acquisition grid.
+def analytic_spectra(
+    states: tuple[DensityState, ...], system: SpinSystem, params: AcquisitionParams
+) -> list[Spectrum]:
+    """Closed-form absorptive spectra of several states on the acquisition grid.
 
     Each line is the infinite-time limit of the sampled acquisition,
     summed as a geometric series: amplitude * dwell * Re[(1+z)/(2(1-z))]
@@ -338,37 +347,44 @@ def analytic_spectrum(
     With d = |z| and theta = 2 pi (f - nu) dwell the real part is
     (1 - d^2) / (2 |1-z|^2) and |1-z|^2 = (1-d)^2 + 4 d sin^2(theta/2).
     The half angle splits into a per-line and a per-bin angle, so sines
-    and cosines are taken once and the lines are summed a few at a time.
+    and cosines are taken once.  The line x bin kernel does not depend on
+    the state: it is built a few lines at a time, each chunk's
+    2 sqrt(d) sin(theta/2) as one (lines x 2) @ (2 x bins) product, and
+    applied to every state at once as (states x lines) @ chunk.  Lines
+    that no state populates are skipped.
     """
     table = _lines(system)
-    amps = _line_amplitudes(state, system, table)
+    amps = np.stack([_line_amplitudes(state, system, table) for state in states])
     _check_coverage(table, params)
     grid = params.frequency_grid()
     dt = params.dwell_s
     decay = math.exp(-dt / params.t2_s)
     one_minus_d = -math.expm1(-dt / params.t2_s)  # no cancellation
-    keep = amps != 0.0
-    weights = amps[keep] * dt * one_minus_d * (1.0 + decay) / 2.0
+    keep = (amps != 0.0).any(axis=0)
+    weights = amps[:, keep] * dt * one_minus_d * (1.0 + decay) / 2.0
     line_angle = math.pi * dt * table.freq_hz[keep]
     bin_angle = math.pi * dt * grid
-    scale = 2.0 * math.sqrt(decay)  # folds 4 d into the squared sine
-    sin_l = (scale * np.sin(line_angle))[:, None]
-    cos_l = (scale * np.cos(line_angle))[:, None]
-    sin_b, cos_b = np.sin(bin_angle), np.cos(bin_angle)
+    # sin(l - b) = sin l cos b - cos l sin b; 2 sqrt(d) folds 4 d into the square
+    line_sc = 2.0 * math.sqrt(decay) * np.stack([np.sin(line_angle), -np.cos(line_angle)], axis=1)
+    bin_cs = np.stack([np.cos(bin_angle), np.sin(bin_angle)])
 
-    amp = np.zeros_like(grid)
+    amp = np.zeros((len(states), len(grid)))
     rows = max(1, _CHUNK_ELEMENTS // len(grid))
-    work = np.empty((2, rows, len(grid)))
-    for lo in range(0, len(weights), rows):
-        hi = min(lo + rows, len(weights))
-        den, tmp = work[:, : hi - lo]
-        np.multiply(sin_l[lo:hi], cos_b, out=den)
-        np.multiply(cos_l[lo:hi], sin_b, out=tmp)
-        np.subtract(den, tmp, out=den)  # 2 sqrt(d) sin(theta/2)
+    work = np.empty((rows, len(grid)))
+    for lo in range(0, len(line_sc), rows):
+        hi = min(lo + rows, len(line_sc))
+        den = np.matmul(line_sc[lo:hi], bin_cs, out=work[: hi - lo])
         np.square(den, out=den)
         den += one_minus_d * one_minus_d
-        amp += weights[lo:hi] @ np.reciprocal(den, out=den)
-    return Spectrum(freqs_hz=grid, amplitude=amp)
+        amp += weights[:, lo:hi] @ np.reciprocal(den, out=den)
+    return [Spectrum(freqs_hz=grid, amplitude=a) for a in amp]
+
+
+def analytic_spectrum(
+    state: DensityState, system: SpinSystem, params: AcquisitionParams
+) -> Spectrum:
+    """Closed-form absorptive spectrum of one state (see ``analytic_spectra``)."""
+    return analytic_spectra((state,), system, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +443,14 @@ def _expanded_register(system: SpinSystem):
     return offsets, couplings, logical_index, weight
 
 
-def acquire_fid(
-    state: DensityState, system: SpinSystem, params: AcquisitionParams
+def acquire_fids(
+    states: tuple[DensityState, ...], system: SpinSystem, params: AcquisitionParams
 ) -> np.ndarray:
-    """Simulated FID: 90-degree ancilla pulse, free evolution, decay.
+    """Simulated FIDs, one row per state: 90-degree ancilla pulse, free evolution, decay.
 
     Composite qubits are unfolded into their physical spin copies and the
     ancilla coherence Tr(rho(t) I+) is sampled on the acquisition grid,
-    demodulated at the carrier.  The state must be a population state
+    demodulated at the carrier.  Each state must be a population state
     (``as_populations`` refuses anything else), and for a diagonal rho an
     x pulse exp(-i pi/2 I_x) on the ancilla leaves exactly
     <1,d| rho |0,d> = -i/2 (p(0,d) - p(1,d)) for each configuration d of
@@ -445,21 +461,24 @@ def acquire_fid(
     polarization gives positive absorptive lines after fft_spectrum.
 
     Samples are synthesised in blocks: with t = (m B + b) dwell, each term
-    exp(i w t) is exp(i w m B dwell) * exp(i w b dwell), so the whole FID is
-    one (blocks x terms) @ (terms x B) product.
+    exp(i w t) is exp(i w m B dwell) * exp(i w b dwell).  The expanded
+    register, the frequencies of every configuration that some state
+    populates and both exponential tables are built once; each FID is then
+    one (blocks x terms) @ (terms x B) product with the state's amplitudes
+    folded into the left factor.
     """
-    if state.n_qubits != system.n_spins:
+    if any(state.n_qubits != system.n_spins for state in states):
         raise SpectrometerError("state and system register sizes differ")
     _check_coverage(_lines(system), params)
-    pops = state.as_populations()
+    pops = np.stack([state.as_populations() for state in states])
 
     offsets, couplings, logical_index, weight = _expanded_register(system)
-    phys_pops = pops[logical_index] * weight
-    half = len(phys_pops) // 2
+    phys_pops = pops[:, logical_index] * weight
+    half = phys_pops.shape[1] // 2
     # receiver phase i times the coherence -i/2 (p0 - p1): a real amplitude
-    amp = 0.5 * (phys_pops[:half] - phys_pops[half:])
+    amp = 0.5 * (phys_pops[:, :half] - phys_pops[:, half:])
     energies = zz_hamiltonian_diagonal(offsets, couplings)
-    keep = amp != 0.0
+    keep = (amp != 0.0).any(axis=0)
     # exp(-i (E1 - E0) t), demodulated at the carrier; rad/s per configuration
     omega = energies[:half][keep] - energies[half:][keep] - 2.0 * math.pi * params.carrier_hz
 
@@ -467,9 +486,18 @@ def acquire_fid(
     block = 1 << (params.n_points.bit_length() - 1) // 2  # ~sqrt(n_points)
     starts = np.exp(1.0j * np.outer(times[::block], omega))
     offsets_in_block = np.exp(1.0j * np.outer(omega, times[:block]))
-    fid = ((starts * amp[keep]) @ offsets_in_block).ravel()
-    fid *= np.exp(-times / params.t2_s)
-    return fid
+    fids = np.empty((len(states), params.n_points), dtype=complex)
+    for fid, terms in zip(fids, amp[:, keep]):
+        np.matmul(starts * terms, offsets_in_block, out=fid.reshape(len(starts), block))
+    fids *= np.exp(-times / params.t2_s)
+    return fids
+
+
+def acquire_fid(
+    state: DensityState, system: SpinSystem, params: AcquisitionParams
+) -> np.ndarray:
+    """Simulated FID of one state (see ``acquire_fids``)."""
+    return acquire_fids((state,), system, params)[0]
 
 
 def fft_spectrum(

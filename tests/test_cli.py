@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from nmrfetch import (
+    AcquisitionParams,
+    DecodeError,
     QueryPattern,
+    apply_query_diagonal,
     build_query_network,
     crotonic_default,
     distance_up_to_global_phase,
@@ -302,6 +305,42 @@ def test_route_guard_fails_simulate_and_spectrum_reports_gap(monkeypatch, capsys
     monkeypatch.setattr(climod, "_ROUTE_GUARD", 0.0)  # tighter than any real gap
     assert main(["simulate", "--pattern", "100xxx", "--backend", "fast"]) == EXIT_NUMERICAL
     assert "disagree" in capsys.readouterr().err
+
+
+def test_route_guard_fails_on_the_before_state_first(monkeypatch, capsys):
+    # one readout pass covers both states, but the before state is still
+    # checked first: its gap is the one the error reports
+    import nmrfetch.cli as climod
+
+    sys = crotonic_default()
+    cfg = RunConfig(sys, QueryPattern.from_string("100xxx"), backend="fast_diagonal")
+    params = AcquisitionParams.for_system(sys)
+    state = climod._initial_state(sys, cfg.init)
+    queried = apply_query_diagonal(state, cfg.pattern)
+    messages = []
+    for alone in (state, queried):
+        with pytest.raises(DecodeError, match="disagree") as exc:
+            climod._readout((alone,), sys, params, cfg.decode_tolerance_hz, guard=0.0)
+        messages.append(str(exc.value))
+    assert messages[0] != messages[1]  # the two gaps tell the states apart
+
+    monkeypatch.setattr(climod, "_ROUTE_GUARD", 0.0)
+    with pytest.raises(DecodeError) as exc:
+        run_fetch(cfg)
+    assert str(exc.value) == messages[0]
+    assert main(["simulate", "--pattern", "100xxx", "--backend", "fast"]) == EXIT_NUMERICAL
+    assert messages[0] in capsys.readouterr().err
+
+
+def test_decode_failure_comes_before_route_failure(monkeypatch):
+    # items 1 and 2 sit 0.2 Hz apart: the before state fails to decode, and
+    # that error wins over the route gap of the same state
+    import nmrfetch.cli as climod
+
+    monkeypatch.setattr(climod, "_ROUTE_GUARD", 0.0)
+    cfg = RunConfig(make_system([10.0, 10.2]), QueryPattern.from_string("1x"))
+    with pytest.raises(DecodeError, match="ambiguous peak"):
+        run_fetch(cfg)
 
 
 def test_compile_listing_grammar(capsys):

@@ -18,21 +18,31 @@ from nmrfetch import (
     acquire_fid,
     analytic_spectrum,
     apply_query_diagonal,
+    apply_unitary,
+    build_query_network,
     classify_marked,
     crotonic_default,
     decode_item,
     decode_peaks,
     effective_pure_ancilla,
+    expand_to_hard_pulses,
     fft_spectrum,
     line_table,
     pick_peaks,
+    sequence_unitary,
     spectral_lines,
     thermal_state,
 )
 from nmrfetch import spectrometer
 from nmrfetch.cli import RunConfig, run_fetch
 from nmrfetch.operators import single_spin_rotation, zz_hamiltonian_diagonal
-from nmrfetch.spectrometer import Peak, _expanded_register, spectrum_csv
+from nmrfetch.spectrometer import (
+    Peak,
+    _expanded_register,
+    acquire_fids,
+    analytic_spectra,
+    spectrum_csv,
+)
 
 from conftest import make_system
 
@@ -391,6 +401,114 @@ def test_nonzero_carrier_routes_agree_and_decode():
     assert sorted((p.item, p.manifold) for p in decoded) == sorted(
         (l.item, l.manifold) for l in line_table(sys)
     )
+
+
+def masked_population_state(system, rng, zero_difference):
+    """Random population state whose ancilla difference is exactly 0 on the masked items."""
+    half = 2**system.n_database
+    p0, p1 = rng.random(half), rng.random(half)
+    p1[zero_difference] = p0[zero_difference]
+    pops = np.concatenate([p0, p1])
+    return DensityState.from_populations(pops / pops.sum())
+
+
+def readout_pair(system, seed, second):
+    """A population state and a partner that shares only part of its nonzero terms.
+
+    The first state has zero ancilla difference on a random half of the
+    items, never on all of them.  ``second`` picks the partner: zero
+    difference on the other half (each state keeps terms and lines the
+    other drops), zero difference on every item, or the first state after
+    a hard-pulse query (a dense state).
+    """
+    rng = np.random.default_rng(seed)
+    mask = rng.random(2**system.n_database) < 0.5
+    mask[rng.integers(mask.size)] = False
+    first = masked_population_state(system, rng, mask)
+    if second == "complement":
+        return first, masked_population_state(system, rng, ~mask)
+    if second == "zero":
+        return first, masked_population_state(system, rng, np.ones_like(mask))
+    pattern = QueryPattern.from_string("".join(rng.choice(list("01x"), system.n_database)))
+    network = expand_to_hard_pulses(build_query_network(system, pattern), system)
+    dense = apply_unitary(first, sequence_unitary(network, system))
+    assert not dense.is_diagonal
+    return first, dense
+
+
+def assert_batch_matches_single_calls(states, system, params):
+    """Every row of one batched readout equals the per-state call to 1e-12 relative.
+
+    Relative to the state's own readout, so a state with zero ancilla
+    difference everywhere must read out as exactly zero.
+    """
+    fids = acquire_fids(states, system, params)
+    spectra = analytic_spectra(states, system, params)
+    assert fids.shape == (len(states), params.n_points) and len(spectra) == len(states)
+    for state, fid, spec in zip(states, fids, spectra):
+        assert np.array_equal(spec.freqs_hz, params.frequency_grid())
+        for got, want in (
+            (fid, acquire_fid(state, system, params)),
+            (spec.amplitude, analytic_spectrum(state, system, params).amplitude),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    return fids, np.array([spec.amplitude for spec in spectra])
+
+
+def assert_batch_matches_references(states, system, params):
+    """Batched rows against the dense-pulse FID and the per-line sum, relative to the batch."""
+    fids, spectra = assert_batch_matches_single_calls(states, system, params)
+    assert relative_gap(fids, np.array([reference_fid(s, system, params) for s in states])) <= 1e-12
+    assert relative_gap(
+        spectra, np.array([reference_analytic(s, system, params) for s in states])
+    ) <= 1e-12
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    second=st.sampled_from(("complement", "zero")),
+    carrier=st.sampled_from((0.0, -3.5)),
+)
+def test_batched_readout_matches_single_calls_builtin(seed, second, carrier):
+    sys = crotonic_default()
+    params = AcquisitionParams(n_points=1024, dwell_s=1.0 / 512.0, t2_s=0.5, carrier_hz=carrier)
+    pair = readout_pair(sys, seed, second)
+    assert_batch_matches_references(pair, sys, params)
+    assert_batch_matches_single_calls(pair[1:], sys, params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sys=small_composite_systems(),
+    seed=st.integers(0, 2**32 - 1),
+    second=st.sampled_from(("complement", "zero", "dense")),
+    carrier=st.floats(-20.0, 20.0),
+)
+def test_batched_readout_matches_single_calls_composite(sys, seed, second, carrier):
+    params = AcquisitionParams(n_points=2048, dwell_s=1.0 / 256.0, t2_s=1.0, carrier_hz=carrier)
+    pair = readout_pair(sys, seed, second)
+    assert_batch_matches_references(pair, sys, params)
+    for state in pair:
+        assert_batch_matches_single_calls((state,), sys, params)
+
+
+def test_batched_readout_reads_terms_of_either_state():
+    # item 0 differs only in the first state, item 1 only in the second: the
+    # batch keeps both terms and lines, and each row shows only its own line
+    sys = make_system([10.0])
+    params = AcquisitionParams(n_points=4096, dwell_s=1.0 / 64.0, t2_s=4.0)
+    states = (
+        DensityState.from_populations(np.array([0.5, 0.25, 0.0, 0.25])),
+        DensityState.from_populations(np.array([0.25, 0.5, 0.25, 0.0])),
+    )
+    for fid, ref, item_freq in zip(
+        acquire_fids(states, sys, params), analytic_spectra(states, sys, params), (5.0, -5.0)
+    ):
+        for spec in (fft_spectrum(fid, params), ref):
+            peaks = pick_peaks(spec, threshold_frac=0.05)
+            assert [round(p.freq_hz, 2) for p in peaks] == [item_freq]
+    assert_batch_matches_single_calls(states, sys, params)
 
 
 # ---------------------------------------------------------------------------
