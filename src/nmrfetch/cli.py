@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -341,14 +340,13 @@ def _emit_run_artifacts(cfg: RunConfig, params, result: RunResult) -> None:
             "sequence_report": (
                 None
                 if result.sequence is None
-                else _report_dict(sequence_report(result.sequence))
+                else _report_dict(sequence_report(result.sequence), params)
             ),
-            "fetch_seed": os.environ.get("FETCH_SEED"),
         }
         _write(out / "result.json", _json_text(payload))
 
 
-def _report_dict(rep) -> dict:
+def _report_dict(rep, params: AcquisitionParams) -> dict:
     return {
         "n_pulses": rep.n_pulses,
         "pulse_counts": {f"{axis},{deg:g}": c for (axis, deg), c in sorted(rep.pulse_counts.items())},
@@ -356,6 +354,7 @@ def _report_dict(rep) -> dict:
         "n_virtual_z": rep.n_virtual_z,
         "n_delays": rep.n_delays,
         "total_duration_s": rep.total_duration_s,
+        "duration_t2": rep.total_duration_s / params.t2_s,
     }
 
 
@@ -475,6 +474,9 @@ def _cmd_simulate(args) -> int:
     print(f"system: {', '.join(system.labels)} (ancilla {system.spins[0].label})")
     print(f"pattern: {''.join(cfg.pattern.constraints)}  init: {cfg.init}  backend: {cfg.backend}")
     print(f"oracle calls: {result.oracle_calls}")
+    if cfg.backend == "hard_pulse":
+        seconds = sequence_report(result.sequence).total_duration_s
+        print(f"schedule: {seconds:.6g} s ({seconds / params.t2_s:.3g} T2)")
     print(f"peaks: {len(result.peaks_before)} before, {len(result.peaks_after)} after")
     print(f"marked items: {_format_items(result.marked)}")
     print(f"expected items: {_format_items(result.expected)}")
@@ -518,7 +520,6 @@ def _cmd_spectrum(args) -> int:
                 "init": init,
                 "acquisition": _acq_dict(params),
                 "peaks": [_peak_dict(p) for p in peaks],
-                "fetch_seed": os.environ.get("FETCH_SEED"),
             }
             _write(out / "result.json", _json_text(payload))
         if "seq" in emit:

@@ -17,18 +17,27 @@ conjugation identity
     V = exp(-i pi/2 I_x^t) exp(-i pi I_z^ck I_z^t)
         exp(+i pi/2 I_x^t) exp(-i pi/2 I_y^t)
 
-whose middle factor is half a ZZ turn, so each lowering step costs two
-ZZ periods and eight selective pulses.  The ideal gate list can further be
-expanded into a hard-pulse schedule (delays under the always-on coupling
-Hamiltonian plus refocusing pi pulses) in which every unwanted coupling
-and chemical shift integrates to zero over the block.
+whose middle factor is half a ZZ turn, so each conjugation costs two ZZ
+periods and six selective pulses.  Lowered one subset at a time, the same
+outer conjugation would be undone and redone for every subset that shares
+it.  Instead the subsets are emitted in nested order (member tuples read
+from the outermost control, the highest index, inward), so consecutive
+subsets share their outer conjugations, and one stack pass drops every
+adjacent pair of exactly inverse gates: V followed by V^dagger vanishes.
+k controls then cost 2^(k+1) - 3 ZZ periods in 2^(k-1) - 1 conjugations,
+and the highest-index control is conjugated only once.  The ideal gate
+list can further be expanded into a hard-pulse schedule (delays under the
+always-on coupling Hamiltonian plus refocusing pi pulses) in which every
+unwanted coupling and chemical shift integrates to zero over the block.
 
 ``sequence_unitary`` simulates either list exactly, gate by gate, but does
-dense O(4^n) work only where a pulse mixes basis states.  Delays, ZZ
-periods and frame z rotations are diagonal, and a pi pulse about x or y is
--i sigma, a signed bit flip; a diagonal moved through a signed flip stays
-diagonal (Pauli-frame bookkeeping), so every run of such gates is one
-signed permutation times a diagonal phase, built in O(2^n) per gate.
+dense work only where a pulse mixes basis states.  Delays, ZZ periods and
+frame z rotations are diagonal, and a pi pulse about x or y is -i sigma, a
+signed bit flip; a diagonal moved through a signed flip stays diagonal
+(Pauli-frame bookkeeping), so every run of such gates is one signed
+permutation times a diagonal phase, built in O(2^n) per gate.  The running
+product keeps only 2^|M| columns per row, M being the qubits that some
+non-flip pulse mixes (the ancilla alone in a query network).
 """
 
 from __future__ import annotations
@@ -197,8 +206,13 @@ def compile_multilinear_z_phase(
 
     ``controls`` holds (qubit, polarity) pairs and ``signs`` the per-control
     sign convention (see controlled_phase_direct); only the products
-    eps_c = s_c * (-1)^{p_c} enter the expansion.  ``term_order`` permutes
-    the emitted subset blocks (they commute; exposed for testing).
+    eps_c = s_c * (-1)^{p_c} enter the expansion.  The subsets are emitted
+    in nested order, each lowered by conjugating with its controls from the
+    highest index inward, and adjacent inverse gates are then cancelled, so
+    k controls cost 2^(k+1) - 3 ZZ periods.  ``term_order`` permutes the
+    nested subset list (the subset factors commute, so any order compiles
+    the same unitary; a non-default order only cancels less; exposed for
+    testing).
     """
     if signs is None:
         signs = [1] * len(controls)
@@ -217,21 +231,44 @@ def compile_multilinear_z_phase(
     k = len(ctrl_qubits)
     base = angle / 2.0**k
 
-    subsets = sorted(range(2**k), key=lambda m: (bin(m).count("1"), m))
+    # nested order: member tuples read from the outermost control inward
+    subsets = sorted(
+        ([q for b, q in enumerate(ctrl_qubits) if (mask >> b) & 1] for mask in range(2**k)),
+        key=lambda members: members[::-1],
+    )
     if term_order is not None:
         if sorted(term_order) != list(range(2**k)):
             raise CompileError("term_order must permute the control subsets")
         subsets = [subsets[i] for i in term_order]
 
     gates: list[Gate] = []
-    for mask in subsets:
-        members = [q for b, q in enumerate(ctrl_qubits) if (mask >> b) & 1]
+    for members in subsets:
         lam = base * math.prod(eps[q] for q in members)
         if not members:
             gates.append(VirtualZ(target, lam))
         else:
             gates.extend(_lower_chain(members + [target], lam))
-    return GateSequence(n_qubits=n_qubits, gates=tuple(gates), mode="ideal")
+    return GateSequence(n_qubits=n_qubits, gates=tuple(_cancel_inverses(gates)), mode="ideal")
+
+
+def _inverse_pair(a: Gate, b: Gate) -> bool:
+    """Is b exactly a^-1: a pulse reversed in axis, or a ZZ period in angle?"""
+    if isinstance(a, SelectivePulse) and isinstance(b, SelectivePulse):
+        return a.qubit == b.qubit and a.angle == b.angle and b.axis == _FLIP_AXIS[a.axis]
+    if isinstance(a, ZZEvolution) and isinstance(b, ZZEvolution):
+        return {a.q1, a.q2} == {b.q1, b.q2} and a.angle == -b.angle
+    return False
+
+
+def _cancel_inverses(gates: list[Gate]) -> list[Gate]:
+    """Drop every adjacent pair of exactly inverse gates, cascading."""
+    kept: list[Gate] = []
+    for gate in gates:
+        if kept and _inverse_pair(kept[-1], gate):
+            kept.pop()
+        else:
+            kept.append(gate)
+    return kept
 
 
 def build_query_network(system: SpinSystem, pattern: QueryPattern) -> GateSequence:
@@ -462,11 +499,23 @@ def sequence_unitary(seq: GateSequence, system: SpinSystem | None = None) -> np.
     * a 2x2 block collecting consecutive other pulses on one qubit.  Its
       flush is one two-row linear combination.
 
-    Dense O(4^n) work is therefore done once per run of such pulses, not
-    once per gate.  Every gate is still applied exactly (a pi pulse's
-    dropped diagonal is rounding, see ``_FLIP_DIAGONAL``); only the
-    representation of the running product differs from a gate-by-gate
-    multiplication.
+    Dense work is therefore done once per run of such pulses, not once per
+    gate.  It is also only as wide as the qubits that the pulses mix: only
+    the qubits in M, those that receive a pulse other than a signed flip,
+    ever spread a row over more than one column.  So the accumulator holds
+    2^n x 2^|M| entries A plus a column map ``cols``: row i of the product
+    is nonzero only in the columns whose bits outside M equal cols[i], and
+    A[i, m] is its entry in the column whose M bits spell m.  A monomial
+    flush gathers ``cols`` with the rows; a 2x2 mix on a qubit of M leaves
+    it alone, since the two rows it combines always share their columns
+    (a flip's source map is i ^ F for a fixed mask F, so partner rows stay
+    partners).  One scatter builds the dense 2^n x 2^n result at the end.
+    A query network mixes only its ancilla, so each flush touches 2^n x 2
+    entries; with every qubit mixed, A is the dense product itself.
+
+    Every gate is still applied exactly (a pi pulse's dropped diagonal is
+    rounding, see ``_FLIP_DIAGONAL``); only the representation of the
+    running product differs from a gate-by-gate multiplication.
     """
     n = seq.n_qubits
     if n > MAX_DENSE_QUBITS:
@@ -481,30 +530,38 @@ def sequence_unitary(seq: GateSequence, system: SpinSystem | None = None) -> np.
         ham = free_hamiltonian_diagonal(system)
     rows = np.arange(dim)
     z = np.array([z_eigenvalues(n, q) for q in range(n)])
-    partner = rows ^ (1 << (n - 1 - np.arange(n)))[:, None]  # row with qubit q flipped
+    masks = 1 << (n - 1 - np.arange(n))  # index bit of each qubit
+    partner = rows ^ masks[:, None]  # row with qubit q flipped
 
-    acc = np.eye(dim, dtype=complex)
+    # per distinct pulse: (partner rows, flip coefficients) or its 2x2 block
+    pulses: dict[SelectivePulse, tuple | np.ndarray] = {}
+    for gate in dict.fromkeys(g for g in seq.gates if isinstance(g, SelectivePulse)):
+        rot = rotation_block(gate.axis, gate.angle)
+        if abs(rot[0, 0]) < _FLIP_DIAGONAL:
+            # row i takes its partner with rot[0, 1] if qubit q of i is 0,
+            # with rot[1, 0] if it is 1
+            coef = np.where(z[gate.qubit] < 0, rot[1, 0], rot[0, 1])
+            pulses[gate] = (partner[gate.qubit], coef)
+        else:
+            pulses[gate] = rot
+    mixed = sorted({g.qubit for g, a in pulses.items() if isinstance(a, np.ndarray)})
+    # embed[m]: the index bits of the M qubits spelt by column m
+    embed = np.zeros(1, dtype=rows.dtype)
+    for q in mixed:
+        embed = np.concatenate([embed, embed | masks[q]])
+    in_mixed = rows & int(masks[mixed].sum())
+
+    acc = (in_mixed[:, None] == embed).astype(complex)
+    cols = rows - in_mixed
     src, sign, phase = rows, np.ones(dim, dtype=complex), np.zeros(dim)
     monomial = False  # does (src, sign, phase) hold gates not yet in acc?
     block, block_qubit = None, -1
-    # per distinct pulse: (partner rows, flip coefficients) or its 2x2 block
-    pulses: dict[SelectivePulse, tuple | np.ndarray] = {}
     for gate in seq.gates:
         if isinstance(gate, SelectivePulse):
-            action = pulses.get(gate)
-            if action is None:
-                rot = rotation_block(gate.axis, gate.angle)
-                if abs(rot[0, 0]) < _FLIP_DIAGONAL:
-                    # row i takes its partner with rot[0, 1] if qubit q of
-                    # i is 0, with rot[1, 0] if it is 1
-                    coef = np.where(z[gate.qubit] < 0, rot[1, 0], rot[0, 1])
-                    action = (partner[gate.qubit], coef)
-                else:
-                    action = rot
-                pulses[gate] = action
+            action = pulses[gate]
             if isinstance(action, np.ndarray):
                 if monomial:
-                    acc = _gather_rows(acc, src, sign, phase)
+                    acc, cols = _gather_rows(acc, src, sign, phase), cols[src]
                     src, sign, phase = rows, np.ones(dim, dtype=complex), np.zeros(dim)
                     monomial = False
                 if block is not None and block_qubit != gate.qubit:
@@ -529,8 +586,11 @@ def sequence_unitary(seq: GateSequence, system: SpinSystem | None = None) -> np.
     if block is not None:
         _mix_rows(acc, block_qubit, block)
     if monomial:
-        acc = _gather_rows(acc, src, sign, phase)
-    return acc
+        acc, cols = _gather_rows(acc, src, sign, phase), cols[src]
+    u = np.zeros((dim, dim), dtype=complex)
+    for m, bits in enumerate(embed):
+        u[rows, cols | bits] = acc[:, m]
+    return u
 
 
 @dataclass(frozen=True)

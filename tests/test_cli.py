@@ -194,12 +194,32 @@ def test_simulate_deterministic_artifacts(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
-def test_simulate_records_seed_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("FETCH_SEED", "1234")
-    out = tmp_path / "seeded"
-    assert main(["simulate", "--pattern", "xxxxxx", "--out", str(out), "--emit", "json"]) == 0
-    data = json.loads((out / "result.json").read_text())
-    assert data["fetch_seed"] == "1234"
+def test_result_json_ignores_the_environment(tmp_path, monkeypatch):
+    texts = []
+    for seed in ("1234", None):
+        if seed is None:
+            monkeypatch.delenv("FETCH_SEED", raising=False)
+        else:
+            monkeypatch.setenv("FETCH_SEED", seed)
+        out = tmp_path / str(seed)
+        assert main(["simulate", "--pattern", "xxxxxx", "--out", str(out), "--emit", "json"]) == 0
+        texts.append((out / "result.json").read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_simulate_hard_reports_schedule_in_t2(tmp_path, capsys):
+    out = tmp_path / "hard"
+    code = main(
+        ["simulate", "--pattern", "100101", "--backend", "hard", "--out", str(out), "--emit", "json"]
+    )
+    assert code == EXIT_OK
+    report = json.loads((out / "result.json").read_text())["sequence_report"]
+    assert report["duration_t2"] == pytest.approx(report["total_duration_s"] / 2.0)
+    assert 1.9 < report["duration_t2"] < 2.0
+    line = re.search(r"^schedule: (\S+) s \((\S+) T2\)$", capsys.readouterr().out, re.M)
+    assert line is not None
+    assert float(line.group(1)) == pytest.approx(report["total_duration_s"], rel=1e-5)
+    assert float(line.group(2)) == pytest.approx(report["duration_t2"], rel=1e-2)
 
 
 def test_simulate_bad_pattern_length_exit_config():

@@ -50,13 +50,47 @@ def test_one_control_matches_direct():
 
 
 def test_three_control_gate_counts():
-    # subset expansion: empty set -> 1 virtual z; 3 singletons -> ZZ;
-    # 3 pairs -> 6 pulses + 3 ZZ each; 1 triple -> 12 pulses + 5 ZZ
+    # nested expansion: empty set -> 1 virtual z; 7 ZZ periods, one per
+    # nonempty subset; 3 conjugation nodes (V(2) at the top, V(3) around
+    # the subsets holding 3, V(2) inside it) -> 6 pulses + 2 ZZ each
     seq = compile_multilinear_z_phase(4, 0, [(1, 1), (2, 0), (3, 0)], math.pi)
     rep = sequence_report(seq)
-    assert rep.n_pulses == 30
-    assert rep.n_zz == 17
+    assert rep.n_pulses == 18
+    assert rep.n_zz == 13
     assert rep.n_virtual_z == 1
+
+
+def _adjacent_inverse(a, b):
+    if isinstance(a, SelectivePulse) and isinstance(b, SelectivePulse):
+        flipped = {"x": "-x", "-x": "x", "y": "-y", "-y": "y"}[a.axis]
+        return a.qubit == b.qubit and a.angle == b.angle and b.axis == flipped
+    if isinstance(a, ZZEvolution) and isinstance(b, ZZEvolution):
+        return {a.q1, a.q2} == {b.q1, b.q2} and a.angle == -b.angle
+    return False
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_nested_lowering_counts_and_exactness(k):
+    rng = random.Random(100 + k)
+    n = k + 1
+    target = rng.randrange(n)
+    ctrl = [q for q in range(n) if q != target]
+    rng.shuffle(ctrl)
+    controls = [(q, rng.randrange(2)) for q in ctrl]
+    signs = [rng.choice([1, -1]) for _ in range(k)]
+    angle = rng.uniform(-2 * math.pi, 2 * math.pi)
+    seq = compile_multilinear_z_phase(n, target, controls, angle, signs=signs)
+    assert sequence_report(seq).n_zz == 2 ** (k + 1) - 3
+    assert not any(_adjacent_inverse(a, b) for a, b in zip(seq.gates, seq.gates[1:]))
+    direct = controlled_phase_direct(n, target, controls, angle, signs=signs)
+    assert distance_up_to_global_phase(sequence_unitary(seq), direct) <= 1e-9
+
+
+@pytest.mark.parametrize("pattern, bound_s", [("100101", 4.0), ("1001x1", 2.5)])
+def test_builtin_hard_schedules_stay_short(pattern, bound_s):
+    sys = crotonic_default()
+    net = build_query_network(sys, QueryPattern.from_string(pattern))
+    assert sequence_report(expand_to_hard_pulses(net, sys)).total_duration_s < bound_s
 
 
 def test_three_control_embedded_in_seven_qubits():
@@ -411,6 +445,46 @@ def test_sequence_unitary_matches_per_gate_product(data):
                 gates.append(
                     SelectivePulse(data.draw(qubit), data.draw(axis), data.draw(_ANGLES))
                 )
+        elif kind == "vz":
+            gates.append(VirtualZ(data.draw(qubit), data.draw(_ANGLES)))
+        elif kind == "zz":
+            q1, q2 = data.draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            gates.append(ZZEvolution(q1, q2, data.draw(_ANGLES)))
+        else:
+            gates.append(Delay(data.draw(st.floats(min_value=0.0, max_value=0.05))))
+    seq = GateSequence(n, tuple(gates), mode=mode)
+    got = sequence_unitary(seq, sys)
+    assert np.max(np.abs(got - reference_unitary(seq, sys))) <= 1e-11
+
+
+# odd multiples of pi: signed flips, which never widen the accumulator
+_PI_MULTIPLES = st.sampled_from([math.pi, 3 * math.pi, -math.pi, -3 * math.pi])
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_sequence_unitary_with_few_mixed_qubits(data):
+    # arbitrary rotations reach only a drawn subset of the qubits (possibly
+    # none), so the accumulator keeps fewer columns than the register
+    n = data.draw(st.integers(1, 5))
+    mode = data.draw(st.sampled_from(["ideal", "hard_pulse"]))
+    sys = random_full_system(random.Random(data.draw(st.integers(0, 10**6))), n - 1)
+    mixed = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    kinds = ["flip", "vz"] + (["mix"] if mixed else [])
+    if mode == "hard_pulse":
+        kinds.append("delay")
+    elif n > 1:
+        kinds.append("zz")
+    qubit = st.integers(0, n - 1)
+    axis = st.sampled_from(["x", "y", "-x", "-y"])
+    gates = []
+    for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=30)):
+        if kind == "mix":
+            gates.append(
+                SelectivePulse(data.draw(st.sampled_from(mixed)), data.draw(axis), data.draw(_ANGLES))
+            )
+        elif kind == "flip":
+            gates.append(SelectivePulse(data.draw(qubit), data.draw(axis), data.draw(_PI_MULTIPLES)))
         elif kind == "vz":
             gates.append(VirtualZ(data.draw(qubit), data.draw(_ANGLES)))
         elif kind == "zz":
