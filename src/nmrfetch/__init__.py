@@ -26,8 +26,6 @@ from .operators import (
     distance_up_to_global_phase,
     hadamard_like,
     single_spin_rotation,
-    unitarity_defect,
-    zz_evolution,
 )
 from .compiler import (
     CompileError,
@@ -49,7 +47,6 @@ from .states import (
     apply_query_diagonal,
     apply_unitary,
     effective_pure_ancilla,
-    purity,
     thermal_state,
 )
 from .spectrometer import (
@@ -62,12 +59,10 @@ from .spectrometer import (
     acquire_fid,
     analytic_spectrum,
     classify_marked,
-    decode_item,
     decode_peaks,
     fft_spectrum,
     line_table,
     pick_peaks,
-    spectral_lines,
 )
 from .cli import RunConfig, RunResult, bench_report, classical_oracle, run_fetch
 
@@ -107,7 +102,6 @@ __all__ = [
     "compile_multilinear_z_phase",
     "controlled_phase_direct",
     "crotonic_default",
-    "decode_item",
     "decode_peaks",
     "distance_up_to_global_phase",
     "effective_pure_ancilla",
@@ -120,13 +114,9 @@ __all__ = [
     "load_spin_system",
     "load_spin_system_file",
     "pick_peaks",
-    "purity",
     "run_fetch",
     "sequence_report",
     "sequence_unitary",
     "single_spin_rotation",
-    "spectral_lines",
     "thermal_state",
-    "unitarity_defect",
-    "zz_evolution",
 ]

@@ -98,16 +98,8 @@ class RunConfig:
     init: str = "effective_pure"  # or "thermal"
     backend: str = "ideal"  # "ideal" | "hard_pulse" | "fast_diagonal"
     params: AcquisitionParams | None = None
-    out_dir: str | None = None
-    emit: tuple[str, ...] = ()
-    decode_tolerance_hz: float = 0.3
 
     def __post_init__(self):
-        if len(self.pattern.constraints) != self.system.n_database:
-            raise ConfigError(
-                f"pattern length {len(self.pattern.constraints)} does not match "
-                f"{self.system.n_database} database qubits"
-            )
         if self.init not in ("thermal", "effective_pure"):
             raise ConfigError(f"unknown init mode {self.init!r}")
         if self.backend not in ("ideal", "hard_pulse", "fast_diagonal"):
@@ -117,9 +109,6 @@ class RunConfig:
                 f"backend {self.backend} needs a dense register; "
                 f"{self.system.n_spins} spins exceed the {MAX_DENSE_QUBITS}-spin limit"
             )
-        bad = set(self.emit) - {"csv", "json", "svg", "seq"}
-        if bad:
-            raise ConfigError(f"unknown emit kinds: {sorted(bad)}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +119,6 @@ class RunResult:
     expected: tuple[int, ...]
     inconsistent: tuple[int, ...]
     verified: bool
-    oracle_calls: int
     peaks_before: tuple
     peaks_after: tuple
     sequence: GateSequence | None
@@ -170,7 +158,6 @@ def _readout(
     states: tuple[DensityState, ...],
     system: SpinSystem,
     params: AcquisitionParams,
-    tolerance_hz: float,
     guard: float = math.inf,
 ) -> list[tuple[Spectrum, list, float]]:
     """FID-route spectrum, its decoded peaks and the route gap, per state.
@@ -190,7 +177,7 @@ def _readout(
         spec = fft_spectrum(fid, params)
         top = float(np.max(np.abs(ref.amplitude)))
         gap = float(np.max(np.abs(spec.amplitude - ref.amplitude))) / top if top > 0.0 else 0.0
-        peaks = decode_peaks(pick_peaks(spec), system, tolerance_hz)
+        peaks = decode_peaks(pick_peaks(spec), system)
         if gap > guard:
             raise DecodeError(
                 f"time-domain and closed-form spectra disagree ({gap:.2e} relative)"
@@ -204,21 +191,18 @@ def run_fetch(cfg: RunConfig) -> RunResult:
     params = cfg.params or AcquisitionParams.for_system(cfg.system)
     state = _initial_state(cfg.system, cfg.init)
 
-    oracle_calls = 0
     sequence: GateSequence | None = None
     if cfg.backend == "fast_diagonal":
         queried = apply_query_diagonal(state, cfg.pattern)
-        oracle_calls += 1
     else:
         sequence = build_query_network(cfg.system, cfg.pattern)
         if cfg.backend == "hard_pulse":
             sequence = expand_to_hard_pulses(sequence, cfg.system)
         u = sequence_unitary(sequence, cfg.system)
         queried = apply_unitary(state, u)
-        oracle_calls += 1
 
     (before_spec, before_peaks, _), (after_spec, after_peaks, _) = _readout(
-        (state, queried), cfg.system, params, cfg.decode_tolerance_hz, guard=_ROUTE_GUARD
+        (state, queried), cfg.system, params, guard=_ROUTE_GUARD
     )
 
     verdict = classify_marked(after_peaks)
@@ -231,7 +215,6 @@ def run_fetch(cfg: RunConfig) -> RunResult:
         expected=expected,
         inconsistent=verdict.inconsistent,
         verified=verified,
-        oracle_calls=oracle_calls,
         peaks_before=tuple(before_peaks),
         peaks_after=tuple(after_peaks),
         sequence=sequence,
@@ -280,11 +263,6 @@ def _peak_dict(p) -> dict:
     }
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -305,45 +283,6 @@ def _system_dict(system: SpinSystem) -> dict:
         "ancilla": system.spins[0].label,
         "bit_signs": list(system.bit_signs),
     }
-
-
-def _emit_run_artifacts(cfg: RunConfig, params, result: RunResult) -> None:
-    if not cfg.emit:
-        return
-    if cfg.out_dir is None:
-        raise ConfigError("--emit requires --out")
-    out = Path(cfg.out_dir)
-    if "csv" in cfg.emit:
-        _write(out / "before_spectrum.csv", spectrum_csv(result.before))
-        _write(out / "after_spectrum.csv", spectrum_csv(result.after))
-    if "svg" in cfg.emit:
-        _write(out / "before_spectrum.svg", spectrum_svg(result.before, title="before query"))
-        _write(out / "after_spectrum.svg", spectrum_svg(result.after, title="after query"))
-    if "seq" in cfg.emit:
-        if result.sequence is None:
-            raise ConfigError("fast backend has no pulse sequence to emit")
-        _write(out / "sequence.seq", format_sequence(result.sequence))
-    if "json" in cfg.emit:
-        payload = {
-            "system": _system_dict(cfg.system),
-            "pattern": "".join(cfg.pattern.constraints),
-            "init": cfg.init,
-            "backend": cfg.backend,
-            "acquisition": _acq_dict(params),
-            "oracle_calls": result.oracle_calls,
-            "marked_items": list(result.marked),
-            "expected_items": list(result.expected),
-            "inconsistent_items": list(result.inconsistent),
-            "verified": result.verified,
-            "peaks_before": [_peak_dict(p) for p in result.peaks_before],
-            "peaks_after": [_peak_dict(p) for p in result.peaks_after],
-            "sequence_report": (
-                None
-                if result.sequence is None
-                else _report_dict(sequence_report(result.sequence), params)
-            ),
-        }
-        _write(out / "result.json", _json_text(payload))
 
 
 def _report_dict(rep, params: AcquisitionParams) -> dict:
@@ -379,16 +318,7 @@ def _load_system(spec: str) -> SpinSystem:
 
 
 def _acq_from_args(system: SpinSystem, args) -> AcquisitionParams:
-    base = AcquisitionParams.for_system(
-        system,
-        n_points=args.points,
-        t2_s=args.t2,
-    )
-    if args.dwell is not None:
-        base = AcquisitionParams(
-            n_points=args.points, dwell_s=args.dwell, t2_s=args.t2
-        )
-    return base
+    return AcquisitionParams.for_system(system, n_points=args.points, t2_s=args.t2)
 
 
 def _add_common(p: argparse.ArgumentParser, pattern_required: bool) -> None:
@@ -403,7 +333,6 @@ def _add_common(p: argparse.ArgumentParser, pattern_required: bool) -> None:
 
 def _add_acquisition(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", type=int, default=16384, help="FID length (power of two)")
-    p.add_argument("--dwell", type=float, default=None, help="dwell time in seconds")
     p.add_argument("--t2", type=float, default=2.0, help="coherence decay time in seconds")
 
 
@@ -449,8 +378,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_list(args) -> tuple[str, ...]:
-    return tuple(tok for tok in args.emit.split(",") if tok) if args.emit else ()
+def _artifact_writer(args, allowed: set[str]):
+    """Check ``--out`` and ``--emit`` before any work; return the writer.
+
+    The writer takes ``{kind: render}``, where ``render()`` returns the
+    kind's ``{filename: text}`` files, renders the kinds ``--emit`` chose
+    (and only those) and writes their files into ``--out``.
+    """
+    kinds = sorted({tok for tok in args.emit.split(",") if tok})
+    if kinds and args.out is None:
+        raise ConfigError("--emit requires --out")
+    bad = [kind for kind in kinds if kind not in allowed]
+    if bad:
+        raise ConfigError(
+            f"cannot emit {','.join(bad)} here; choose from {','.join(sorted(allowed))}"
+        )
+
+    def write(artifacts) -> None:
+        for kind in kinds:
+            for name, text in artifacts[kind]().items():
+                path = Path(args.out) / name
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text)
+
+    return write
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +410,9 @@ def _emit_list(args) -> tuple[str, ...]:
 
 
 def _cmd_simulate(args) -> int:
+    emit = _artifact_writer(
+        args, {"csv", "json", "svg"} | (set() if args.backend == "fast" else {"seq"})
+    )
     system = _load_system(args.system)
     cfg = RunConfig(
         system=system,
@@ -466,16 +420,15 @@ def _cmd_simulate(args) -> int:
         init=_INITS[args.init],
         backend=_BACKENDS[args.backend],
         params=_acq_from_args(system, args),
-        out_dir=args.out,
-        emit=_emit_list(args),
     )
     result = run_fetch(cfg)
     params = cfg.params
     print(f"system: {', '.join(system.labels)} (ancilla {system.spins[0].label})")
     print(f"pattern: {''.join(cfg.pattern.constraints)}  init: {cfg.init}  backend: {cfg.backend}")
-    print(f"oracle calls: {result.oracle_calls}")
+    print("oracle calls: 1")
+    report = None if result.sequence is None else sequence_report(result.sequence)
     if cfg.backend == "hard_pulse":
-        seconds = sequence_report(result.sequence).total_duration_s
+        seconds = report.total_duration_s
         print(f"schedule: {seconds:.6g} s ({seconds / params.t2_s:.3g} T2)")
     print(f"peaks: {len(result.peaks_before)} before, {len(result.peaks_after)} after")
     print(f"marked items: {_format_items(result.marked)}")
@@ -483,7 +436,34 @@ def _cmd_simulate(args) -> int:
     if result.inconsistent:
         print(f"inconsistent items: {_format_items(result.inconsistent)}")
     print(f"verification: {'PASS' if result.verified else 'FAIL'}")
-    _emit_run_artifacts(cfg, params, result)
+    payload = {
+        "system": _system_dict(system),
+        "pattern": "".join(cfg.pattern.constraints),
+        "init": cfg.init,
+        "backend": cfg.backend,
+        "acquisition": _acq_dict(params),
+        "marked_items": list(result.marked),
+        "expected_items": list(result.expected),
+        "inconsistent_items": list(result.inconsistent),
+        "verified": result.verified,
+        "peaks_before": [_peak_dict(p) for p in result.peaks_before],
+        "peaks_after": [_peak_dict(p) for p in result.peaks_after],
+        "sequence_report": None if report is None else _report_dict(report, params),
+    }
+    emit(
+        {
+            "csv": lambda: {
+                "before_spectrum.csv": spectrum_csv(result.before),
+                "after_spectrum.csv": spectrum_csv(result.after),
+            },
+            "svg": lambda: {
+                "before_spectrum.svg": spectrum_svg(result.before, title="before query"),
+                "after_spectrum.svg": spectrum_svg(result.after, title="after query"),
+            },
+            "seq": lambda: {"sequence.seq": format_sequence(result.sequence)},
+            "json": lambda: {"result.json": _json_text(payload)},
+        }
+    )
     return EXIT_OK if result.verified else EXIT_MISMATCH
 
 
@@ -492,11 +472,12 @@ def _format_items(items) -> str:
 
 
 def _cmd_spectrum(args) -> int:
+    emit = _artifact_writer(args, {"csv", "json", "svg"})
     system = _load_system(args.system)
     params = _acq_from_args(system, args)
     init = _INITS[args.init]
     state = _initial_state(system, init)
-    ((spec, peaks, gap),) = _readout((state,), system, params, RunConfig.decode_tolerance_hz)
+    ((spec, peaks, gap),) = _readout((state,), system, params)
     print(f"spectral width: {params.spectral_width_hz:g} Hz, {params.n_points} points")
     print(f"route gap: {gap:.2e} (simulate fails above {_ROUTE_GUARD:g})")
     print(f"peaks found: {len(peaks)}")
@@ -505,29 +486,24 @@ def _cmd_spectrum(args) -> int:
             f"  {p.freq_hz:+10.3f} Hz  amp {p.amplitude:+.6g}  "
             f"item {p.item} ({p.manifold})"
         )
-    emit = _emit_list(args)
-    if emit:
-        if args.out is None:
-            raise ConfigError("--emit requires --out")
-        out = Path(args.out)
-        if "csv" in emit:
-            _write(out / "spectrum.csv", spectrum_csv(spec))
-        if "svg" in emit:
-            _write(out / "spectrum.svg", spectrum_svg(spec, title="pre-query spectrum"))
-        if "json" in emit:
-            payload = {
-                "system": _system_dict(system),
-                "init": init,
-                "acquisition": _acq_dict(params),
-                "peaks": [_peak_dict(p) for p in peaks],
-            }
-            _write(out / "result.json", _json_text(payload))
-        if "seq" in emit:
-            raise ConfigError("spectrum subcommand has no sequence to emit")
+    payload = {
+        "system": _system_dict(system),
+        "init": init,
+        "acquisition": _acq_dict(params),
+        "peaks": [_peak_dict(p) for p in peaks],
+    }
+    emit(
+        {
+            "csv": lambda: {"spectrum.csv": spectrum_csv(spec)},
+            "svg": lambda: {"spectrum.svg": spectrum_svg(spec, title="pre-query spectrum")},
+            "json": lambda: {"result.json": _json_text(payload)},
+        }
+    )
     return EXIT_OK
 
 
 def _cmd_compile(args) -> int:
+    emit = _artifact_writer(args, {"seq"})
     system = _load_system(args.system)
     pattern = QueryPattern.from_string(args.pattern)
     seq = build_query_network(system, pattern)
@@ -535,13 +511,7 @@ def _cmd_compile(args) -> int:
         seq = expand_to_hard_pulses(seq, system)
     listing = format_sequence(seq)
     print(listing, end="")
-    emit = _emit_list(args)
-    if emit:
-        if args.out is None:
-            raise ConfigError("--emit requires --out")
-        if set(emit) - {"seq"}:
-            raise ConfigError("compile emits only 'seq'")
-        _write(Path(args.out) / "sequence.seq", listing)
+    emit({"seq": lambda: {"sequence.seq": listing}})
     return EXIT_OK
 
 
@@ -576,6 +546,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    emit = _artifact_writer(args, {"json"})
     report = bench_report(args.bits, args.marked)
     q = report["queries"]
     print(f"database: {report['n_items']} items ({report['n_bits']} bits), {report['n_marked']} marked")
@@ -589,14 +560,7 @@ def _cmd_bench(args) -> int:
     print(f"{'strategy':<{width}}  queries")
     for name, val in rows:
         print(f"{name:<{width}}  {val}")
-    emit = _emit_list(args)
-    if emit:
-        if args.out is None:
-            raise ConfigError("--emit requires --out")
-        if "json" in emit:
-            _write(Path(args.out) / "bench.json", _json_text(report))
-        if set(emit) - {"json"}:
-            raise ConfigError("bench emits only 'json'")
+    emit({"json": lambda: {"bench.json": _json_text(report)}})
     return EXIT_OK
 
 

@@ -28,11 +28,9 @@ __all__ = [
     "rotation_block",
     "single_spin_rotation",
     "hadamard_like",
-    "zz_evolution",
     "controlled_phase_direct",
     "zz_hamiltonian_diagonal",
     "distance_up_to_global_phase",
-    "unitarity_defect",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -113,20 +111,6 @@ def hadamard_like(qubit: int, n_qubits: int) -> np.ndarray:
     )
 
 
-def zz_evolution(q1: int, q2: int, angle: float, n_qubits: int) -> np.ndarray:
-    """Two-spin coupling phase exp(-i * angle * 2 * I_z I_z).
-
-    The factor 2 normalizes the bilinear generator so its eigenvalues are
-    +-1/2, matching the single-spin I_z: zz_evolution(q1, q2, t) composes
-    additively in t exactly like a z rotation.
-    """
-    _check_dims(n_qubits, q1, q2)
-    if q1 == q2:
-        raise ValueError("coupling needs two distinct qubits")
-    zz = z_eigenvalues(n_qubits, q1) * z_eigenvalues(n_qubits, q2)
-    return np.diag(np.exp(-2.0j * angle * zz))
-
-
 def controlled_phase_direct(
     n_qubits: int,
     target: int,
@@ -205,8 +189,3 @@ def distance_up_to_global_phase(u: np.ndarray, v: np.ndarray) -> float:
         phase = (uref / abs(uref)) * (abs(vref) / vref)
     return float(np.max(np.abs(u - phase * v)))
 
-
-def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm deviation of U^dagger U from the identity."""
-    u = np.asarray(u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))

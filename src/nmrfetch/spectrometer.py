@@ -58,14 +58,12 @@ __all__ = [
     "SpectrometerError",
     "DecodeError",
     "line_table",
-    "spectral_lines",
     "analytic_spectrum",
     "analytic_spectra",
     "acquire_fid",
     "acquire_fids",
     "fft_spectrum",
     "pick_peaks",
-    "decode_item",
     "decode_peaks",
     "classify_marked",
     "spectrum_csv",
@@ -312,17 +310,6 @@ def _line_amplitudes(state: DensityState, system: SpinSystem, table: _LineTable)
     return 0.5 * state.ancilla_difference()[table.item] * table.fraction
 
 
-def spectral_lines(state: DensityState, system: SpinSystem) -> list[SpectralLine]:
-    """Expected lines weighted by the state's ancilla population difference.
-
-    The returned ``fraction`` field carries the signed line amplitude
-    (peak area scale): half the item's ancilla population difference times
-    the manifold weight.
-    """
-    amps = _line_amplitudes(state, system, _lines(system))
-    return [replace(line, fraction=a) for line, a in zip(line_table(system), amps.tolist())]
-
-
 def _check_coverage(table: _LineTable, params: AcquisitionParams) -> None:
     span = float(np.max(np.abs(table.block_freq - params.carrier_hz)))
     if params.spectral_width_hz < 2.0 * (span + 3.0 * params.linewidth_hz):
@@ -500,31 +487,23 @@ def acquire_fid(
     return acquire_fids((state,), system, params)[0]
 
 
-def fft_spectrum(
-    fid: np.ndarray,
-    params: AcquisitionParams,
-    phase_rad: float = 0.0,
-    pad_to_pow2: bool = False,
-) -> Spectrum:
+def fft_spectrum(fid: np.ndarray, params: AcquisitionParams) -> Spectrum:
     """Discrete Fourier transform of an FID to an absorptive spectrum.
 
     Applies the standard half-first-point correction (so the finite sum
     matches the continuous transform of a decaying signal), scales by the
-    dwell time, rotates by ``phase_rad`` and keeps the real part.
+    dwell time and keeps the real part.  The FID must hold exactly
+    ``params.n_points`` samples: the frequency axis is the one of the
+    acquisition grid.
     """
     fid = np.asarray(fid, dtype=complex)
-    n = len(fid)
-    if n & (n - 1) or n == 0:
-        if not pad_to_pow2:
-            raise SpectrometerError("FID length must be a power of two (or pad)")
-        n = 2 ** math.ceil(math.log2(len(fid)))
-        fid = np.pad(fid, (0, n - len(fid)))
-    if n != params.n_points:
-        params = replace(params, n_points=n)
+    if fid.shape != (params.n_points,):
+        raise SpectrometerError(
+            f"FID of shape {fid.shape} does not fit a {params.n_points}-point acquisition"
+        )
     work = fid.copy()
     work[0] *= 0.5
     spec = np.fft.fftshift(np.fft.fft(work)) * params.dwell_s
-    spec = spec * np.exp(1.0j * phase_rad)
     return Spectrum(freqs_hz=params.frequency_grid(), amplitude=spec.real)
 
 
@@ -608,17 +587,6 @@ def _decode(
             f"{table.item[best[k]]} and {table.item[second[k]]} both within tolerance"
         )
     return [(int(table.item[b]), table.manifold[b]) for b in best.tolist()]
-
-
-def decode_item(
-    freq_hz: float, system: SpinSystem, tolerance_hz: float = 0.3
-) -> tuple[int, str]:
-    """Match a peak frequency to exactly one expected line.
-
-    Raises DecodeError when no line lies within the tolerance or when the
-    two nearest lines both do (ambiguous assignment).
-    """
-    return _decode([freq_hz], system, tolerance_hz)[0]
 
 
 def decode_peaks(

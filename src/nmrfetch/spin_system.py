@@ -158,9 +158,6 @@ class SpinSystem:
             raise IndexError(f"no database qubit {qubit}")
         return self.bit_signs[qubit - 1]
 
-    def ancilla_coupling(self, qubit: int) -> float:
-        return float(self.j_hz[0, qubit])
-
     def ancilla_couplings_abs(self) -> np.ndarray:
         """|J_0i| for database qubits, in qubit order."""
         return np.abs(self.j_hz[0, 1:])
@@ -209,11 +206,6 @@ class QueryPattern:
 
     def __str__(self) -> str:
         return "".join(self.constraints)
-
-    @property
-    def is_unconstrained(self) -> bool:
-        """True when every position is a wildcard (query marks everything)."""
-        return all(c == "x" for c in self.constraints)
 
     def constrained_qubits(self) -> list[tuple[int, int]]:
         """(qubit index, required bit) for every non-wild position."""

@@ -15,8 +15,8 @@ with the lower-energy (more populated) spin state on the +1 side of
 sigma_z, so the thermal deviation of the ancilla is a scaled copy of the
 effective-pure preparation and both initializations give identically
 classified spectra.  The identity part is inert under conjugation and
-contributes nothing to readout, so the full matrix (not just the
-deviation) is stored.
+contributes nothing to readout, but every state keeps it: states are
+full density operators with unit trace.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ __all__ = [
     "thermal_state",
     "apply_unitary",
     "apply_query_diagonal",
-    "apply_query_to_population_map",
-    "purity",
-    "populations_csv",
 ]
 
 _HERMITICITY_ATOL = 1e-12
@@ -50,16 +47,11 @@ class StateError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DensityState:
-    """Density operator, stored as populations (diagonal) or full matrix.
-
-    ``deviation`` marks traceless deviation storage: validation then skips
-    the positivity / unit-trace checks.
-    """
+    """Density operator, stored as populations (diagonal) or full matrix."""
 
     n_qubits: int
     populations: np.ndarray | None = None
     matrix: np.ndarray | None = None
-    deviation: bool = False
 
     def __post_init__(self):
         if (self.populations is None) == (self.matrix is None):
@@ -69,11 +61,10 @@ class DensityState:
             pops = np.asarray(self.populations, dtype=float)
             if pops.shape != (dim,):
                 raise StateError(f"population vector must have length {dim}")
-            if not self.deviation:
-                if np.any(pops < -_HERMITICITY_ATOL):
-                    raise StateError("negative population")
-                if abs(pops.sum() - 1.0) > 1e-9:
-                    raise StateError("populations must sum to 1")
+            if np.any(pops < -_HERMITICITY_ATOL):
+                raise StateError("negative population")
+            if abs(pops.sum() - 1.0) > 1e-9:
+                raise StateError("populations must sum to 1")
             object.__setattr__(self, "populations", pops)
             pops.flags.writeable = False
         else:
@@ -82,28 +73,18 @@ class DensityState:
                 raise StateError(f"matrix must be {dim}x{dim}")
             if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_ATOL:
                 raise StateError("matrix is not Hermitian")
-            if not self.deviation and abs(np.trace(mat).real - 1.0) > 1e-9:
+            if abs(np.trace(mat).real - 1.0) > 1e-9:
                 raise StateError("matrix trace must be 1")
             object.__setattr__(self, "matrix", mat)
             mat.flags.writeable = False
 
     @classmethod
-    def from_populations(
-        cls, pops: np.ndarray, deviation: bool = False
-    ) -> "DensityState":
+    def from_populations(cls, pops: np.ndarray) -> "DensityState":
         pops = np.asarray(pops, dtype=float)
         n = int(np.log2(len(pops)))
         if 2**n != len(pops):
             raise StateError("population length must be a power of two")
-        return cls(n_qubits=n, populations=pops, deviation=deviation)
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray, deviation: bool = False) -> "DensityState":
-        mat = np.asarray(mat, dtype=complex)
-        n = int(np.log2(mat.shape[0]))
-        if mat.shape != (2**n, 2**n):
-            raise StateError("matrix must be square with power-of-two size")
-        return cls(n_qubits=n, matrix=mat, deviation=deviation)
+        return cls(n_qubits=n, populations=pops)
 
     @property
     def is_diagonal(self) -> bool:
@@ -186,9 +167,7 @@ def apply_unitary(state: DensityState, unitary: np.ndarray) -> DensityState:
         raise StateError(f"unitary must be {dim}x{dim}")
     rho = unitary @ state.as_matrix() @ unitary.conj().T
     rho = 0.5 * (rho + rho.conj().T)  # scrub rounding-level anti-Hermitian noise
-    return DensityState(
-        n_qubits=state.n_qubits, matrix=rho, deviation=state.deviation
-    )
+    return DensityState(n_qubits=state.n_qubits, matrix=rho)
 
 
 def apply_query_diagonal(state: DensityState, pattern: QueryPattern) -> DensityState:
@@ -205,47 +184,5 @@ def apply_query_diagonal(state: DensityState, pattern: QueryPattern) -> DensityS
     out = pops.copy()
     sel = np.nonzero(mask)[0]
     out[sel], out[sel + half] = pops[sel + half], pops[sel]
-    return DensityState(
-        n_qubits=state.n_qubits, populations=out, deviation=state.deviation
-    )
+    return DensityState(n_qubits=state.n_qubits, populations=out)
 
-
-def apply_query_to_population_map(
-    pops: dict[int, float], pattern: QueryPattern, n_database: int
-) -> dict[int, float]:
-    """Sparse variant of the query permutation for large registers.
-
-    ``pops`` maps basis labels (ancilla bit in the top position) to
-    populations; only occupied labels are stored, so registers far beyond
-    the dense limit are fine.
-    """
-    if len(pattern) != n_database:
-        raise StateError("pattern length does not match database size")
-    half = 2**n_database
-    out: dict[int, float] = {}
-    for label, value in pops.items():
-        if not 0 <= label < 2 * half:
-            raise StateError(f"label {label} out of range")
-        item = label % half
-        if pattern.matches(item):
-            out[label ^ half] = value
-        else:
-            out[label] = value
-    return out
-
-
-def purity(state: DensityState) -> float:
-    """Tr(rho^2); conserved by every unitary step of the pipeline."""
-    if state.is_diagonal:
-        return float(np.sum(state.populations**2))
-    return float(np.real(np.trace(state.matrix @ state.matrix)))
-
-
-def populations_csv(state: DensityState) -> str:
-    """Debug dump: basis label (ancilla bit first) and population."""
-    pops = state.as_populations()
-    lines = ["basis,population"]
-    for idx, p in enumerate(pops):
-        label = format(idx, f"0{state.n_qubits}b")
-        lines.append(f"{label},{p:.12g}")
-    return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import nmrfetch.cli as climod
 from nmrfetch import (
     AcquisitionParams,
     DecodeError,
@@ -80,8 +81,10 @@ def test_bench_report_validation():
 
 def test_run_config_validation():
     sys = crotonic_default()
-    with pytest.raises(Exception):
-        RunConfig(sys, QueryPattern.from_string("1x"))  # wrong length
+    for backend in ("ideal", "hard_pulse", "fast_diagonal"):
+        cfg = RunConfig(sys, QueryPattern.from_string("1x"), backend=backend)  # wrong length
+        with pytest.raises(ValueError, match="pattern length 2 != database size 6"):
+            run_fetch(cfg)
     with pytest.raises(Exception):
         RunConfig(sys, QueryPattern.from_string("x" * 6), init="cold")
     with pytest.raises(Exception):
@@ -93,10 +96,32 @@ def test_run_fetch_marks_expected_items():
     cfg = RunConfig(sys, QueryPattern.from_string("100xxx"), init="thermal")
     res = run_fetch(cfg)
     assert res.verified
-    assert res.oracle_calls == 1
     assert res.marked == tuple(range(32, 40))
     assert res.inconsistent == ()
     assert len(res.peaks_before) == 128
+
+
+@pytest.mark.parametrize("init", ["thermal", "effective_pure"])
+@pytest.mark.parametrize("backend", ["fast_diagonal", "ideal", "hard_pulse"])
+def test_run_fetch_applies_the_query_once(monkeypatch, backend, init):
+    calls = []
+
+    def counted(name):
+        real = getattr(climod, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("apply_query_diagonal", "apply_unitary"):
+        monkeypatch.setattr(climod, name, counted(name))
+    res = run_fetch(
+        RunConfig(crotonic_default(), QueryPattern.from_string("100x01"), init=init, backend=backend)
+    )
+    assert res.verified and res.marked == (33, 37)
+    assert calls == ["apply_query_diagonal" if backend == "fast_diagonal" else "apply_unitary"]
 
 
 def test_run_fetch_all_wild_marks_everything():
@@ -164,6 +189,7 @@ def test_simulate_success_exit_zero(tmp_path, capsys):
     )
     assert code == EXIT_OK
     text = capsys.readouterr().out
+    assert "oracle calls: 1" in text
     assert "verification: PASS" in text
     names = {p.name for p in out.iterdir()}
     assert names >= {
@@ -177,7 +203,6 @@ def test_simulate_success_exit_zero(tmp_path, capsys):
     data = json.loads((out / "result.json").read_text())
     assert data["marked_items"] == list(range(32, 40))
     assert data["verified"] is True
-    assert data["oracle_calls"] == 1
     marked_flags = {p["item"]: p["marked"] for p in data["peaks_after"]}
     assert marked_flags[32] is True and marked_flags[0] is False
 
@@ -247,9 +272,33 @@ def test_emit_without_out_exit_config():
     assert main(["simulate", "--pattern", "xxxxxx", "--emit", "csv"]) == EXIT_CONFIG
 
 
-def test_simulate_oracle_mismatch_exit_two(monkeypatch):
-    import nmrfetch.cli as climod
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--pattern", "100xxx", "--emit", "csv"],
+        ["simulate", "--backend", "fast", "--pattern", "100xxx", "--out", "{out}", "--emit", "seq"],
+        ["simulate", "--pattern", "100xxx", "--out", "{out}", "--emit", "csv,pdf"],
+        ["spectrum", "--emit", "csv"],
+        ["spectrum", "--out", "{out}", "--emit", "seq"],
+        ["compile", "--pattern", "100xxx", "--out", "{out}", "--emit", "json"],
+        ["bench", "--out", "{out}", "--emit", "csv"],
+    ],
+)
+def test_artifact_flags_are_checked_before_the_run(monkeypatch, tmp_path, capsys, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the artifact flags were checked")
 
+    for name in ("run_fetch", "_readout", "build_query_network", "bench_report"):
+        monkeypatch.setattr(climod, name, must_not_run)
+    out = tmp_path / "d"
+    assert main([arg.replace("{out}", str(out)) for arg in argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--emit" in captured.err or "cannot emit" in captured.err
+    assert not out.exists()
+
+
+def test_simulate_oracle_mismatch_exit_two(monkeypatch):
     def wrong(pattern, n):
         return [0]
 
@@ -294,31 +343,30 @@ def test_spectrum_subcommand_writes_csv(tmp_path, capsys):
 def test_spectrum_honours_acquisition_flags(tmp_path):
     out = tmp_path / "spec2"
     code = main(
-        [
-            "spectrum",
-            "--points", "16384",
-            "--dwell", str(1.0 / 1024.0),
-            "--out", str(out),
-            "--emit", "csv",
-        ]
+        ["spectrum", "--points", "32768", "--t2", "1.0", "--out", str(out), "--emit", "csv,json"]
     )
     assert code == EXIT_OK
+    want = AcquisitionParams.for_system(crotonic_default(), n_points=32768, t2_s=1.0)
+    acquisition = json.loads((out / "result.json").read_text())["acquisition"]
+    assert acquisition == {
+        "n_points": 32768,
+        "dwell_s": want.dwell_s,
+        "t2_s": 1.0,
+        "carrier_hz": 0.0,
+    }
     rows = (out / "spectrum.csv").read_text().splitlines()[1:]
-    freqs = [float(r.split(",")[0]) for r in rows]
-    assert len(freqs) == 16384
-    assert min(freqs) == pytest.approx(-512.0)
+    freqs = np.array([float(r.split(",")[0]) for r in rows])
+    assert np.allclose(freqs, want.frequency_grid(), rtol=1e-8, atol=0.0)
 
 
-def test_spectrum_unresolvable_settings_exit_numerical(tmp_path):
-    # one-second acquisition at one-hertz bins cannot separate the closest
-    # lines; the decoder reports that instead of guessing
-    code = main(["spectrum", "--points", "1024", "--dwell", str(1.0 / 1024.0), "--t2", "1.0"])
-    assert code == EXIT_NUMERICAL
+def test_spectrum_unresolvable_settings_exit_numerical(capsys):
+    # at T2 = 0.2 s the lines are 1.6 Hz wide and the closest pairs, 0.7 Hz
+    # apart, merge; the decoder reports that instead of guessing
+    assert main(["spectrum", "--t2", "0.2"]) == EXIT_NUMERICAL
+    assert "no expected line within 0.3 Hz" in capsys.readouterr().err
 
 
 def test_route_guard_fails_simulate_and_spectrum_reports_gap(monkeypatch, capsys):
-    import nmrfetch.cli as climod
-
     assert main(["spectrum"]) == EXIT_OK
     gap = float(re.search(r"route gap: (\S+)", capsys.readouterr().out).group(1))
     assert 0.0 < gap < 1e-6
@@ -330,8 +378,6 @@ def test_route_guard_fails_simulate_and_spectrum_reports_gap(monkeypatch, capsys
 def test_route_guard_fails_on_the_before_state_first(monkeypatch, capsys):
     # one readout pass covers both states, but the before state is still
     # checked first: its gap is the one the error reports
-    import nmrfetch.cli as climod
-
     sys = crotonic_default()
     cfg = RunConfig(sys, QueryPattern.from_string("100xxx"), backend="fast_diagonal")
     params = AcquisitionParams.for_system(sys)
@@ -340,7 +386,7 @@ def test_route_guard_fails_on_the_before_state_first(monkeypatch, capsys):
     messages = []
     for alone in (state, queried):
         with pytest.raises(DecodeError, match="disagree") as exc:
-            climod._readout((alone,), sys, params, cfg.decode_tolerance_hz, guard=0.0)
+            climod._readout((alone,), sys, params, guard=0.0)
         messages.append(str(exc.value))
     assert messages[0] != messages[1]  # the two gaps tell the states apart
 
@@ -355,8 +401,6 @@ def test_route_guard_fails_on_the_before_state_first(monkeypatch, capsys):
 def test_decode_failure_comes_before_route_failure(monkeypatch):
     # items 1 and 2 sit 0.2 Hz apart: the before state fails to decode, and
     # that error wins over the route gap of the same state
-    import nmrfetch.cli as climod
-
     monkeypatch.setattr(climod, "_ROUTE_GUARD", 0.0)
     cfg = RunConfig(make_system([10.0, 10.2]), QueryPattern.from_string("1x"))
     with pytest.raises(DecodeError, match="ambiguous peak"):

@@ -16,8 +16,6 @@ from nmrfetch import (
     distance_up_to_global_phase,
     hadamard_like,
     single_spin_rotation,
-    unitarity_defect,
-    zz_evolution,
 )
 from nmrfetch.operators import basis_bits, zz_hamiltonian_diagonal
 
@@ -37,6 +35,10 @@ def embedded_generator(qubit, axis, n):
 
 def rotation_oracle(qubit, axis, angle, n):
     return expm(-1j * angle * embedded_generator(qubit, axis, n))
+
+
+def unitarity_defect(u):
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
 angles = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi)
@@ -148,33 +150,6 @@ def test_hadamard_maps_z_to_x():
 
 
 # ---------------------------------------------------------------------------
-# zz evolution
-# ---------------------------------------------------------------------------
-
-
-def test_zz_matrix_form():
-    u = zz_evolution(0, 1, math.pi, 2)
-    w = np.exp(-1j * math.pi / 2)
-    assert np.allclose(u, np.diag([w, w.conjugate(), w.conjugate(), w]))
-
-
-def test_zz_zero_angle_identity():
-    assert np.allclose(zz_evolution(0, 1, 0.0, 2), np.eye(4))
-
-
-@settings(max_examples=40)
-@given(a1=angles, a2=angles)
-def test_zz_additivity(a1, a2):
-    u = zz_evolution(0, 1, a1, 2) @ zz_evolution(0, 1, a2, 2)
-    assert np.max(np.abs(u - zz_evolution(0, 1, a1 + a2, 2))) < 1e-12
-
-
-def test_zz_same_qubit_rejected():
-    with pytest.raises(ValueError):
-        zz_evolution(1, 1, 0.3, 2)
-
-
-# ---------------------------------------------------------------------------
 # controlled phase, built two independent ways
 # ---------------------------------------------------------------------------
 
@@ -270,7 +245,6 @@ def test_distance_dimension_mismatch():
 def test_constructors_are_unitary():
     for u in (
         single_spin_rotation(1, "y", 0.3, 3),
-        zz_evolution(0, 2, 1.1, 3),
         hadamard_like(2, 3),
         controlled_phase_direct(3, 1, [(0, 0), (2, 1)], 2.2),
     ):

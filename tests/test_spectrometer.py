@@ -22,7 +22,6 @@ from nmrfetch import (
     build_query_network,
     classify_marked,
     crotonic_default,
-    decode_item,
     decode_peaks,
     effective_pure_ancilla,
     expand_to_hard_pulses,
@@ -30,7 +29,6 @@ from nmrfetch import (
     line_table,
     pick_peaks,
     sequence_unitary,
-    spectral_lines,
     thermal_state,
 )
 from nmrfetch import spectrometer
@@ -80,17 +78,19 @@ def reference_analytic(state, system, params):
     grid = params.frequency_grid()
     dt = params.dwell_s
     decay = math.exp(-dt / params.t2_s)
+    diff = state.ancilla_difference()
     amp = np.zeros_like(grid)
-    for line in spectral_lines(state, system):
-        if line.fraction == 0.0:
+    for line in line_table(system):
+        line_amp = 0.5 * diff[line.item] * line.fraction
+        if line_amp == 0.0:
             continue
         z = decay * np.exp(2.0j * math.pi * (line.freq_hz - grid) * dt)
-        amp += line.fraction * dt * ((1.0 + z) / (2.0 * (1.0 - z))).real
+        amp += line_amp * dt * ((1.0 + z) / (2.0 * (1.0 - z))).real
     return amp
 
 
 def brute_decode(freq_hz, lines, tolerance_hz):
-    """Rank every line by distance (ties in table order); same errors as decode_item."""
+    """Rank every line by distance (ties in table order); same errors as decode_peaks."""
     dists = sorted(((abs(freq_hz - ln.freq_hz), ln) for ln in lines), key=lambda pair: pair[0])
     best_d, best = dists[0]
     if best_d > tolerance_hz:
@@ -101,6 +101,12 @@ def brute_decode(freq_hz, lines, tolerance_hz):
             f"{best.item} and {dists[1][1].item} both within tolerance"
         )
     return best.item, best.manifold
+
+
+def decode_one(freq_hz, system, tolerance_hz=0.3):
+    """decode_peaks on a one-peak list, as (item, manifold)."""
+    (peak,) = decode_peaks([Peak(freq_hz, 1.0)], system, tolerance_hz)
+    return peak.item, peak.manifold
 
 
 def outcome(fn, *args):
@@ -236,12 +242,16 @@ def test_simple_system_has_no_manifold_tag():
 
 def test_spectral_lines_scale_with_ancilla_difference():
     sys = make_system([10.0])
+
+    def line_amplitudes(state):
+        amps = spectrometer._line_amplitudes(state, sys, spectrometer._lines(sys))
+        return {l.freq_hz: a for l, a in zip(line_table(sys), amps.tolist())}
+
     state = effective_pure_ancilla(sys)  # difference 1/2 per item
-    lines = spectral_lines(state, sys)
-    for l in lines:
-        assert l.fraction == pytest.approx(0.25)
+    for amp in line_amplitudes(state).values():
+        assert amp == pytest.approx(0.25)
     flipped = apply_query_diagonal(state, QueryPattern.from_string("1"))
-    lines2 = {l.freq_hz: l.fraction for l in spectral_lines(flipped, sys)}
+    lines2 = line_amplitudes(flipped)
     assert lines2[5.0] == pytest.approx(0.25)  # item 0 unaffected
     assert lines2[-5.0] == pytest.approx(-0.25)  # item 1 inverted
 
@@ -312,22 +322,12 @@ def test_zero_fid_zero_spectrum():
     assert np.all(spec.amplitude == 0.0)
 
 
-def test_fft_pad_to_pow2():
+def test_fft_rejects_fid_of_wrong_length():
+    # not a power of two, and a power of two that is not the acquisition's
     params = AcquisitionParams(n_points=512)
-    fid = np.zeros(300, dtype=complex)
-    spec = fft_spectrum(fid, params, pad_to_pow2=True)
-    assert len(spec.freqs_hz) == 512
-    with pytest.raises(SpectrometerError):
-        fft_spectrum(fid, params)
-
-
-def test_phase_rotation_mixes_quadratures():
-    params = AcquisitionParams(n_points=2048, dwell_s=1.0 / 128.0, t2_s=1.0)
-    t = params.times()
-    fid = np.exp((2j * math.pi * 7.0 - 1.0) * t)
-    absorptive = fft_spectrum(fid, params)
-    rotated = fft_spectrum(fid, params, phase_rad=math.pi)
-    assert np.allclose(rotated.amplitude, -absorptive.amplitude, atol=1e-12)
+    for n in (300, 1024):
+        with pytest.raises(SpectrometerError):
+            fft_spectrum(np.zeros(n, dtype=complex), params)
 
 
 def test_fid_matches_analytic_route():
@@ -543,7 +543,7 @@ def test_pick_peaks_sees_inverted_lines():
 def test_decode_round_trip_every_item():
     sys = crotonic_default()
     for line in line_table(sys):
-        item, manifold = decode_item(line.freq_hz, sys, tolerance_hz=0.3)
+        item, manifold = decode_one(line.freq_hz, sys, tolerance_hz=0.3)
         assert item == line.item
         assert manifold == line.manifold
 
@@ -551,13 +551,13 @@ def test_decode_round_trip_every_item():
 def test_decode_rejects_far_frequency():
     sys = crotonic_default()
     with pytest.raises(DecodeError):
-        decode_item(500.0, sys)
+        decode_one(500.0, sys)
 
 
 def test_decode_rejects_ambiguous_frequency():
     sys = make_system([10.0, 10.2])  # items 1 and 2 sit 0.2 Hz apart
     with pytest.raises(DecodeError):
-        decode_item(0.0, sys, tolerance_hz=0.3)
+        decode_one(0.0, sys, tolerance_hz=0.3)
 
 
 def decode_probes(lines):
@@ -585,7 +585,7 @@ def test_decode_matches_brute_force(sys, tolerance_hz):
     lines = line_table(sys)
     probes = decode_probes(lines)
     for freq in probes:
-        assert outcome(decode_item, freq, sys, tolerance_hz) == outcome(
+        assert outcome(decode_one, freq, sys, tolerance_hz) == outcome(
             brute_decode, freq, lines, tolerance_hz
         )
     # decode_peaks fails on the first peak that fails, as a loop over peaks would
@@ -606,8 +606,8 @@ def test_decode_matches_brute_force(sys, tolerance_hz):
 def test_decode_degenerate_lines_are_ambiguous():
     sys = make_system([10.0, 10.0])
     with pytest.raises(DecodeError, match="items 1 and 2"):
-        decode_item(0.0, sys, tolerance_hz=0.3)
-    assert decode_item(10.1, sys, tolerance_hz=0.3) == (0, "n/a")
+        decode_one(0.0, sys, tolerance_hz=0.3)
+    assert decode_one(10.1, sys, tolerance_hz=0.3) == (0, "n/a")
 
 
 def test_run_fetch_builds_line_table_once_per_register(monkeypatch):

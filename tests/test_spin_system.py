@@ -206,11 +206,6 @@ def test_pattern_rejects_garbage():
         QueryPattern.from_string("10z")
 
 
-def test_all_wild_flagged():
-    assert QueryPattern.from_string("xxx").is_unconstrained
-    assert not QueryPattern.from_string("x1x").is_unconstrained
-
-
 def test_constrained_qubits():
     pat = QueryPattern.from_string("1x0")
     assert pat.constrained_qubits() == [(1, 1), (3, 0)]

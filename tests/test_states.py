@@ -15,13 +15,15 @@ from nmrfetch import (
     build_query_network,
     crotonic_default,
     effective_pure_ancilla,
-    purity,
     sequence_unitary,
     thermal_state,
 )
-from nmrfetch.states import apply_query_to_population_map, populations_csv
 
 from conftest import make_system
+
+
+def purity(state):
+    return float(np.real(np.trace(state.as_matrix() @ state.as_matrix())))
 
 
 # ---------------------------------------------------------------------------
@@ -32,12 +34,6 @@ from conftest import make_system
 def test_populations_must_normalize():
     with pytest.raises(StateError):
         DensityState(1, populations=np.array([0.7, 0.5]))
-
-
-def test_deviation_states_skip_normalization():
-    d = DensityState(1, populations=np.array([0.3, -0.3]), deviation=True)
-    assert d.is_diagonal
-    assert list(d.populations) == [0.3, -0.3]
 
 
 def test_exactly_one_representation():
@@ -146,12 +142,6 @@ def test_apply_unitary_preserves_trace_hermiticity_purity():
     assert purity(out) == pytest.approx(purity(state))
 
 
-def test_purity_of_pure_state():
-    pops = np.zeros(4)
-    pops[2] = 1.0
-    assert purity(DensityState(2, populations=pops)) == pytest.approx(1.0)
-
-
 # ---------------------------------------------------------------------------
 # diagonal query shortcut
 # ---------------------------------------------------------------------------
@@ -199,22 +189,3 @@ def test_query_diagonal_matches_dense_route(data):
     dense = apply_unitary(state, u)
     assert np.max(np.abs(fast.populations - dense.as_populations())) < 1e-9
 
-
-def test_population_map_shortcut():
-    pm = apply_query_to_population_map({0: 0.6, 1: 0.4}, QueryPattern.from_string("1"), 1)
-    assert pm == {0: 0.6, 3: 0.4}
-
-
-# ---------------------------------------------------------------------------
-# reporting
-# ---------------------------------------------------------------------------
-
-
-def test_populations_csv_layout():
-    state = effective_pure_ancilla(make_system([10.0]))
-    text = populations_csv(state)
-    lines = text.splitlines()
-    assert lines[0] == "basis,population"
-    assert lines[1] == "00,0.5"
-    assert lines[-1] == "11,0"
-    assert len(lines) == 5
