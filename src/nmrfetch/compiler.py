@@ -200,7 +200,6 @@ def compile_multilinear_z_phase(
     controls: list[tuple[int, int]],
     angle: float,
     signs: list[int] | None = None,
-    term_order: list[int] | None = None,
 ) -> GateSequence:
     """Compile the conditioned z phase into pulses, ZZ periods and frame z.
 
@@ -209,10 +208,7 @@ def compile_multilinear_z_phase(
     eps_c = s_c * (-1)^{p_c} enter the expansion.  The subsets are emitted
     in nested order, each lowered by conjugating with its controls from the
     highest index inward, and adjacent inverse gates are then cancelled, so
-    k controls cost 2^(k+1) - 3 ZZ periods.  ``term_order`` permutes the
-    nested subset list (the subset factors commute, so any order compiles
-    the same unitary; a non-default order only cancels less; exposed for
-    testing).
+    k controls cost 2^(k+1) - 3 ZZ periods.
     """
     if signs is None:
         signs = [1] * len(controls)
@@ -236,10 +232,6 @@ def compile_multilinear_z_phase(
         ([q for b, q in enumerate(ctrl_qubits) if (mask >> b) & 1] for mask in range(2**k)),
         key=lambda members: members[::-1],
     )
-    if term_order is not None:
-        if sorted(term_order) != list(range(2**k)):
-            raise CompileError("term_order must permute the control subsets")
-        subsets = [subsets[i] for i in term_order]
 
     gates: list[Gate] = []
     for members in subsets:

@@ -437,9 +437,8 @@ def acquire_fids(
 
     Composite qubits are unfolded into their physical spin copies and the
     ancilla coherence Tr(rho(t) I+) is sampled on the acquisition grid,
-    demodulated at the carrier.  Each state must be a population state
-    (``as_populations`` refuses anything else), and for a diagonal rho an
-    x pulse exp(-i pi/2 I_x) on the ancilla leaves exactly
+    demodulated at the carrier.  Every state is a population state, and for
+    a diagonal rho an x pulse exp(-i pi/2 I_x) on the ancilla leaves exactly
     <1,d| rho |0,d> = -i/2 (p(0,d) - p(1,d)) for each configuration d of
     the other spins: the closed form of the conjugation, with no matrix
     needed.  Each coherence then precesses at the ancilla transition of
@@ -457,7 +456,7 @@ def acquire_fids(
     if any(state.n_qubits != system.n_spins for state in states):
         raise SpectrometerError("state and system register sizes differ")
     _check_coverage(_lines(system), params)
-    pops = np.stack([state.as_populations() for state in states])
+    pops = np.stack([state.populations for state in states])
 
     offsets, couplings, logical_index, weight = _expanded_register(system)
     phys_pops = pops[:, logical_index] * weight

@@ -208,14 +208,14 @@ def test_criterion_08_diagonal_shortcut_equals_dense(capsys):
             sys = make_system(couplings)
             dim = 2 ** (n + 1)
             raw = np.array([rng.uniform(0.01, 1.0) for _ in range(dim)])
-            state = DensityState(n + 1, populations=raw / raw.sum())
+            state = DensityState(raw / raw.sum())
             for symbols in itertools.product("01x", repeat=n):
                 pat = QueryPattern.from_string("".join(symbols))
                 fast = apply_query_diagonal(state, pat)
                 u = sequence_unitary(build_query_network(sys, pat), sys)
                 dense = apply_unitary(state, u)
                 worst = max(
-                    worst, float(np.max(np.abs(fast.populations - dense.as_populations())))
+                    worst, float(np.max(np.abs(fast.populations - dense.populations)))
                 )
         sys6 = crotonic_default()
         state6 = thermal_state(sys6, polarization=1e-3)
@@ -225,7 +225,7 @@ def test_criterion_08_diagonal_shortcut_equals_dense(capsys):
             u = sequence_unitary(build_query_network(sys6, pat), sys6)
             dense = apply_unitary(state6, u)
             worst = max(
-                worst, float(np.max(np.abs(fast.populations - dense.as_populations())))
+                worst, float(np.max(np.abs(fast.populations - dense.populations)))
             )
         assert worst <= 1e-9, f"worst population gap {worst:.3e}"
 

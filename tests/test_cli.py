@@ -447,6 +447,21 @@ def test_verify_fast_backend(capsys):
     capsys.readouterr()
 
 
+def test_verify_refuses_registers_beyond_the_dense_limit(tmp_path, capsys):
+    # 13 spins: sequence_unitary refuses the register before anything dense exists
+    n_db = 12
+    lines = ["ancilla = A", "[spin.A]", "species = carbon"]
+    for i in range(1, n_db + 1):
+        lines += [f"[spin.Q{i}]", "species = carbon"]
+    lines.append("[couplings]")
+    lines += [f"A-Q{i} = {1.5 * 2 ** (n_db - i)}" for i in range(1, n_db + 1)]
+    cfg = tmp_path / "thirteen.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    code = main(["verify", "--system", str(cfg), "--pattern", "1" + "x" * (n_db - 1)])
+    assert code == EXIT_CONFIG
+    assert "dense simulation limited to 12 qubits" in capsys.readouterr().err
+
+
 def test_bench_subcommand_table(capsys):
     assert main(["bench", "--bits", "56", "--marked", "1"]) == EXIT_OK
     out = capsys.readouterr().out

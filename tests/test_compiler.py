@@ -113,23 +113,6 @@ def test_compile_matches_direct_random(data):
     assert distance_up_to_global_phase(sequence_unitary(seq), direct) < 1e-9
 
 
-def test_term_order_does_not_matter():
-    # the expansion terms all commute, so any emission order compiles the
-    # same unitary
-    controls = [(1, 1), (2, 1), (3, 0)]
-    base = compile_multilinear_z_phase(4, 0, controls, 1.1)
-    n_terms = 2 ** len(controls)
-    rng = random.Random(7)
-    for _ in range(4):
-        order = list(range(n_terms))
-        rng.shuffle(order)
-        shuffled = compile_multilinear_z_phase(4, 0, controls, 1.1, term_order=order)
-        assert (
-            distance_up_to_global_phase(sequence_unitary(base), sequence_unitary(shuffled))
-            < 1e-10
-        )
-
-
 def test_compile_rejects_target_in_controls():
     with pytest.raises(CompileError):
         compile_multilinear_z_phase(3, 0, [(0, 1)], 1.0)

@@ -1,5 +1,8 @@
 """Ensemble preparations and how queries act on them."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,9 @@ from nmrfetch import (
     build_query_network,
     crotonic_default,
     effective_pure_ancilla,
+    expand_to_hard_pulses,
     sequence_unitary,
+    single_spin_rotation,
     thermal_state,
 )
 
@@ -23,7 +28,7 @@ from conftest import make_system
 
 
 def purity(state):
-    return float(np.real(np.trace(state.as_matrix() @ state.as_matrix())))
+    return float(np.sum(state.populations**2))
 
 
 # ---------------------------------------------------------------------------
@@ -33,36 +38,32 @@ def purity(state):
 
 def test_populations_must_normalize():
     with pytest.raises(StateError):
-        DensityState(1, populations=np.array([0.7, 0.5]))
+        DensityState(np.array([0.7, 0.5]))
 
 
 def test_exactly_one_representation():
+    # the population vector is the whole state; a density matrix is refused
+    assert [f.name for f in dataclasses.fields(DensityState)] == ["populations"]
     with pytest.raises(StateError):
-        DensityState(1)
-    with pytest.raises(StateError):
-        DensityState(1, populations=np.array([1.0, 0.0]), matrix=np.eye(2) / 2)
-
-
-def test_matrix_must_be_hermitian():
-    with pytest.raises(StateError):
-        DensityState(1, matrix=np.array([[0.5, 0.4], [0.1, 0.5]]))
+        DensityState(np.eye(2) / 2)
 
 
 def test_negative_population_rejected():
     with pytest.raises(StateError):
-        DensityState(1, populations=np.array([1.2, -0.2]))
+        DensityState(np.array([1.2, -0.2]))
 
 
-def test_length_must_match_qubit_count():
-    with pytest.raises(StateError):
-        DensityState(2, populations=np.array([1.0, 0.0]))
-
-
-def test_as_populations_rejects_coherent_matrix():
-    mat = np.array([[0.5, 0.5], [0.5, 0.5]])
-    state = DensityState(1, matrix=mat)
-    with pytest.raises(StateError):
-        state.as_populations()
+@pytest.mark.parametrize("n_entries", [0, 1, 2, 3, 4])
+def test_vector_length_is_a_power_of_two_with_an_ancilla(n_entries):
+    # an ancilla needs at least one qubit: 2 or 4 entries, never 0, 1 or 3
+    pops = np.full(n_entries, 1.0 / max(n_entries, 1))
+    if n_entries in (2, 4):
+        state = DensityState(pops)
+        assert 2**state.n_qubits == n_entries
+        assert state.ancilla_difference().shape == (n_entries // 2,)
+    else:
+        with pytest.raises(StateError, match=r"2\*\*n entries"):
+            DensityState(pops)
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +129,35 @@ def test_thermal_trace_and_positivity():
 def test_apply_identity_is_noop():
     state = thermal_state(make_system([10.0]), polarization=1e-3)
     out = apply_unitary(state, np.eye(4))
-    assert np.allclose(out.as_matrix(), state.as_matrix())
+    assert np.array_equal(out.populations, state.populations)
+
+
+def test_apply_unitary_moves_populations_forward():
+    # U|k> = e^{i phi_k} |k+1 mod 4> carries the population of k to k + 1;
+    # the query networks are involutions, so they cannot tell U from U^dagger
+    state = DensityState(np.array([0.4, 0.3, 0.2, 0.1]))
+    u = np.roll(np.diag(np.exp(1j * np.array([0.3, -1.2, 2.0, 0.7]))), 1, axis=0)
+    out = apply_unitary(state, u)
+    assert np.allclose(out.populations, [0.1, 0.4, 0.3, 0.2], atol=1e-15)
 
 
 def test_apply_unitary_preserves_trace_hermiticity_purity():
+    # a population vector is a real diagonal, hence Hermitian, operator
     sys = make_system([10.0, 20.0])
     state = thermal_state(sys, polarization=1e-3)
     u = sequence_unitary(build_query_network(sys, QueryPattern.from_string("1x")), sys)
     out = apply_unitary(state, u)
-    mat = out.as_matrix()
-    assert np.trace(mat).real == pytest.approx(1.0)
-    assert np.allclose(mat, mat.conj().T)
+    assert out.populations.dtype == np.float64
+    assert out.populations.sum() == pytest.approx(1.0)
     assert purity(out) == pytest.approx(purity(state))
+
+
+def test_apply_unitary_refuses_coherence():
+    # a pi/2 y pulse on the polarized ancilla leaves a transverse coherence
+    sys = make_system([10.0, 20.0])
+    state = effective_pure_ancilla(sys)
+    with pytest.raises(StateError, match="off-diagonal weight"):
+        apply_unitary(state, single_spin_rotation(0, "y", math.pi / 2, sys.n_spins))
 
 
 # ---------------------------------------------------------------------------
@@ -164,28 +182,29 @@ def test_query_diagonal_is_an_involution():
     assert np.allclose(twice.populations, state.populations, atol=1e-15)
 
 
-def test_query_diagonal_requires_diagonal_state():
-    h = np.full((2, 2), 0.5)
-    state = DensityState(1, matrix=h)
-    with pytest.raises(StateError):
-        apply_query_diagonal(state, QueryPattern.from_string(""))
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_query_diagonal_matches_dense_route(data):
     n_db = data.draw(st.integers(1, 3))
     couplings = [10.0 * (i + 1) for i in range(n_db)]
     sys = make_system(couplings)
-    dim = 2 ** (n_db + 1)
-    raw = np.array([data.draw(st.floats(0.01, 1.0)) for _ in range(dim)])
-    pops = raw / raw.sum()
-    state = DensityState(n_db + 1, populations=pops)
+    init = data.draw(st.sampled_from(["random", "thermal", "eps"]))
+    if init == "random":
+        raw = np.array([data.draw(st.floats(0.01, 1.0)) for _ in range(2 ** (n_db + 1))])
+        state = DensityState(raw / raw.sum())
+    elif init == "thermal":
+        state = thermal_state(sys, polarization=1e-3)
+    else:
+        state = effective_pure_ancilla(sys)
     pat = QueryPattern.from_string(
         "".join(data.draw(st.sampled_from("01x")) for _ in range(n_db))
     )
-    fast = apply_query_diagonal(state, pat)
-    u = sequence_unitary(build_query_network(sys, pat), sys)
+    network = build_query_network(sys, pat)
+    if data.draw(st.booleans()):
+        network = expand_to_hard_pulses(network, sys)
+    u = sequence_unitary(network, sys)
     dense = apply_unitary(state, u)
-    assert np.max(np.abs(fast.populations - dense.as_populations())) < 1e-9
-
+    fast = apply_query_diagonal(state, pat)
+    assert np.max(np.abs(fast.populations - dense.populations)) < 1e-9
+    reference = np.real(np.diag(u @ np.diag(state.populations) @ u.conj().T))
+    assert np.max(np.abs(dense.populations - reference)) <= 1e-12
