@@ -66,6 +66,17 @@ def test_vector_length_is_a_power_of_two_with_an_ancilla(n_entries):
             DensityState(pops)
 
 
+def test_as_populations_rejects_coherent_matrix():
+    # |+><+| is refused as a population state whichever way it arrives:
+    # handed over as a matrix, or produced by a pi/2 y pulse on |0><0|
+    mat = np.array([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(StateError):
+        DensityState(mat)
+    ground = DensityState(np.array([1.0, 0.0]))
+    with pytest.raises(StateError, match="off-diagonal weight"):
+        apply_unitary(ground, single_spin_rotation(0, "y", math.pi / 2, 1))
+
+
 # ---------------------------------------------------------------------------
 # preparations
 # ---------------------------------------------------------------------------
@@ -180,6 +191,17 @@ def test_query_diagonal_is_an_involution():
     pat = QueryPattern.from_string("x10")
     twice = apply_query_diagonal(apply_query_diagonal(state, pat), pat)
     assert np.allclose(twice.populations, state.populations, atol=1e-15)
+
+
+def test_query_diagonal_requires_diagonal_state():
+    # the permutation shortcut only sees population states: a coherent
+    # matrix cannot be made into one, and the diagonal one is queried exactly
+    h = np.full((2, 2), 0.5)
+    with pytest.raises(StateError):
+        DensityState(h)
+    out = apply_query_diagonal(DensityState(np.diag(h)), QueryPattern.from_string(""))
+    assert isinstance(out, DensityState)
+    assert np.array_equal(out.populations, [0.5, 0.5])
 
 
 @settings(max_examples=40, deadline=None)
