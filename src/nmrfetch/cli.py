@@ -125,10 +125,24 @@ class RunResult:
 
 
 def classical_oracle(pattern: QueryPattern, n: int) -> list[int]:
-    """Ground truth: exhaustively enumerate matching items."""
+    """Ground truth: every matching item, in ascending order.
+
+    The constrained bits fix one base item; each wildcard bit, most
+    significant first, doubles the list with that bit clear and set.  This
+    reads the pattern's symbols directly, independent of ``match_mask``.
+    """
     if n > 30:
         raise ConfigError("exhaustive oracle capped at 30 bits")
-    return [i for i in range(2**n) if pattern.matches(i)]
+    if len(pattern) != n:
+        raise ConfigError(f"pattern length {len(pattern)} != database size {n}")
+    items = np.zeros(1, dtype=np.int64)
+    for qubit, symbol in enumerate(pattern.constraints, start=1):
+        bit = 1 << (n - qubit)
+        if symbol == "x":
+            items = (items[:, None] | np.array([0, bit])).ravel()
+        elif symbol == "1":
+            items |= bit
+    return items.tolist()
 
 
 def direct_oracle_unitary(system: SpinSystem, pattern: QueryPattern) -> np.ndarray:

@@ -525,18 +525,22 @@ def sequence_unitary(seq: GateSequence, system: SpinSystem | None = None) -> np.
     masks = 1 << (n - 1 - np.arange(n))  # index bit of each qubit
     partner = rows ^ masks[:, None]  # row with qubit q flipped
 
-    # per distinct pulse: (partner rows, flip coefficients) or its 2x2 block
-    pulses: dict[SelectivePulse, tuple | np.ndarray] = {}
-    for gate in dict.fromkeys(g for g in seq.gates if isinstance(g, SelectivePulse)):
-        rot = rotation_block(gate.axis, gate.angle)
+    # per distinct (qubit, axis, angle): (partner rows, flip coefficients)
+    # or its 2x2 block; plain tuple keys hash without the dataclass methods
+    pulses: dict[tuple[int, str, float], tuple | np.ndarray] = {}
+    for key in dict.fromkeys(
+        (g.qubit, g.axis, g.angle) for g in seq.gates if isinstance(g, SelectivePulse)
+    ):
+        qubit, axis, angle = key
+        rot = rotation_block(axis, angle)
         if abs(rot[0, 0]) < _FLIP_DIAGONAL:
             # row i takes its partner with rot[0, 1] if qubit q of i is 0,
             # with rot[1, 0] if it is 1
-            coef = np.where(z[gate.qubit] < 0, rot[1, 0], rot[0, 1])
-            pulses[gate] = (partner[gate.qubit], coef)
+            coef = np.where(z[qubit] < 0, rot[1, 0], rot[0, 1])
+            pulses[key] = (partner[qubit], coef)
         else:
-            pulses[gate] = rot
-    mixed = sorted({g.qubit for g, a in pulses.items() if isinstance(a, np.ndarray)})
+            pulses[key] = rot
+    mixed = sorted({key[0] for key, a in pulses.items() if isinstance(a, np.ndarray)})
     # embed[m]: the index bits of the M qubits spelt by column m
     embed = np.zeros(1, dtype=rows.dtype)
     for q in mixed:
@@ -550,7 +554,7 @@ def sequence_unitary(seq: GateSequence, system: SpinSystem | None = None) -> np.
     block, block_qubit = None, -1
     for gate in seq.gates:
         if isinstance(gate, SelectivePulse):
-            action = pulses[gate]
+            action = pulses[gate.qubit, gate.axis, gate.angle]
             if isinstance(action, np.ndarray):
                 if monomial:
                     acc, cols = _gather_rows(acc, src, sign, phase), cols[src]

@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .operators import MAX_DENSE_QUBITS, zz_hamiltonian_diagonal
 from .spin_system import SpinSystem
@@ -430,6 +429,20 @@ def _expanded_register(system: SpinSystem):
     return offsets, couplings, logical_index, weight
 
 
+def _phasors(times: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """exp(i omega t) as a (times x omega) table, for evenly spaced times from 0.
+
+    With a power-of-two count of times, t = (j F + k) step splits the table
+    into a coarse factor exp(i omega j F step) and a fine factor
+    exp(i omega k step), F ~ sqrt(count): exp is taken on about
+    2 sqrt(count) rows and each entry costs one complex multiply.
+    """
+    fine = 1 << (len(times).bit_length() - 1) // 2
+    coarse = np.exp(1.0j * np.outer(times[::fine], omega))
+    table = coarse[:, None, :] * np.exp(1.0j * np.outer(times[:fine], omega))
+    return table.reshape(len(times), len(omega))
+
+
 def acquire_fids(
     states: tuple[DensityState, ...], system: SpinSystem, params: AcquisitionParams
 ) -> np.ndarray:
@@ -449,9 +462,9 @@ def acquire_fids(
     Samples are synthesised in blocks: with t = (m B + b) dwell, each term
     exp(i w t) is exp(i w m B dwell) * exp(i w b dwell).  The expanded
     register, the frequencies of every configuration that some state
-    populates and both exponential tables are built once; each FID is then
-    one (blocks x terms) @ (terms x B) product with the state's amplitudes
-    folded into the left factor.
+    populates and both exponential tables (see ``_phasors``) are built
+    once; each FID is then one (blocks x terms) @ (terms x B) product with
+    the state's amplitudes folded into the left factor.
     """
     if any(state.n_qubits != system.n_spins for state in states):
         raise SpectrometerError("state and system register sizes differ")
@@ -470,8 +483,8 @@ def acquire_fids(
 
     times = params.times()
     block = 1 << (params.n_points.bit_length() - 1) // 2  # ~sqrt(n_points)
-    starts = np.exp(1.0j * np.outer(times[::block], omega))
-    offsets_in_block = np.exp(1.0j * np.outer(omega, times[:block]))
+    starts = _phasors(times[::block], omega)
+    offsets_in_block = _phasors(times[:block], omega).T
     fids = np.empty((len(states), params.n_points), dtype=complex)
     for fid, terms in zip(fids, amp[:, keep]):
         np.matmul(starts * terms, offsets_in_block, out=fid.reshape(len(starts), block))
@@ -511,12 +524,32 @@ def fft_spectrum(fid: np.ndarray, params: AcquisitionParams) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 
+def _extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the local maxima and minima of ``x``.
+
+    This is the rule of ``scipy.signal.find_peaks``: a maximum is a strict
+    rise followed by a strict fall, a flat top counts once, at the middle
+    index (left + right) // 2 of its run of equal samples, and the first
+    and last samples are never extrema.  Minima are the maxima of -x.  Runs of equal
+    samples are found once: every run but the first and last is an
+    extremum candidate, compared with the samples just outside it.
+    """
+    edge = np.flatnonzero(x[1:] != x[:-1])  # last index of every run but the final one
+    start, end = edge[:-1] + 1, edge[1:]
+    before, level, after = x[start - 1], x[start], x[end + 1]
+    mid = (start + end) // 2
+    return mid[(before < level) & (after < level)], mid[(before > level) & (after > level)]
+
+
 def pick_peaks(spectrum: Spectrum, threshold_frac: float = 0.05) -> list[Peak]:
     """Local extrema above a fraction of the tallest magnitude.
 
-    Peak positions are refined by parabolic interpolation through the
-    three points around each extremum, so line centers are recovered far
-    below the grid spacing.
+    Extrema are found by ``_extrema``; a maximum counts when its sample is
+    at least the threshold, a minimum when its negation is.  Peak
+    positions are refined by parabolic interpolation through the three
+    points around each extremum, so line centers are recovered far below
+    the grid spacing.  The refinement runs on the sign-flipped samples of
+    a minimum, so both kinds are refined as maxima, all of them at once.
     """
     if not 0.0 < threshold_frac < 1.0:
         raise SpectrometerError("threshold_frac must be in (0, 1)")
@@ -525,20 +558,20 @@ def pick_peaks(spectrum: Spectrum, threshold_frac: float = 0.05) -> list[Peak]:
     if top == 0.0:
         return []
     height = threshold_frac * top
-    peaks: list[Peak] = []
-    for signed in (amp, -amp):
-        idxs, _ = find_peaks(signed, height=height)
-        for i in idxs:
-            y0, y1, y2 = signed[i - 1], signed[i], signed[i + 1]
-            denom = y0 - 2.0 * y1 + y2
-            shift = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
-            freq = spectrum.freqs_hz[i] + shift * (
-                spectrum.freqs_hz[1] - spectrum.freqs_hz[0]
-            )
-            value = y1 - 0.25 * (y0 - y2) * shift
-            sign = 1.0 if signed is amp else -1.0
-            peaks.append(Peak(freq_hz=float(freq), amplitude=float(sign * value)))
-    return sorted(peaks, key=lambda p: p.freq_hz)
+    maxima, minima = _extrema(amp)
+    idx = np.concatenate([maxima, minima])
+    sign = np.repeat([1.0, -1.0], [len(maxima), len(minima)])
+    keep = sign * amp[idx] >= height
+    idx, sign = idx[keep], sign[keep]
+    if not idx.size:
+        return []
+    y0, y1, y2 = (sign * amp[idx + k] for k in (-1, 0, 1))
+    denom = y0 - 2.0 * y1 + y2
+    shift = np.divide(0.5 * (y0 - y2), denom, out=np.zeros_like(denom), where=denom != 0.0)
+    freq = spectrum.freqs_hz[idx] + shift * (spectrum.freqs_hz[1] - spectrum.freqs_hz[0])
+    value = sign * (y1 - 0.25 * (y0 - y2) * shift)
+    order = np.argsort(freq, kind="stable")
+    return [Peak(f, a) for f, a in zip(freq[order].tolist(), value[order].tolist())]
 
 
 def _nearest_two(table: _LineTable, freqs: np.ndarray):
@@ -593,7 +626,7 @@ def decode_peaks(
 ) -> list[Peak]:
     """Fill item / manifold assignments on picked peaks."""
     decoded = _decode([p.freq_hz for p in peaks], system, tolerance_hz)
-    return [replace(p, item=item, manifold=m) for p, (item, m) in zip(peaks, decoded)]
+    return [Peak(p.freq_hz, p.amplitude, item, m) for p, (item, m) in zip(peaks, decoded)]
 
 
 def classify_marked(peaks: list[Peak]) -> MarkedClassification:
@@ -603,20 +636,18 @@ def classify_marked(peaks: list[Peak]) -> MarkedClassification:
     peaks is negative; items whose manifolds disagree in sign are reported
     as inconsistent rather than silently resolved.
     """
-    by_item: dict[int, list[float]] = {}
-    for p in peaks:
-        if p.item is None:
-            raise DecodeError("classify_marked needs decoded peaks")
-        by_item.setdefault(p.item, []).append(p.amplitude)
-    marked, unmarked, bad = [], [], []
-    for item, amps in sorted(by_item.items()):
-        if all(a < 0 for a in amps):
-            marked.append(item)
-        elif all(a > 0 for a in amps):
-            unmarked.append(item)
-        else:
-            bad.append(item)
-    return MarkedClassification(tuple(marked), tuple(unmarked), tuple(bad))
+    if any(p.item is None for p in peaks):
+        raise DecodeError("classify_marked needs decoded peaks")
+    items, where = np.unique(np.array([p.item for p in peaks], dtype=int), return_inverse=True)
+    amps = np.array([p.amplitude for p in peaks], dtype=float)
+    count = np.bincount(where, minlength=len(items))
+    negative = np.bincount(where, amps < 0, minlength=len(items)) == count
+    positive = np.bincount(where, amps > 0, minlength=len(items)) == count
+    return MarkedClassification(
+        tuple(items[negative].tolist()),
+        tuple(items[positive].tolist()),
+        tuple(items[~negative & ~positive].tolist()),
+    )
 
 
 def spectrum_csv(spectrum: Spectrum) -> str:

@@ -1,9 +1,14 @@
 """Command-line front end: runs, artifacts, exit codes."""
 
+import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +49,16 @@ def test_classical_oracle_enumerates_matches():
     assert classical_oracle(QueryPattern.from_string("1x"), 2) == [2, 3]
     assert classical_oracle(QueryPattern.from_string("101"), 3) == [5]
     assert classical_oracle(QueryPattern.from_string("xx"), 2) == [0, 1, 2, 3]
+
+
+def test_classical_oracle_agrees_with_pattern_matching():
+    # every pattern on up to five bits, against the scalar QueryPattern.matches
+    for n in range(1, 6):
+        for symbols in itertools.product("01x", repeat=n):
+            pat = QueryPattern(symbols)
+            assert classical_oracle(pat, n) == [i for i in range(2**n) if pat.matches(i)]
+    with pytest.raises(ValueError, match="pattern length 3 != database size 4"):
+        classical_oracle(QueryPattern.from_string("1x0"), 4)
 
 
 def test_classical_oracle_refuses_huge_registers():
@@ -472,3 +487,26 @@ def test_bench_subcommand_table(capsys):
 
 def test_bench_rejects_bad_counts():
     assert main(["bench", "--bits", "0", "--marked", "1"]) == EXIT_CONFIG
+
+
+def test_simulate_loads_no_scipy():
+    # scipy is a test-only dependency: neither the import nor a hard-pulse run loads it
+    code = textwrap.dedent(
+        """
+        import sys
+        import nmrfetch
+        from nmrfetch import cli
+        assert cli.main(["simulate", "--pattern", "100101", "--backend", "hard"]) == 0
+        print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "scipy modules: []" in proc.stdout

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import find_peaks
 
 from nmrfetch import (
     AcquisitionParams,
@@ -37,6 +38,7 @@ from nmrfetch.operators import single_spin_rotation, zz_hamiltonian_diagonal
 from nmrfetch.spectrometer import (
     Peak,
     _expanded_register,
+    _extrema,
     acquire_fids,
     analytic_spectra,
     spectrum_csv,
@@ -46,9 +48,33 @@ from conftest import make_system
 
 
 # ---------------------------------------------------------------------------
-# reference implementations: the dense-pulse FID, the per-line sum and the
-# brute-force nearest-line decoder that the array code replaced
+# reference implementations: the dense-pulse FID, the per-line sum, the
+# brute-force nearest-line decoder and the scipy peak loop that the array
+# code replaced
 # ---------------------------------------------------------------------------
+
+
+def reference_pick_peaks(spectrum, threshold_frac):
+    """scipy.signal.find_peaks on the spectrum and its negation, refined peak by peak."""
+    amp = spectrum.amplitude
+    top = float(np.max(np.abs(amp))) if amp.size else 0.0
+    if top == 0.0:
+        return []
+    height = threshold_frac * top
+    peaks = []
+    for signed in (amp, -amp):
+        idxs, _ = find_peaks(signed, height=height)
+        for i in idxs:
+            y0, y1, y2 = signed[i - 1], signed[i], signed[i + 1]
+            denom = y0 - 2.0 * y1 + y2
+            shift = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
+            freq = spectrum.freqs_hz[i] + shift * (
+                spectrum.freqs_hz[1] - spectrum.freqs_hz[0]
+            )
+            value = y1 - 0.25 * (y0 - y2) * shift
+            sign = 1.0 if signed is amp else -1.0
+            peaks.append(Peak(freq_hz=float(freq), amplitude=float(sign * value)))
+    return sorted(peaks, key=lambda p: p.freq_hz)
 
 
 def reference_fid(state, system, params):
@@ -538,6 +564,72 @@ def test_pick_peaks_sees_inverted_lines():
     assert peaks[0].freq_hz == pytest.approx(13.0, abs=0.05)
 
 
+@pytest.mark.parametrize(
+    "samples, maxima, minima",
+    [
+        ([], [], []),
+        ([1.0], [], []),
+        ([0.0, 1.0], [], []),
+        ([0.0, 1.0, 0.0], [1], []),
+        ([1.0, 0.0, 1.0], [], [1]),
+        ([0.0, 2.0, 2.0, 2.0, 2.0, 0.0], [2], []),  # flat top: (1 + 4) // 2
+        ([0.0, 2.0, 2.0, 2.0, 0.0], [2], []),
+        ([2.0, 2.0, 0.0, 1.0, 1.0], [], [2]),  # plateaus on both edges
+        ([0.0, 1.0, 1.0, 2.0, 0.0], [3], []),  # a step is not a peak
+        ([3.0, 3.0, 3.0], [], []),
+    ],
+)
+def test_extrema_follow_the_find_peaks_rule(samples, maxima, minima):
+    got_max, got_min = _extrema(np.array(samples))
+    assert got_max.tolist() == maxima and got_min.tolist() == minima
+    assert got_max.tolist() == find_peaks(np.array(samples))[0].tolist()
+    assert got_min.tolist() == find_peaks(-np.array(samples))[0].tolist()
+
+
+def test_pick_peaks_height_is_inclusive():
+    spec = Spectrum(np.arange(7.0), np.array([0.0, 2.0, 0.0, 4.0, 0.0, -2.0, 0.0]))
+    assert [p.amplitude for p in pick_peaks(spec, threshold_frac=0.5)] == [2.0, 4.0, -2.0]
+    assert [p.amplitude for p in pick_peaks(spec, threshold_frac=0.75)] == [4.0]
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_spectra = st.one_of(
+    # random spectra, lengths 1-3 included
+    st.lists(_finite, min_size=1, max_size=80).map(np.array),
+    st.lists(_finite, min_size=1, max_size=3).map(np.array),
+    # quantised spectra: runs of equal levels, so plateaus of every width
+    # sit inside the spectrum and on either edge
+    st.tuples(
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 5)), min_size=1, max_size=30),
+        st.floats(0.01, 100.0),
+    ).map(lambda d: np.repeat([lv for lv, _ in d[0]], [w for _, w in d[0]]) * d[1]),
+    # all-equal, all-zero included
+    st.tuples(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.integers(1, 20)).map(
+        lambda d: np.full(d[1], d[0])
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    amp=_spectra,
+    start=st.floats(-500.0, 500.0),
+    step=st.floats(0.01, 10.0),
+    # 0.25, 0.5 and 0.75 of a quantised top of 4 levels land exactly on a level
+    threshold_frac=st.one_of(st.sampled_from([0.05, 0.25, 0.5, 0.75]), st.floats(0.001, 0.999)),
+)
+def test_pick_peaks_matches_scipy_reference(amp, start, step, threshold_frac):
+    spec = Spectrum(start + step * np.arange(len(amp)), amp)
+    got = pick_peaks(spec, threshold_frac)
+    want = reference_pick_peaks(spec, threshold_frac)
+    assert got == want
+    # bit for bit, signed zeros included, and plain Python floats
+    assert [(p.freq_hz.hex(), p.amplitude.hex()) for p in got] == [
+        (p.freq_hz.hex(), p.amplitude.hex()) for p in want
+    ]
+    assert all(type(p.freq_hz) is float and type(p.amplitude) is float for p in got)
+
+
 def test_decode_round_trip_every_item():
     sys = crotonic_default()
     for line in line_table(sys):
@@ -652,6 +744,27 @@ def test_classify_marked():
     assert cls.marked == (3,)
     assert cls.unmarked == (1,)
     assert cls.inconsistent == (2,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 7), st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0])),
+        max_size=20,
+    )
+)
+def test_classify_marked_matches_per_item_grouping(entries):
+    peaks = [Peak(float(k), a, item=item, manifold="n/a") for k, (item, a) in enumerate(entries)]
+    by_item = {}
+    for item, amp in entries:
+        by_item.setdefault(item, []).append(amp)
+    cls = classify_marked(peaks)
+    negative = [i for i, a in sorted(by_item.items()) if all(x < 0 for x in a)]
+    positive = [i for i, a in sorted(by_item.items()) if all(x > 0 for x in a)]
+    assert cls.marked == tuple(negative)
+    assert cls.unmarked == tuple(positive)
+    assert cls.inconsistent == tuple(i for i in sorted(by_item) if i not in negative + positive)
+    assert all(type(i) is int for i in cls.marked + cls.unmarked + cls.inconsistent)
 
 
 def test_classify_requires_decoded_peaks():
