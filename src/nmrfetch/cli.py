@@ -43,8 +43,7 @@ from .spectrometer import (
     DecodeError,
     Spectrum,
     SpectrometerError,
-    acquire_fids,
-    analytic_spectra,
+    _readout_rows,
     classify_marked,
     decode_peaks,
     fft_spectrum,
@@ -176,21 +175,22 @@ def _readout(
 ) -> list[tuple[Spectrum, list, float]]:
     """FID-route spectrum, its decoded peaks and the route gap, per state.
 
-    All states are read out in one pass: one ``acquire_fids`` and one
-    ``analytic_spectra`` call share the expanded register, the FID tables
-    and the closed-form kernel.  The route gap is the largest difference
-    between the FID-route and the closed-form spectrum, relative to the
-    tallest closed-form amplitude.  State by state, in order, the peaks are
-    picked and decoded and then the gap is checked against ``guard``, so
-    the first state's decode and route failures come before the second's.
+    The first state is the reference: its FID and closed-form rows come
+    from the register's cache, and every later state is read out as the
+    reference plus its difference from it (see
+    ``spectrometer._readout_rows``).  Every state's full FID is still
+    transformed, picked and decoded, and its full closed-form spectrum
+    checked.  The route gap is the largest difference between the
+    FID-route and the closed-form spectrum, relative to the tallest
+    closed-form amplitude.  State by state, in order, the peaks are picked
+    and decoded and then the gap is checked against ``guard``, so the first
+    state's decode and route failures come before the second's.
     """
-    fids = acquire_fids(states, system, params)
-    refs = analytic_spectra(states, system, params)
     out = []
-    for fid, ref in zip(fids, refs):
+    for fid, closed in _readout_rows(states, system, params):
         spec = fft_spectrum(fid, params)
-        top = float(np.max(np.abs(ref.amplitude)))
-        gap = float(np.max(np.abs(spec.amplitude - ref.amplitude))) / top if top > 0.0 else 0.0
+        top = float(np.max(np.abs(closed)))
+        gap = float(np.max(np.abs(spec.amplitude - closed))) / top if top > 0.0 else 0.0
         peaks = decode_peaks(pick_peaks(spec), system)
         if gap > guard:
             raise DecodeError(
@@ -201,7 +201,11 @@ def _readout(
 
 
 def run_fetch(cfg: RunConfig) -> RunResult:
-    """Prepare, query once, read out before and after in one pass, decode, verify."""
+    """Prepare, query once, read out before and after, decode, verify.
+
+    The prepared state is the readout reference, cached per register and
+    acquisition; the queried state is read out as its difference from it.
+    """
     params = cfg.params or AcquisitionParams.for_system(cfg.system)
     state = _initial_state(cfg.system, cfg.init)
 

@@ -23,24 +23,31 @@ route takes its line frequencies from the line table; the FID takes them
 from the diagonal Hamiltonian of the expanded register, so neither route
 can inherit an error of the other.
 
-All of readout is array code.  Each register gets one line table, built on
-first use and kept while the register lives; it is sorted by frequency, so
-decoding a peak is a binary search.  The FID needs no pulse matrix (see
-``acquire_fids``) and is synthesised in blocks, one matrix product per state.
+All of readout is array code.  Each register gets one readout model,
+built on first use and kept while the register lives: its line table,
+sorted by frequency so that decoding a peak is a binary search, the
+ancilla transitions of its expanded register and the readouts of the
+reference states it has been read against.  The FID needs no pulse matrix
+(see ``acquire_fids``) and is synthesised in blocks, one matrix product
+per row.
 
-A run reads out once: ``acquire_fids`` and ``analytic_spectra`` take all
-states of the run (before and after the query) together, and build what
-does not depend on the state once per call - the expanded register, the
-FID's frequency and exponential tables and the closed-form line x bin
-kernel.  ``acquire_fid`` and ``analytic_spectrum`` are the same routes for
-one state.
+Both routes are linear in the per-item ancilla differences, and a query
+changes those only on the items it matches.  So a run reads out against a
+reference: the reference state's FID row and closed-form row are
+computed once per acquisition grid and cached in the register's model,
+and every later state of the run is that reference plus the readout of
+its difference from it, which synthesises FID terms and evaluates kernel
+rows only where the difference is nonzero (``_readout_rows``).
+``acquire_fids`` and ``analytic_spectra`` read out any states directly;
+``acquire_fid`` and ``analytic_spectrum`` are the same routes for one
+state.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,6 +105,8 @@ class AcquisitionParams:
     def __post_init__(self):
         if self.n_points < 256 or self.n_points & (self.n_points - 1):
             raise SpectrometerError("n_points must be a power of two, at least 256")
+        if not all(map(math.isfinite, (self.dwell_s, self.t2_s, self.carrier_hz))):
+            raise SpectrometerError("dwell_s, t2_s and carrier_hz must be finite")
         if self.dwell_s <= 0 or self.t2_s <= 0:
             raise SpectrometerError("dwell_s and t2_s must be positive")
 
@@ -131,6 +140,7 @@ class AcquisitionParams:
         outermost line (plus tails); the point count is raised if needed so
         the closest pair of distinct lines spans at least four bins.
         """
+        cls(n_points=n_points, t2_s=t2_s, carrier_hz=carrier_hz)  # refuse bad fields first
         freqs = _lines(system).block_freq
         span = float(np.max(np.abs(freqs - carrier_hz)))
         need = 2.0 * (span + 3.0 / (math.pi * t2_s)) + 10.0
@@ -222,17 +232,41 @@ class _LineTable:
     block_size: np.ndarray
 
 
+@dataclass(eq=False)
+class _ReadoutModel:
+    """What readout keeps of one register.
+
+    ``lines`` is the line table.  ``transitions`` is built on first use,
+    since only the FID route needs the expanded register: per configuration
+    of its non-ancilla spins, the logical item the configuration belongs
+    to, its share of that item's populations and its ancilla transition in
+    rad/s (see ``_transitions``).  ``references`` maps (acquisition,
+    populations bit pattern) to a reference state's FID row and closed-form
+    row (see ``_reference_rows``).  Every array is read-only, and the model
+    holds no reference to its register, so the weak cache can drop both.
+    """
+
+    lines: _LineTable
+    transitions: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    references: dict = field(default_factory=dict)
+
+
 # SpinSystem is frozen, compares by identity and its j_hz is read-only, so
-# a table stays valid for as long as its register exists
-_TABLES: "weakref.WeakKeyDictionary[SpinSystem, _LineTable]" = weakref.WeakKeyDictionary()
+# a model stays valid for as long as its register exists
+_MODELS: "weakref.WeakKeyDictionary[SpinSystem, _ReadoutModel]" = weakref.WeakKeyDictionary()
+
+
+def _model(system: SpinSystem) -> _ReadoutModel:
+    """The register's readout model, built on first use."""
+    model = _MODELS.get(system)
+    if model is None:
+        model = _MODELS[system] = _ReadoutModel(_build_line_table(system))
+    return model
 
 
 def _lines(system: SpinSystem) -> _LineTable:
-    """The register's line table, built on first use."""
-    table = _TABLES.get(system)
-    if table is None:
-        table = _TABLES[system] = _build_line_table(system)
-    return table
+    """The register's line table."""
+    return _model(system).lines
 
 
 def _build_line_table(system: SpinSystem) -> _LineTable:
@@ -302,11 +336,16 @@ def line_table(system: SpinSystem) -> list[SpectralLine]:
     ]
 
 
-def _line_amplitudes(state: DensityState, system: SpinSystem, table: _LineTable) -> np.ndarray:
-    """Signed amplitude per line: half the item's ancilla difference times its weight."""
-    if state.n_qubits != system.n_spins:
+def _differences(states: tuple[DensityState, ...], system: SpinSystem) -> np.ndarray:
+    """Per-item ancilla differences p(0, item) - p(1, item), one row per state."""
+    if any(state.n_qubits != system.n_spins for state in states):
         raise SpectrometerError("state and system register sizes differ")
-    return 0.5 * state.ancilla_difference()[table.item] * table.fraction
+    return np.stack([state.ancilla_difference() for state in states])
+
+
+def _line_amplitudes(differences: np.ndarray, table: _LineTable) -> np.ndarray:
+    """Signed amplitude per row and line: half the item's ancilla difference times its weight."""
+    return 0.5 * differences[:, table.item] * table.fraction
 
 
 def _check_coverage(table: _LineTable, params: AcquisitionParams) -> None:
@@ -329,18 +368,30 @@ def analytic_spectra(
     the textbook Lorentzian A*t2 / (1 + (2 pi (nu-f) t2)^2); at finite
     dwell it also carries the spectral-window images, so it matches an
     ideal noiseless FFT readout of the same grid without aliasing error.
+    The sum runs over the lines of the line table (see
+    ``_closed_form_rows``).
+    """
+    grid = params.frequency_grid()
+    rows = _closed_form_rows(_differences(states, system), system, params)
+    return [Spectrum(freqs_hz=grid, amplitude=a) for a in rows]
+
+
+def _closed_form_rows(
+    differences: np.ndarray, system: SpinSystem, params: AcquisitionParams
+) -> np.ndarray:
+    """Closed-form spectra of rows of per-item ancilla differences, one row each.
 
     With d = |z| and theta = 2 pi (f - nu) dwell the real part is
     (1 - d^2) / (2 |1-z|^2) and |1-z|^2 = (1-d)^2 + 4 d sin^2(theta/2).
     The half angle splits into a per-line and a per-bin angle, so sines
     and cosines are taken once.  The line x bin kernel does not depend on
-    the state: it is built a few lines at a time, each chunk's
+    the amplitudes: it is built a few lines at a time, each chunk's
     2 sqrt(d) sin(theta/2) as one (lines x 2) @ (2 x bins) product, and
-    applied to every state at once as (states x lines) @ chunk.  Lines
-    that no state populates are skipped.
+    applied to every row at once as (rows x lines) @ chunk.  Lines that
+    are exactly zero in every row are skipped.
     """
     table = _lines(system)
-    amps = np.stack([_line_amplitudes(state, system, table) for state in states])
+    amps = _line_amplitudes(differences, table)
     _check_coverage(table, params)
     grid = params.frequency_grid()
     dt = params.dwell_s
@@ -354,7 +405,7 @@ def analytic_spectra(
     line_sc = 2.0 * math.sqrt(decay) * np.stack([np.sin(line_angle), -np.cos(line_angle)], axis=1)
     bin_cs = np.stack([np.cos(bin_angle), np.sin(bin_angle)])
 
-    amp = np.zeros((len(states), len(grid)))
+    amp = np.zeros((len(amps), len(grid)))
     rows = max(1, _CHUNK_ELEMENTS // len(grid))
     work = np.empty((rows, len(grid)))
     for lo in range(0, len(line_sc), rows):
@@ -363,7 +414,7 @@ def analytic_spectra(
         np.square(den, out=den)
         den += one_minus_d * one_minus_d
         amp += weights[:, lo:hi] @ np.reciprocal(den, out=den)
-    return [Spectrum(freqs_hz=grid, amplitude=a) for a in amp]
+    return amp
 
 
 def analytic_spectrum(
@@ -443,6 +494,25 @@ def _phasors(times: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return table.reshape(len(times), len(omega))
 
 
+def _transitions(system: SpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(item, weight, omega) per configuration of the expanded register's other spins.
+
+    ``item`` is the logical database item of the configuration, ``weight``
+    its share of that item's populations and ``omega`` = E(0, d) - E(1, d)
+    its ancilla transition in rad/s, from the diagonal Hamiltonian of the
+    expanded register.  Built once per register and kept in its model.
+    """
+    model = _model(system)
+    if model.transitions is None:
+        offsets, couplings, logical_index, weight = _expanded_register(system)
+        energies = zz_hamiltonian_diagonal(offsets, couplings)
+        half = len(energies) // 2  # the ancilla is the leading physical spin
+        model.transitions = (logical_index[:half], weight[:half], energies[:half] - energies[half:])
+        for array in model.transitions:
+            array.flags.writeable = False
+    return model.transitions
+
+
 def acquire_fids(
     states: tuple[DensityState, ...], system: SpinSystem, params: AcquisitionParams
 ) -> np.ndarray:
@@ -458,34 +528,37 @@ def acquire_fids(
     its configuration, taken from the diagonal Hamiltonian of the expanded
     register.  The receiver phase is fixed so that positive ancilla
     polarization gives positive absorptive lines after fft_spectrum.
-
-    Samples are synthesised in blocks: with t = (m B + b) dwell, each term
-    exp(i w t) is exp(i w m B dwell) * exp(i w b dwell).  The expanded
-    register, the frequencies of every configuration that some state
-    populates and both exponential tables (see ``_phasors``) are built
-    once; each FID is then one (blocks x terms) @ (terms x B) product with
-    the state's amplitudes folded into the left factor.
+    The synthesis is ``_fid_rows`` on the states' ancilla differences.
     """
-    if any(state.n_qubits != system.n_spins for state in states):
-        raise SpectrometerError("state and system register sizes differ")
-    _check_coverage(_lines(system), params)
-    pops = np.stack([state.populations for state in states])
+    return _fid_rows(_differences(states, system), system, params)
 
-    offsets, couplings, logical_index, weight = _expanded_register(system)
-    phys_pops = pops[:, logical_index] * weight
-    half = phys_pops.shape[1] // 2
+
+def _fid_rows(
+    differences: np.ndarray, system: SpinSystem, params: AcquisitionParams
+) -> np.ndarray:
+    """FIDs of rows of per-item ancilla differences, one row each.
+
+    A configuration's population difference is its item's times its
+    ``weight``.  Samples are synthesised in blocks: with t = (m B + b)
+    dwell, each term exp(i w t) is exp(i w m B dwell) * exp(i w b dwell).
+    The frequencies of every configuration that is nonzero in some row
+    and both exponential tables (see ``_phasors``) are built once per
+    call; each FID is then one (blocks x terms) @ (terms x B) product with
+    the row's amplitudes folded into the left factor.
+    """
+    _check_coverage(_lines(system), params)
+    item, weight, omega = _transitions(system)
     # receiver phase i times the coherence -i/2 (p0 - p1): a real amplitude
-    amp = 0.5 * (phys_pops[:, :half] - phys_pops[:, half:])
-    energies = zz_hamiltonian_diagonal(offsets, couplings)
+    amp = 0.5 * differences[:, item] * weight
     keep = (amp != 0.0).any(axis=0)
-    # exp(-i (E1 - E0) t), demodulated at the carrier; rad/s per configuration
-    omega = energies[:half][keep] - energies[half:][keep] - 2.0 * math.pi * params.carrier_hz
+    # exp(-i (E1 - E0) t), demodulated at the carrier
+    omega = omega[keep] - 2.0 * math.pi * params.carrier_hz
 
     times = params.times()
     block = 1 << (params.n_points.bit_length() - 1) // 2  # ~sqrt(n_points)
     starts = _phasors(times[::block], omega)
     offsets_in_block = _phasors(times[:block], omega).T
-    fids = np.empty((len(states), params.n_points), dtype=complex)
+    fids = np.empty((len(amp), params.n_points), dtype=complex)
     for fid, terms in zip(fids, amp[:, keep]):
         np.matmul(starts * terms, offsets_in_block, out=fid.reshape(len(starts), block))
     fids *= np.exp(-times / params.t2_s)
@@ -497,6 +570,55 @@ def acquire_fid(
 ) -> np.ndarray:
     """Simulated FID of one state (see ``acquire_fids``)."""
     return acquire_fids((state,), system, params)[0]
+
+
+def _reference_rows(
+    state: DensityState, system: SpinSystem, params: AcquisitionParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """FID row and closed-form row of a reference state, cached in the register's model.
+
+    The cache key is the acquisition and the bit pattern of the state's
+    populations, so a hit is the same state on the same grid, bit for bit.
+    The rows are always computed alone, as a one-row call, so a cached
+    and a freshly computed reference are identical.  They are read-only.
+    """
+    differences = _differences((state,), system)
+    references = _model(system).references
+    key = (params, state.populations.tobytes())
+    rows = references.get(key)
+    if rows is None:
+        rows = (
+            _fid_rows(differences, system, params)[0],
+            _closed_form_rows(differences, system, params)[0],
+        )
+        for row in rows:
+            row.flags.writeable = False
+        references[key] = rows
+    return rows
+
+
+def _readout_rows(
+    states: tuple[DensityState, ...], system: SpinSystem, params: AcquisitionParams
+):
+    """FID row and closed-form row of each state, yielded state by state.
+
+    The first state is the reference (see ``_reference_rows``).  Both
+    routes are linear in the ancilla differences, so every later state is
+    read out as the reference plus the readout of its difference from the
+    reference, which has FID terms and kernel rows only for the items where
+    the two states differ.  No threshold applies: an item whose difference
+    is not exactly zero is read out.  Rows are made only when asked for,
+    so a failure on one state stops the work on the next.
+    """
+    fid, closed = _reference_rows(states[0], system, params)
+    yield fid, closed
+    base = states[0].ancilla_difference()
+    for state in states[1:]:
+        delta = _differences((state,), system) - base
+        yield (
+            fid + _fid_rows(delta, system, params)[0],
+            closed + _closed_form_rows(delta, system, params)[0],
+        )
 
 
 def fft_spectrum(fid: np.ndarray, params: AcquisitionParams) -> Spectrum:

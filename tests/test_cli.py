@@ -273,6 +273,16 @@ def test_compile_and_verify_bad_pattern_length_exit_config(capsys):
     assert err.count("pattern length 2 != database size 6") == 2
 
 
+@pytest.mark.parametrize("t2", ["nan", "inf"])
+def test_non_finite_t2_exit_config(capsys, t2):
+    # nan used to escape as a ValueError traceback (exit 1), and inf ran a
+    # decay-free acquisition whose truncation wiggles failed to decode (exit 2)
+    assert main(["simulate", "--pattern", "100xxx", "--backend", "fast", "--t2", t2]) == EXIT_CONFIG
+    assert main(["spectrum", "--t2", t2]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("configuration error: dwell_s, t2_s and carrier_hz must be finite") == 2
+
+
 def test_simulate_bad_flag_exit_config(capsys):
     assert main(["simulate", "--pattern", "xxxxxx", "--backend", "warp"]) == EXIT_CONFIG
     assert main(["frobnicate"]) == EXIT_CONFIG

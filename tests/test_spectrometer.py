@@ -1,6 +1,9 @@
 """Readout chain: line tables, time-domain acquisition, decoding."""
 
+import gc
+import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from nmrfetch import (
     sequence_unitary,
     thermal_state,
 )
+from nmrfetch import cli as climod
 from nmrfetch import spectrometer
 from nmrfetch.cli import RunConfig, run_fetch
 from nmrfetch.operators import single_spin_rotation, zz_hamiltonian_diagonal
@@ -187,6 +191,24 @@ def test_params_validation():
         AcquisitionParams(t2_s=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["dwell_s", "t2_s", "carrier_hz"])
+def test_params_refuse_non_finite_fields(name, value):
+    with pytest.raises(SpectrometerError, match="must be finite"):
+        AcquisitionParams(**{name: value})
+    if name != "dwell_s":  # for_system derives the dwell itself
+        with pytest.raises(SpectrometerError, match="must be finite"):
+            AcquisitionParams.for_system(crotonic_default(), **{name: value})
+
+
+def test_for_system_refuses_bad_fields_before_using_them():
+    # t2 = 0 used to divide by zero while sizing the spectral width
+    with pytest.raises(SpectrometerError, match="positive"):
+        AcquisitionParams.for_system(crotonic_default(), t2_s=0.0)
+    with pytest.raises(SpectrometerError, match="power of two"):
+        AcquisitionParams.for_system(crotonic_default(), n_points=1000)
+
+
 def test_params_derived_quantities():
     p = AcquisitionParams(n_points=1024, dwell_s=1.0 / 512.0, t2_s=2.0)
     assert p.spectral_width_hz == pytest.approx(512.0)
@@ -270,7 +292,7 @@ def test_spectral_lines_scale_with_ancilla_difference():
     sys = make_system([10.0])
 
     def line_amplitudes(state):
-        amps = spectrometer._line_amplitudes(state, sys, spectrometer._lines(sys))
+        (amps,) = spectrometer._line_amplitudes(state.ancilla_difference()[None], spectrometer._lines(sys))
         return {l.freq_hz: a for l, a in zip(line_table(sys), amps.tolist())}
 
     state = effective_pure_ancilla(sys)  # difference 1/2 per item
@@ -533,6 +555,174 @@ def test_batched_readout_reads_terms_of_either_state():
             peaks = pick_peaks(spec, threshold_frac=0.05)
             assert [round(p.freq_hz, 2) for p in peaks] == [item_freq]
     assert_batch_matches_single_calls(states, sys, params)
+
+
+def queried_state(state, system, pattern, backend):
+    """The query applied to a state by one backend, as ``run_fetch`` applies it."""
+    if backend == "fast_diagonal":
+        return apply_query_diagonal(state, pattern)
+    network = build_query_network(system, pattern)
+    if backend == "hard_pulse":
+        network = expand_to_hard_pulses(network, system)
+    return apply_unitary(state, sequence_unitary(network, system))
+
+
+@st.composite
+def reference_readout_cases(draw):
+    """A register, its grid and a query: the builtin register or a small composite one."""
+    if draw(st.booleans()):
+        system = crotonic_default()
+        carrier = draw(st.sampled_from((0.0, -3.5)))
+        params = AcquisitionParams(n_points=1024, dwell_s=1.0 / 512.0, t2_s=0.5, carrier_hz=carrier)
+    else:
+        system = draw(small_composite_systems())
+        carrier = draw(st.floats(-20.0, 20.0))
+        params = AcquisitionParams(n_points=2048, dwell_s=1.0 / 256.0, t2_s=1.0, carrier_hz=carrier)
+    bits = draw(st.text("01x", min_size=system.n_database, max_size=system.n_database))
+    return system, params, QueryPattern.from_string(bits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=reference_readout_cases(),
+    backend=st.sampled_from(("fast_diagonal", "ideal", "hard_pulse")),
+    init=st.sampled_from(("thermal", "effective_pure")),
+)
+def test_reference_plus_difference_matches_direct_readout(case, backend, init):
+    # the run's readout (cached reference plus the difference) against the
+    # direct two-state routes, per state, relative to that state's maximum
+    system, params, pattern = case
+    state = climod._initial_state(system, init)
+    states = (state, queried_state(state, system, pattern, backend))
+    rows = list(spectrometer._readout_rows(states, system, params))
+    fids = acquire_fids(states, system, params)
+    spectra = analytic_spectra(states, system, params)
+    for (fid, closed), want_fid, want in zip(rows, fids, spectra):
+        assert np.max(np.abs(fid - want_fid)) <= 1e-12 * np.max(np.abs(want_fid))
+        assert np.max(np.abs(closed - want.amplitude)) <= 1e-12 * np.max(np.abs(want.amplitude))
+    # the reference is read out alone, so it is the one-state readout exactly
+    assert np.array_equal(rows[0][0], acquire_fid(state, system, params))
+    assert np.array_equal(rows[0][1], analytic_spectrum(state, system, params).amplitude)
+
+
+@pytest.mark.parametrize("backend", ["fast_diagonal", "ideal"])
+def test_difference_reads_only_the_items_that_changed(monkeypatch, backend):
+    # FID terms and kernel lines of each readout pass, counted where they are made
+    terms, lines = [], []
+    phasors, line_amplitudes = spectrometer._phasors, spectrometer._line_amplitudes
+
+    def counting_phasors(times, omega):
+        terms.append(len(omega))
+        return phasors(times, omega)
+
+    def counting_lines(differences, table):
+        amps = line_amplitudes(differences, table)
+        lines.append(int((amps != 0.0).any(axis=0).sum()))
+        return amps
+
+    monkeypatch.setattr(spectrometer, "_phasors", counting_phasors)
+    monkeypatch.setattr(spectrometer, "_line_amplitudes", counting_lines)
+    sys = crotonic_default()
+    params = AcquisitionParams(n_points=1024, dwell_s=1.0 / 512.0, t2_s=0.5)
+    state = thermal_state(sys)
+    queried = queried_state(state, sys, QueryPattern.from_string("100101"), backend)
+    delta = queried.ancilla_difference() - state.ancilla_difference()
+    for _ in range(2):  # cold, then warm: the reference is read out once
+        list(spectrometer._readout_rows((state, queried), sys, params))
+    changed = int(np.count_nonzero(delta))
+    # two passes per table (starts and in-block); 4 configurations and 2 lines per item
+    assert terms == [256, 256] + [4 * changed] * 4 and lines == [128] + [2 * changed] * 2
+    if backend == "fast_diagonal":
+        assert np.flatnonzero(delta).tolist() == [37]
+    else:  # rounding-level differences are read too: no threshold
+        assert changed > 1 and np.sort(np.abs(delta))[-2] < 1e-15
+
+
+def hexes(result):
+    """Every float of a run's spectra and peaks, as float.hex strings."""
+    arrays = (result.before.freqs_hz, result.before.amplitude, result.after.freqs_hz, result.after.amplitude)
+    peaks = [
+        (p.freq_hz.hex(), p.amplitude.hex(), p.item, p.manifold)
+        for p in result.peaks_before + result.peaks_after
+    ]
+    return [[x.hex() for x in a.tolist()] for a in arrays], peaks
+
+
+@pytest.mark.parametrize(
+    "backend, init",
+    [("fast_diagonal", "thermal"), ("ideal", "effective_pure"), ("hard_pulse", "thermal")],
+)
+def test_warm_run_is_bit_identical_to_a_fresh_register(backend, init):
+    pattern = QueryPattern.from_string("10x1x0")
+    warm = crotonic_default()
+    cfg = RunConfig(warm, pattern, init=init, backend=backend)
+    first = run_fetch(cfg)
+    second = run_fetch(cfg)  # reads the reference from the cache
+    fresh = run_fetch(RunConfig(crotonic_default(), pattern, init=init, backend=backend))
+    assert second.verified and hexes(second) == hexes(first) == hexes(fresh)
+    for a, b in itertools.product(
+        (first.before.amplitude, first.after.amplitude), (second.before.amplitude, second.after.amplitude)
+    ):
+        assert not np.shares_memory(a, b)
+
+
+def test_cached_readout_arrays_are_read_only():
+    sys = crotonic_default()
+    for init in ("thermal", "effective_pure"):
+        assert run_fetch(RunConfig(sys, QueryPattern.from_string("100xxx"), init=init)).verified
+    model = spectrometer._model(sys)
+    assert len(model.references) == 2
+    arrays = [row for rows in model.references.values() for row in rows] + list(model.transitions)
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_reference_cache_hit_needs_the_same_populations_bit_for_bit():
+    sys = crotonic_default()
+    params = AcquisitionParams(n_points=1024, dwell_s=1.0 / 512.0, t2_s=0.5)
+    state = effective_pure_ancilla(sys)
+    rows = spectrometer._reference_rows(state, sys, params)
+    assert spectrometer._reference_rows(effective_pure_ancilla(sys), sys, params) is rows
+    # one ulp on one population is another reference, read out afresh
+    pops = state.populations.copy()
+    pops[5] = np.nextafter(pops[5], 1.0)
+    nudged = DensityState(pops)
+    other = spectrometer._reference_rows(nudged, sys, params)
+    assert other is not rows and not np.array_equal(other[0], rows[0])
+    assert np.array_equal(other[0], acquire_fid(nudged, sys, params))
+    # and another grid is another reference too
+    wider = AcquisitionParams(n_points=2048, dwell_s=1.0 / 512.0, t2_s=0.5)
+    assert spectrometer._reference_rows(state, sys, wider)[0].shape == (2048,)
+
+
+def test_readout_cache_does_not_keep_the_register_alive():
+    sys = crotonic_default()
+    result = run_fetch(RunConfig(sys, QueryPattern.from_string("100xxx"), backend="fast_diagonal"))
+    assert result.verified and sys in spectrometer._MODELS
+    alive = weakref.ref(sys)
+    del sys, result
+    gc.collect()
+    assert alive() is None
+
+
+def test_route_guard_applies_to_a_cached_reference(monkeypatch):
+    # the cache keeps arrays, not verdicts: a reference cached under the
+    # normal guard still fails a tighter one, with the first run's message
+    sys = crotonic_default()
+    cfg = RunConfig(sys, QueryPattern.from_string("100xxx"), backend="fast_diagonal")
+    assert run_fetch(cfg).verified
+    monkeypatch.setattr(climod, "_ROUTE_GUARD", 0.0)
+    messages = []
+    for config in (RunConfig(crotonic_default(), cfg.pattern, backend="fast_diagonal"), cfg, cfg):
+        with pytest.raises(DecodeError, match="disagree") as exc:
+            run_fetch(config)
+        messages.append(str(exc.value))
+    params = AcquisitionParams.for_system(sys)
+    with pytest.raises(DecodeError) as alone:
+        climod._readout((climod._initial_state(sys, cfg.init),), sys, params, guard=0.0)
+    assert messages == [str(alone.value)] * 3
 
 
 # ---------------------------------------------------------------------------
