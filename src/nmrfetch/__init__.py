@@ -15,9 +15,7 @@ from .spin_system import (
     Spin,
     SpinSystem,
     SpinSystemError,
-    check_decodability,
     crotonic_default,
-    item_frequency,
     load_spin_system,
     load_spin_system_file,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "apply_unitary",
     "bench_report",
     "build_query_network",
-    "check_decodability",
     "classical_oracle",
     "classify_marked",
     "compile_multilinear_z_phase",
@@ -109,7 +106,6 @@ __all__ = [
     "fft_spectrum",
     "format_sequence",
     "hadamard_like",
-    "item_frequency",
     "line_table",
     "load_spin_system",
     "load_spin_system_file",

@@ -12,8 +12,9 @@ verify     dual-route consistency checks (compiled vs. direct oracle,
 bench      query-count comparison table for search strategies
 
 Exit codes: 0 success (and verified), 2 verification mismatch,
-3 configuration error, 4 numerical failure.  All artifacts are
-byte-deterministic for a fixed configuration.
+3 configuration error (an undecodable register or acquisition included),
+4 numerical failure.  All artifacts are byte-deterministic for a fixed
+configuration.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .spectrometer import (
     DecodeError,
     Spectrum,
     SpectrometerError,
+    _check_decodable,
     _readout_rows,
     classify_marked,
     decode_peaks,
@@ -85,8 +87,9 @@ EXIT_MISMATCH = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
-# simulate cross-checks the FFT route against the closed-form route and
-# treats disagreement beyond this (relative L-inf) as a numerical failure
+# simulate and spectrum cross-check the FFT route against the closed-form
+# route and treat disagreement beyond this (relative L-inf) as a numerical
+# failure
 _ROUTE_GUARD = 1e-5
 
 
@@ -168,10 +171,7 @@ def _initial_state(system: SpinSystem, init: str) -> DensityState:
 
 
 def _readout(
-    states: tuple[DensityState, ...],
-    system: SpinSystem,
-    params: AcquisitionParams,
-    guard: float = math.inf,
+    states: tuple[DensityState, ...], system: SpinSystem, params: AcquisitionParams
 ) -> list[tuple[Spectrum, list, float]]:
     """FID-route spectrum, its decoded peaks and the route gap, per state.
 
@@ -183,8 +183,8 @@ def _readout(
     checked.  The route gap is the largest difference between the
     FID-route and the closed-form spectrum, relative to the tallest
     closed-form amplitude.  State by state, in order, the peaks are picked
-    and decoded and then the gap is checked against ``guard``, so the first
-    state's decode and route failures come before the second's.
+    and decoded and then the gap is checked against ``_ROUTE_GUARD``, so the
+    first state's decode and route failures come before the second's.
     """
     out = []
     for fid, closed in _readout_rows(states, system, params):
@@ -192,7 +192,7 @@ def _readout(
         top = float(np.max(np.abs(closed)))
         gap = float(np.max(np.abs(spec.amplitude - closed))) / top if top > 0.0 else 0.0
         peaks = decode_peaks(pick_peaks(spec), system)
-        if gap > guard:
+        if gap > _ROUTE_GUARD:
             raise DecodeError(
                 f"time-domain and closed-form spectra disagree ({gap:.2e} relative)"
             )
@@ -201,12 +201,13 @@ def _readout(
 
 
 def run_fetch(cfg: RunConfig) -> RunResult:
-    """Prepare, query once, read out before and after, decode, verify.
+    """Refuse an undecodable register, then prepare, query once, read out, decode, verify.
 
     The prepared state is the readout reference, cached per register and
     acquisition; the queried state is read out as its difference from it.
     """
     params = cfg.params or AcquisitionParams.for_system(cfg.system)
+    _check_decodable(cfg.system, params)
     state = _initial_state(cfg.system, cfg.init)
 
     sequence: GateSequence | None = None
@@ -220,7 +221,7 @@ def run_fetch(cfg: RunConfig) -> RunResult:
         queried = apply_unitary(state, u)
 
     (before_spec, before_peaks, _), (after_spec, after_peaks, _) = _readout(
-        (state, queried), cfg.system, params, guard=_ROUTE_GUARD
+        (state, queried), cfg.system, params
     )
 
     verdict = classify_marked(after_peaks)
@@ -492,12 +493,12 @@ def _format_items(items) -> str:
 def _cmd_spectrum(args) -> int:
     emit = _artifact_writer(args, {"csv", "json", "svg"})
     system = _load_system(args.system)
-    params = _acq_from_args(system, args)
+    params = _acq_from_args(system, args)  # refuses an undecodable register
     init = _INITS[args.init]
     state = _initial_state(system, init)
     ((spec, peaks, gap),) = _readout((state,), system, params)
     print(f"spectral width: {params.spectral_width_hz:g} Hz, {params.n_points} points")
-    print(f"route gap: {gap:.2e} (simulate fails above {_ROUTE_GUARD:g})")
+    print(f"route gap: {gap:.2e} (fails above {_ROUTE_GUARD:g})")
     print(f"peaks found: {len(peaks)}")
     for p in peaks:
         print(

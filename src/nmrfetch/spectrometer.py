@@ -31,6 +31,12 @@ reference states it has been read against.  The FID needs no pulse matrix
 (see ``acquire_fids``) and is synthesised in blocks, one matrix product
 per row.
 
+The line table also decides whether a register can be read at all: every
+line frequency must belong to one item, distinct frequencies must lie a
+linewidth apart, and no line may sit under the others' summed tails
+(``_check_decodable``).  A peak then decodes as the line frequency closer
+than half the smallest gap.
+
 Both routes are linear in the per-item ancilla differences, and a query
 changes those only on the items it matches.  So a run reads out against a
 reference: the reference state's FID row and closed-form row are
@@ -138,19 +144,18 @@ class AcquisitionParams:
 
         The spectral width is the smallest power of two beyond twice the
         outermost line (plus tails); the point count is raised if needed so
-        the closest pair of distinct lines spans at least four bins.
+        the closest pair of distinct lines spans at least four bins.  An
+        undecodable register is refused first (``_check_decodable``), so
+        that pair is a linewidth apart and the point count stays bounded.
         """
-        cls(n_points=n_points, t2_s=t2_s, carrier_hz=carrier_hz)  # refuse bad fields first
-        freqs = _lines(system).block_freq
-        span = float(np.max(np.abs(freqs - carrier_hz)))
+        params = cls(n_points=n_points, t2_s=t2_s, carrier_hz=carrier_hz)  # refuse bad fields first
+        _check_decodable(system, params)
+        table = _lines(system)
+        span = float(np.max(np.abs(table.block_freq - carrier_hz)))
         need = 2.0 * (span + 3.0 / (math.pi * t2_s)) + 10.0
         sw = 2.0 ** math.ceil(math.log2(need))
-        gaps = np.diff(freqs)
-        gaps = gaps[gaps > 1e-9]
-        if gaps.size:
-            min_gap = float(gaps.min())
-            while sw / n_points > min_gap / 4.0:
-                n_points *= 2
+        while sw / n_points > table.min_gap_hz / 4.0:
+            n_points *= 2
         return cls(n_points=n_points, dwell_s=1.0 / sw, t2_s=t2_s, carrier_hz=carrier_hz)
 
 
@@ -220,6 +225,10 @@ class _LineTable:
     (stable, so equal frequencies keep table order) and the distinct
     frequencies form blocks: ``block_freq[k]`` is shared by the lines
     ``by_freq[block_start[k] : block_start[k] + block_size[k]]``.
+    ``block_one_item[k]`` says whether those lines all belong to one item,
+    ``block_weight[k]`` sums their weight fractions, and ``min_gap_hz`` is
+    the smallest gap between distinct frequencies (inf for a single one).
+    These decide decodability (see ``_check_decodable``).
     """
 
     freq_hz: np.ndarray
@@ -230,6 +239,9 @@ class _LineTable:
     block_freq: np.ndarray
     block_start: np.ndarray
     block_size: np.ndarray
+    block_one_item: np.ndarray
+    block_weight: np.ndarray
+    min_gap_hz: float
 
 
 @dataclass(eq=False)
@@ -313,16 +325,89 @@ def _build_line_table(system: SpinSystem) -> _LineTable:
     by_freq = np.argsort(freq, kind="stable")
     ordered = freq[by_freq]
     block_start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    block_size = np.diff(np.r_[block_start, len(freq)])
+    block_freq = ordered[block_start]
+    item = np.repeat(items, per_item)
+    # items never decrease in table order, so a block's first and last lines
+    # hold its smallest and largest item
+    block_one_item = item[by_freq[block_start]] == item[by_freq[block_start + block_size - 1]]
+    fraction = fraction.ravel()
     return _LineTable(
         freq_hz=freq,
-        item=np.repeat(items, per_item),
+        item=item,
         manifold=manifold,
-        fraction=fraction.ravel(),
+        fraction=fraction,
         by_freq=by_freq,
-        block_freq=ordered[block_start],
+        block_freq=block_freq,
         block_start=block_start,
-        block_size=np.diff(np.r_[block_start, len(freq)]),
+        block_size=block_size,
+        block_one_item=block_one_item,
+        block_weight=np.add.reduceat(fraction[by_freq], block_start),
+        min_gap_hz=float(np.diff(block_freq).min()) if len(block_freq) > 1 else math.inf,
     )
+
+
+def _block_items(table: _LineTable, block: int) -> tuple[int, int]:
+    """Smallest and largest item among the lines of one block."""
+    start = table.block_start[block]
+    first, last = table.by_freq[[start, start + table.block_size[block] - 1]]
+    return int(table.item[first]), int(table.item[last])
+
+
+def _check_decodable(system: SpinSystem, params: AcquisitionParams) -> None:
+    """Refuse a register whose lines cannot all be read apart on this acquisition.
+
+    Every line frequency must hold one item, distinct frequencies must lie
+    a linewidth 1/(pi T2) apart (the usual Lorentzian resolution
+    criterion) and no line may be buried (``_buried_block``).  Readout does
+    not check this, so an undecodable register can still be read out.
+    """
+    table = _lines(system)
+    mixed = np.flatnonzero(~table.block_one_item)
+    if mixed.size:
+        a, b = _block_items(table, mixed[0])
+        raise SpectrometerError(
+            f"items {a} and {b} share the line at {table.block_freq[mixed[0]]:.4f} Hz; "
+            "the register cannot be decoded"
+        )
+    width = params.linewidth_hz
+    if table.min_gap_hz < width:
+        raise SpectrometerError(
+            f"lines {table.min_gap_hz:.4g} Hz apart are not resolved at linewidth "
+            f"{width:.4g} Hz (T2 {params.t2_s:g} s)"
+        )
+    buried = _buried_block(table, width)
+    if buried is not None:
+        raise SpectrometerError(
+            f"the line at {table.block_freq[buried]:.4f} Hz is buried under its "
+            f"neighbours' tails at linewidth {width:.4g} Hz (T2 {params.t2_s:g} s)"
+        )
+
+
+def _buried_block(table: _LineTable, width_hz: float) -> int | None:
+    """First line frequency whose weight does not exceed the others' summed tails there.
+
+    Heights follow the weights (prepared states differ equally on every
+    item, and a query flips signs), so a weak line under a neighbour's tail
+    can vanish or leave a spurious extremum when the query inverts it; the
+    one-width rule misses this for the outer lines of composite groups.
+    With the k-th neighbour at least k gaps away, the tails sum to at most
+    the largest weight times x coth x - 1, x = pi width / (2 gap); only a
+    table above that bound is summed pair by pair, a few rows at a time.
+    """
+    weight = table.block_weight
+    x = math.pi * width_hz / (2.0 * table.min_gap_hz)
+    if x == 0.0 or weight.min() > weight.max() * (x / math.tanh(x) - 1.0):
+        return None
+    rows = max(1, _CHUNK_ELEMENTS // len(weight))
+    for lo in range(0, len(weight), rows):
+        own = weight[lo : lo + rows]
+        offset = (table.block_freq[lo : lo + rows, None] - table.block_freq) / (width_hz / 2.0)
+        tails = (weight / (1.0 + offset * offset)).sum(axis=1) - own
+        buried = np.flatnonzero(tails >= own)
+        if buried.size:
+            return lo + int(buried[0])
+    return None
 
 
 def line_table(system: SpinSystem) -> list[SpectralLine]:
@@ -696,58 +781,41 @@ def pick_peaks(spectrum: Spectrum, threshold_frac: float = 0.05) -> list[Peak]:
     return [Peak(f, a) for f, a in zip(freq[order].tolist(), value[order].tolist())]
 
 
-def _nearest_two(table: _LineTable, freqs: np.ndarray):
-    """Nearest and second-nearest line per frequency, with their distances.
+def _decode(freqs: list[float], system: SpinSystem) -> list[tuple[int, str]]:
+    """(item, manifold) per frequency; DecodeError for the first that fails.
 
-    Lines are ranked by distance, ties in table order.  The two best lie in
-    the two nearest distinct-frequency blocks on each side of the
-    frequency, and within a block only its first two lines can rank, so
-    eight candidates per frequency decide.  Missing candidates have
-    distance inf.
+    A frequency reads as its nearest line frequency (the lower one on a
+    tie), and only when it lies closer than half the smallest gap between
+    line frequencies, so no frequency is close to two.  It decodes as the
+    first line there in table order, and is ambiguous when lines of two
+    items share that frequency.
     """
-    n_blocks = len(table.block_freq)
-    blocks = np.searchsorted(table.block_freq, freqs)[:, None] + np.arange(-2, 2)
-    in_range = (blocks >= 0) & (blocks < n_blocks)
-    blocks = np.clip(blocks, 0, n_blocks - 1)
-    first = table.block_start[blocks]
-    pos = np.stack([first, first + 1], axis=-1).reshape(len(freqs), -1)
-    valid = np.stack([in_range, in_range & (table.block_size[blocks] > 1)], axis=-1)
-    valid = valid.reshape(len(freqs), -1)
-    line = table.by_freq[np.where(valid, pos, 0)]
-    dist = np.where(valid, np.abs(freqs[:, None] - table.freq_hz[line]), np.inf)
-    rank = np.lexsort((np.where(valid, line, len(table.freq_hz)), dist), axis=-1)[:, :2]
-    best, second = np.take_along_axis(line, rank, axis=-1).T
-    best_d, second_d = np.take_along_axis(dist, rank, axis=-1).T
-    return best, best_d, second, second_d
-
-
-def _decode(
-    freqs: list[float], system: SpinSystem, tolerance_hz: float
-) -> list[tuple[int, str]]:
-    """(item, manifold) per frequency; DecodeError for the first that fails."""
     if not freqs:
         return []
     table = _lines(system)
-    best, best_d, second, second_d = _nearest_two(table, np.asarray(freqs, dtype=float))
-    bad = (best_d > tolerance_hz) | (second_d <= tolerance_hz)
+    f = np.asarray(freqs, dtype=float)
+    block_freq = table.block_freq
+    right = np.minimum(np.searchsorted(block_freq, f), len(block_freq) - 1)
+    left = np.maximum(right - 1, 0)
+    block = np.where(np.abs(f - block_freq[left]) <= np.abs(f - block_freq[right]), left, right)
+    tolerance = table.min_gap_hz / 2.0
+    far = np.abs(f - block_freq[block]) >= tolerance
+    bad = far | ~table.block_one_item[block]
     if bad.any():
         k = int(np.argmax(bad))
-        if best_d[k] > tolerance_hz:
+        if far[k]:
             raise DecodeError(
-                f"no expected line within {tolerance_hz} Hz of {freqs[k]:.4f} Hz"
+                f"no expected line within {tolerance:.4g} Hz of {freqs[k]:.4f} Hz"
             )
-        raise DecodeError(
-            f"ambiguous peak at {freqs[k]:.4f} Hz: items "
-            f"{table.item[best[k]]} and {table.item[second[k]]} both within tolerance"
-        )
-    return [(int(table.item[b]), table.manifold[b]) for b in best.tolist()]
+        a, b = _block_items(table, block[k])
+        raise DecodeError(f"ambiguous peak at {freqs[k]:.4f} Hz: items {a} and {b} share its line")
+    lines = table.by_freq[table.block_start[block]]
+    return [(int(table.item[i]), table.manifold[i]) for i in lines.tolist()]
 
 
-def decode_peaks(
-    peaks: list[Peak], system: SpinSystem, tolerance_hz: float = 0.3
-) -> list[Peak]:
-    """Fill item / manifold assignments on picked peaks."""
-    decoded = _decode([p.freq_hz for p in peaks], system, tolerance_hz)
+def decode_peaks(peaks: list[Peak], system: SpinSystem) -> list[Peak]:
+    """Fill item / manifold assignments on picked peaks (see ``_decode``)."""
+    decoded = _decode([p.freq_hz for p in peaks], system)
     return [Peak(p.freq_hz, p.amplitude, item, m) for p, (item, m) in zip(peaks, decoded)]
 
 

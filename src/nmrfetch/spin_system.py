@@ -17,7 +17,8 @@ engine, which always works in the logical basis.
 
 Items are decodable from peak positions alone when the ancilla-coupling
 magnitudes form a superincreasing sequence, which the builtin seven-spin
-register (crotonic acid) satisfies.
+register (crotonic acid) satisfies.  The spectrometer decides it for a
+given register from its full line table, composite manifolds included.
 """
 
 from __future__ import annotations
@@ -32,15 +33,11 @@ __all__ = [
     "Spin",
     "SpinSystem",
     "QueryPattern",
-    "DecodabilityReport",
     "SpinSystemError",
     "ConfigError",
     "crotonic_default",
     "load_spin_system",
     "load_spin_system_file",
-    "item_frequency",
-    "all_item_frequencies",
-    "check_decodability",
 ]
 
 #: relative gyromagnetic ratios used when a config file omits gamma_rel
@@ -384,73 +381,3 @@ def load_spin_system(text: str) -> SpinSystem:
 def load_spin_system_file(path) -> SpinSystem:
     with open(path, "r", encoding="utf-8") as fh:
         return load_spin_system(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# decodability
-# ---------------------------------------------------------------------------
-
-
-def item_frequency(system: SpinSystem, item: int) -> float:
-    """Logical peak frequency of one database item (Hz, carrier-relative).
-
-    Uses the half-coupling convention: bit 0 contributes +|J_0i|/2, bit 1
-    contributes -|J_0i|/2.  For composite qubits this is the inner-manifold
-    line.
-    """
-    n = system.n_database
-    if not 0 <= item < 2**n:
-        raise IndexError(f"item {item} out of range")
-    absj = system.ancilla_couplings_abs()
-    bits = (item >> np.arange(n - 1, -1, -1)) & 1
-    return float(np.sum((1 - 2 * bits) * absj) / 2.0)
-
-
-def all_item_frequencies(system: SpinSystem) -> np.ndarray:
-    """Logical peak frequencies for items 0..2**n-1 (item order)."""
-    n = system.n_database
-    if n > 22:
-        raise SpinSystemError("frequency enumeration capped at n = 22")
-    absj = system.ancilla_couplings_abs()
-    items = np.arange(2**n)[:, None]
-    bits = (items >> np.arange(n - 1, -1, -1)[None, :]) & 1
-    return (1 - 2 * bits) @ absj / 2.0
-
-
-@dataclass(frozen=True)
-class DecodabilityReport:
-    ok: bool
-    superincreasing: bool
-    min_gap_hz: float
-    collisions: tuple[tuple[int, int], ...]
-
-
-def check_decodability(system: SpinSystem, resolution_hz: float) -> DecodabilityReport:
-    """Check that every item maps to a resolvable, unambiguous line.
-
-    Enumerates all 2**n logical frequencies and reports item pairs closer
-    than ``resolution_hz``.  Also reports whether the coupling magnitudes
-    are superincreasing in qubit order (|J_0i| > sum of later |J_0j|),
-    which guarantees the item -> frequency map is strictly monotonic.
-    """
-    if resolution_hz <= 0:
-        raise ValueError("resolution_hz must be positive")
-    absj = system.ancilla_couplings_abs()
-    tails = np.concatenate([np.cumsum(absj[::-1])[::-1][1:], [0.0]])
-    superincreasing = bool(np.all(absj > tails))
-
-    freqs = all_item_frequencies(system)
-    order = np.argsort(freqs, kind="stable")
-    sorted_freqs = freqs[order]
-    gaps = np.diff(sorted_freqs)
-    min_gap = float(np.min(gaps)) if gaps.size else float("inf")
-    collisions = [
-        (int(min(order[k], order[k + 1])), int(max(order[k], order[k + 1])))
-        for k in np.nonzero(gaps < resolution_hz)[0]
-    ]
-    return DecodabilityReport(
-        ok=not collisions,
-        superincreasing=superincreasing,
-        min_gap_hz=min_gap,
-        collisions=tuple(sorted(collisions)),
-    )

@@ -58,6 +58,8 @@ class DensityState:
             raise StateError(
                 "population vector needs 2**n entries with n >= 1 (ancilla first)"
             )
+        if not np.all(np.isfinite(pops)):
+            raise StateError("populations must be finite")
         if np.any(pops < -_NEGATIVE_ATOL):
             raise StateError("negative population")
         if abs(pops.sum() - 1.0) > 1e-9:

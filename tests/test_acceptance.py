@@ -235,7 +235,7 @@ def test_criterion_09_unambiguous_monotonic_decode(capsys):
         sys = crotonic_default()
         lines = line_table(sys)
         for line in lines:
-            (peak,) = decode_peaks([Peak(line.freq_hz, 1.0)], sys, tolerance_hz=0.3)
+            (peak,) = decode_peaks([Peak(line.freq_hz, 1.0)], sys)
             assert (peak.item, peak.manifold) == (line.item, line.manifold)
         inner = sorted(
             (l for l in lines if l.manifold == "inner"), key=lambda l: -l.freq_hz

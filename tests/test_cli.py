@@ -18,6 +18,7 @@ from nmrfetch import (
     AcquisitionParams,
     DecodeError,
     QueryPattern,
+    SpectrometerError,
     apply_query_diagonal,
     build_query_network,
     crotonic_default,
@@ -331,11 +332,11 @@ def test_simulate_oracle_mismatch_exit_two(monkeypatch):
     assert main(["simulate", "--pattern", "100xxx", "--backend", "fast"]) == EXIT_MISMATCH
 
 
-def test_simulate_undecodable_system_exit_four(tmp_path):
-    cfg = tmp_path / "clash.cfg"
-    cfg.write_text(
+def two_qubit_config(tmp_path, j_b, j_c):
+    path = tmp_path / "pair.cfg"
+    path.write_text(
         textwrap.dedent(
-            """
+            f"""
             ancilla = A
             [spin.A]
             species = carbon
@@ -344,13 +345,38 @@ def test_simulate_undecodable_system_exit_four(tmp_path):
             [spin.C]
             species = proton
             [couplings]
-            A-B = 10.0
-            A-C = 10.2
+            A-B = {j_b}
+            A-C = {j_c}
             """
         )
     )
-    code = main(["simulate", "--system", str(cfg), "--pattern", "1x"])
-    assert code == EXIT_NUMERICAL
+    return str(path)
+
+
+def test_simulate_undecodable_system_exit_config(tmp_path, capsys):
+    # items 1 and 2 share a line: refused before anything is simulated
+    cfg = two_qubit_config(tmp_path, 10.0, 10.0)
+    assert main(["simulate", "--system", cfg, "--pattern", "1x"]) == EXIT_CONFIG
+    assert "items 1 and 2 share the line at 0.0000 Hz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["fast", "ideal", "hard"])
+def test_simulate_lines_a_linewidth_apart_verify(tmp_path, capsys, backend):
+    # items 1 and 2 sit 0.2 Hz apart, 1.26 linewidths at T2 = 2 s: resolved,
+    # and the query inverts one of the two
+    cfg = two_qubit_config(tmp_path, 10.0, 10.2)
+    assert main(["simulate", "--system", cfg, "--pattern", "1x", "--backend", backend]) == EXIT_OK
+    assert "marked items: {2, 3}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("t2", ["0.2", "0.25", "0.3"])
+def test_simulate_unresolved_builtin_exit_config(capsys, t2):
+    # the closest builtin lines are 0.7 Hz apart, less than a linewidth
+    # 1/(pi T2) here; 0.25 and 0.3 used to decode wrong items, 0.2 to fail
+    # the decode
+    argv = ["simulate", "--pattern", "100xxx", "--backend", "fast", "--t2", t2]
+    assert main(argv) == EXIT_CONFIG
+    assert "not resolved at linewidth" in capsys.readouterr().err
 
 
 def test_spectrum_subcommand_writes_csv(tmp_path, capsys):
@@ -384,25 +410,54 @@ def test_spectrum_honours_acquisition_flags(tmp_path):
     assert np.allclose(freqs, want.frequency_grid(), rtol=1e-8, atol=0.0)
 
 
-def test_spectrum_unresolvable_settings_exit_numerical(capsys):
+def test_spectrum_unresolvable_settings_exit_config(capsys):
     # at T2 = 0.2 s the lines are 1.6 Hz wide and the closest pairs, 0.7 Hz
-    # apart, merge; the decoder reports that instead of guessing
-    assert main(["spectrum", "--t2", "0.2"]) == EXIT_NUMERICAL
-    assert "no expected line within 0.3 Hz" in capsys.readouterr().err
+    # apart, merge; at 0.05 s they are 6.4 Hz wide
+    for t2 in ("0.2", "0.05"):
+        assert main(["spectrum", "--t2", t2]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("configuration error: lines 0.7 Hz apart are not resolved") == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "run_fetch"])
+def test_refused_run_prepares_no_state(monkeypatch, capsys, command):
+    prepared = []
+
+    def spy(system, init):
+        prepared.append(init)
+        raise AssertionError("a refused run prepared a state")
+
+    monkeypatch.setattr(climod, "_initial_state", spy)
+    if command == "run_fetch":  # explicit acquisition, so for_system is not asked
+        cfg = RunConfig(
+            crotonic_default(),
+            QueryPattern.from_string("100xxx"),
+            params=AcquisitionParams(n_points=16384, dwell_s=1.0 / 512.0, t2_s=0.3),
+        )
+        with pytest.raises(SpectrometerError, match="not resolved"):
+            run_fetch(cfg)
+    else:
+        argv = [command, "--t2", "0.3"] + (["--pattern", "100xxx"] if command == "simulate" else [])
+        assert main(argv) == EXIT_CONFIG
+    assert prepared == []
+    capsys.readouterr()
 
 
 def test_route_guard_fails_simulate_and_spectrum_reports_gap(monkeypatch, capsys):
     assert main(["spectrum"]) == EXIT_OK
-    gap = float(re.search(r"route gap: (\S+)", capsys.readouterr().out).group(1))
+    out = capsys.readouterr().out
+    gap = float(re.search(r"route gap: (\S+) \(fails above 1e-05\)", out).group(1))
     assert 0.0 < gap < 1e-6
     monkeypatch.setattr(climod, "_ROUTE_GUARD", 0.0)  # tighter than any real gap
     assert main(["simulate", "--pattern", "100xxx", "--backend", "fast"]) == EXIT_NUMERICAL
-    assert "disagree" in capsys.readouterr().err
+    assert main(["spectrum"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.count("disagree") == 2
 
 
 def test_route_guard_fails_on_the_before_state_first(monkeypatch, capsys):
     # one readout pass covers both states, but the before state is still
     # checked first: its gap is the one the error reports
+    monkeypatch.setattr(climod, "_ROUTE_GUARD", 0.0)
     sys = crotonic_default()
     cfg = RunConfig(sys, QueryPattern.from_string("100xxx"), backend="fast_diagonal")
     params = AcquisitionParams.for_system(sys)
@@ -411,11 +466,10 @@ def test_route_guard_fails_on_the_before_state_first(monkeypatch, capsys):
     messages = []
     for alone in (state, queried):
         with pytest.raises(DecodeError, match="disagree") as exc:
-            climod._readout((alone,), sys, params, guard=0.0)
+            climod._readout((alone,), sys, params)
         messages.append(str(exc.value))
     assert messages[0] != messages[1]  # the two gaps tell the states apart
 
-    monkeypatch.setattr(climod, "_ROUTE_GUARD", 0.0)
     with pytest.raises(DecodeError) as exc:
         run_fetch(cfg)
     assert str(exc.value) == messages[0]
@@ -424,12 +478,15 @@ def test_route_guard_fails_on_the_before_state_first(monkeypatch, capsys):
 
 
 def test_decode_failure_comes_before_route_failure(monkeypatch):
-    # items 1 and 2 sit 0.2 Hz apart: the before state fails to decode, and
-    # that error wins over the route gap of the same state
+    # readout itself does not refuse an undecodable register: items 1 and 2
+    # share a line, the before state fails to decode, and that error wins
+    # over the route gap of the same state
     monkeypatch.setattr(climod, "_ROUTE_GUARD", 0.0)
-    cfg = RunConfig(make_system([10.0, 10.2]), QueryPattern.from_string("1x"))
+    sys = make_system([10.0, 10.0])
+    state = climod._initial_state(sys, "effective_pure")
+    params = AcquisitionParams(n_points=4096, dwell_s=1.0 / 64.0)
     with pytest.raises(DecodeError, match="ambiguous peak"):
-        run_fetch(cfg)
+        climod._readout((state,), sys, params)
 
 
 def test_compile_listing_grammar(capsys):

@@ -119,23 +119,31 @@ def reference_analytic(state, system, params):
     return amp
 
 
-def brute_decode(freq_hz, lines, tolerance_hz):
-    """Rank every line by distance (ties in table order); same errors as decode_peaks."""
-    dists = sorted(((abs(freq_hz - ln.freq_hz), ln) for ln in lines), key=lambda pair: pair[0])
-    best_d, best = dists[0]
-    if best_d > tolerance_hz:
-        raise DecodeError(f"no expected line within {tolerance_hz} Hz of {freq_hz:.4f} Hz")
-    if len(dists) > 1 and dists[1][0] <= tolerance_hz:
+def brute_decode(freq_hz, lines):
+    """Rank every line by distance (ties to the lower frequency, then table order).
+
+    The tolerance is half the smallest gap between distinct line
+    frequencies, and the lines at the best frequency must all belong to one
+    item; same errors as decode_peaks.
+    """
+    distinct = sorted({ln.freq_hz for ln in lines})
+    tolerance = min((b - a for a, b in zip(distinct, distinct[1:])), default=math.inf) / 2.0
+    best_d, _, _, best = min(
+        (abs(freq_hz - ln.freq_hz), ln.freq_hz, k, ln) for k, ln in enumerate(lines)
+    )
+    if best_d >= tolerance:
+        raise DecodeError(f"no expected line within {tolerance:.4g} Hz of {freq_hz:.4f} Hz")
+    items = sorted({ln.item for ln in lines if ln.freq_hz == best.freq_hz})
+    if len(items) > 1:
         raise DecodeError(
-            f"ambiguous peak at {freq_hz:.4f} Hz: items "
-            f"{best.item} and {dists[1][1].item} both within tolerance"
+            f"ambiguous peak at {freq_hz:.4f} Hz: items {items[0]} and {items[-1]} share its line"
         )
     return best.item, best.manifold
 
 
-def decode_one(freq_hz, system, tolerance_hz=0.3):
+def decode_one(freq_hz, system):
     """decode_peaks on a one-peak list, as (item, manifold)."""
-    (peak,) = decode_peaks([Peak(freq_hz, 1.0)], system, tolerance_hz)
+    (peak,) = decode_peaks([Peak(freq_hz, 1.0)], system)
     return peak.item, peak.manifold
 
 
@@ -230,6 +238,15 @@ def test_for_system_covers_all_lines():
     freqs = sorted(l.freq_hz for l in line_table(sys))
     min_gap = min(b - a for a, b in zip(freqs, freqs[1:]))
     assert p.spectral_width_hz / p.n_points <= min_gap / 4
+
+
+def test_for_system_sizes_the_grid_from_the_closest_lines():
+    # 0.2 Hz apart: four bins across the gap, and no more points than that needs
+    p = AcquisitionParams.for_system(make_system([10.0, 10.2]), n_points=256)
+    assert p.spectral_width_hz / p.n_points <= 0.2 / 4 < 2 * p.spectral_width_hz / p.n_points
+    # 2e-12 Hz apart: refused before the point count could grow to 2**50 and beyond
+    with pytest.raises(SpectrometerError, match="not resolved"):
+        AcquisitionParams.for_system(make_system([10.0, 10.0 + 2e-12]))
 
 
 def test_narrow_window_rejected():
@@ -721,7 +738,7 @@ def test_route_guard_applies_to_a_cached_reference(monkeypatch):
         messages.append(str(exc.value))
     params = AcquisitionParams.for_system(sys)
     with pytest.raises(DecodeError) as alone:
-        climod._readout((climod._initial_state(sys, cfg.init),), sys, params, guard=0.0)
+        climod._readout((climod._initial_state(sys, cfg.init),), sys, params)
     assert messages == [str(alone.value)] * 3
 
 
@@ -823,7 +840,7 @@ def test_pick_peaks_matches_scipy_reference(amp, start, step, threshold_frac):
 def test_decode_round_trip_every_item():
     sys = crotonic_default()
     for line in line_table(sys):
-        item, manifold = decode_one(line.freq_hz, sys, tolerance_hz=0.3)
+        item, manifold = decode_one(line.freq_hz, sys)
         assert item == line.item
         assert manifold == line.manifold
 
@@ -835,16 +852,22 @@ def test_decode_rejects_far_frequency():
 
 
 def test_decode_rejects_ambiguous_frequency():
-    sys = make_system([10.0, 10.2])  # items 1 and 2 sit 0.2 Hz apart
-    with pytest.raises(DecodeError):
-        decode_one(0.0, sys, tolerance_hz=0.3)
+    # items 1 and 2 sit 0.2 Hz apart: midway between them is no closer to
+    # either than half the smallest gap
+    sys = make_system([10.0, 10.2])
+    with pytest.raises(DecodeError, match="no expected line within 0.1 Hz of 0.0000 Hz"):
+        decode_one(0.0, sys)
+    assert decode_one(0.099, sys) == (2, "n/a")
 
 
-def decode_probes(lines):
-    """Every line, points just off and halfway between neighbours, and far outside."""
+def decode_probes(lines, spread_hz):
+    """Every line, points just off it, at half the smallest gap, halfway between neighbours and far outside."""
     freqs = sorted({l.freq_hz for l in lines})
+    half_gap = min((b - a for a, b in zip(freqs, freqs[1:])), default=math.inf) / 2.0
     probes = list(freqs)
-    probes += [f + d for f in freqs for d in (-0.31, -0.2, 0.05, 0.3)]
+    probes += [f + d * spread_hz for f in freqs for d in (-31 / 30, -2 / 3, 1 / 6, 1.0)]
+    if math.isfinite(half_gap):
+        probes += [f + d * half_gap for f in freqs for d in (-1.0, 1.0 - 1e-9)]
     probes += [(a + b) / 2.0 for a, b in zip(freqs, freqs[1:])]
     probes += [freqs[0] - 50.0, freqs[-1] + 50.0]
     return probes
@@ -860,24 +883,22 @@ def decode_probes(lines):
     ]
     + [superincreasing_system(np.random.default_rng(seed), n) for seed, n in ((1, 6), (2, 8), (3, 9))],
 )
-@pytest.mark.parametrize("tolerance_hz", [0.3, 6.0])
-def test_decode_matches_brute_force(sys, tolerance_hz):
+@pytest.mark.parametrize("spread_hz", [0.3, 6.0])
+def test_decode_matches_brute_force(sys, spread_hz):
     lines = line_table(sys)
-    probes = decode_probes(lines)
+    probes = decode_probes(lines, spread_hz)
     for freq in probes:
-        assert outcome(decode_one, freq, sys, tolerance_hz) == outcome(
-            brute_decode, freq, lines, tolerance_hz
-        )
+        assert outcome(decode_one, freq, sys) == outcome(brute_decode, freq, lines)
     # decode_peaks fails on the first peak that fails, as a loop over peaks would
     peaks = [Peak(freq_hz=f, amplitude=1.0) for f in probes]
     want = []
     for p in peaks:
-        got = outcome(brute_decode, p.freq_hz, lines, tolerance_hz)
+        got = outcome(brute_decode, p.freq_hz, lines)
         if got[0] == "DecodeError":
             want = got
             break
         want.append(got)
-    got = outcome(decode_peaks, peaks, sys, tolerance_hz)
+    got = outcome(decode_peaks, peaks, sys)
     if isinstance(got, list):
         got = [(p.item, p.manifold) for p in got]
     assert got == want
@@ -886,8 +907,14 @@ def test_decode_matches_brute_force(sys, tolerance_hz):
 def test_decode_degenerate_lines_are_ambiguous():
     sys = make_system([10.0, 10.0])
     with pytest.raises(DecodeError, match="items 1 and 2"):
-        decode_one(0.0, sys, tolerance_hz=0.3)
-    assert decode_one(10.1, sys, tolerance_hz=0.3) == (0, "n/a")
+        decode_one(0.0, sys)
+    assert decode_one(10.1, sys) == (0, "n/a")
+
+
+def test_decode_reads_a_single_line_at_any_distance():
+    # one line frequency has no gap to halve: every peak is that line
+    sys = SpinSystem((Spin("c", species="carbon"),), np.zeros((1, 1)))
+    assert decode_one(0.0, sys) == decode_one(1e6, sys) == (0, "n/a")
 
 
 def test_run_fetch_builds_line_table_once_per_register(monkeypatch):
@@ -905,6 +932,87 @@ def test_run_fetch_builds_line_table_once_per_register(monkeypatch):
     assert calls == [sys]
     assert run_fetch(cfg).verified and len(line_table(sys)) == 128
     assert calls == [sys]
+
+
+@st.composite
+def fuzz_registers(draw):
+    """3-5 database qubits, optional three-spin groups, signed couplings,
+    offsets and database-database couplings."""
+    n = draw(st.integers(3, 5))
+    j = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        j[0, i] = j[i, 0] = round(draw(st.floats(0.5, 40.0)), 2) * draw(st.sampled_from((-1, 1)))
+    for a, b in itertools.combinations(range(1, n + 1), 2):
+        if draw(st.booleans()):
+            j[a, b] = j[b, a] = round(draw(st.floats(-20.0, 20.0)), 2)
+    mults = [draw(st.sampled_from((1, 3))) for _ in range(n)]
+    offsets = [round(draw(st.floats(-10.0, 10.0)), 2) for _ in range(n + 1)]
+    return make_system(list(j[0, 1:]), multiplicities=mults, offsets=offsets, full_j=j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    system=fuzz_registers(),
+    t2=st.floats(0.2, 3.0),
+    init=st.sampled_from(("thermal", "effective_pure")),
+    data=st.data(),
+)
+def test_refused_or_every_item_classifies(system, t2, init, data):
+    # the line table's decision is the whole story: a register it accepts
+    # reads every item right from the closed-form spectra of the prepared and
+    # queried states, with the default peak threshold
+    n = system.n_database
+    pattern = QueryPattern.from_string(data.draw(st.text("01x", min_size=n, max_size=n)))
+    try:
+        params = AcquisitionParams.for_system(system, t2_s=t2)
+    except SpectrometerError as exc:
+        assert not isinstance(exc, DecodeError)
+        return
+    state = climod._initial_state(system, init)
+    queried = apply_query_diagonal(state, pattern)
+    expected = tuple(climod.classical_oracle(pattern, n))
+    for spectrum, marked in zip(analytic_spectra((state, queried), system, params), ((), expected)):
+        verdict = classify_marked(decode_peaks(pick_peaks(spectrum), system))
+        assert verdict.marked == marked and verdict.inconsistent == ()
+        assert verdict.unmarked == tuple(i for i in range(2**n) if i not in marked)
+
+
+def brute_buried(table, width_hz):
+    """First block whose weight does not exceed every other block's Lorentzian tail summed there."""
+    for k, (f, w) in enumerate(zip(table.block_freq, table.block_weight)):
+        tails = sum(
+            v / (1.0 + (2.0 * (f - g) / width_hz) ** 2)
+            for j, (g, v) in enumerate(zip(table.block_freq, table.block_weight))
+            if j != k
+        )
+        if tails >= w:
+            return k
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=fuzz_registers(), t2=st.floats(0.05, 3.0))
+def test_buried_block_matches_the_pairwise_sum(system, t2):
+    # the closed-form bound only ever skips tables with nothing buried
+    table = spectrometer._lines(system)
+    width = 1.0 / (math.pi * t2)
+    assert spectrometer._buried_block(table, width) == brute_buried(table, width)
+
+
+def test_weak_line_under_a_strong_neighbour_is_refused():
+    # two three-spin groups: outer lines carry 1/16 of an item, inner ones
+    # 9/16.  At T2 = 0.2 s the closest lines are 1.08 widths apart, yet a
+    # weak line sits under the tail of a strong one, and the queried
+    # spectrum shows an extremum that is no line
+    sys = make_system([-32.62, -17.17, -22.38], multiplicities=[3, 3, 1])
+    params = AcquisitionParams(n_points=16384, dwell_s=1.0 / 256.0, t2_s=0.2)
+    assert params.linewidth_hz < spectrometer._lines(sys).min_gap_hz
+    with pytest.raises(SpectrometerError, match="buried under its neighbours' tails"):
+        spectrometer._check_decodable(sys, params)
+    queried = apply_query_diagonal(effective_pure_ancilla(sys), QueryPattern.from_string("100"))
+    with pytest.raises(DecodeError, match="no expected line within 0.86 Hz of -10.9995 Hz"):
+        decode_peaks(pick_peaks(analytic_spectrum(queried, sys, params)), sys)
+    spectrometer._check_decodable(sys, AcquisitionParams(t2_s=0.3))
 
 
 def test_decode_peaks_annotates():

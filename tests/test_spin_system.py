@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nmrfetch import (
+    AcquisitionParams,
     ConfigError,
     QueryPattern,
+    SpectrometerError,
     Spin,
     SpinSystem,
     SpinSystemError,
-    check_decodability,
     crotonic_default,
-    item_frequency,
+    line_table,
     load_spin_system,
     load_spin_system_file,
 )
-from nmrfetch.spin_system import all_item_frequencies
+from nmrfetch.spectrometer import _check_decodable, _lines
 
 from conftest import make_system
 
@@ -130,42 +131,30 @@ def test_gamma_must_be_positive():
 # ---------------------------------------------------------------------------
 
 
-def test_item_zero_frequency():
-    # half-sum of coupling magnitudes: (156+69.7+41.6+7.1+1.4+0.7)/2
-    sys = crotonic_default()
-    assert item_frequency(sys, 0) == pytest.approx(138.25)
-
-
-def test_item_frequencies_strictly_decreasing():
-    sys = crotonic_default()
-    freqs = all_item_frequencies(sys)
-    assert len(freqs) == 64
-    assert np.all(np.diff(freqs) < 0)
-    assert freqs[0] == pytest.approx(138.25)
-    assert freqs[-1] == pytest.approx(-138.25)
-
-
 def test_decodability_crotonic():
-    rep = check_decodability(crotonic_default(), 0.1)
-    assert rep.ok
-    assert rep.superincreasing
-    assert rep.collisions == ()
-    # closest logical pair: items differing only in the 0.7 Hz qubit
-    assert rep.min_gap_hz == pytest.approx(0.7)
+    # the register's line table decides: its closest lines, the two
+    # manifolds of items differing only in the 0.7 Hz qubit, need a
+    # linewidth 1/(pi T2) of at most 0.7 Hz
+    sys = crotonic_default()
+    assert _lines(sys).min_gap_hz == pytest.approx(0.7)
+    assert _lines(sys).block_one_item.all()
+    _check_decodable(sys, AcquisitionParams())
+    _check_decodable(sys, AcquisitionParams(t2_s=0.46))
+    with pytest.raises(SpectrometerError, match="not resolved at linewidth 0.7074 Hz"):
+        _check_decodable(sys, AcquisitionParams(t2_s=0.45))
 
 
 def test_decodability_collision():
-    rep = check_decodability(make_system([10.0, 10.0]), 0.1)
-    assert not rep.ok
-    assert not rep.superincreasing
-    assert (1, 2) in rep.collisions  # items 01 and 10 coincide
+    sys = make_system([10.0, 10.0])  # items 01 and 10 coincide
+    with pytest.raises(SpectrometerError, match="items 1 and 2 share the line at 0.0000 Hz"):
+        _check_decodable(sys, AcquisitionParams())
 
 
 def test_decodability_negation_symmetric():
-    plus = check_decodability(make_system([12.0, 5.0, 2.0]), 0.05)
-    minus = check_decodability(make_system([-12.0, -5.0, -2.0]), 0.05)
-    assert plus.ok == minus.ok
-    assert plus.min_gap_hz == pytest.approx(minus.min_gap_hz)
+    plus, minus = make_system([12.0, 5.0, 2.0]), make_system([-12.0, -5.0, -2.0])
+    for sys in (plus, minus):
+        _check_decodable(sys, AcquisitionParams())
+    assert _lines(plus).min_gap_hz == pytest.approx(_lines(minus).min_gap_hz)
 
 
 @given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=6))
@@ -173,8 +162,8 @@ def test_sign_flips_leave_magnitudes_invariant(signs):
     base = [50.0, 20.0, 8.0, 3.0, 1.2, 0.5][: len(signs)]
     sys_plus = make_system(base)
     sys_mixed = make_system([s * j for s, j in zip(signs, base)])
-    f_plus = sorted(all_item_frequencies(sys_plus))
-    f_mixed = sorted(all_item_frequencies(sys_mixed))
+    f_plus = sorted(line.freq_hz for line in line_table(sys_plus))
+    f_mixed = sorted(line.freq_hz for line in line_table(sys_mixed))
     assert np.allclose(f_plus, f_mixed)
     assert sys_mixed.bit_signs == tuple(signs)
 

@@ -53,6 +53,14 @@ def test_negative_population_rejected():
         DensityState(np.array([1.2, -0.2]))
 
 
+def test_non_finite_populations_rejected():
+    # nan passes every comparison-based check, so it needs its own
+    with pytest.raises(StateError, match="finite"):
+        DensityState(np.full(4, np.nan))
+    with pytest.raises(StateError, match="finite"):
+        DensityState(np.array([np.inf, 0.0]))
+
+
 @pytest.mark.parametrize("n_entries", [0, 1, 2, 3, 4])
 def test_vector_length_is_a_power_of_two_with_an_ancilla(n_entries):
     # an ancilla needs at least one qubit: 2 or 4 entries, never 0, 1 or 3
@@ -124,6 +132,11 @@ def test_thermal_polarization_bounds():
         thermal_state(sys, polarization=-0.1)
     with pytest.raises(StateError):
         thermal_state(sys, polarization=0.6)  # 0.6 * (1 + 1) > 1
+
+
+def test_thermal_refuses_nan_polarization():
+    with pytest.raises(StateError, match="finite"):
+        thermal_state(crotonic_default(), polarization=math.nan)
 
 
 def test_thermal_trace_and_positivity():
