@@ -12,8 +12,9 @@ verify     dual-route consistency checks (compiled vs. direct oracle,
 bench      query-count comparison table for search strategies
 
 Exit codes: 0 success (and verified), 2 verification mismatch,
-3 configuration error (an undecodable register or acquisition included),
-4 numerical failure.  All artifacts are byte-deterministic for a fixed
+3 configuration error (an undecodable register, an acquisition grid above
+its cap and a hard-pulse schedule longer than ln 20 T2 included), 4 numerical
+failure.  All artifacts are byte-deterministic for a fixed
 configuration.
 """
 
@@ -30,7 +31,9 @@ import numpy as np
 
 from .compiler import (
     CompileError,
+    Delay,
     GateSequence,
+    _compressed_product,
     build_query_network,
     expand_to_hard_pulses,
     format_sequence,
@@ -63,6 +66,7 @@ from .spin_system import (
 from .states import (
     DensityState,
     StateError,
+    _apply_product,
     apply_query_diagonal,
     apply_unitary,
     effective_pure_ancilla,
@@ -92,6 +96,12 @@ EXIT_NUMERICAL = 4
 # failure
 _ROUTE_GUARD = 1e-5
 
+# No relaxation acts during a simulated sequence, but the ancilla is
+# transverse through the query, so in the experiment its signal would fall
+# by about exp(-duration / T2).  Past ln 20 T2 that factor is below
+# pick_peaks' 5 % threshold, and such a hard-pulse schedule is refused.
+_MAX_SCHEDULE_T2 = math.log(20.0)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -108,8 +118,8 @@ class RunConfig:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.backend != "fast_diagonal" and self.system.n_spins > MAX_DENSE_QUBITS:
             raise ConfigError(
-                f"backend {self.backend} needs a dense register; "
-                f"{self.system.n_spins} spins exceed the {MAX_DENSE_QUBITS}-spin limit"
+                f"backend {self.backend} is limited to {MAX_DENSE_QUBITS} spins; "
+                f"the register has {self.system.n_spins}"
             )
 
 
@@ -201,24 +211,37 @@ def _readout(
 
 
 def run_fetch(cfg: RunConfig) -> RunResult:
-    """Refuse an undecodable register, then prepare, query once, read out, decode, verify.
+    """Refuse an unworkable run, then prepare, query once, read out, decode, verify.
 
-    The prepared state is the readout reference, cached per register and
-    acquisition; the queried state is read out as its difference from it.
+    An undecodable register and a hard-pulse schedule longer than
+    ``_MAX_SCHEDULE_T2`` T2 are refused before any state is prepared.  The
+    query is applied to the populations through the compressed product, so
+    no 2^n x 2^n matrix is built.  The prepared state is the readout
+    reference, cached per register and acquisition; the queried state is
+    read out as its difference from it.
     """
     params = cfg.params or AcquisitionParams.for_system(cfg.system)
     _check_decodable(cfg.system, params)
-    state = _initial_state(cfg.system, cfg.init)
 
     sequence: GateSequence | None = None
-    if cfg.backend == "fast_diagonal":
-        queried = apply_query_diagonal(state, cfg.pattern)
-    else:
+    if cfg.backend != "fast_diagonal":
         sequence = build_query_network(cfg.system, cfg.pattern)
         if cfg.backend == "hard_pulse":
             sequence = expand_to_hard_pulses(sequence, cfg.system)
-        u = sequence_unitary(sequence, cfg.system)
-        queried = apply_unitary(state, u)
+            # the sum sequence_report totals, in its order
+            seconds = sum(g.seconds for g in sequence.gates if isinstance(g, Delay))
+            if seconds > _MAX_SCHEDULE_T2 * params.t2_s:
+                raise CompileError(
+                    f"hard-pulse schedule lasts {seconds:.6g} s ({seconds / params.t2_s:.4g} T2),"
+                    f" longer than ln 20 = {_MAX_SCHEDULE_T2:.4g} T2: the ancilla signal"
+                    " would decay below the 5 % peak-pick threshold"
+                )
+
+    state = _initial_state(cfg.system, cfg.init)
+    if sequence is None:
+        queried = apply_query_diagonal(state, cfg.pattern)
+    else:
+        queried = _apply_product(state, *_compressed_product(sequence, cfg.system))
 
     (before_spec, before_peaks, _), (after_spec, after_peaks, _) = _readout(
         (state, queried), cfg.system, params

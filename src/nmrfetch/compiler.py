@@ -30,19 +30,27 @@ list can further be expanded into a hard-pulse schedule (delays under the
 always-on coupling Hamiltonian plus refocusing pi pulses) in which every
 unwanted coupling and chemical shift integrates to zero over the block.
 
-``sequence_unitary`` simulates either list exactly, gate by gate, but does
-dense work only where a pulse mixes basis states.  Delays, ZZ periods and
-frame z rotations are diagonal, and a pi pulse about x or y is -i sigma, a
-signed bit flip; a diagonal moved through a signed flip stays diagonal
-(Pauli-frame bookkeeping), so every run of such gates is one signed
-permutation times a diagonal phase, built in O(2^n) per gate.  The running
-product keeps only 2^|M| columns per row, M being the qubits that some
-non-flip pulse mixes (the ancilla alone in a query network).
+Each distinct ZZ period is expanded once per register and the block kept
+for later calls.
+
+``_compressed_product`` simulates either list exactly, but does dense work
+only where a pulse mixes basis states.  Delays, ZZ periods and frame z
+rotations are diagonal, and a pi pulse about x or y is -i sigma, a signed
+bit flip; a diagonal moved through a signed flip stays diagonal
+(Pauli-frame bookkeeping), so every maximal run of such gates is one signed
+permutation times a diagonal phase.  A query network repeats the same few
+runs many times, so each distinct run is composed once per call and every
+occurrence applied as one row gather and scale.  The running product keeps
+only 2^|M| columns per row, M being the qubits that some non-flip pulse
+mixes (the ancilla alone in a query network).  ``sequence_unitary``
+scatters that product into the dense unitary; a population state is
+conjugated by it block by block (``states._apply_product``).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -414,26 +422,38 @@ def _fold_virtual_z(gates: list[Gate]) -> list[Gate]:
     return folded
 
 
+# SpinSystem is frozen, compares by identity and its j_hz is read-only, so
+# an echo block stays valid for as long as its register exists; the blocks
+# hold no reference to the register, so the weak cache can drop both
+_ECHO_BLOCKS: "weakref.WeakKeyDictionary[SpinSystem, dict[ZZEvolution, tuple[Gate, ...]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def expand_to_hard_pulses(seq: GateSequence, system: SpinSystem) -> GateSequence:
     """Replace every ZZ period by a refocused delay block.
 
     Selective pulses pass through unchanged and virtual z rotations stay
     virtual (adjacent ones on the same spin are folded together).  The
     result reproduces the ideal sequence's unitary up to a global phase.
-    Equal ZZ periods recur many times in a query network, so each distinct
-    one is expanded once per call.
+    Equal ZZ periods recur many times in a query network and across
+    queries, so each distinct one is expanded once per register and its
+    block, an immutable tuple, reused by later calls.
     """
     if seq.mode != "ideal":
         raise CompileError("only ideal sequences can be expanded")
     if seq.n_qubits != system.n_spins:
         raise CompileError("sequence register size does not match the system")
-    blocks: dict[ZZEvolution, list[Gate]] = {}
+    blocks = _ECHO_BLOCKS.get(system)
+    if blocks is None:
+        blocks = _ECHO_BLOCKS[system] = {}
     gates: list[Gate] = []
     for gate in seq.gates:
         if isinstance(gate, ZZEvolution):
-            if gate not in blocks:
-                blocks[gate] = _echo_block(gate, system)
-            gates.extend(blocks[gate])
+            block = blocks.get(gate)
+            if block is None:
+                block = blocks[gate] = tuple(_echo_block(gate, system))
+            gates.extend(block)
         else:
             gates.append(gate)
     return GateSequence(
@@ -463,55 +483,43 @@ def _mix_rows(acc: np.ndarray, qubit: int, block: np.ndarray) -> None:
     view[:, 0] = new_top
 
 
-def _gather_rows(
-    acc: np.ndarray, src: np.ndarray, sign: np.ndarray, phase: np.ndarray
-) -> np.ndarray:
-    """M @ acc for the monomial M: row i is sign[i] exp(-i phase[i]) acc[src[i]]."""
-    return (sign * np.exp(-1.0j * phase))[:, None] * acc[src]
+def _compressed_product(
+    seq: GateSequence, system: SpinSystem | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-compressed unitary of a gate sequence: ``(acc, cols, embed)``.
 
+    Time order is a right-to-left product.  Hard-pulse sequences need the
+    register to evaluate delays under the always-on Hamiltonian.
 
-def sequence_unitary(seq: GateSequence, system: SpinSystem | None = None) -> np.ndarray:
-    """Dense unitary of a gate sequence (time order -> right-to-left product).
+    Row i of the product is nonzero only in the columns whose bits outside
+    M equal cols[i], M being the qubits that receive a pulse other than a
+    signed flip, and acc[i, m] is its entry in the column whose M bits are
+    embed[m].  So the accumulator holds 2^n x 2^|M| entries; a query
+    network mixes only its ancilla, and with every qubit mixed acc is the
+    dense product itself.
 
-    Hard-pulse sequences need the register to evaluate delays under the
-    always-on Hamiltonian.
+    The gates fall into two kinds:
 
-    The product is built in one pass that holds one pending factor and
-    multiplies it into the dense accumulator only when the kind of gate
-    changes:
-
-    * a monomial factor M (a signed permutation times a diagonal phase),
-      stored as a source row, a complex sign and an accumulated phase angle
-      per row: (M A)[i] = sign[i] exp(-i phase[i]) A[src[i]].  Delays
-      (ham * t under the always-on Hamiltonian), virtual z, ZZ periods and
-      every pulse whose block is a signed bit flip (angle = pi mod 2 pi)
-      fold into it at O(2^n): a diagonal adds to ``phase``, a flip permutes
-      the three vectors and scales ``sign``.  Its flush is one row gather
-      and scale.
-    * a 2x2 block collecting consecutive other pulses on one qubit.  Its
-      flush is one two-row linear combination.
-
-    Dense work is therefore done once per run of such pulses, not once per
-    gate.  It is also only as wide as the qubits that the pulses mix: only
-    the qubits in M, those that receive a pulse other than a signed flip,
-    ever spread a row over more than one column.  So the accumulator holds
-    2^n x 2^|M| entries A plus a column map ``cols``: row i of the product
-    is nonzero only in the columns whose bits outside M equal cols[i], and
-    A[i, m] is its entry in the column whose M bits spell m.  A monomial
-    flush gathers ``cols`` with the rows; a 2x2 mix on a qubit of M leaves
-    it alone, since the two rows it combines always share their columns
-    (a flip's source map is i ^ F for a fixed mask F, so partner rows stay
-    partners).  One scatter builds the dense 2^n x 2^n result at the end.
-    A query network mixes only its ancilla, so each flush touches 2^n x 2
-    entries; with every qubit mixed, A is the dense product itself.
+    * monomial gates: delays (ham * t under the always-on Hamiltonian),
+      virtual z, ZZ periods and every pulse whose block is a signed bit
+      flip (angle = pi mod 2 pi).  A maximal run of them is one monomial M
+      (a signed permutation times a diagonal phase), stored as a source
+      row and a complex coefficient per row: (M A)[i] = coef[i] A[src[i]].
+      Each distinct run, keyed by its gate tuple, is composed once per
+      call at O(2^n) per gate (a diagonal adds to a phase, a flip permutes
+      the vectors and scales the sign), and each occurrence is applied as
+      one row gather and scale, which gathers ``cols`` with the rows.
+    * other pulses, collected per run of consecutive pulses on one qubit
+      into one 2x2 block, applied as one two-row linear combination.  Such
+      a qubit is in M, and the two rows it combines always share their
+      columns (a flip's source map is i ^ F for a fixed mask F, so partner
+      rows stay partners), so ``cols`` is left alone.
 
     Every gate is still applied exactly (a pi pulse's dropped diagonal is
     rounding, see ``_FLIP_DIAGONAL``); only the representation of the
     running product differs from a gate-by-gate multiplication.
     """
     n = seq.n_qubits
-    if n > MAX_DENSE_QUBITS:
-        raise CompileError(f"dense simulation limited to {MAX_DENSE_QUBITS} qubits")
     dim = 2**n
     ham = None
     if seq.mode == "hard_pulse":
@@ -523,67 +531,107 @@ def sequence_unitary(seq: GateSequence, system: SpinSystem | None = None) -> np.
     rows = np.arange(dim)
     z = np.array([z_eigenvalues(n, q) for q in range(n)])
     masks = 1 << (n - 1 - np.arange(n))  # index bit of each qubit
-    partner = rows ^ masks[:, None]  # row with qubit q flipped
 
-    # per distinct (qubit, axis, angle): (partner rows, flip coefficients)
-    # or its 2x2 block; plain tuple keys hash without the dataclass methods
-    pulses: dict[tuple[int, str, float], tuple | np.ndarray] = {}
-    for key in dict.fromkeys(
-        (g.qubit, g.axis, g.angle) for g in seq.gates if isinstance(g, SelectivePulse)
-    ):
-        qubit, axis, angle = key
-        rot = rotation_block(axis, angle)
-        if abs(rot[0, 0]) < _FLIP_DIAGONAL:
-            # row i takes its partner with rot[0, 1] if qubit q of i is 0,
-            # with rot[1, 0] if it is 1
-            coef = np.where(z[qubit] < 0, rot[1, 0], rot[0, 1])
-            pulses[key] = (partner[qubit], coef)
+    # one code per distinct gate.  The gates of an echo block are the same
+    # objects in every occurrence, so the gates are first told apart by
+    # identity (seq.gates keeps them alive, so ids stay unique) and only one
+    # object per id is looked up by value.
+    ids = list(map(id, seq.gates))
+    distinct: dict[Gate, int] = {}
+    code_of = {
+        key: distinct.setdefault(gate, len(distinct))
+        for key, gate in dict(zip(ids, seq.gates)).items()
+    }
+    codes = list(map(code_of.__getitem__, ids))
+
+    # per distinct gate: the 2x2 block of a pulse that mixes its qubit, or
+    # the monomial step of any other gate, a flip (source rows and
+    # coefficients) or a diagonal phase
+    rots: dict[int, np.ndarray] = {}
+    steps: dict[int, tuple[np.ndarray, np.ndarray] | np.ndarray] = {}
+    qubit_of: dict[int, int] = {}  # the qubit of each mixing pulse
+    for code, gate in enumerate(distinct):
+        if isinstance(gate, SelectivePulse):
+            rot = rotation_block(gate.axis, gate.angle)
+            if abs(rot[0, 0]) >= _FLIP_DIAGONAL:
+                rots[code], qubit_of[code] = rot, gate.qubit
+            else:
+                # row i takes its partner with rot[0, 1] if the qubit is 0
+                # in i, with rot[1, 0] if it is 1
+                coef = np.where(z[gate.qubit] < 0, rot[1, 0], rot[0, 1])
+                steps[code] = (rows ^ masks[gate.qubit], coef)
+        elif isinstance(gate, Delay):
+            steps[code] = ham * gate.seconds
+        elif isinstance(gate, VirtualZ):
+            steps[code] = gate.angle * z[gate.qubit]
         else:
-            pulses[key] = rot
-    mixed = sorted({key[0] for key, a in pulses.items() if isinstance(a, np.ndarray)})
-    # embed[m]: the index bits of the M qubits spelt by column m
+            steps[code] = 2.0 * gate.angle * z[gate.q1] * z[gate.q2]
+    mixed = sorted(set(qubit_of.values()))
+
     embed = np.zeros(1, dtype=rows.dtype)
     for q in mixed:
         embed = np.concatenate([embed, embed | masks[q]])
     in_mixed = rows & int(masks[mixed].sum())
 
+    def monomial(run: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        src, sign, phase = rows, np.ones(dim, dtype=complex), np.zeros(dim)
+        for code in run:
+            step = steps[code]
+            if isinstance(step, tuple):
+                flip, coef = step
+                src, sign, phase = src[flip], coef * sign[flip], phase[flip]
+            else:
+                phase = phase + step
+        return src, sign * np.exp(-1.0j * phase)
+
     acc = (in_mixed[:, None] == embed).astype(complex)
     cols = rows - in_mixed
-    src, sign, phase = rows, np.ones(dim, dtype=complex), np.zeros(dim)
-    monomial = False  # does (src, sign, phase) hold gates not yet in acc?
+    runs: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    mixing = np.zeros(len(distinct), dtype=bool)
+    mixing[list(rots)] = True
+    stops = np.flatnonzero(mixing[codes]).tolist()
+    start = 0  # first gate of the monomial run not yet in acc
     block, block_qubit = None, -1
-    for gate in seq.gates:
-        if isinstance(gate, SelectivePulse):
-            action = pulses[gate.qubit, gate.axis, gate.angle]
-            if isinstance(action, np.ndarray):
-                if monomial:
-                    acc, cols = _gather_rows(acc, src, sign, phase), cols[src]
-                    src, sign, phase = rows, np.ones(dim, dtype=complex), np.zeros(dim)
-                    monomial = False
-                if block is not None and block_qubit != gate.qubit:
-                    _mix_rows(acc, block_qubit, block)
-                    block = None
-                block = action if block is None else action @ block
-                block_qubit = gate.qubit
-                continue
-        if block is not None:
+    for stop in stops + [len(codes)]:  # the end closes the last run
+        if start < stop:
+            if block is not None:
+                _mix_rows(acc, block_qubit, block)
+                block = None
+            run = tuple(codes[start:stop])
+            entry = runs.get(run)
+            if entry is None:
+                entry = runs[run] = monomial(run)
+            src, coef = entry
+            acc, cols = coef[:, None] * acc[src], cols[src]
+        if stop == len(codes):
+            break
+        qubit, rot = qubit_of[codes[stop]], rots[codes[stop]]
+        if block is not None and block_qubit != qubit:
             _mix_rows(acc, block_qubit, block)
             block = None
-        if isinstance(gate, SelectivePulse):
-            flip, coef = action
-            src, sign, phase = src[flip], coef * sign[flip], phase[flip]
-        elif isinstance(gate, Delay):
-            phase = phase + ham * gate.seconds
-        elif isinstance(gate, VirtualZ):
-            phase = phase + gate.angle * z[gate.qubit]
-        else:
-            phase = phase + 2.0 * gate.angle * z[gate.q1] * z[gate.q2]
-        monomial = True
+        block = rot if block is None else rot @ block
+        block_qubit = qubit
+        start = stop + 1
     if block is not None:
         _mix_rows(acc, block_qubit, block)
-    if monomial:
-        acc, cols = _gather_rows(acc, src, sign, phase), cols[src]
-    u = np.zeros((dim, dim), dtype=complex)
+    return acc, cols, embed
+
+
+def sequence_unitary(seq: GateSequence, system: SpinSystem | None = None) -> np.ndarray:
+    """Dense unitary of a gate sequence (time order -> right-to-left product).
+
+    Hard-pulse sequences need the register to evaluate delays under the
+    always-on Hamiltonian.  This is the one scatter of
+    ``_compressed_product`` into a 2^n x 2^n matrix, kept for the checks
+    that compare whole unitaries; a run of the query conjugates its state
+    with the compressed product directly.
+    """
+    n = seq.n_qubits
+    if n > MAX_DENSE_QUBITS:
+        raise CompileError(f"dense simulation limited to {MAX_DENSE_QUBITS} qubits")
+    acc, cols, embed = _compressed_product(seq, system)
+    rows = np.arange(2**n)
+    u = np.zeros((2**n, 2**n), dtype=complex)
     for m, bits in enumerate(embed):
         u[rows, cols | bits] = acc[:, m]
     return u

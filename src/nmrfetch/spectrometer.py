@@ -93,6 +93,12 @@ class DecodeError(SpectrometerError):
     """Raised when a peak cannot be matched to exactly one expected line."""
 
 
+# Largest acquisition grid: one complex FID row of 2^22 points is 64 MiB,
+# and readout holds a few such rows per state.  A grid beyond it is refused,
+# never shrunk.
+_MAX_POINTS = 2**22
+
+
 @dataclass(frozen=True)
 class AcquisitionParams:
     """Sampling grid for readout.
@@ -111,6 +117,10 @@ class AcquisitionParams:
     def __post_init__(self):
         if self.n_points < 256 or self.n_points & (self.n_points - 1):
             raise SpectrometerError("n_points must be a power of two, at least 256")
+        if self.n_points > _MAX_POINTS:
+            raise SpectrometerError(
+                f"{self.n_points} points exceed the {_MAX_POINTS}-point acquisition cap"
+            )
         if not all(map(math.isfinite, (self.dwell_s, self.t2_s, self.carrier_hz))):
             raise SpectrometerError("dwell_s, t2_s and carrier_hz must be finite")
         if self.dwell_s <= 0 or self.t2_s <= 0:
@@ -146,7 +156,8 @@ class AcquisitionParams:
         outermost line (plus tails); the point count is raised if needed so
         the closest pair of distinct lines spans at least four bins.  An
         undecodable register is refused first (``_check_decodable``), so
-        that pair is a linewidth apart and the point count stays bounded.
+        that pair is a linewidth apart; a grid that then still needs more
+        than ``_MAX_POINTS`` points (a very long T2) is refused.
         """
         params = cls(n_points=n_points, t2_s=t2_s, carrier_hz=carrier_hz)  # refuse bad fields first
         _check_decodable(system, params)

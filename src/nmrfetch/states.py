@@ -3,10 +3,13 @@
 A state is a population vector over the register's logical basis (qubit 0 =
 ancilla = most significant bit): every molecule holds one basis label, the
 query permutes populations and readout reads population differences, so no
-coherent state ever arises.  ``apply_unitary`` is the one place that decides
-a conjugated state is still a population state; it refuses any unitary that
-leaves coherence behind.  The engine is deliberately convention-free about
-which physical spin state is "0"; that bookkeeping lives in the spectrometer.
+coherent state ever arises.  A query is applied by ``_apply_product``, which
+conjugates the populations with the compiler's column-compressed product one
+block of rows at a time; dense ``apply_unitary`` conjugates by a full matrix
+and is kept as the reference.  Both keep only the diagonal and refuse, with
+one bound, a product that leaves coherence behind.  The engine is
+deliberately convention-free about which physical spin state is "0"; that
+bookkeeping lives in the spectrometer.
 
 The thermal state follows the high-temperature expansion
 
@@ -120,6 +123,13 @@ def thermal_state(system: SpinSystem, polarization: float = 1e-5) -> DensityStat
     return DensityState(pops)
 
 
+def _refuse_coherence(worst: float) -> None:
+    if worst > _DIAGONAL_ATOL:
+        raise StateError(
+            f"state has off-diagonal weight {worst:.3g}; not a population state"
+        )
+
+
 def apply_unitary(state: DensityState, unitary: np.ndarray) -> DensityState:
     """Conjugate the state, rho -> U rho U^dagger (dense), and keep it a population state.
 
@@ -135,11 +145,46 @@ def apply_unitary(state: DensityState, unitary: np.ndarray) -> DensityState:
     rho = (unitary * state.populations) @ unitary.conj().T
     pops = np.real(np.diag(rho)).copy()
     np.fill_diagonal(rho, 0.0)
-    worst = float(np.max(np.abs(rho)))
-    if worst > _DIAGONAL_ATOL:
-        raise StateError(
-            f"state has off-diagonal weight {worst:.3g}; not a population state"
-        )
+    _refuse_coherence(float(np.max(np.abs(rho))))
+    return DensityState(pops)
+
+
+def _conjugate_blocks(
+    populations: np.ndarray, acc: np.ndarray, cols: np.ndarray, embed: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Diagonal of U diag(p) U^dagger and its largest off-diagonal entry.
+
+    ``(acc, cols, embed)`` is ``compiler._compressed_product``'s form of U:
+    row i is acc[i, m] in column cols[i] | embed[m].  Two rows of U rho
+    U^dagger can only meet where their columns do, so its support is the
+    blocks of rows that share a ``cols`` class; U is unitary, so each class
+    has exactly 2^|M| = len(embed) rows and one block is a 2^|M| x 2^|M|
+    product over the class's populations.  That costs O(2^n 4^|M|) in all,
+    O(2^n) for a query network, which mixes only the ancilla.
+    """
+    width = embed.size
+    order = np.argsort(cols, kind="stable")
+    blocks = acc[order].reshape(-1, width, width)
+    pops = populations[cols[order[::width], None] | embed]
+    rho = (blocks * pops[:, None, :]) @ blocks.conj().transpose(0, 2, 1)
+    diag = np.arange(width)
+    out = np.empty(populations.size)
+    out[order] = np.real(rho[:, diag, diag]).ravel()
+    rho[:, diag, diag] = 0.0
+    return out, float(np.max(np.abs(rho)))
+
+
+def _apply_product(
+    state: DensityState, acc: np.ndarray, cols: np.ndarray, embed: np.ndarray
+) -> DensityState:
+    """Conjugate the state by a column-compressed product, block by block.
+
+    The populations are those of ``apply_unitary`` on the dense scatter of
+    the product, and off-diagonal weight above 1e-10 is refused the same
+    way, but no 2^n x 2^n matrix is built.
+    """
+    pops, worst = _conjugate_blocks(state.populations, acc, cols, embed)
+    _refuse_coherence(worst)
     return DensityState(pops)
 
 

@@ -1,9 +1,11 @@
-"""Shared builders for synthetic spin registers used across the suite."""
+"""Shared builders for synthetic spin registers and the gate-by-gate reference product."""
 
 import numpy as np
 import pytest
 
-from nmrfetch import Spin, SpinSystem
+from nmrfetch import Delay, SelectivePulse, Spin, SpinSystem, VirtualZ, ZZEvolution
+from nmrfetch.compiler import free_hamiltonian_diagonal
+from nmrfetch.operators import rotation_block, z_eigenvalues
 
 
 def make_system(ancilla_row, multiplicities=None, offsets=None, full_j=None):
@@ -46,6 +48,26 @@ def random_full_system(rng, n_database, j_scale=40.0, offset_scale=30.0):
             j[a, b] = j[b, a] = round(val, 3)
     offsets = [round(rng.uniform(-offset_scale, offset_scale), 3) for _ in range(m)]
     return make_system(list(j[0, 1:]), offsets=offsets, full_j=j)
+
+
+def reference_unitary(seq, system=None):
+    """Gate-by-gate product: one dense 2^n x 2^n update for every gate."""
+    n = seq.n_qubits
+    ham = free_hamiltonian_diagonal(system) if seq.mode == "hard_pulse" else None
+    acc = np.eye(2**n, dtype=complex)
+    for gate in seq.gates:
+        if isinstance(gate, SelectivePulse):
+            view = acc.reshape(2**gate.qubit, 2, -1)
+            block = rotation_block(gate.axis, gate.angle)
+            acc = np.einsum("ab,qbr->qar", block, view).reshape(acc.shape)
+        elif isinstance(gate, ZZEvolution):
+            zz = z_eigenvalues(n, gate.q1) * z_eigenvalues(n, gate.q2)
+            acc = np.exp(-2.0j * gate.angle * zz)[:, None] * acc
+        elif isinstance(gate, VirtualZ):
+            acc = np.exp(-1.0j * gate.angle * z_eigenvalues(n, gate.qubit))[:, None] * acc
+        elif isinstance(gate, Delay):
+            acc = np.exp(-1.0j * ham * gate.seconds)[:, None] * acc
+    return acc
 
 
 @pytest.fixture

@@ -131,13 +131,53 @@ def test_run_fetch_applies_the_query_once(monkeypatch, backend, init):
 
         return wrapper
 
-    for name in ("apply_query_diagonal", "apply_unitary"):
+    for name in ("apply_query_diagonal", "_apply_product", "apply_unitary"):
         monkeypatch.setattr(climod, name, counted(name))
     res = run_fetch(
         RunConfig(crotonic_default(), QueryPattern.from_string("100x01"), init=init, backend=backend)
     )
     assert res.verified and res.marked == (33, 37)
-    assert calls == ["apply_query_diagonal" if backend == "fast_diagonal" else "apply_unitary"]
+    assert calls == ["apply_query_diagonal" if backend == "fast_diagonal" else "_apply_product"]
+
+
+@pytest.mark.parametrize("backend", ["ideal", "hard_pulse"])
+def test_run_fetch_builds_no_dense_matrix(monkeypatch, backend):
+    # the query acts on the populations through the compressed product; the
+    # dense unitary and the dense conjugation are left to verify and tests
+    def dense(*args):
+        raise AssertionError("run_fetch built a 2^n x 2^n matrix")
+
+    monkeypatch.setattr(climod, "sequence_unitary", dense)
+    monkeypatch.setattr(climod, "apply_unitary", dense)
+    res = run_fetch(RunConfig(crotonic_default(), QueryPattern.from_string("1001x1"), backend=backend))
+    assert res.verified and res.marked == (37, 39)
+
+
+def test_run_fetch_refuses_schedules_beyond_ln20_t2(monkeypatch):
+    # the 100101 schedule lasts 3.906 s, so the bound ln 20 T2 falls between
+    # T2 = 1.30 s (3.004 T2, refused) and T2 = 1.31 s (2.98 T2, run)
+    sys = crotonic_default()
+    pat = QueryPattern.from_string("100101")
+    seconds = 3.9056284783851116
+    assert seconds / 1.31 < math.log(20.0) < seconds / 1.30
+    ran = run_fetch(RunConfig(sys, pat, backend="hard_pulse", params=AcquisitionParams.for_system(sys, t2_s=1.31)))
+    assert ran.verified
+    monkeypatch.setattr(climod, "_initial_state", None)  # refused before any state
+    with pytest.raises(climod.CompileError, match=r"3\.90563 s \(3\.004 T2\), longer than ln 20 = 2\.996 T2"):
+        run_fetch(RunConfig(sys, pat, backend="hard_pulse", params=AcquisitionParams.for_system(sys, t2_s=1.30)))
+
+
+def test_simulate_refuses_a_long_schedule_before_simulating_it(monkeypatch, capsys):
+    # at T2 = 0.6 s the register is still decodable and the ideal query runs,
+    # but the hard-pulse schedule lasts 6.5 T2
+    assert main(["simulate", "--pattern", "100101", "--backend", "ideal", "--t2", "0.6"]) == EXIT_OK
+
+    def product(*args):
+        raise AssertionError("a refused schedule was simulated")
+
+    monkeypatch.setattr(climod, "_compressed_product", product)
+    assert main(["simulate", "--pattern", "100101", "--backend", "hard", "--t2", "0.6"]) == EXIT_CONFIG
+    assert "configuration error: hard-pulse schedule lasts 3.90563 s (6.509 T2)" in capsys.readouterr().err
 
 
 def test_run_fetch_all_wild_marks_everything():
@@ -408,6 +448,14 @@ def test_spectrum_honours_acquisition_flags(tmp_path):
     rows = (out / "spectrum.csv").read_text().splitlines()[1:]
     freqs = np.array([float(r.split(",")[0]) for r in rows])
     assert np.allclose(freqs, want.frequency_grid(), rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+def test_points_above_the_grid_cap_exit_config(monkeypatch, capsys, command):
+    monkeypatch.setattr(climod, "_initial_state", None)  # refused before any state
+    argv = [command, "--points", str(2**23)] + (["--pattern", "100xxx"] if command == "simulate" else [])
+    assert main(argv) == EXIT_CONFIG
+    assert "8388608 points exceed the 4194304-point acquisition cap" in capsys.readouterr().err
 
 
 def test_spectrum_unresolvable_settings_exit_config(capsys):

@@ -1,7 +1,9 @@
 """Query compilation: multilinear lowering, networks, hard-pulse echoes."""
 
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -24,11 +26,11 @@ from nmrfetch import (
     sequence_report,
     sequence_unitary,
 )
+from nmrfetch import compiler
 from nmrfetch.cli import direct_oracle_unitary
-from nmrfetch.compiler import GateSequence, free_hamiltonian_diagonal
-from nmrfetch.operators import rotation_block, z_eigenvalues
+from nmrfetch.compiler import GateSequence
 
-from conftest import make_system, random_full_system
+from conftest import make_system, random_full_system, reference_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +313,39 @@ def test_sequence_without_couplings_passes_through():
     assert len(vz) == 1 and vz[0].angle == pytest.approx(0.7)
 
 
+def _two_controls(offsets):
+    j = [[0.0, 30.0, 8.0], [30.0, 0.0, 5.0], [8.0, 5.0, 0.0]]
+    return make_system([30.0, 8.0], offsets=offsets, full_j=j)
+
+
+def test_echo_blocks_are_cached_per_register():
+    # equal couplings, different offsets: the blocks' frame corrections differ
+    a = _two_controls([5.0, -3.0, 2.0])
+    b = _two_controls([-4.0, 1.0, 7.0])
+    net = compile_multilinear_z_phase(3, 0, [(1, 0), (2, 1)], math.pi)
+    first = expand_to_hard_pulses(net, a)
+    blocks = dict(compiler._ECHO_BLOCKS[a])
+    assert expand_to_hard_pulses(net, a) == first
+    assert all(compiler._ECHO_BLOCKS[a][zz] is block for zz, block in blocks.items())
+    assert all(isinstance(block, tuple) for block in blocks.values())
+    other = expand_to_hard_pulses(net, b)
+    assert compiler._ECHO_BLOCKS[b].keys() == blocks.keys()
+    assert all(compiler._ECHO_BLOCKS[b][zz] != block for zz, block in blocks.items())
+    for sys, hard in ((a, first), (b, other)):
+        gap = distance_up_to_global_phase(sequence_unitary(hard, sys), sequence_unitary(net, sys))
+        assert gap < 1e-6
+
+
+def test_echo_block_cache_lets_its_register_go():
+    sys = _two_controls([5.0, -3.0, 2.0])
+    expand_to_hard_pulses(compile_multilinear_z_phase(3, 0, [(1, 0), (2, 1)], math.pi), sys)
+    assert sys in compiler._ECHO_BLOCKS
+    ref = weakref.ref(sys)
+    del sys
+    gc.collect()
+    assert ref() is None
+
+
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_random_sequences_expand_exactly(data):
@@ -375,26 +410,6 @@ def test_pulse_durations_add_to_total():
 # ---------------------------------------------------------------------------
 # folded product vs gate-by-gate product
 # ---------------------------------------------------------------------------
-
-
-def reference_unitary(seq, system=None):
-    """Gate-by-gate product: one dense 2^n x 2^n update for every gate."""
-    n = seq.n_qubits
-    ham = free_hamiltonian_diagonal(system) if seq.mode == "hard_pulse" else None
-    acc = np.eye(2**n, dtype=complex)
-    for gate in seq.gates:
-        if isinstance(gate, SelectivePulse):
-            view = acc.reshape(2**gate.qubit, 2, -1)
-            block = rotation_block(gate.axis, gate.angle)
-            acc = np.einsum("ab,qbr->qar", block, view).reshape(acc.shape)
-        elif isinstance(gate, ZZEvolution):
-            zz = z_eigenvalues(n, gate.q1) * z_eigenvalues(n, gate.q2)
-            acc = np.exp(-2.0j * gate.angle * zz)[:, None] * acc
-        elif isinstance(gate, VirtualZ):
-            acc = np.exp(-1.0j * gate.angle * z_eigenvalues(n, gate.qubit))[:, None] * acc
-        elif isinstance(gate, Delay):
-            acc = np.exp(-1.0j * ham * gate.seconds)[:, None] * acc
-    return acc
 
 
 # pi-multiples exercise the signed-flip path (3 pi and -pi included), 0 and

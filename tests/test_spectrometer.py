@@ -249,6 +249,15 @@ def test_for_system_sizes_the_grid_from_the_closest_lines():
         AcquisitionParams.for_system(make_system([10.0, 10.0 + 2e-12]))
 
 
+def test_grid_above_the_cap_is_refused_not_shrunk():
+    assert AcquisitionParams(n_points=2**22).n_points == 2**22
+    with pytest.raises(SpectrometerError, match="exceed the 4194304-point acquisition cap"):
+        AcquisitionParams(n_points=2**23)
+    # 1e-9 Hz apart is resolved at T2 = 1e12 s, but would need 2**37 points
+    with pytest.raises(SpectrometerError, match="137438953472 points exceed"):
+        AcquisitionParams.for_system(make_system([10.0, 10.0 + 1e-9]), t2_s=1e12)
+
+
 def test_narrow_window_rejected():
     sys = crotonic_default()
     params = AcquisitionParams(n_points=256, dwell_s=0.01)  # SW = 100 Hz

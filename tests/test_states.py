@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,8 +24,17 @@ from nmrfetch import (
     single_spin_rotation,
     thermal_state,
 )
+from nmrfetch.compiler import (
+    Delay,
+    GateSequence,
+    SelectivePulse,
+    VirtualZ,
+    ZZEvolution,
+    _compressed_product,
+)
+from nmrfetch.states import _apply_product, _conjugate_blocks
 
-from conftest import make_system
+from conftest import make_system, random_full_system, reference_unitary
 
 
 def purity(state):
@@ -184,6 +194,82 @@ def test_apply_unitary_refuses_coherence():
         apply_unitary(state, single_spin_rotation(0, "y", math.pi / 2, sys.n_spins))
 
 
+def test_apply_product_refuses_coherence():
+    # a lone pi/2 pulse on a polarized database qubit, and one on the ancilla
+    sys = make_system([10.0, 20.0])
+    for qubit, state in ((1, thermal_state(sys, polarization=1e-3)), (0, effective_pure_ancilla(sys))):
+        seq = GateSequence(3, (SelectivePulse(qubit, "y", math.pi / 2),))
+        with pytest.raises(StateError, match="off-diagonal weight"):
+            _apply_product(state, *_compressed_product(seq, sys))
+
+
+def _dense_conjugation(populations, u):
+    """Diagonal of U diag(p) U^dagger and its largest off-diagonal entry."""
+    rho = (u * populations) @ u.conj().T
+    pops = np.real(np.diag(rho)).copy()
+    np.fill_diagonal(rho, 0.0)
+    return pops, float(np.max(np.abs(rho)))
+
+
+_AXES = st.sampled_from(["x", "y", "-x", "-y"])
+# pi multiples are signed flips (monomial gates), the rest mix their qubit
+_PULSE_ANGLES = st.sampled_from([math.pi, -math.pi, 3 * math.pi, math.pi / 2, 0.7])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_conjugation_matches_dense(data):
+    # sequences are drawn from a small alphabet of gate runs, so equal runs
+    # recur between different neighbours and the product's run cache is hit
+    n = data.draw(st.integers(1, 8))
+    mode = data.draw(st.sampled_from(["ideal", "hard_pulse"]))
+    sys = random_full_system(random.Random(data.draw(st.integers(0, 10**6))), n - 1)
+    qubit = st.integers(0, n - 1)
+    kinds = ["pulse", "vz"]
+    if mode == "hard_pulse":
+        kinds.append("delay")
+    elif n > 1:
+        kinds.append("zz")
+
+    def gate():
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "pulse":
+            return SelectivePulse(data.draw(qubit), data.draw(_AXES), data.draw(_PULSE_ANGLES))
+        if kind == "vz":
+            return VirtualZ(data.draw(qubit), data.draw(st.floats(-3.0, 3.0)))
+        if kind == "zz":
+            q1, q2 = data.draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            return ZZEvolution(q1, q2, data.draw(st.floats(-3.0, 3.0)))
+        return Delay(data.draw(st.floats(0.0, 0.05)))
+
+    alphabet = [
+        tuple(gate() for _ in range(data.draw(st.integers(1, 4))))
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    picks = data.draw(st.lists(st.integers(0, len(alphabet) - 1), max_size=10))
+    seq = GateSequence(n, tuple(g for i in picks for g in alphabet[i]), mode=mode)
+
+    init = data.draw(st.sampled_from(["thermal", "eps", "random"]))
+    if init == "thermal":
+        state = thermal_state(sys, polarization=1e-3)
+    elif init == "eps":
+        state = effective_pure_ancilla(sys)
+    else:
+        raw = np.array([data.draw(st.floats(0.01, 1.0)) for _ in range(2**n)])
+        state = DensityState(raw / raw.sum())
+
+    want, want_worst = _dense_conjugation(state.populations, reference_unitary(seq, sys))
+    product = _compressed_product(seq, sys)
+    got, worst = _conjugate_blocks(state.populations, *product)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert abs(worst - want_worst) <= 1e-12
+    if want_worst > 1e-10 + 1e-12:
+        with pytest.raises(StateError, match="off-diagonal weight"):
+            _apply_product(state, *product)
+    elif want_worst < 1e-10 - 1e-12:
+        assert np.array_equal(_apply_product(state, *product).populations, got)
+
+
 # ---------------------------------------------------------------------------
 # diagonal query shortcut
 # ---------------------------------------------------------------------------
@@ -241,5 +327,7 @@ def test_query_diagonal_matches_dense_route(data):
     dense = apply_unitary(state, u)
     fast = apply_query_diagonal(state, pat)
     assert np.max(np.abs(fast.populations - dense.populations)) < 1e-9
+    blocks = _apply_product(state, *_compressed_product(network, sys))
+    assert np.max(np.abs(blocks.populations - dense.populations)) <= 1e-12
     reference = np.real(np.diag(u @ np.diag(state.populations) @ u.conj().T))
     assert np.max(np.abs(dense.populations - reference)) <= 1e-12
