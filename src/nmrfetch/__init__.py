@@ -19,12 +19,7 @@ from .spin_system import (
     load_spin_system,
     load_spin_system_file,
 )
-from .operators import (
-    controlled_phase_direct,
-    distance_up_to_global_phase,
-    hadamard_like,
-    single_spin_rotation,
-)
+from .operators import distance_up_to_global_phase
 from .compiler import (
     CompileError,
     Delay,
@@ -37,13 +32,11 @@ from .compiler import (
     expand_to_hard_pulses,
     format_sequence,
     sequence_report,
-    sequence_unitary,
 )
 from .states import (
     DensityState,
     StateError,
     apply_query_diagonal,
-    apply_unitary,
     effective_pure_ancilla,
     thermal_state,
 )
@@ -91,13 +84,11 @@ __all__ = [
     "acquire_fid",
     "analytic_spectrum",
     "apply_query_diagonal",
-    "apply_unitary",
     "bench_report",
     "build_query_network",
     "classical_oracle",
     "classify_marked",
     "compile_multilinear_z_phase",
-    "controlled_phase_direct",
     "crotonic_default",
     "decode_peaks",
     "distance_up_to_global_phase",
@@ -105,14 +96,11 @@ __all__ = [
     "expand_to_hard_pulses",
     "fft_spectrum",
     "format_sequence",
-    "hadamard_like",
     "line_table",
     "load_spin_system",
     "load_spin_system_file",
     "pick_peaks",
     "run_fetch",
     "sequence_report",
-    "sequence_unitary",
-    "single_spin_rotation",
     "thermal_state",
 ]

@@ -42,9 +42,10 @@ permutation times a diagonal phase.  A query network repeats the same few
 runs many times, so each distinct run is composed once per call and every
 occurrence applied as one row gather and scale.  The running product keeps
 only 2^|M| columns per row, M being the qubits that some non-flip pulse
-mixes (the ancilla alone in a query network).  ``sequence_unitary``
-scatters that product into the dense unitary; a population state is
-conjugated by it block by block (``states._apply_product``).
+mixes (the ancilla alone in a query network).  A population state is
+conjugated by that product block by block (``states._apply_product``), and
+``_product_distance`` compares two such products block by block, so no
+2^n x 2^n matrix is ever built.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ import numpy as np
 
 from .operators import (
     MAX_DENSE_QUBITS,
+    distance_up_to_global_phase,
     rotation_block,
     z_eigenvalues,
     zz_hamiltonian_diagonal,
@@ -76,7 +78,6 @@ __all__ = [
     "compile_multilinear_z_phase",
     "build_query_network",
     "expand_to_hard_pulses",
-    "sequence_unitary",
     "sequence_report",
     "format_sequence",
     "free_hamiltonian_diagonal",
@@ -212,7 +213,9 @@ def compile_multilinear_z_phase(
     """Compile the conditioned z phase into pulses, ZZ periods and frame z.
 
     ``controls`` holds (qubit, polarity) pairs and ``signs`` the per-control
-    sign convention (see controlled_phase_direct); only the products
+    sign convention: the phase is exp(-i angle I_z^target prod_c P_c) with
+    P_c = (1 + s_c (-1)^{p_c} 2 I_z^c) / 2, so with all signs +1 it fires
+    exactly where the control bits equal the polarities; only the products
     eps_c = s_c * (-1)^{p_c} enter the expansion.  The subsets are emitted
     in nested order, each lowered by conjugating with its controls from the
     highest index inward, and adjacent inverse gates are then cancelled, so
@@ -520,6 +523,10 @@ def _compressed_product(
     running product differs from a gate-by-gate multiplication.
     """
     n = seq.n_qubits
+    if n > MAX_DENSE_QUBITS:
+        raise CompileError(
+            f"query simulation limited to {MAX_DENSE_QUBITS} spins; the register has {n}"
+        )
     dim = 2**n
     ham = None
     if seq.mode == "hard_pulse":
@@ -617,24 +624,25 @@ def _compressed_product(
     return acc, cols, embed
 
 
-def sequence_unitary(seq: GateSequence, system: SpinSystem | None = None) -> np.ndarray:
-    """Dense unitary of a gate sequence (time order -> right-to-left product).
+def _product_distance(
+    a: tuple[np.ndarray, np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> float:
+    """Max-norm distance between two column-compressed products, modulo one global phase.
 
-    Hard-pulse sequences need the register to evaluate delays under the
-    always-on Hamiltonian.  This is the one scatter of
-    ``_compressed_product`` into a 2^n x 2^n matrix, kept for the checks
-    that compare whole unitaries; a run of the query conjugates its state
-    with the compressed product directly.
+    Products with the same ``cols`` and ``embed`` hold their entries at
+    the same places of the dense matrix and are zero elsewhere, so the
+    distance of their ``acc`` arrays, one phase for all blocks, is their
+    dense distance at O(2^n 2^|M|) (with ascending ``embed``, as in a query,
+    even the entry that fixes the phase is the same).  Products with
+    different ``cols`` or ``embed`` are not compared: their distance is inf.
+    So a product that moves a basis state, or has a pulse that mixes a
+    qubit, where the other does not fails even if that mixing cancels
+    overall; nothing is projected away.
     """
-    n = seq.n_qubits
-    if n > MAX_DENSE_QUBITS:
-        raise CompileError(f"dense simulation limited to {MAX_DENSE_QUBITS} qubits")
-    acc, cols, embed = _compressed_product(seq, system)
-    rows = np.arange(2**n)
-    u = np.zeros((2**n, 2**n), dtype=complex)
-    for m, bits in enumerate(embed):
-        u[rows, cols | bits] = acc[:, m]
-    return u
+    (acc_a, cols_a, embed_a), (acc_b, cols_b, embed_b) = a, b
+    if not (np.array_equal(embed_a, embed_b) and np.array_equal(cols_a, cols_b)):
+        return math.inf
+    return distance_up_to_global_phase(acc_a, acc_b)
 
 
 @dataclass(frozen=True)

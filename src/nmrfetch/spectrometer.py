@@ -368,11 +368,13 @@ def _block_items(table: _LineTable, block: int) -> tuple[int, int]:
 def _check_decodable(system: SpinSystem, params: AcquisitionParams) -> None:
     """Refuse a register whose lines cannot all be read apart on this acquisition.
 
-    Every line frequency must hold one item, distinct frequencies must lie
-    a linewidth 1/(pi T2) apart (the usual Lorentzian resolution
-    criterion) and no line may be buried (``_buried_block``).  Readout does
-    not check this, so an undecodable register can still be read out.
+    The expanded register must fit readout (``_multiplicities``), every
+    line frequency must hold one item, distinct frequencies must lie a
+    linewidth 1/(pi T2) apart (the usual Lorentzian resolution criterion)
+    and no line may be buried (``_buried_block``).  Readout checks only
+    the first, so an undecodable register can still be read out.
     """
+    _multiplicities(system)
     table = _lines(system)
     mixed = np.flatnonzero(~table.block_one_item)
     if mixed.size:
@@ -525,6 +527,20 @@ def analytic_spectrum(
 # ---------------------------------------------------------------------------
 
 
+def _multiplicities(system: SpinSystem) -> list[int]:
+    """Physical spins per logical qubit, ancilla first.
+
+    The expanded register has 2^n_phys configurations, so one above
+    ``MAX_DENSE_QUBITS`` spins is refused.
+    """
+    mults = [1] + [s.multiplicity for s in system.spins[1:]]
+    if sum(mults) > MAX_DENSE_QUBITS:
+        raise SpectrometerError(
+            f"expanded register has {sum(mults)} spins; readout is limited to {MAX_DENSE_QUBITS}"
+        )
+    return mults
+
+
 def _expanded_register(system: SpinSystem):
     """Physical spin layout with composite qubits unfolded into copies.
 
@@ -533,12 +549,8 @@ def _expanded_register(system: SpinSystem):
     to its logical basis label and ``weight`` divides populations evenly
     across the matching manifold configurations.
     """
-    mults = [1] + [s.multiplicity for s in system.spins[1:]]
+    mults = _multiplicities(system)
     n_phys = sum(mults)
-    if n_phys > MAX_DENSE_QUBITS:
-        raise SpectrometerError(
-            f"expanded register has {n_phys} spins; dense limit is {MAX_DENSE_QUBITS}"
-        )
     offsets = []
     owner = []  # logical qubit index per physical spin
     for q, s in enumerate(system.spins):

@@ -5,9 +5,9 @@ ancilla = most significant bit): every molecule holds one basis label, the
 query permutes populations and readout reads population differences, so no
 coherent state ever arises.  A query is applied by ``_apply_product``, which
 conjugates the populations with the compiler's column-compressed product one
-block of rows at a time; dense ``apply_unitary`` conjugates by a full matrix
-and is kept as the reference.  Both keep only the diagonal and refuse, with
-one bound, a product that leaves coherence behind.  The engine is
+block of rows at a time, keeps only the diagonal and refuses a product that
+leaves coherence behind; ``apply_query_diagonal`` is the same query as a
+population permutation.  The engine is
 deliberately convention-free about which physical spin state is "0"; that
 bookkeeping lives in the spectrometer.
 
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import MAX_DENSE_QUBITS
 from .spin_system import QueryPattern, SpinSystem
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "StateError",
     "effective_pure_ancilla",
     "thermal_state",
-    "apply_unitary",
     "apply_query_diagonal",
 ]
 
@@ -123,32 +121,6 @@ def thermal_state(system: SpinSystem, polarization: float = 1e-5) -> DensityStat
     return DensityState(pops)
 
 
-def _refuse_coherence(worst: float) -> None:
-    if worst > _DIAGONAL_ATOL:
-        raise StateError(
-            f"state has off-diagonal weight {worst:.3g}; not a population state"
-        )
-
-
-def apply_unitary(state: DensityState, unitary: np.ndarray) -> DensityState:
-    """Conjugate the state, rho -> U rho U^dagger (dense), and keep it a population state.
-
-    Only the diagonal of the product is kept, so a unitary that leaves
-    off-diagonal weight above 1e-10 is refused.
-    """
-    if state.n_qubits > MAX_DENSE_QUBITS:
-        raise StateError("dense conjugation limited to small registers")
-    dim = state.populations.size
-    unitary = np.asarray(unitary, dtype=complex)
-    if unitary.shape != (dim, dim):
-        raise StateError(f"unitary must be {dim}x{dim}")
-    rho = (unitary * state.populations) @ unitary.conj().T
-    pops = np.real(np.diag(rho)).copy()
-    np.fill_diagonal(rho, 0.0)
-    _refuse_coherence(float(np.max(np.abs(rho))))
-    return DensityState(pops)
-
-
 def _conjugate_blocks(
     populations: np.ndarray, acc: np.ndarray, cols: np.ndarray, embed: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -179,12 +151,14 @@ def _apply_product(
 ) -> DensityState:
     """Conjugate the state by a column-compressed product, block by block.
 
-    The populations are those of ``apply_unitary`` on the dense scatter of
-    the product, and off-diagonal weight above 1e-10 is refused the same
-    way, but no 2^n x 2^n matrix is built.
+    The populations are the diagonal of U rho U^dagger, and off-diagonal
+    weight above 1e-10 is refused, but no 2^n x 2^n matrix is built.
     """
     pops, worst = _conjugate_blocks(state.populations, acc, cols, embed)
-    _refuse_coherence(worst)
+    if worst > _DIAGONAL_ATOL:
+        raise StateError(
+            f"state has off-diagonal weight {worst:.3g}; not a population state"
+        )
     return DensityState(pops)
 
 

@@ -36,6 +36,25 @@ def make_system(ancilla_row, multiplicities=None, offsets=None, full_j=None):
     return SpinSystem(spins=tuple(spins), j_hz=j)
 
 
+def superincreasing_config(n_database, negative=(), composite=()):
+    """Config-file text: ancilla plus n plain spins with |J_0i| = 1.5 * 2**(n - i) Hz.
+
+    Database qubits listed in ``negative`` (1-based) couple with a negative
+    sign, so their bit is stored in the flipped spin state; those listed in
+    ``composite`` are methyl-like groups of three equivalent spins.
+    """
+    lines = ["ancilla = A", "[spin.A]", "species = carbon"]
+    for i in range(1, n_database + 1):
+        lines += [f"[spin.Q{i}]", "species = carbon"]
+        if i in composite:
+            lines.append("multiplicity = 3")
+    lines.append("[couplings]")
+    for i in range(1, n_database + 1):
+        sign = -1 if i in negative else 1
+        lines.append(f"A-Q{i} = {sign * 1.5 * 2 ** (n_database - i)}")
+    return "\n".join(lines) + "\n"
+
+
 def random_full_system(rng, n_database, j_scale=40.0, offset_scale=30.0):
     """All couplings nonzero and nondegenerate; offsets on every spin."""
     m = n_database + 1

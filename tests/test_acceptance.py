@@ -20,11 +20,9 @@ from nmrfetch import (
     QueryPattern,
     analytic_spectrum,
     apply_query_diagonal,
-    apply_unitary,
     bench_report,
     build_query_network,
     compile_multilinear_z_phase,
-    controlled_phase_direct,
     crotonic_default,
     decode_peaks,
     distance_up_to_global_phase,
@@ -34,13 +32,13 @@ from nmrfetch import (
     acquire_fid,
     line_table,
     pick_peaks,
-    sequence_unitary,
     thermal_state,
 )
 from nmrfetch.cli import RunConfig, run_fetch
 from nmrfetch.compiler import Delay, GateSequence, SelectivePulse, VirtualZ, ZZEvolution
 
 from conftest import make_system, random_full_system
+from dense_reference import apply_unitary, controlled_phase_direct, sequence_unitary
 
 
 @contextmanager

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -23,8 +24,11 @@ from nmrfetch import (
     build_query_network,
     crotonic_default,
     distance_up_to_global_phase,
-    sequence_unitary,
+    expand_to_hard_pulses,
+    load_spin_system_file,
 )
+from nmrfetch.compiler import _compressed_product, _product_distance
+from nmrfetch.states import _apply_product
 from nmrfetch.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -37,7 +41,8 @@ from nmrfetch.cli import (
     run_fetch,
 )
 
-from conftest import make_system
+from conftest import make_system, random_full_system, superincreasing_config
+from dense_reference import apply_unitary, dense_oracle, sequence_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +125,8 @@ def test_run_fetch_marks_expected_items():
 @pytest.mark.parametrize("init", ["thermal", "effective_pure"])
 @pytest.mark.parametrize("backend", ["fast_diagonal", "ideal", "hard_pulse"])
 def test_run_fetch_applies_the_query_once(monkeypatch, backend, init):
+    # the query acts on the populations once, through the compressed product
+    # or the population permutation; no route builds a 2^n x 2^n matrix
     calls = []
 
     def counted(name):
@@ -131,26 +138,15 @@ def test_run_fetch_applies_the_query_once(monkeypatch, backend, init):
 
         return wrapper
 
-    for name in ("apply_query_diagonal", "_apply_product", "apply_unitary"):
+    for name in ("apply_query_diagonal", "_apply_product"):
         monkeypatch.setattr(climod, name, counted(name))
-    res = run_fetch(
-        RunConfig(crotonic_default(), QueryPattern.from_string("100x01"), init=init, backend=backend)
-    )
-    assert res.verified and res.marked == (33, 37)
-    assert calls == ["apply_query_diagonal" if backend == "fast_diagonal" else "_apply_product"]
-
-
-@pytest.mark.parametrize("backend", ["ideal", "hard_pulse"])
-def test_run_fetch_builds_no_dense_matrix(monkeypatch, backend):
-    # the query acts on the populations through the compressed product; the
-    # dense unitary and the dense conjugation are left to verify and tests
-    def dense(*args):
-        raise AssertionError("run_fetch built a 2^n x 2^n matrix")
-
-    monkeypatch.setattr(climod, "sequence_unitary", dense)
-    monkeypatch.setattr(climod, "apply_unitary", dense)
-    res = run_fetch(RunConfig(crotonic_default(), QueryPattern.from_string("1001x1"), backend=backend))
-    assert res.verified and res.marked == (37, 39)
+    for pattern, marked in (("100x01", (33, 37)), ("1001x1", (37, 39))):
+        calls.clear()
+        res = run_fetch(
+            RunConfig(crotonic_default(), QueryPattern.from_string(pattern), init=init, backend=backend)
+        )
+        assert res.verified and res.marked == marked
+        assert calls == ["apply_query_diagonal" if backend == "fast_diagonal" else "_apply_product"]
 
 
 def test_run_fetch_refuses_schedules_beyond_ln20_t2(monkeypatch):
@@ -578,18 +574,112 @@ def test_verify_fast_backend(capsys):
 
 
 def test_verify_refuses_registers_beyond_the_dense_limit(tmp_path, capsys):
-    # 13 spins: sequence_unitary refuses the register before anything dense exists
+    # 13 spins: the compressed product refuses the register before it exists
     n_db = 12
-    lines = ["ancilla = A", "[spin.A]", "species = carbon"]
-    for i in range(1, n_db + 1):
-        lines += [f"[spin.Q{i}]", "species = carbon"]
-    lines.append("[couplings]")
-    lines += [f"A-Q{i} = {1.5 * 2 ** (n_db - i)}" for i in range(1, n_db + 1)]
     cfg = tmp_path / "thirteen.cfg"
-    cfg.write_text("\n".join(lines) + "\n")
+    cfg.write_text(superincreasing_config(n_db))
     code = main(["verify", "--system", str(cfg), "--pattern", "1" + "x" * (n_db - 1)])
     assert code == EXIT_CONFIG
-    assert "dense simulation limited to 12 qubits" in capsys.readouterr().err
+    assert "query simulation limited to 12 spins; the register has 13" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("register", ["builtin", "synthetic"])
+def test_blockwise_verify_matches_the_dense_reference(register):
+    # verify's block-wise deviations are the dense ones: the test-side
+    # scatter of each product against the dense oracle, the dense hard-pulse
+    # unitary and dense conjugation.  Negative bit signs: builtin bits 4 and
+    # 6, synthetic bits 1, 4 and 6
+    if register == "builtin":
+        system = crotonic_default()
+        patterns = ["100101", "xxxxxx", "x1x0xx", "0x1x10", "1xxxx0"]
+    else:
+        system = random_full_system(random.Random(11), 7)
+        patterns = ["1010101", "xxxxxxx", "0x1x0x1", "x11x00x"]
+    state = climod.thermal_state(system, polarization=1e-3)
+    for text in patterns:
+        pattern = QueryPattern.from_string(text)
+        network = build_query_network(system, pattern)
+        hard = expand_to_hard_pulses(network, system)
+        product = _compressed_product(network)
+        dense = sequence_unitary(network, system)
+        fast = apply_query_diagonal(state, pattern).populations
+        pairs = [
+            (
+                _product_distance(product, climod.direct_oracle_unitary(system, pattern)),
+                distance_up_to_global_phase(dense, dense_oracle(system, pattern)),
+            ),
+            (
+                _product_distance(_compressed_product(hard, system), product),
+                distance_up_to_global_phase(sequence_unitary(hard, system), dense),
+            ),
+            (
+                np.max(np.abs(_apply_product(state, *product).populations - fast)),
+                np.max(np.abs(apply_unitary(state, dense).populations - fast)),
+            ),
+        ]
+        for blockwise, reference in pairs:
+            assert abs(blockwise - reference) <= 1e-15, (text, blockwise, reference)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--backend", "ideal"],
+        ["simulate", "--backend", "hard"],
+        ["simulate", "--backend", "fast", "--init", "thermal"],
+        ["spectrum"],
+        ["verify", "--backend", "ideal"],
+        ["verify", "--backend", "hard"],
+        ["verify", "--backend", "fast"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if not a.startswith("-")),
+)
+def test_thirteen_spins_exit_config_before_any_state(monkeypatch, tmp_path, capsys, argv):
+    # 12 database qubits: readout refuses the register from _check_decodable,
+    # the first thing simulate and spectrum ask; verify builds no product
+    def refused(*args):
+        raise AssertionError("a refused register was simulated")
+
+    for name in ("_initial_state", "thermal_state", "_apply_product"):
+        monkeypatch.setattr(climod, name, refused)
+    cfg = tmp_path / "thirteen.cfg"
+    cfg.write_text(superincreasing_config(12))
+    pattern = [] if argv[0] == "spectrum" else ["--pattern", "1" + "x" * 11]
+    if argv[0] != "verify":
+        monkeypatch.setattr(climod, "_compressed_product", refused)
+    assert main([*argv, "--system", str(cfg), *pattern]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    if argv[0] == "verify":
+        assert "query simulation limited to 12 spins; the register has 13" in err
+    else:
+        assert "expanded register has 13 spins; readout is limited to 12" in err
+
+
+def test_run_fetch_refuses_thirteen_spins_before_any_state(monkeypatch, tmp_path):
+    monkeypatch.setattr(climod, "_initial_state", None)
+    cfg = tmp_path / "thirteen.cfg"
+    cfg.write_text(superincreasing_config(12))
+    system = load_spin_system_file(str(cfg))
+    params = AcquisitionParams(n_points=2**20, dwell_s=1.0 / 16384.0)
+    for backend in ("ideal", "hard_pulse", "fast_diagonal"):
+        cfg_run = RunConfig(system, QueryPattern.from_string("1" + "x" * 11), backend=backend, params=params)
+        with pytest.raises(SpectrometerError, match="expanded register has 13 spins"):
+            run_fetch(cfg_run)
+
+
+@pytest.mark.parametrize("backend", ["ideal", "hard", "fast"])
+def test_verify_takes_twelve_logical_spins_with_a_composite_one(monkeypatch, tmp_path, capsys, backend):
+    # 11 database qubits, one a three-spin group: 12 logical spins, 14
+    # physical ones.  verify never reads out, so only the logical count
+    # matters; simulate is refused by readout before any state
+    cfg = tmp_path / "composite.cfg"
+    cfg.write_text(superincreasing_config(11, composite=(11,)))
+    pattern = "1" + "x" * 9 + "0"
+    assert main(["verify", "--system", str(cfg), "--pattern", pattern, "--backend", backend]) == EXIT_OK
+    assert "-> ok" in capsys.readouterr().out
+    monkeypatch.setattr(climod, "_initial_state", None)
+    assert main(["simulate", "--system", str(cfg), "--pattern", pattern, "--backend", backend]) == EXIT_CONFIG
+    assert "expanded register has 14 spins; readout is limited to 12" in capsys.readouterr().err
 
 
 def test_bench_subcommand_table(capsys):

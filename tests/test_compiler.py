@@ -18,19 +18,17 @@ from nmrfetch import (
     ZZEvolution,
     build_query_network,
     compile_multilinear_z_phase,
-    controlled_phase_direct,
     crotonic_default,
     distance_up_to_global_phase,
     expand_to_hard_pulses,
     format_sequence,
     sequence_report,
-    sequence_unitary,
 )
 from nmrfetch import compiler
-from nmrfetch.cli import direct_oracle_unitary
 from nmrfetch.compiler import GateSequence
 
 from conftest import make_system, random_full_system, reference_unitary
+from dense_reference import controlled_phase_direct, dense_oracle, sequence_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +158,7 @@ def test_network_matches_first_principles_oracle():
     for pattern in ("100xxx", "xxx1xx", "010101", "xxxxxx", "1xxxx0"):
         pat = QueryPattern.from_string(pattern)
         u = sequence_unitary(build_query_network(sys, pat), sys)
-        ref = direct_oracle_unitary(sys, pat)
+        ref = dense_oracle(sys, pat)
         assert distance_up_to_global_phase(u, ref) < 1e-9
 
 
@@ -205,6 +203,12 @@ def test_mode_gate_mixing_rejected():
         GateSequence(2, (Delay(0.1),), mode="ideal")
     with pytest.raises(CompileError):
         GateSequence(2, (ZZEvolution(0, 1, 0.5),), mode="hard_pulse")
+
+
+def test_gate_qubit_out_of_range_rejected():
+    for gate in (SelectivePulse(2, "x", 1.0), VirtualZ(-1, 0.3), ZZEvolution(0, 2, 0.5)):
+        with pytest.raises(CompileError, match="out of range for 2-qubit register"):
+            GateSequence(2, (gate,))
 
 
 def test_pulse_angles_canonicalized_nonnegative():

@@ -1,7 +1,7 @@
-"""Dense operator kernel: rotations, evolutions, and phase-blind comparison.
+"""Rotation blocks, the direct oracle's blocks, the dense test reference and phase-blind comparison.
 
-The independent oracle here is scipy's expm applied to explicitly
-Kronecker-built generators; the module itself never uses expm.
+The independent oracle here is scipy's expm applied to explicitly built
+generators; the package itself never uses expm.
 """
 
 import math
@@ -11,30 +11,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from nmrfetch import (
-    controlled_phase_direct,
-    distance_up_to_global_phase,
-    hadamard_like,
-    single_spin_rotation,
-)
-from nmrfetch.operators import basis_bits, zz_hamiltonian_diagonal
+from nmrfetch import QueryPattern, distance_up_to_global_phase
+from nmrfetch.cli import direct_oracle_unitary
+from nmrfetch.operators import basis_bits, rotation_block, zz_hamiltonian_diagonal
+
+from conftest import make_system
+from dense_reference import controlled_phase_direct, rotation, toggle
 
 SIGMA = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-def embedded_generator(qubit, axis, n):
-    op = np.array([[1]], dtype=complex)
-    for q in range(n):
-        op = np.kron(op, SIGMA[axis] / 2 if q == qubit else np.eye(2))
-    return op
-
-
-def rotation_oracle(qubit, axis, angle, n):
-    return expm(-1j * angle * embedded_generator(qubit, axis, n))
 
 
 def unitarity_defect(u):
@@ -50,59 +38,54 @@ angles = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi)
 
 
 def test_z_rotation_diagonal():
-    u = single_spin_rotation(0, "z", math.pi, 1)
+    u = rotation_block("z", math.pi)
     assert np.allclose(u, np.diag([np.exp(-1j * math.pi / 2), np.exp(1j * math.pi / 2)]))
 
 
 def test_full_turn_is_minus_identity():
     # spinor sign: a 2*pi rotation is -1, not +1
-    u = single_spin_rotation(0, "x", 2 * math.pi, 1)
+    u = rotation_block("x", 2 * math.pi)
     assert np.allclose(u, -np.eye(2))
 
 
 def test_embedded_y_rotation_block():
-    u = single_spin_rotation(1, "y", math.pi / 2, 2)
+    # the dense reference's Kronecker embedding, qubit 0 most significant
+    u = rotation(1, "y", math.pi / 2, 2)
     block = expm(-1j * (math.pi / 4) * SIGMA["y"])
     assert np.allclose(u, np.kron(np.eye(2), block))
 
 
 @settings(max_examples=60)
-@given(
-    qubit=st.integers(0, 2),
-    axis=st.sampled_from(["x", "y", "z"]),
-    angle=angles,
-)
-def test_rotation_matches_expm_oracle(qubit, axis, angle):
-    got = single_spin_rotation(qubit, axis, angle, 3)
-    want = rotation_oracle(qubit, axis, angle, 3)
-    assert np.max(np.abs(got - want)) < 1e-12
+@given(axis=st.sampled_from(["x", "y", "z", "-x", "-y", "-z"]), angle=angles)
+def test_rotation_matches_expm_oracle(axis, angle):
+    sign = -1.0 if axis.startswith("-") else 1.0
+    want = expm(-1j * angle * sign * SIGMA[axis[-1]] / 2)
+    assert np.max(np.abs(rotation_block(axis, angle) - want)) < 1e-12
 
 
 @settings(max_examples=40)
 @given(axis=st.sampled_from(["x", "y", "z"]), a1=angles, a2=angles)
 def test_rotation_additivity(axis, a1, a2):
-    u = single_spin_rotation(0, axis, a1, 2) @ single_spin_rotation(0, axis, a2, 2)
-    v = single_spin_rotation(0, axis, a1 + a2, 2)
+    u = rotation_block(axis, a1) @ rotation_block(axis, a2)
+    v = rotation_block(axis, a1 + a2)
     assert np.max(np.abs(u - v)) < 1e-12
 
 
 @settings(max_examples=30)
 @given(a1=angles, a2=angles)
 def test_rotations_on_distinct_qubits_commute(a1, a2):
-    u = single_spin_rotation(0, "x", a1, 2)
-    v = single_spin_rotation(1, "y", a2, 2)
+    u = rotation(0, "x", a1, 2)
+    v = rotation(1, "y", a2, 2)
     assert np.max(np.abs(u @ v - v @ u)) < 1e-12
 
 
 def test_negative_axes():
-    u = single_spin_rotation(0, "-x", math.pi / 3, 1)
-    v = single_spin_rotation(0, "x", -math.pi / 3, 1)
-    assert np.allclose(u, v)
-
-
-def test_rotation_index_out_of_range():
-    with pytest.raises(IndexError):
-        single_spin_rotation(2, "x", 1.0, 2)
+    for axis in "xyz":
+        u = rotation_block(f"-{axis}", math.pi / 3)
+        v = rotation_block(axis, -math.pi / 3)
+        assert np.allclose(u, v)
+    with pytest.raises(ValueError, match="unknown axis"):
+        rotation_block("w", 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -125,28 +108,45 @@ def test_hamiltonian_doublet_splitting():
 
 
 # ---------------------------------------------------------------------------
-# hadamard-like gate
+# the direct oracle's per-item blocks, built on the hadamard-like pulse pair
+# H = exp(-i pi I_x) exp(-i pi/2 I_y) = -i (Hadamard)
 # ---------------------------------------------------------------------------
 
 
+def oracle_blocks(system, pattern):
+    """The direct oracle's 2x2 ancilla block of every item, (items, 2, 2)."""
+    acc, cols, embed = direct_oracle_unitary(system, QueryPattern.from_string(pattern))
+    half = 2**system.n_database
+    assert embed.tolist() == [0, half]
+    assert cols.tolist() == list(range(half)) * 2
+    return acc.reshape(2, half, 2).transpose(1, 0, 2)
+
+
 def test_hadamard_like_closed_form():
-    h = hadamard_like(0, 1)
-    ref = (1 / math.sqrt(2)) * np.array([[1, 1], [1, -1]], dtype=complex)
-    assert distance_up_to_global_phase(h, ref) < 1e-12
-    # the actual global phase is -i (pulse-product convention)
-    assert np.allclose(h, -1j * ref)
+    # H diag(-i, i) H on a matching item, H H on any other, with H = -i Had
+    had = (1 / math.sqrt(2)) * np.array([[1, 1], [1, -1]], dtype=complex)
+    kick = np.diag([-1j, 1j])
+    miss, hit = oracle_blocks(make_system([10.0]), "1")
+    assert np.allclose(miss, (-1j * had) @ (-1j * had))
+    assert np.allclose(hit, (-1j * had) @ kick @ (-1j * had))
+    # closed forms: -1 off the pattern, i sigma_x on it
+    assert np.allclose(miss, -np.eye(2))
+    assert np.allclose(hit, 1j * SIGMA["x"])
 
 
 def test_hadamard_like_involution_up_to_phase():
-    h = hadamard_like(0, 2)
-    assert distance_up_to_global_phase(h @ h, np.eye(4)) < 1e-12
+    # the toggle pair undoes itself on every item the pattern misses
+    blocks = oracle_blocks(make_system([40.0, 17.0, 8.0]), "10x")
+    for item, block in enumerate(blocks):
+        if item not in (4, 5):
+            assert distance_up_to_global_phase(block, np.eye(2)) < 1e-12
 
 
 def test_hadamard_maps_z_to_x():
-    h = hadamard_like(0, 1)
-    z = SIGMA["z"]
-    conj = h @ z @ h.conj().T
-    assert np.max(np.abs(np.abs(conj) - np.abs(SIGMA["x"]))) < 1e-12
+    # the z phase kick between the toggles becomes a population flip
+    blocks = oracle_blocks(make_system([40.0, 17.0, 8.0]), "10x")
+    for item in (4, 5):
+        assert np.max(np.abs(np.abs(blocks[item]) - np.abs(SIGMA["x"]))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def test_three_control_branch_structure():
 
 def test_zero_controls_is_z_rotation():
     u = controlled_phase_direct(2, target=1, controls=[], angle=0.7)
-    assert np.allclose(u, single_spin_rotation(1, "z", 0.7, 2))
+    assert np.allclose(u, rotation(1, "z", 0.7, 2))
 
 
 def test_zero_angle_identity():
@@ -228,7 +228,7 @@ def test_controlled_phase_diagonal_unit_modulus():
 
 
 def test_distance_ignores_global_phase():
-    u = hadamard_like(0, 2)
+    u = toggle(0, 2)
     assert distance_up_to_global_phase(u, u * np.exp(1j * math.pi / 3)) < 1e-14
 
 
@@ -244,8 +244,8 @@ def test_distance_dimension_mismatch():
 
 def test_constructors_are_unitary():
     for u in (
-        single_spin_rotation(1, "y", 0.3, 3),
-        hadamard_like(2, 3),
+        rotation(1, "y", 0.3, 3),
+        toggle(2, 3),
         controlled_phase_direct(3, 1, [(0, 0), (2, 1)], 2.2),
     ):
         assert unitarity_defect(u) < 1e-10

@@ -22,7 +22,6 @@ from nmrfetch import (
     acquire_fid,
     analytic_spectrum,
     apply_query_diagonal,
-    apply_unitary,
     build_query_network,
     classify_marked,
     crotonic_default,
@@ -32,13 +31,12 @@ from nmrfetch import (
     fft_spectrum,
     line_table,
     pick_peaks,
-    sequence_unitary,
     thermal_state,
 )
 from nmrfetch import cli as climod
 from nmrfetch import spectrometer
 from nmrfetch.cli import RunConfig, run_fetch
-from nmrfetch.operators import single_spin_rotation, zz_hamiltonian_diagonal
+from nmrfetch.operators import zz_hamiltonian_diagonal
 from nmrfetch.spectrometer import (
     Peak,
     _expanded_register,
@@ -49,6 +47,7 @@ from nmrfetch.spectrometer import (
 )
 
 from conftest import make_system
+from dense_reference import apply_unitary, rotation, sequence_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +86,7 @@ def reference_fid(state, system, params):
     offsets, couplings, logical_index, weight = _expanded_register(system)
     n_phys = len(offsets)
     phys_pops = pops[logical_index] * weight
-    pulse = single_spin_rotation(0, "x", math.pi / 2.0, n_phys)
+    pulse = rotation(0, "x", math.pi / 2.0, n_phys)
     rho = pulse @ np.diag(phys_pops.astype(complex)) @ pulse.conj().T
     energies = zz_hamiltonian_diagonal(offsets, couplings)
     half = 2 ** (n_phys - 1)

@@ -15,13 +15,10 @@ from nmrfetch import (
     SpinSystem,
     StateError,
     apply_query_diagonal,
-    apply_unitary,
     build_query_network,
     crotonic_default,
     effective_pure_ancilla,
     expand_to_hard_pulses,
-    sequence_unitary,
-    single_spin_rotation,
     thermal_state,
 )
 from nmrfetch.compiler import (
@@ -35,6 +32,7 @@ from nmrfetch.compiler import (
 from nmrfetch.states import _apply_product, _conjugate_blocks
 
 from conftest import make_system, random_full_system, reference_unitary
+from dense_reference import apply_unitary, rotation, sequence_unitary
 
 
 def purity(state):
@@ -92,7 +90,7 @@ def test_as_populations_rejects_coherent_matrix():
         DensityState(mat)
     ground = DensityState(np.array([1.0, 0.0]))
     with pytest.raises(StateError, match="off-diagonal weight"):
-        apply_unitary(ground, single_spin_rotation(0, "y", math.pi / 2, 1))
+        apply_unitary(ground, rotation(0, "y", math.pi / 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +189,7 @@ def test_apply_unitary_refuses_coherence():
     sys = make_system([10.0, 20.0])
     state = effective_pure_ancilla(sys)
     with pytest.raises(StateError, match="off-diagonal weight"):
-        apply_unitary(state, single_spin_rotation(0, "y", math.pi / 2, sys.n_spins))
+        apply_unitary(state, rotation(0, "y", math.pi / 2, sys.n_spins))
 
 
 def test_apply_product_refuses_coherence():
