@@ -49,11 +49,9 @@ from .spectrometer import (
     Spectrum,
     SpectrometerError,
     _check_decodable,
-    _readout_rows,
+    _Readout,
+    _readouts,
     classify_marked,
-    decode_peaks,
-    fft_spectrum,
-    pick_peaks,
     spectrum_csv,
 )
 from .spin_system import (
@@ -120,6 +118,15 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
+    """What one fetch read out and concluded.
+
+    ``before`` and ``peaks_before`` are the register's cached reference
+    readout: every run with the same register, acquisition and prepared
+    state shares them, so their arrays are read-only.  ``after`` is read
+    out afresh on every run; its frequency axis is the acquisition's
+    shared, read-only one.
+    """
+
     before: Spectrum
     after: Spectrum
     marked: tuple[int, ...]
@@ -182,31 +189,28 @@ def _initial_state(system: SpinSystem, init: str) -> DensityState:
 
 def _readout(
     states: tuple[DensityState, ...], system: SpinSystem, params: AcquisitionParams
-) -> list[tuple[Spectrum, list, float]]:
-    """FID-route spectrum, its decoded peaks and the route gap, per state.
+) -> list[_Readout]:
+    """FFT spectrum, decoded peaks and route gap per state, each gap checked.
 
-    The first state is the reference: its FID and closed-form rows come
-    from the register's cache, and every later state is read out as the
-    reference plus its difference from it (see
-    ``spectrometer._readout_rows``).  Every state's full FID is still
-    transformed, picked and decoded, and its full closed-form spectrum
-    checked.  The route gap is the largest difference between the
-    FID-route and the closed-form spectrum, relative to the tallest
-    closed-form amplitude.  State by state, in order, the peaks are picked
-    and decoded and then the gap is checked against ``_ROUTE_GUARD``, so the
-    first state's decode and route failures come before the second's.
+    The first state is the reference: its whole readout (FID and
+    closed-form rows, spectrum, peaks and gap) comes from the register's
+    cache once it has been read, and every later state is read out as the
+    reference plus its difference from it, then transformed, picked,
+    decoded and gap-checked in full (see ``spectrometer._readouts``).  The
+    route gap is the largest difference between the FID-route and the
+    closed-form spectrum, relative to the tallest closed-form amplitude.
+    State by state, in order, the peaks are decoded and then the gap is
+    checked against ``_ROUTE_GUARD``, on every run and for cached and fresh
+    readouts alike, so the first state's decode and route failures come
+    before the second's.
     """
     out = []
-    for fid, closed in _readout_rows(states, system, params):
-        spec = fft_spectrum(fid, params)
-        top = float(np.max(np.abs(closed)))
-        gap = float(np.max(np.abs(spec.amplitude - closed))) / top if top > 0.0 else 0.0
-        peaks = decode_peaks(pick_peaks(spec), system)
-        if gap > _ROUTE_GUARD:
+    for readout in _readouts(states, system, params):
+        if readout.gap > _ROUTE_GUARD:
             raise DecodeError(
-                f"time-domain and closed-form spectra disagree ({gap:.2e} relative)"
+                f"time-domain and closed-form spectra disagree ({readout.gap:.2e} relative)"
             )
-        out.append((spec, peaks, gap))
+        out.append(readout)
     return out
 
 
@@ -243,22 +247,20 @@ def run_fetch(cfg: RunConfig) -> RunResult:
     else:
         queried = _apply_product(state, *_compressed_product(sequence, cfg.system))
 
-    (before_spec, before_peaks, _), (after_spec, after_peaks, _) = _readout(
-        (state, queried), cfg.system, params
-    )
+    before, after = _readout((state, queried), cfg.system, params)
 
-    verdict = classify_marked(after_peaks)
+    verdict = classify_marked(after.peaks)
     expected = tuple(classical_oracle(cfg.pattern, cfg.system.n_database))
     verified = verdict.marked == expected and not verdict.inconsistent
     return RunResult(
-        before=before_spec,
-        after=after_spec,
+        before=before.spectrum,
+        after=after.spectrum,
         marked=verdict.marked,
         expected=expected,
         inconsistent=verdict.inconsistent,
         verified=verified,
-        peaks_before=tuple(before_peaks),
-        peaks_after=tuple(after_peaks),
+        peaks_before=before.peaks,
+        peaks_after=after.peaks,
         sequence=sequence,
     )
 
@@ -519,11 +521,12 @@ def _cmd_spectrum(args) -> int:
     params = _acq_from_args(system, args)  # refuses an undecodable register
     init = _INITS[args.init]
     state = _initial_state(system, init)
-    ((spec, peaks, gap),) = _readout((state,), system, params)
+    (readout,) = _readout((state,), system, params)
+    spec = readout.spectrum
     print(f"spectral width: {params.spectral_width_hz:g} Hz, {params.n_points} points")
-    print(f"route gap: {gap:.2e} (fails above {_ROUTE_GUARD:g})")
-    print(f"peaks found: {len(peaks)}")
-    for p in peaks:
+    print(f"route gap: {readout.gap:.2e} (fails above {_ROUTE_GUARD:g})")
+    print(f"peaks found: {len(readout.peaks)}")
+    for p in readout.peaks:
         print(
             f"  {p.freq_hz:+10.3f} Hz  amp {p.amplitude:+.6g}  "
             f"item {p.item} ({p.manifold})"
@@ -532,7 +535,7 @@ def _cmd_spectrum(args) -> int:
         "system": _system_dict(system),
         "init": init,
         "acquisition": _acq_dict(params),
-        "peaks": [_peak_dict(p) for p in peaks],
+        "peaks": [_peak_dict(p) for p in readout.peaks],
     }
     emit(
         {

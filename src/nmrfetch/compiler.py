@@ -658,12 +658,19 @@ class SequenceReport:
 
 
 def sequence_report(seq: GateSequence) -> SequenceReport:
-    pulse_counts: Counter = Counter()
+    """Count the gates by kind and the pulses by (axis, degrees to 6 places); sum the delays.
+
+    Pulses are collected as raw (axis, angle) pairs and tallied at once;
+    only the distinct pairs are converted to rounded degrees and merged,
+    since a hard-pulse schedule has thousands of pulses but a handful of
+    angles.  Delays are summed one by one, in gate order.
+    """
+    pulses = []
     n_zz = n_vz = n_delay = 0
     duration = 0.0
     for gate in seq.gates:
         if isinstance(gate, SelectivePulse):
-            pulse_counts[(gate.axis, round(math.degrees(gate.angle), 6))] += 1
+            pulses.append((gate.axis, gate.angle))
         elif isinstance(gate, ZZEvolution):
             n_zz += 1
         elif isinstance(gate, VirtualZ):
@@ -671,6 +678,9 @@ def sequence_report(seq: GateSequence) -> SequenceReport:
         elif isinstance(gate, Delay):
             n_delay += 1
             duration += gate.seconds
+    pulse_counts: Counter = Counter()
+    for (axis, angle), count in Counter(pulses).items():
+        pulse_counts[axis, round(math.degrees(angle), 6)] += count
     return SequenceReport(
         n_pulses=sum(pulse_counts.values()),
         pulse_counts=dict(sorted(pulse_counts.items())),

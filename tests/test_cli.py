@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import nmrfetch.cli as climod
+from nmrfetch import spectrometer
 from nmrfetch import (
     AcquisitionParams,
     DecodeError,
@@ -147,6 +148,33 @@ def test_run_fetch_applies_the_query_once(monkeypatch, backend, init):
         )
         assert res.verified and res.marked == marked
         assert calls == ["apply_query_diagonal" if backend == "fast_diagonal" else "_apply_product"]
+
+
+@pytest.mark.parametrize("backend", ["fast_diagonal", "ideal", "hard_pulse"])
+def test_warm_run_transforms_and_picks_only_the_queried_state(monkeypatch, backend):
+    # the FFT and the peak picker of run_fetch's readout, counted per run
+    calls = []
+
+    def counted(name):
+        real = getattr(spectrometer, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("_absorptive", "_pick"):
+        monkeypatch.setattr(spectrometer, name, counted(name))
+    sys = crotonic_default()
+    per_run = []
+    for init in ("thermal", "effective_pure", "thermal"):
+        calls.clear()
+        result = run_fetch(RunConfig(sys, QueryPattern.from_string("100101"), init=init, backend=backend))
+        assert result.verified and not result.before.amplitude.flags.writeable
+        per_run.append(sorted(calls))
+    cold, warm = ["_absorptive", "_absorptive", "_pick", "_pick"], ["_absorptive", "_pick"]
+    assert per_run == [cold, cold, warm]  # each init is its own reference
 
 
 def test_run_fetch_refuses_schedules_beyond_ln20_t2(monkeypatch):

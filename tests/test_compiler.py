@@ -225,6 +225,47 @@ def test_empty_sequence_report():
     assert rep.total_duration_s == 0.0
 
 
+def per_pulse_report(seq):
+    """The report's tallies by the per-pulse rule: convert and count every pulse."""
+    counts, kinds, duration = {}, {}, 0.0
+    for gate in seq.gates:
+        kinds[type(gate)] = kinds.get(type(gate), 0) + 1
+        if isinstance(gate, SelectivePulse):
+            key = (gate.axis, round(math.degrees(gate.angle), 6))
+            counts[key] = counts.get(key, 0) + 1
+        elif isinstance(gate, Delay):
+            duration += gate.seconds
+    return dict(sorted(counts.items())), kinds, duration
+
+
+@pytest.mark.parametrize("bits", ["100101", "1001x1", "100xxx"])
+def test_sequence_report_matches_the_per_pulse_rule(bits):
+    sys = crotonic_default()
+    net = build_query_network(sys, QueryPattern.from_string(bits))
+    # angles a rounding apart in degrees, and both signs of zero, merge into one key
+    odd = GateSequence(
+        2,
+        (
+            SelectivePulse(0, "x", -0.0),
+            SelectivePulse(1, "x", 0.0),
+            SelectivePulse(0, "y", math.pi),
+            SelectivePulse(0, "y", math.pi * (1 + 1e-12)),
+            SelectivePulse(1, "y", math.pi * (1 - 1e-12)),
+        ),
+    )
+    for seq in (expand_to_hard_pulses(net, sys), net, odd):
+        rep = sequence_report(seq)
+        counts, kinds, duration = per_pulse_report(seq)
+        assert list(rep.pulse_counts.items()) == list(counts.items())
+        assert [str(deg) for _, deg in rep.pulse_counts] == [str(deg) for _, deg in counts]
+        assert rep.n_pulses == kinds.get(SelectivePulse, 0) == sum(counts.values())
+        assert (rep.n_zz, rep.n_virtual_z, rep.n_delays) == tuple(
+            kinds.get(kind, 0) for kind in (ZZEvolution, VirtualZ, Delay)
+        )
+        assert rep.total_duration_s == duration
+    assert sequence_report(odd).pulse_counts == {("x", -0.0): 2, ("y", 180.0): 3}
+
+
 # ---------------------------------------------------------------------------
 # hard-pulse expansion
 # ---------------------------------------------------------------------------

@@ -1,20 +1,34 @@
 """Planted defects: one wrong side of one cross-check must fail the run.
 
 Each case monkeypatches a single defect into one of the two models that a
-check compares and asserts that the check catches it: ``verify`` exits 2.
-The same command passes on the same register without the defect, so the
-exit code is the defect's doing.  Registers: the builtin crotonic acid
-register and a synthetic 8-spin one with a sign-flipped bit.
+check compares and asserts that the check catches it: ``verify`` exits 2,
+or the route guard of ``run_fetch`` raises ``DecodeError`` (exit 4 from
+``simulate``).  The same run passes on the same register without the
+defect, so the failure is the defect's doing.  Registers: the builtin
+crotonic acid register and a synthetic 8-spin one with a sign-flipped bit.
 """
 
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import nmrfetch.cli as climod
-from nmrfetch import DensityState, GateSequence, SelectivePulse, ZZEvolution
-from nmrfetch.cli import EXIT_MISMATCH, EXIT_OK, main
+from nmrfetch import (
+    AcquisitionParams,
+    DecodeError,
+    DensityState,
+    GateSequence,
+    Peak,
+    QueryPattern,
+    SelectivePulse,
+    ZZEvolution,
+    crotonic_default,
+    load_spin_system,
+    spectrometer,
+)
+from nmrfetch.cli import EXIT_MISMATCH, EXIT_OK, RunConfig, main, run_fetch
 
 from conftest import superincreasing_config
 
@@ -105,3 +119,102 @@ def test_verify_catches_planted_defect(monkeypatch, capsys, register, defect):
     monkeypatch.setattr(climod, name, plant(getattr(climod, name)))
     assert verify(system, pattern, backend) == EXIT_MISMATCH
     assert "-> FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# readout: defects that reach only the queried state of a warm register
+# ---------------------------------------------------------------------------
+
+
+def flip_fid_carrier(real):
+    # the FID demodulated at minus the carrier
+    def fid_rows(differences, system, params):
+        return real(differences, system, dataclasses.replace(params, carrier_hz=-params.carrier_hz))
+
+    return fid_rows
+
+
+def scale_closed_form_row(real):
+    def closed_form_rows(differences, system, params):
+        return 1.01 * real(differences, system, params)
+
+    return closed_form_rows
+
+
+def drop_half_first_point(real):
+    # the FFT core of fft_spectrum without halving the first sample
+    def absorptive(fid, dwell_s):
+        work = fid.copy()
+        work[0] *= 2.0
+        return real(work, dwell_s)
+
+    return absorptive
+
+
+# defect, the spectrometer name it replaces
+READOUT_DEFECTS = {
+    "fid-carrier-sign": (flip_fid_carrier, "_fid_rows"),
+    "scaled-difference-row": (scale_closed_form_row, "_closed_form_rows"),
+    "no-half-first-point": (drop_half_first_point, "_absorptive"),
+}
+
+
+@pytest.fixture(params=["builtin", "synthetic"])
+def warm_run(request):
+    """A register with a nonzero carrier (so the carrier's sign matters) and a pattern."""
+    if request.param == "builtin":
+        system, pattern = crotonic_default(), "100101"
+    else:
+        system, pattern = load_spin_system(superincreasing_config(7, negative=(3,))), "1010x10"
+    params = AcquisitionParams.for_system(system, carrier_hz=1.25)
+    return system, QueryPattern.from_string(pattern), params
+
+
+@pytest.mark.parametrize("backend", ["fast_diagonal", "ideal"])
+@pytest.mark.parametrize("defect", sorted(READOUT_DEFECTS))
+def test_warm_readout_catches_planted_defect(monkeypatch, warm_run, backend, defect):
+    system, pattern, params = warm_run
+    cfg = RunConfig(system, pattern, init="thermal", backend=backend, params=params)
+    clean = run_fetch(cfg)  # caches the reference readout
+    assert clean.verified
+    references = dict(spectrometer._model(system).references)
+    plant, name = READOUT_DEFECTS[defect]
+    calls = []
+    defective = plant(getattr(spectrometer, name))
+
+    def counted(*args):
+        calls.append(args)
+        return defective(*args)
+
+    monkeypatch.setattr(spectrometer, name, counted)
+    with pytest.raises(DecodeError):  # a stray peak or the route guard
+        run_fetch(cfg)
+    # the defect reached the queried state alone: one call, and the cached
+    # reference was neither read out again nor replaced
+    assert len(calls) == 1
+    assert spectrometer._model(system).references == references
+    monkeypatch.undo()
+    again = run_fetch(cfg)
+    assert again.verified and again.before is clean.before
+    assert np.array_equal(again.after.amplitude, clean.after.amplitude)
+
+
+def test_a_reference_readout_that_raises_is_not_cached(monkeypatch):
+    system = crotonic_default()
+    cfg = RunConfig(system, QueryPattern.from_string("100xxx"), backend="fast_diagonal")
+    pick = spectrometer._pick
+
+    def stray_peak(spectrum, threshold_frac):
+        # one extra peak far from every line: decoding must refuse it
+        return pick(spectrum, threshold_frac) + [Peak(float(spectrum.freqs_hz[0]), 1.0)]
+
+    monkeypatch.setattr(spectrometer, "_pick", stray_peak)
+    for _ in range(2):  # the second run reads the reference afresh and fails again
+        with pytest.raises(DecodeError, match="no expected line"):
+            run_fetch(cfg)
+        assert spectrometer._model(system).references == {}
+    monkeypatch.undo()
+    result = run_fetch(cfg)
+    fresh = run_fetch(RunConfig(crotonic_default(), cfg.pattern, backend=cfg.backend))
+    assert result.verified and result.peaks_before == fresh.peaks_before
+    assert np.array_equal(result.before.amplitude, fresh.before.amplitude)

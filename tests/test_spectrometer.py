@@ -1,9 +1,11 @@
 """Readout chain: line tables, time-domain acquisition, decoding."""
 
+import dataclasses
 import gc
 import itertools
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -615,19 +617,28 @@ def reference_readout_cases(draw):
 )
 def test_reference_plus_difference_matches_direct_readout(case, backend, init):
     # the run's readout (cached reference plus the difference) against the
-    # direct two-state routes, per state, relative to that state's maximum
+    # direct two-state routes, per state, relative to that state's maximum;
+    # no peaks are picked, since these grids need not resolve every line
     system, params, pattern = case
     state = climod._initial_state(system, init)
     states = (state, queried_state(state, system, pattern, backend))
-    rows = list(spectrometer._readout_rows(states, system, params))
+    with mock.patch.object(spectrometer, "_pick", lambda spectrum, frac: []):
+        readouts = list(spectrometer._readouts(states, system, params))
     fids = acquire_fids(states, system, params)
     spectra = analytic_spectra(states, system, params)
-    for (fid, closed), want_fid, want in zip(rows, fids, spectra):
+    for readout, want_fid, want in zip(readouts, fids, spectra):
+        fid, closed = readout.fid, readout.closed
         assert np.max(np.abs(fid - want_fid)) <= 1e-12 * np.max(np.abs(want_fid))
         assert np.max(np.abs(closed - want.amplitude)) <= 1e-12 * np.max(np.abs(want.amplitude))
+        # the spectrum and the gap are those of the public steps on these rows
+        spec = fft_spectrum(fid, params)
+        assert np.array_equal(readout.spectrum.amplitude, spec.amplitude)
+        assert np.array_equal(readout.spectrum.freqs_hz, spec.freqs_hz)
+        top = np.max(np.abs(closed))
+        assert readout.gap == float(np.max(np.abs(spec.amplitude - closed))) / top
     # the reference is read out alone, so it is the one-state readout exactly
-    assert np.array_equal(rows[0][0], acquire_fid(state, system, params))
-    assert np.array_equal(rows[0][1], analytic_spectrum(state, system, params).amplitude)
+    assert np.array_equal(readouts[0].fid, acquire_fid(state, system, params))
+    assert np.array_equal(readouts[0].closed, analytic_spectrum(state, system, params).amplitude)
 
 
 @pytest.mark.parametrize("backend", ["fast_diagonal", "ideal"])
@@ -653,7 +664,7 @@ def test_difference_reads_only_the_items_that_changed(monkeypatch, backend):
     queried = queried_state(state, sys, QueryPattern.from_string("100101"), backend)
     delta = queried.ancilla_difference() - state.ancilla_difference()
     for _ in range(2):  # cold, then warm: the reference is read out once
-        list(spectrometer._readout_rows((state, queried), sys, params))
+        list(spectrometer._readouts((state, queried), sys, params))
     changed = int(np.count_nonzero(delta))
     # two passes per table (starts and in-block); 4 configurations and 2 lines per item
     assert terms == [256, 256] + [4 * changed] * 4 and lines == [128] + [2 * changed] * 2
@@ -675,20 +686,34 @@ def hexes(result):
 
 @pytest.mark.parametrize(
     "backend, init",
-    [("fast_diagonal", "thermal"), ("ideal", "effective_pure"), ("hard_pulse", "thermal")],
+    [
+        ("fast_diagonal", "thermal"),
+        ("ideal", "effective_pure"),
+        ("hard_pulse", "thermal"),
+        ("fast_diagonal", "effective_pure"),
+        ("ideal", "thermal"),
+        ("hard_pulse", "effective_pure"),
+    ],
 )
 def test_warm_run_is_bit_identical_to_a_fresh_register(backend, init):
-    pattern = QueryPattern.from_string("10x1x0")
     warm = crotonic_default()
-    cfg = RunConfig(warm, pattern, init=init, backend=backend)
-    first = run_fetch(cfg)
-    second = run_fetch(cfg)  # reads the reference from the cache
-    fresh = run_fetch(RunConfig(crotonic_default(), pattern, init=init, backend=backend))
-    assert second.verified and hexes(second) == hexes(first) == hexes(fresh)
-    for a, b in itertools.product(
-        (first.before.amplitude, first.after.amplitude), (second.before.amplitude, second.after.amplitude)
-    ):
-        assert not np.shares_memory(a, b)
+    for bits in ("10x1x0", "100xxx", "100101"):
+        pattern = QueryPattern.from_string(bits)
+        cfg = RunConfig(warm, pattern, init=init, backend=backend)
+        first = run_fetch(cfg)
+        second = run_fetch(cfg)  # reads the whole reference readout from the cache
+        fresh = run_fetch(RunConfig(crotonic_default(), pattern, init=init, backend=backend))
+        assert second.verified and hexes(second) == hexes(first) == hexes(fresh)
+        # the before readout is the cached one, shared and read-only; the
+        # after spectrum is computed afresh on every run
+        assert second.before is first.before and second.peaks_before is first.peaks_before
+        assert not first.before.amplitude.flags.writeable
+        _, *fresh_pairs = itertools.product(  # all but (before, before)
+            (first.before.amplitude, first.after.amplitude),
+            (second.before.amplitude, second.after.amplitude),
+        )
+        for a, b in fresh_pairs:
+            assert not np.shares_memory(a, b)
 
 
 def test_cached_readout_arrays_are_read_only():
@@ -696,8 +721,14 @@ def test_cached_readout_arrays_are_read_only():
     for init in ("thermal", "effective_pure"):
         assert run_fetch(RunConfig(sys, QueryPattern.from_string("100xxx"), init=init)).verified
     model = spectrometer._model(sys)
-    assert len(model.references) == 2
-    arrays = [row for rows in model.references.values() for row in rows] + list(model.transitions)
+    assert len(model.references) == 2 and len(model.grids) == 1
+    readouts = list(model.references.values())
+    assert all(isinstance(r.peaks, tuple) and r.peaks for r in readouts)
+    (grid,) = model.grids.values()
+    arrays = [grid.freqs_hz, grid.bin_cs, grid.envelope] + list(model.transitions)
+    for r in readouts:
+        assert r.spectrum.freqs_hz is grid.freqs_hz
+        arrays += [r.fid, r.closed, r.spectrum.amplitude]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -708,18 +739,42 @@ def test_reference_cache_hit_needs_the_same_populations_bit_for_bit():
     sys = crotonic_default()
     params = AcquisitionParams(n_points=1024, dwell_s=1.0 / 512.0, t2_s=0.5)
     state = effective_pure_ancilla(sys)
-    rows = spectrometer._reference_rows(state, sys, params)
-    assert spectrometer._reference_rows(effective_pure_ancilla(sys), sys, params) is rows
+    readout = spectrometer._reference_readout(state, sys, params)
+    assert spectrometer._reference_readout(effective_pure_ancilla(sys), sys, params) is readout
     # one ulp on one population is another reference, read out afresh
     pops = state.populations.copy()
     pops[5] = np.nextafter(pops[5], 1.0)
     nudged = DensityState(pops)
-    other = spectrometer._reference_rows(nudged, sys, params)
-    assert other is not rows and not np.array_equal(other[0], rows[0])
-    assert np.array_equal(other[0], acquire_fid(nudged, sys, params))
+    other = spectrometer._reference_readout(nudged, sys, params)
+    assert other is not readout and not np.array_equal(other.fid, readout.fid)
+    assert np.array_equal(other.fid, acquire_fid(nudged, sys, params))
     # and another grid is another reference too
     wider = AcquisitionParams(n_points=2048, dwell_s=1.0 / 512.0, t2_s=0.5)
-    assert spectrometer._reference_rows(state, sys, wider)[0].shape == (2048,)
+    assert spectrometer._reference_readout(state, sys, wider).fid.shape == (2048,)
+
+
+def test_grid_tables_are_kept_per_acquisition():
+    # grids that differ in one field only: each gets its own axis, bin table
+    # and envelope, and a warm register reads out as a fresh one on each
+    warm = crotonic_default()
+    base = AcquisitionParams.for_system(warm)
+    grids = [
+        base,
+        dataclasses.replace(base, t2_s=1.5),
+        dataclasses.replace(base, carrier_hz=0.75),
+        dataclasses.replace(base, dwell_s=base.dwell_s * 1.25),
+        dataclasses.replace(base, n_points=2 * base.n_points),
+    ]
+    pattern = QueryPattern.from_string("10x1x0")
+    for _ in range(2):
+        for params in grids:
+            got = run_fetch(RunConfig(warm, pattern, backend="fast_diagonal", params=params))
+            fresh = run_fetch(RunConfig(crotonic_default(), pattern, backend="fast_diagonal", params=params))
+            assert got.verified and hexes(got) == hexes(fresh)
+            grid = spectrometer._grid(warm, params)
+            assert np.array_equal(grid.freqs_hz, params.frequency_grid())
+            assert np.array_equal(grid.envelope, np.exp(-params.times() / params.t2_s))
+    assert len(spectrometer._model(warm).grids) == len(grids)
 
 
 def test_readout_cache_does_not_keep_the_register_alive():
