@@ -269,6 +269,8 @@ def bench_report(n_bits: int, n_marked: int) -> dict:
     """Query counts for competing search strategies on N = 2**n_bits items."""
     if n_bits < 1:
         raise ConfigError("n_bits must be at least 1")
+    if n_bits >= sys.float_info.max_exp:  # 2**n_bits and the ratios below overflow a float
+        raise ConfigError(f"n_bits must be below {sys.float_info.max_exp}")
     n_items = 2**n_bits
     if not 1 <= n_marked <= n_items:
         raise ConfigError("n_marked must lie in [1, 2**n_bits]")

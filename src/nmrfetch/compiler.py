@@ -283,23 +283,16 @@ def build_query_network(system: SpinSystem, pattern: QueryPattern) -> GateSequen
     on the database items that match the pattern and leaves every other
     population untouched.
 
-    Negative-sign qubits store logical 0 in the flipped spin state, so each
-    stated polarity is translated to the spin frame before being handed to
-    the phase compiler together with the register's bit_signs; the engine's
-    logical basis therefore sees the match condition exactly as written.
+    The network is built in the logical basis, where a negative-sign qubit
+    already has logical 0 in its flipped spin state, so the constrained
+    bits are the phase's control polarities exactly as written.
     """
     if len(pattern) != system.n_database:
         raise CompileError(
             f"pattern length {len(pattern)} != database size {system.n_database}"
         )
-    controls = []
-    signs = []
-    for qubit, bit in pattern.constrained_qubits():
-        sign = system.sign_of(qubit)
-        controls.append((qubit, bit ^ (sign < 0)))
-        signs.append(sign)
     core = compile_multilinear_z_phase(
-        system.n_spins, system.ancilla, controls, np.pi, signs
+        system.n_spins, system.ancilla, pattern.constrained_qubits(), np.pi
     )
     toggle = (
         _pulse(system.ancilla, "y", np.pi / 2),

@@ -29,8 +29,8 @@ sorted by frequency so that decoding a peak is a binary search, the
 ancilla transitions of its expanded register, per acquisition grid the
 frequency axis, the closed-form kernel's bin table and the FID's decay
 envelope, and the readouts of the reference states it has been read
-against.  The FID needs no pulse matrix (see ``acquire_fids``) and is
-synthesised in blocks, one matrix product per row.
+against.  The FID needs no pulse matrix (see ``acquire_fid``) and is
+synthesised in blocks, as one matrix product.
 
 The line table also decides whether a register can be read at all: every
 line frequency must belong to one item, distinct frequencies must lie a
@@ -48,9 +48,7 @@ reference's rows plus the readout of its difference from it, which
 synthesises FID terms and evaluates kernel rows only where the difference
 is nonzero, and is then transformed, picked, decoded and compared with
 its closed-form row in full.  The caller judges every gap, cached or not.
-``acquire_fids`` and ``analytic_spectra`` read out any states directly;
-``acquire_fid`` and ``analytic_spectrum`` are the same routes for one
-state.
+``acquire_fid`` and ``analytic_spectrum`` read out any one state directly.
 """
 
 from __future__ import annotations
@@ -75,9 +73,7 @@ __all__ = [
     "DecodeError",
     "line_table",
     "analytic_spectrum",
-    "analytic_spectra",
     "acquire_fid",
-    "acquire_fids",
     "fft_spectrum",
     "pick_peaks",
     "decode_peaks",
@@ -330,10 +326,14 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 
 def _grid(system: SpinSystem, params: AcquisitionParams) -> _Grid:
-    """The acquisition's frequency axis, bin table and decay envelope, kept in the register's model."""
-    grids = _model(system).grids
-    grid = grids.get(params)
+    """The acquisition's frequency axis, bin table and decay envelope, kept in the register's model.
+
+    A grid too narrow for the register's lines is refused (``_check_coverage``).
+    """
+    model = _model(system)
+    grid = model.grids.get(params)
     if grid is None:
+        _check_coverage(model.lines, params)
         freqs = params.frequency_grid()
         bin_angle = math.pi * params.dwell_s * freqs
         grid = _Grid(
@@ -342,7 +342,7 @@ def _grid(system: SpinSystem, params: AcquisitionParams) -> _Grid:
             envelope=np.exp(-params.times() / params.t2_s),
         )
         _read_only(grid.freqs_hz, grid.bin_cs, grid.envelope)
-        grids[params] = grid
+        model.grids[params] = grid
     return grid
 
 
@@ -488,16 +488,16 @@ def line_table(system: SpinSystem) -> list[SpectralLine]:
     ]
 
 
-def _differences(states: tuple[DensityState, ...], system: SpinSystem) -> np.ndarray:
-    """Per-item ancilla differences p(0, item) - p(1, item), one row per state."""
-    if any(state.n_qubits != system.n_spins for state in states):
+def _difference(state: DensityState, system: SpinSystem) -> np.ndarray:
+    """Per-item ancilla differences p(0, item) - p(1, item) of one state."""
+    if state.n_qubits != system.n_spins:
         raise SpectrometerError("state and system register sizes differ")
-    return np.stack([state.ancilla_difference() for state in states])
+    return state.ancilla_difference()
 
 
-def _line_amplitudes(differences: np.ndarray, table: _LineTable) -> np.ndarray:
-    """Signed amplitude per row and line: half the item's ancilla difference times its weight."""
-    return 0.5 * differences[:, table.item] * table.fraction
+def _line_amplitudes(difference: np.ndarray, table: _LineTable) -> np.ndarray:
+    """Signed amplitude per line: half the item's ancilla difference times its weight."""
+    return 0.5 * difference[table.item] * table.fraction
 
 
 def _check_coverage(table: _LineTable, params: AcquisitionParams) -> None:
@@ -509,10 +509,10 @@ def _check_coverage(table: _LineTable, params: AcquisitionParams) -> None:
         )
 
 
-def analytic_spectra(
-    states: tuple[DensityState, ...], system: SpinSystem, params: AcquisitionParams
-) -> list[Spectrum]:
-    """Closed-form absorptive spectra of several states on the acquisition grid.
+def analytic_spectrum(
+    state: DensityState, system: SpinSystem, params: AcquisitionParams
+) -> Spectrum:
+    """Closed-form absorptive spectrum of one state on the acquisition grid.
 
     Each line is the infinite-time limit of the sampled acquisition,
     summed as a geometric series: amplitude * dwell * Re[(1+z)/(2(1-z))]
@@ -521,17 +521,16 @@ def analytic_spectra(
     dwell it also carries the spectral-window images, so it matches an
     ideal noiseless FFT readout of the same grid without aliasing error.
     The sum runs over the lines of the line table (see
-    ``_closed_form_rows``).
+    ``_closed_form_row``).
     """
-    grid = params.frequency_grid()
-    rows = _closed_form_rows(_differences(states, system), system, params)
-    return [Spectrum(freqs_hz=grid, amplitude=a) for a in rows]
+    amplitude = _closed_form_row(_difference(state, system), system, params)
+    return Spectrum(freqs_hz=params.frequency_grid(), amplitude=amplitude)
 
 
-def _closed_form_rows(
-    differences: np.ndarray, system: SpinSystem, params: AcquisitionParams
+def _closed_form_row(
+    difference: np.ndarray, system: SpinSystem, params: AcquisitionParams
 ) -> np.ndarray:
-    """Closed-form spectra of rows of per-item ancilla differences, one row each.
+    """Closed-form spectrum of one vector of per-item ancilla differences.
 
     With d = |z| and theta = 2 pi (f - nu) dwell the real part is
     (1 - d^2) / (2 |1-z|^2) and |1-z|^2 = (1-d)^2 + 4 d sin^2(theta/2).
@@ -539,24 +538,23 @@ def _closed_form_rows(
     and cosines are taken once.  The line x bin kernel does not depend on
     the amplitudes: it is built a few lines at a time, each chunk's
     2 sqrt(d) sin(theta/2) as one (lines x 2) @ (2 x bins) product, and
-    applied to every row at once as (rows x lines) @ chunk.  Lines that
-    are exactly zero in every row are skipped.
+    weighted by the line amplitudes as lines @ chunk.  Lines that are
+    exactly zero are skipped.
     """
     table = _lines(system)
-    amps = _line_amplitudes(differences, table)
-    _check_coverage(table, params)
+    amps = _line_amplitudes(difference, table)
     bin_cs = _grid(system, params).bin_cs
     points = params.n_points
     dt = params.dwell_s
     decay = math.exp(-dt / params.t2_s)
     one_minus_d = -math.expm1(-dt / params.t2_s)  # no cancellation
-    keep = (amps != 0.0).any(axis=0)
-    weights = amps[:, keep] * dt * one_minus_d * (1.0 + decay) / 2.0
+    keep = amps != 0.0
+    weights = amps[keep] * dt * one_minus_d * (1.0 + decay) / 2.0
     line_angle = math.pi * dt * table.freq_hz[keep]
     # sin(l - b) = sin l cos b - cos l sin b; 2 sqrt(d) folds 4 d into the square
     line_sc = 2.0 * math.sqrt(decay) * np.stack([np.sin(line_angle), -np.cos(line_angle)], axis=1)
 
-    amp = np.zeros((len(amps), points))
+    amp = np.zeros(points)
     rows = max(1, _CHUNK_ELEMENTS // points)
     work = np.empty((rows, points))
     for lo in range(0, len(line_sc), rows):
@@ -564,15 +562,8 @@ def _closed_form_rows(
         den = np.matmul(line_sc[lo:hi], bin_cs, out=work[: hi - lo])
         np.square(den, out=den)
         den += one_minus_d * one_minus_d
-        amp += weights[:, lo:hi] @ np.reciprocal(den, out=den)
+        amp += weights[lo:hi] @ np.reciprocal(den, out=den)
     return amp
-
-
-def analytic_spectrum(
-    state: DensityState, system: SpinSystem, params: AcquisitionParams
-) -> Spectrum:
-    """Closed-form absorptive spectrum of one state (see ``analytic_spectra``)."""
-    return analytic_spectra((state,), system, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -673,14 +664,14 @@ def _transitions(system: SpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return model.transitions
 
 
-def acquire_fids(
-    states: tuple[DensityState, ...], system: SpinSystem, params: AcquisitionParams
+def acquire_fid(
+    state: DensityState, system: SpinSystem, params: AcquisitionParams
 ) -> np.ndarray:
-    """Simulated FIDs, one row per state: 90-degree ancilla pulse, free evolution, decay.
+    """Simulated FID of one state: 90-degree ancilla pulse, free evolution, decay.
 
     Composite qubits are unfolded into their physical spin copies and the
     ancilla coherence Tr(rho(t) I+) is sampled on the acquisition grid,
-    demodulated at the carrier.  Every state is a population state, and for
+    demodulated at the carrier.  The state is a population state, and for
     a diagonal rho an x pulse exp(-i pi/2 I_x) on the ancilla leaves exactly
     <1,d| rho |0,d> = -i/2 (p(0,d) - p(1,d)) for each configuration d of
     the other spins: the closed form of the conjugation, with no matrix
@@ -688,29 +679,29 @@ def acquire_fids(
     its configuration, taken from the diagonal Hamiltonian of the expanded
     register.  The receiver phase is fixed so that positive ancilla
     polarization gives positive absorptive lines after fft_spectrum.
-    The synthesis is ``_fid_rows`` on the states' ancilla differences.
+    The synthesis is ``_fid_row`` on the state's ancilla differences.
     """
-    return _fid_rows(_differences(states, system), system, params)
+    return _fid_row(_difference(state, system), system, params)
 
 
-def _fid_rows(
-    differences: np.ndarray, system: SpinSystem, params: AcquisitionParams
+def _fid_row(
+    difference: np.ndarray, system: SpinSystem, params: AcquisitionParams
 ) -> np.ndarray:
-    """FIDs of rows of per-item ancilla differences, one row each.
+    """FID of one vector of per-item ancilla differences.
 
     A configuration's population difference is its item's times its
     ``weight``.  Samples are synthesised in blocks: with t = (m B + b)
     dwell, each term exp(i w t) is exp(i w m B dwell) * exp(i w b dwell).
-    The frequencies of every configuration that is nonzero in some row
-    and both exponential tables (see ``_phasors``) are built once per
-    call; each FID is then one (blocks x terms) @ (terms x B) product with
-    the row's amplitudes folded into the left factor.
+    The frequencies of the nonzero configurations and both exponential
+    tables (see ``_phasors``) are built once; the FID is then one
+    (blocks x terms) @ (terms x B) product with the amplitudes folded into
+    the left factor, written into the preallocated row.
     """
-    _check_coverage(_lines(system), params)
+    envelope = _grid(system, params).envelope
     item, weight, omega = _transitions(system)
     # receiver phase i times the coherence -i/2 (p0 - p1): a real amplitude
-    amp = 0.5 * differences[:, item] * weight
-    keep = (amp != 0.0).any(axis=0)
+    amp = 0.5 * difference[item] * weight
+    keep = amp != 0.0
     # exp(-i (E1 - E0) t), demodulated at the carrier
     omega = omega[keep] - 2.0 * math.pi * params.carrier_hz
 
@@ -718,18 +709,10 @@ def _fid_rows(
     block = 1 << (params.n_points.bit_length() - 1) // 2  # ~sqrt(n_points)
     starts = _phasors(times[::block], omega)
     offsets_in_block = _phasors(times[:block], omega).T
-    fids = np.empty((len(amp), params.n_points), dtype=complex)
-    for fid, terms in zip(fids, amp[:, keep]):
-        np.matmul(starts * terms, offsets_in_block, out=fid.reshape(len(starts), block))
-    fids *= _grid(system, params).envelope
-    return fids
-
-
-def acquire_fid(
-    state: DensityState, system: SpinSystem, params: AcquisitionParams
-) -> np.ndarray:
-    """Simulated FID of one state (see ``acquire_fids``)."""
-    return acquire_fids((state,), system, params)[0]
+    fid = np.empty(params.n_points, dtype=complex)
+    np.matmul(starts * amp[keep], offsets_in_block, out=fid.reshape(len(starts), block))
+    fid *= envelope
+    return fid
 
 
 def _read(
@@ -759,19 +742,18 @@ def _reference_readout(
     """A reference state's whole readout, cached in the register's model.
 
     The cache key is the acquisition and the bit pattern of the state's
-    populations, so a hit is the same state on the same grid, bit for bit.
-    The rows are always computed alone, as a one-row call, so a cached
-    and a freshly computed reference are identical.  A readout that raises
-    is not cached, and the cached arrays are read-only.
+    populations, so a hit is the same state on the same grid, bit for bit,
+    and a cached and a freshly computed reference are identical.  A
+    readout that raises is not cached, and the cached arrays are read-only.
     """
-    differences = _differences((state,), system)
+    difference = _difference(state, system)
     references = _model(system).references
     key = (params, state.populations.tobytes())
     readout = references.get(key)
     if readout is None:
         readout = _read(
-            _fid_rows(differences, system, params)[0],
-            _closed_form_rows(differences, system, params)[0],
+            _fid_row(difference, system, params),
+            _closed_form_row(difference, system, params),
             system,
             params,
         )
@@ -799,10 +781,10 @@ def _readouts(
     yield reference
     base = states[0].ancilla_difference()
     for state in states[1:]:
-        delta = _differences((state,), system) - base
+        delta = _difference(state, system) - base
         yield _read(
-            reference.fid + _fid_rows(delta, system, params)[0],
-            reference.closed + _closed_form_rows(delta, system, params)[0],
+            reference.fid + _fid_row(delta, system, params),
+            reference.closed + _closed_form_row(delta, system, params),
             system,
             params,
         )

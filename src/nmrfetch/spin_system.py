@@ -11,9 +11,10 @@ item ``b`` is
 
 so bit 0 shifts a line up by half the coupling and bit 1 shifts it down.
 A negatively signed coupling simply swaps which physical spin state plays
-"logical 0" for that qubit; the per-qubit sign bookkeeping (``bit_signs``)
-is confined to the readout/decode layer and never leaks into the state
-engine, which always works in the logical basis.
+"logical 0" for that qubit.  That sign convention (``bit_signs``) follows
+from the couplings and is never stored: the register expresses couplings
+in the logical frame (``logical_coupling``), where every ancilla coupling
+is |J_0i|, and the state engine and compiler work in the logical basis.
 
 Items are decodable from peak positions alone when the ancilla-coupling
 magnitudes form a superincreasing sequence, which the builtin seven-spin
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +47,7 @@ SPECIES_GAMMA = {"carbon": 1.0, "proton": 3.977}
 
 _PATTERN_CHARS = {"0": "0", "1": "1", "x": "x", "X": "x", "*": "x"}
 
-_SPIN_KEYS = {"species", "gamma_rel", "offset_hz", "multiplicity", "bit_sign"}
+_SPIN_KEYS = {"species", "gamma_rel", "offset_hz", "multiplicity"}
 
 
 class SpinSystemError(ValueError):
@@ -74,18 +76,15 @@ class Spin:
 
 @dataclass(frozen=True, eq=False)
 class SpinSystem:
-    """Immutable register: spins, coupling matrix and decode signs.
+    """Immutable register: spins and coupling matrix.
 
     Qubit 0 is always the ancilla.  ``j_hz`` is the symmetric scalar
-    coupling matrix in Hz (zero diagonal).  ``bit_signs[i]`` carries the
-    sign of ``j_hz[0][i+1]`` for database qubit ``i+1`` (+1 when the
-    coupling is zero): it records which physical spin state represents
-    logical 0 on that qubit and is consumed only by the spectrometer.
+    coupling matrix in Hz (zero diagonal).  Offsets, gammas and couplings
+    must be finite.
     """
 
     spins: tuple[Spin, ...]
     j_hz: np.ndarray
-    bit_signs: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         j = np.asarray(self.j_hz, dtype=float)
@@ -95,6 +94,12 @@ class SpinSystem:
             raise SpinSystemError("register needs at least the ancilla spin")
         if j.shape != (m, m):
             raise SpinSystemError(f"coupling matrix shape {j.shape} != ({m}, {m})")
+        bad = np.argwhere(~np.isfinite(j))
+        if bad.size:
+            a, b = sorted(bad[0])
+            raise SpinSystemError(
+                f"coupling {self.spins[a].label}-{self.spins[b].label} must be finite"
+            )
         if not np.allclose(j, j.T, atol=0.0):
             raise SpinSystemError("coupling matrix must be symmetric")
         if np.any(np.diag(j) != 0.0):
@@ -105,6 +110,9 @@ class SpinSystem:
         for s in self.spins:
             if not s.label or any(c in s.label for c in "-.[]= \t"):
                 raise SpinSystemError(f"bad spin label {s.label!r}")
+            for name in ("gamma_rel", "offset_hz"):
+                if not math.isfinite(getattr(s, name)):
+                    raise SpinSystemError(f"{s.label}: {name} must be finite")
             if s.gamma_rel <= 0:
                 raise SpinSystemError(f"{s.label}: gamma_rel must be positive")
             if s.multiplicity < 1 or s.multiplicity % 2 == 0:
@@ -113,24 +121,7 @@ class SpinSystem:
                 )
         if self.spins[0].multiplicity != 1:
             raise SpinSystemError("the ancilla cannot be a composite spin")
-        if not self.bit_signs:
-            object.__setattr__(self, "bit_signs", self._default_signs())
-        if len(self.bit_signs) != m - 1:
-            raise SpinSystemError("bit_signs must have one entry per database qubit")
-        for i, s in enumerate(self.bit_signs):
-            if s not in (-1, 1):
-                raise SpinSystemError("bit_signs entries must be +1 or -1")
-            jj = j[0, i + 1]
-            if jj != 0.0 and s != (1 if jj > 0 else -1):
-                raise SpinSystemError(
-                    f"bit_signs[{i + 1}] must match the sign of the ancilla coupling"
-                )
         j.flags.writeable = False
-
-    def _default_signs(self) -> tuple[int, ...]:
-        return tuple(
-            1 if self.j_hz[0, i] >= 0 else -1 for i in range(1, len(self.spins))
-        )
 
     # -- basic geometry -------------------------------------------------
     @property
@@ -149,11 +140,14 @@ class SpinSystem:
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label for s in self.spins)
 
-    def sign_of(self, qubit: int) -> int:
-        """Decode sign of a database qubit (1-based qubit index)."""
-        if not 1 <= qubit <= self.n_database:
-            raise IndexError(f"no database qubit {qubit}")
-        return self.bit_signs[qubit - 1]
+    @property
+    def bit_signs(self) -> tuple[int, ...]:
+        """Sign of J_0i per database qubit, +1 where it is zero.
+
+        A negative sign means logical 0 sits in the flipped spin state of
+        that qubit.
+        """
+        return tuple(-1 if j < 0 else 1 for j in self.j_hz[0, 1:].tolist())
 
     def ancilla_couplings_abs(self) -> np.ndarray:
         """|J_0i| for database qubits, in qubit order."""
@@ -167,9 +161,8 @@ class SpinSystem:
         coupling is s_i * s_j * J_ij with s_0 = +1 for the ancilla.  All
         ancilla couplings become |J_0i| in this frame.
         """
-        si = 1 if i == 0 else self.sign_of(i)
-        sj = 1 if j == 0 else self.sign_of(j)
-        return si * sj * float(self.j_hz[i, j])
+        signs = (1,) + self.bit_signs
+        return signs[i] * signs[j] * float(self.j_hz[i, j])
 
     def offsets_hz(self) -> np.ndarray:
         return np.array([s.offset_hz for s in self.spins], dtype=float)
@@ -267,7 +260,6 @@ def crotonic_default() -> SpinSystem:
 #   gamma_rel = <float>          # optional when species is carbon/proton
 #   offset_hz = <float>          # optional, default 0
 #   multiplicity = <odd int>     # optional, default 1
-#   bit_sign = +1|-1             # optional, default sign of J_0i
 #   [couplings]
 #   <labelA>-<labelB> = <Hz>     # symmetric, one line per pair
 #
@@ -361,19 +353,8 @@ def load_spin_system(text: str) -> SpinSystem:
             raise ConfigError(f"[couplings] {key}: bad value {value!r}") from exc
         j[index[a], index[b]] = j[index[b], index[a]] = val
 
-    signs = []
-    for qubit, label in enumerate(order[1:], start=1):
-        declared = spin_defs[label].get("bit_sign")
-        default = 1 if j[0, qubit] >= 0 else -1
-        if declared is None:
-            signs.append(default)
-            continue
-        if declared not in ("+1", "-1", "1"):
-            raise ConfigError(f"[spin.{label}] bit_sign must be +1 or -1")
-        signs.append(1 if declared in ("+1", "1") else -1)
-
     try:
-        return SpinSystem(spins=spins, j_hz=j, bit_signs=tuple(signs))
+        return SpinSystem(spins=spins, j_hz=j)
     except SpinSystemError as exc:
         raise ConfigError(str(exc)) from exc
 

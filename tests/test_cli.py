@@ -348,6 +348,38 @@ def test_non_finite_t2_exit_config(capsys, t2):
     assert err.count("configuration error: dwell_s, t2_s and carrier_hz must be finite") == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "field, message",
+    [("offset_hz", "B: offset_hz"), ("gamma_rel", "B: gamma_rel"), ("coupling", "coupling A-B")],
+)
+def test_non_finite_register_values_exit_config(tmp_path, capsys, field, message, value):
+    # a nan offset used to die with a ValueError traceback (exit 1) in
+    # simulate and spectrum and to fail verify (exit 2); an infinite
+    # coupling was refused only for sharing a line at inf Hz; a nan
+    # gamma_rel passed verify
+    cfg = Path(two_qubit_config(tmp_path, value if field == "coupling" else 10.0, 4.0))
+    if field != "coupling":
+        cfg.write_text(cfg.read_text().replace("[spin.C]", f"{field} = {value}\n[spin.C]"))
+    for argv in (
+        ["simulate", "--pattern", "1x"],
+        ["spectrum"],
+        ["compile", "--pattern", "1x"],
+        ["verify", "--pattern", "1x", "--backend", "hard"],
+    ):
+        assert main(argv + ["--system", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count(f"configuration error: {message} must be finite") == 4
+
+
+def test_bit_sign_config_key_exit_config(tmp_path, capsys):
+    # the sign convention follows from the couplings and cannot be declared
+    cfg = Path(two_qubit_config(tmp_path, -10.0, 4.0))
+    cfg.write_text(cfg.read_text().replace("[spin.C]", "bit_sign = -1\n[spin.C]"))
+    assert main(["simulate", "--system", str(cfg), "--pattern", "1x"]) == EXIT_CONFIG
+    assert "[spin.B] unknown keys: ['bit_sign']" in capsys.readouterr().err
+
+
 def test_simulate_bad_flag_exit_config(capsys):
     assert main(["simulate", "--pattern", "xxxxxx", "--backend", "warp"]) == EXIT_CONFIG
     assert main(["frobnicate"]) == EXIT_CONFIG
@@ -720,6 +752,15 @@ def test_bench_subcommand_table(capsys):
 
 def test_bench_rejects_bad_counts():
     assert main(["bench", "--bits", "0", "--marked", "1"]) == EXIT_CONFIG
+
+
+def test_bench_sizes_up_to_a_float(capsys):
+    # 2**1024 items overflow a float: that size used to die with an
+    # OverflowError traceback (exit 1)
+    assert main(["bench", "--bits", "1023", "--marked", "1"]) == EXIT_OK
+    assert re.search(r"classical \(expected\)\s+4\.49423e\+307\b", capsys.readouterr().out)
+    assert main(["bench", "--bits", "1024", "--marked", "1"]) == EXIT_CONFIG
+    assert "configuration error: n_bits must be below 1024" in capsys.readouterr().err
 
 
 def test_simulate_loads_no_scipy():

@@ -2,10 +2,13 @@
 
 Each case monkeypatches a single defect into one of the two models that a
 check compares and asserts that the check catches it: ``verify`` exits 2,
-or the route guard of ``run_fetch`` raises ``DecodeError`` (exit 4 from
-``simulate``).  The same run passes on the same register without the
-defect, so the failure is the defect's doing.  Registers: the builtin
+the route guard of ``run_fetch`` raises ``DecodeError`` (exit 4 from
+``simulate``), or the decoded items miss the classical enumeration (exit
+2 from ``simulate``).  The same run passes on the same register without
+the defect, so the failure is the defect's doing.  Registers: the builtin
 crotonic acid register and a synthetic 8-spin one with a sign-flipped bit.
+Readout keeps a model per register, so every defect is planted before the
+register's first readout.
 """
 
 import dataclasses
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 import nmrfetch.cli as climod
+import test_spectrometer
 from nmrfetch import (
     AcquisitionParams,
     DecodeError,
@@ -23,12 +27,13 @@ from nmrfetch import (
     Peak,
     QueryPattern,
     SelectivePulse,
+    SpinSystem,
     ZZEvolution,
     crotonic_default,
     load_spin_system,
     spectrometer,
 )
-from nmrfetch.cli import EXIT_MISMATCH, EXIT_OK, RunConfig, main, run_fetch
+from nmrfetch.cli import EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, RunConfig, main, run_fetch
 
 from conftest import superincreasing_config
 
@@ -128,17 +133,17 @@ def test_verify_catches_planted_defect(monkeypatch, capsys, register, defect):
 
 def flip_fid_carrier(real):
     # the FID demodulated at minus the carrier
-    def fid_rows(differences, system, params):
-        return real(differences, system, dataclasses.replace(params, carrier_hz=-params.carrier_hz))
+    def fid_row(difference, system, params):
+        return real(difference, system, dataclasses.replace(params, carrier_hz=-params.carrier_hz))
 
-    return fid_rows
+    return fid_row
 
 
 def scale_closed_form_row(real):
-    def closed_form_rows(differences, system, params):
-        return 1.01 * real(differences, system, params)
+    def closed_form_row(difference, system, params):
+        return 1.01 * real(difference, system, params)
 
-    return closed_form_rows
+    return closed_form_row
 
 
 def drop_half_first_point(real):
@@ -153,8 +158,8 @@ def drop_half_first_point(real):
 
 # defect, the spectrometer name it replaces
 READOUT_DEFECTS = {
-    "fid-carrier-sign": (flip_fid_carrier, "_fid_rows"),
-    "scaled-difference-row": (scale_closed_form_row, "_closed_form_rows"),
+    "fid-carrier-sign": (flip_fid_carrier, "_fid_row"),
+    "scaled-difference-row": (scale_closed_form_row, "_closed_form_row"),
     "no-half-first-point": (drop_half_first_point, "_absorptive"),
 }
 
@@ -218,3 +223,105 @@ def test_a_reference_readout_that_raises_is_not_cached(monkeypatch):
     fresh = run_fetch(RunConfig(crotonic_default(), cfg.pattern, backend=cfg.backend))
     assert result.verified and result.peaks_before == fresh.peaks_before
     assert np.array_equal(result.before.amplitude, fresh.before.amplitude)
+
+
+# ---------------------------------------------------------------------------
+# register and decoding: defects planted before the register is built, so
+# every run reads them from its first readout on
+# ---------------------------------------------------------------------------
+
+
+def flip_bit_sign_of_qubit_4(real):
+    # the derived sign convention of builtin qubit 4 (the methyl group) reversed
+    def bit_signs(self):
+        signs = list(real.fget(self))
+        signs[3] = -signs[3]
+        return tuple(signs)
+
+    return property(bit_signs)
+
+
+def equal_manifold_weights(real):
+    # the closed-form route's composite lines all equally tall
+    def manifolds(multiplicity, bit):
+        pairs = real(multiplicity, bit)
+        return [(m, 1.0 / len(pairs)) for m, _ in pairs]
+
+    return manifolds
+
+
+def shift_decode_one_block(real):
+    # every frequency read as the line frequency above its own
+    def decode(freqs, system):
+        table = spectrometer._lines(system)
+        real(freqs, system)  # the real checks still run
+        near = np.abs(np.subtract.outer(freqs, table.block_freq)).argmin(axis=1)
+        above = np.minimum(near + 1, len(table.block_freq) - 1)
+        lines = table.by_freq[table.block_start[above]]
+        return [(int(table.item[i]), table.manifold[i]) for i in lines.tolist()]
+
+    return decode
+
+
+def count_edge_samples(real):
+    # the first and last samples taken as extrema when they pass their one
+    # neighbour, against the find_peaks rule
+    def extrema(x):
+        maxima, minima = real(x)
+        if len(x) < 2:
+            return maxima, minima
+        ends = [(0, 1), (len(x) - 1, len(x) - 2)]
+        high = [i for i, j in ends if x[i] > x[j]]
+        low = [i for i, j in ends if x[i] < x[j]]
+        return np.sort(np.r_[maxima, high]).astype(int), np.sort(np.r_[minima, low]).astype(int)
+
+    return extrema
+
+
+def simulate(pattern, backend):
+    return main(["simulate", "--pattern", pattern, "--backend", backend])
+
+
+@pytest.mark.parametrize("backend", ["fast", "ideal", "hard"])
+def test_route_guard_catches_flipped_bit_sign(monkeypatch, capsys, backend):
+    # only the time-domain route reads the sign (through logical_coupling),
+    # so the FID puts qubit 4's lines on the wrong side and the routes part
+    assert simulate("100101", backend) == EXIT_OK
+    monkeypatch.setattr(SpinSystem, "bit_signs", flip_bit_sign_of_qubit_4(SpinSystem.bit_signs))
+    assert crotonic_default().bit_signs[3] == 1
+    assert simulate("100101", backend) == EXIT_NUMERICAL
+    assert "time-domain and closed-form spectra disagree (1.90e+00 relative)" in capsys.readouterr().err
+    # with qubit 4 a wildcard, both of its sides change alike and the
+    # spectra cannot tell them apart
+    assert simulate("100xxx", backend) == EXIT_OK
+
+
+@pytest.mark.parametrize("backend", ["fast", "ideal", "hard"])
+def test_route_guard_catches_equal_manifold_weights(monkeypatch, capsys, backend):
+    assert simulate("100101", backend) == EXIT_OK
+    monkeypatch.setattr(spectrometer, "_manifolds", equal_manifold_weights(spectrometer._manifolds))
+    assert simulate("100101", backend) == EXIT_NUMERICAL
+    assert "time-domain and closed-form spectra disagree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["fast", "ideal", "hard"])
+def test_oracle_check_catches_shifted_decode(monkeypatch, capsys, backend):
+    assert simulate("100101", backend) == EXIT_OK
+    monkeypatch.setattr(spectrometer, "_decode", shift_decode_one_block(spectrometer._decode))
+    assert simulate("100101", backend) == EXIT_MISMATCH
+    assert "verification: FAIL" in capsys.readouterr().out
+
+
+def test_scipy_reference_catches_edge_extrema(monkeypatch):
+    monkeypatch.setattr(spectrometer, "_extrema", count_edge_samples(spectrometer._extrema))
+    # a run misses it: the spectrum's edge samples lie far below the 5 %
+    # peak threshold, so the extra candidates are dropped
+    assert simulate("100101", "fast") == EXIT_OK
+    # the picker's property test against scipy.signal.find_peaks does not:
+    # an edge extremum is a peak the reference never reports
+    with pytest.raises(Exception) as caught:
+        test_spectrometer.test_pick_peaks_matches_scipy_reference()
+    # hypothesis may report a wrong peak list and a refinement past the
+    # last sample together
+    errors = getattr(caught.value, "exceptions", (caught.value,))
+    assert {type(e) for e in errors} <= {AssertionError, IndexError}

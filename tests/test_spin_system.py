@@ -38,11 +38,10 @@ def test_crotonic_couplings():
 
 
 def test_crotonic_bit_signs():
-    # negative ancilla couplings flip the spin-state-to-bit assignment
+    # the negative ancilla couplings of qubits 4 and 6 flip their
+    # spin-state-to-bit assignment
     sys = crotonic_default()
     assert sys.bit_signs == (1, 1, 1, -1, 1, -1)
-    assert sys.sign_of(4) == -1
-    assert sys.sign_of(6) == -1
 
 
 def test_crotonic_gammas():
@@ -93,12 +92,45 @@ def test_duplicate_labels_rejected():
 
 
 def test_bit_signs_must_match_couplings():
+    # the signs follow from the couplings: they can be neither passed in
+    # nor set apart from them
     j = np.zeros((2, 2))
     j[0, 1] = j[1, 0] = -5.0
-    with pytest.raises(SpinSystemError):
+    with pytest.raises(TypeError):
         SpinSystem(spins=(Spin("a"), Spin("b")), j_hz=j, bit_signs=(1,))
     sys = SpinSystem(spins=(Spin("a"), Spin("b")), j_hz=j)
     assert sys.bit_signs == (-1,)
+    with pytest.raises(AttributeError):
+        sys.bit_signs = (1,)
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-200.0, 200.0, allow_nan=False)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_bit_signs_are_the_signs_of_the_ancilla_couplings(row):
+    sys = make_system(row)
+    assert sys.bit_signs == tuple(int(np.sign(j)) or 1 for j in row)
+    for i, j in enumerate(row, start=1):
+        assert sys.logical_coupling(0, i) == sys.logical_coupling(i, 0) == abs(j)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(value):
+    j = np.array([[0.0, 5.0], [5.0, 0.0]])
+    for spins, field in (
+        ((Spin("a"), Spin("b", offset_hz=value)), "b: offset_hz"),
+        ((Spin("a"), Spin("b", gamma_rel=value)), "b: gamma_rel"),
+    ):
+        with pytest.raises(SpinSystemError, match=f"{field} must be finite"):
+            SpinSystem(spins, j)
+    bad = j.copy()
+    bad[0, 1] = bad[1, 0] = value
+    with pytest.raises(SpinSystemError, match="coupling a-b must be finite"):
+        SpinSystem((Spin("a"), Spin("b")), bad)
 
 
 def test_even_multiplicity_rejected():
