@@ -32,7 +32,6 @@ import numpy as np
 
 from .compiler import (
     CompileError,
-    Delay,
     GateSequence,
     _compressed_product,
     _product_distance,
@@ -44,6 +43,7 @@ from .compiler import (
 from .operators import rotation_block
 from .plotting import spectrum_svg
 from .spectrometer import (
+    _PICK_THRESHOLD,
     AcquisitionParams,
     DecodeError,
     Spectrum,
@@ -96,9 +96,10 @@ _ROUTE_GUARD = 1e-5
 
 # No relaxation acts during a simulated sequence, but the ancilla is
 # transverse through the query, so in the experiment its signal would fall
-# by about exp(-duration / T2).  Past ln 20 T2 that factor is below
-# pick_peaks' 5 % threshold, and such a hard-pulse schedule is refused.
-_MAX_SCHEDULE_T2 = math.log(20.0)
+# by about exp(-duration / T2).  Past ln(1 / threshold) = ln 20 T2 that
+# factor is below the 5 % peak-pick threshold, and such a hard-pulse
+# schedule is refused.
+_MAX_SCHEDULE_T2 = math.log(1.0 / _PICK_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -217,23 +218,24 @@ def _readout(
 def run_fetch(cfg: RunConfig) -> RunResult:
     """Refuse an unworkable run, then prepare, query once, read out, decode, verify.
 
-    An undecodable register and a hard-pulse schedule longer than
-    ``_MAX_SCHEDULE_T2`` T2 are refused before any state is prepared.  The
-    query is applied to the populations through the compressed product, so
-    no 2^n x 2^n matrix is built.  The prepared state is the readout
-    reference, cached per register and acquisition; the queried state is
-    read out as its difference from it.
+    An undecodable register, a pattern whose length is not the database
+    size (``classical_oracle`` raises ``ConfigError``) and a hard-pulse
+    schedule longer than ``_MAX_SCHEDULE_T2`` T2 are refused before any
+    state is prepared.  The query is applied to the populations through
+    the compressed product, so no 2^n x 2^n matrix is built.  The prepared
+    state is the readout reference, cached per register and acquisition;
+    the queried state is read out as its difference from it.
     """
     params = cfg.params or AcquisitionParams.for_system(cfg.system)
     _check_decodable(cfg.system, params)
+    expected = tuple(classical_oracle(cfg.pattern, cfg.system.n_database))
 
     sequence: GateSequence | None = None
     if cfg.backend != "fast_diagonal":
         sequence = build_query_network(cfg.system, cfg.pattern)
         if cfg.backend == "hard_pulse":
             sequence = expand_to_hard_pulses(sequence, cfg.system)
-            # the sum sequence_report totals, in its order
-            seconds = sum(g.seconds for g in sequence.gates if isinstance(g, Delay))
+            seconds = sequence.duration_s
             if seconds > _MAX_SCHEDULE_T2 * params.t2_s:
                 raise CompileError(
                     f"hard-pulse schedule lasts {seconds:.6g} s ({seconds / params.t2_s:.4g} T2),"
@@ -250,7 +252,6 @@ def run_fetch(cfg: RunConfig) -> RunResult:
     before, after = _readout((state, queried), cfg.system, params)
 
     verdict = classify_marked(after.peaks)
-    expected = tuple(classical_oracle(cfg.pattern, cfg.system.n_database))
     verified = verdict.marked == expected and not verdict.inconsistent
     return RunResult(
         before=before.spectrum,

@@ -175,6 +175,11 @@ class GateSequence:
     def __len__(self) -> int:
         return len(self.gates)
 
+    @property
+    def duration_s(self) -> float:
+        """The sum of the delays, in gate order."""
+        return sum((gate.seconds for gate in self.gates if isinstance(gate, Delay)), 0.0)
+
 
 def _pulse(qubit: int, axis: str, angle: float) -> SelectivePulse:
     if angle < 0:
@@ -204,36 +209,27 @@ def _lower_chain(chain: list[int], angle: float) -> list[Gate]:
 
 
 def compile_multilinear_z_phase(
-    n_qubits: int,
-    target: int,
-    controls: list[tuple[int, int]],
-    angle: float,
-    signs: list[int] | None = None,
+    n_qubits: int, target: int, controls: list[tuple[int, int]], angle: float
 ) -> GateSequence:
     """Compile the conditioned z phase into pulses, ZZ periods and frame z.
 
-    ``controls`` holds (qubit, polarity) pairs and ``signs`` the per-control
-    sign convention: the phase is exp(-i angle I_z^target prod_c P_c) with
-    P_c = (1 + s_c (-1)^{p_c} 2 I_z^c) / 2, so with all signs +1 it fires
-    exactly where the control bits equal the polarities; only the products
-    eps_c = s_c * (-1)^{p_c} enter the expansion.  The subsets are emitted
-    in nested order, each lowered by conjugating with its controls from the
-    highest index inward, and adjacent inverse gates are then cancelled, so
-    k controls cost 2^(k+1) - 3 ZZ periods.
+    ``controls`` holds (qubit, polarity) pairs: the phase is
+    exp(-i angle I_z^target prod_c P_c) with P_c = (1 + eps_c 2 I_z^c) / 2
+    and eps_c = (-1)^{p_c}, so it fires exactly where the control bits
+    equal the polarities.  The subsets are emitted in nested order, each
+    lowered by conjugating with its controls from the highest index inward,
+    and adjacent inverse gates are then cancelled, so k controls cost
+    2^(k+1) - 3 ZZ periods.
     """
-    if signs is None:
-        signs = [1] * len(controls)
-    if len(signs) != len(controls):
-        raise CompileError("need one sign per control")
     seen = {target}
     eps: dict[int, float] = {}
-    for (qubit, polarity), sign in zip(controls, signs):
+    for qubit, polarity in controls:
         if qubit in seen:
             raise CompileError(f"qubit {qubit} used twice")
         seen.add(qubit)
-        if polarity not in (0, 1) or sign not in (-1, 1):
-            raise CompileError("polarity must be 0/1 and sign +-1")
-        eps[qubit] = sign * (-1.0) ** polarity
+        if polarity not in (0, 1):
+            raise CompileError("polarity must be 0 or 1")
+        eps[qubit] = (-1.0) ** polarity
     ctrl_qubits = sorted(eps)
     k = len(ctrl_qubits)
     base = angle / 2.0**k
@@ -312,12 +308,7 @@ def build_query_network(system: SpinSystem, pattern: QueryPattern) -> GateSequen
 
 def free_hamiltonian_diagonal(system: SpinSystem) -> np.ndarray:
     """Always-on Hamiltonian diagonal (rad/s) in the logical frame."""
-    m = system.n_spins
-    j = np.zeros((m, m))
-    for a in range(m):
-        for b in range(a + 1, m):
-            j[a, b] = j[b, a] = system.logical_coupling(a, b)
-    return zz_hamiltonian_diagonal(system.offsets_hz(), j)
+    return zz_hamiltonian_diagonal(system.offsets_hz(), system.logical_j_hz)
 
 
 def _walsh_pattern(sequency: int, n_segments: int) -> np.ndarray:
@@ -349,7 +340,7 @@ def _echo_block(gate: ZZEvolution, system: SpinSystem) -> list[Gate]:
     holding one partner inverted for the whole block.
     """
     q1, q2 = gate.q1, gate.q2
-    coupling = system.logical_coupling(q1, q2)
+    coupling = float(system.logical_j_hz[q1, q2])
     if coupling == 0.0:
         raise CompileError(
             f"qubits {q1} and {q2} are uncoupled; ZZ period not realizable"
@@ -656,11 +647,10 @@ def sequence_report(seq: GateSequence) -> SequenceReport:
     Pulses are collected as raw (axis, angle) pairs and tallied at once;
     only the distinct pairs are converted to rounded degrees and merged,
     since a hard-pulse schedule has thousands of pulses but a handful of
-    angles.  Delays are summed one by one, in gate order.
+    angles.  The duration is the sequence's ``duration_s``.
     """
     pulses = []
     n_zz = n_vz = n_delay = 0
-    duration = 0.0
     for gate in seq.gates:
         if isinstance(gate, SelectivePulse):
             pulses.append((gate.axis, gate.angle))
@@ -670,7 +660,6 @@ def sequence_report(seq: GateSequence) -> SequenceReport:
             n_vz += 1
         elif isinstance(gate, Delay):
             n_delay += 1
-            duration += gate.seconds
     pulse_counts: Counter = Counter()
     for (axis, angle), count in Counter(pulses).items():
         pulse_counts[axis, round(math.degrees(angle), 6)] += count
@@ -680,7 +669,7 @@ def sequence_report(seq: GateSequence) -> SequenceReport:
         n_zz=n_zz,
         n_virtual_z=n_vz,
         n_delays=n_delay,
-        total_duration_s=duration,
+        total_duration_s=seq.duration_s,
     )
 
 

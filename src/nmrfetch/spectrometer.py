@@ -98,6 +98,11 @@ class DecodeError(SpectrometerError):
 # never shrunk.
 _MAX_POINTS = 2**22
 
+# An extremum counts as a peak when its magnitude is at least this fraction
+# of the tallest one.  Every readout picks at it, and ``cli`` refuses a
+# schedule long enough for T2 decay to push the signal below it.
+_PICK_THRESHOLD = 0.05
+
 
 @dataclass(frozen=True)
 class AcquisitionParams:
@@ -595,20 +600,10 @@ def _expanded_register(system: SpinSystem):
     """
     mults = _multiplicities(system)
     n_phys = sum(mults)
-    offsets = []
-    owner = []  # logical qubit index per physical spin
-    for q, s in enumerate(system.spins):
-        for _ in range(mults[q]):
-            offsets.append(s.offset_hz)
-            owner.append(q)
-    offsets = np.array(offsets)
-
-    couplings = np.zeros((n_phys, n_phys))
-    for a in range(n_phys):
-        for b in range(a + 1, n_phys):
-            if owner[a] != owner[b]:  # equivalent copies: mutual J is silent
-                val = system.logical_coupling(owner[a], owner[b])
-                couplings[a, b] = couplings[b, a] = val
+    owner = np.repeat(np.arange(system.n_spins), mults)  # logical qubit per physical spin
+    offsets = system.offsets_hz()[owner]
+    couplings = system.logical_j_hz[np.ix_(owner, owner)]
+    couplings[owner[:, None] == owner] = 0.0  # equivalent copies: mutual J is silent
 
     dim = 2**n_phys
     idx = np.arange(dim)
@@ -722,7 +717,7 @@ def _read(
 
     The route gap is the largest difference between the FFT spectrum and
     the closed-form row, relative to the tallest closed-form amplitude.
-    Peaks are picked at the default threshold and decoded; a peak that does
+    Peaks are picked at ``_PICK_THRESHOLD`` and decoded; a peak that does
     not decode raises ``DecodeError``.  The spectrum takes the grid's cached
     axis, and picking calls ``_pick`` rather than ``pick_peaks``: perfbench
     counts the peaks of every ``pick_peaks`` call and requires an op's
@@ -732,7 +727,7 @@ def _read(
     spectrum = Spectrum(_grid(system, params).freqs_hz, _absorptive(fid, params.dwell_s))
     top = float(np.max(np.abs(closed)))
     gap = float(np.max(np.abs(spectrum.amplitude - closed))) / top if top > 0.0 else 0.0
-    peaks = decode_peaks(_pick(spectrum, 0.05), system)
+    peaks = decode_peaks(_pick(spectrum, _PICK_THRESHOLD), system)
     return _Readout(fid, closed, spectrum, tuple(peaks), gap)
 
 
@@ -838,7 +833,7 @@ def _extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mid[(before < level) & (after < level)], mid[(before > level) & (after > level)]
 
 
-def pick_peaks(spectrum: Spectrum, threshold_frac: float = 0.05) -> list[Peak]:
+def pick_peaks(spectrum: Spectrum, threshold_frac: float = _PICK_THRESHOLD) -> list[Peak]:
     """Local extrema above a fraction of the tallest magnitude.
 
     Extrema are found by ``_extrema``; a maximum counts when its sample is

@@ -12,9 +12,11 @@ item ``b`` is
 so bit 0 shifts a line up by half the coupling and bit 1 shifts it down.
 A negatively signed coupling simply swaps which physical spin state plays
 "logical 0" for that qubit.  That sign convention (``bit_signs``) follows
-from the couplings and is never stored: the register expresses couplings
-in the logical frame (``logical_coupling``), where every ancilla coupling
-is |J_0i|, and the state engine and compiler work in the logical basis.
+from the couplings, and the register turns it into numbers once, when it
+is made: ``logical_j_hz`` is the coupling matrix in the logical frame,
+where every ancilla coupling is |J_0i|.  The compiler and the time-domain
+readout read that matrix and work in the logical basis; no other module
+applies the signs.
 
 Items are decodable from peak positions alone when the ancilla-coupling
 magnitudes form a superincreasing sequence, which the builtin seven-spin
@@ -27,7 +29,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,10 +83,17 @@ class SpinSystem:
     Qubit 0 is always the ancilla.  ``j_hz`` is the symmetric scalar
     coupling matrix in Hz (zero diagonal).  Offsets, gammas and couplings
     must be finite.
+
+    ``logical_j_hz`` is derived when the register is made: the couplings in
+    the logical frame, s_i * s_j * J_ij with s_0 = +1 and s_i the
+    ``bit_signs``.  Relabelling a negative-sign qubit (swapping its basis
+    states) flips the sign of every coupling involving it, so the ancilla
+    row is |J_0i|.  Both matrices are read-only.
     """
 
     spins: tuple[Spin, ...]
     j_hz: np.ndarray
+    logical_j_hz: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         j = np.asarray(self.j_hz, dtype=float)
@@ -122,6 +131,10 @@ class SpinSystem:
         if self.spins[0].multiplicity != 1:
             raise SpinSystemError("the ancilla cannot be a composite spin")
         j.flags.writeable = False
+        signs = np.array((1,) + self.bit_signs, dtype=float)
+        logical = np.outer(signs, signs) * j
+        logical.flags.writeable = False
+        object.__setattr__(self, "logical_j_hz", logical)
 
     # -- basic geometry -------------------------------------------------
     @property
@@ -152,17 +165,6 @@ class SpinSystem:
     def ancilla_couplings_abs(self) -> np.ndarray:
         """|J_0i| for database qubits, in qubit order."""
         return np.abs(self.j_hz[0, 1:])
-
-    def logical_coupling(self, i: int, j: int) -> float:
-        """Coupling between qubits i, j expressed in the logical frame.
-
-        Relabelling a negative-sign qubit (swapping its basis states) flips
-        the sign of every coupling involving it, so the logical-frame
-        coupling is s_i * s_j * J_ij with s_0 = +1 for the ancilla.  All
-        ancilla couplings become |J_0i| in this frame.
-        """
-        signs = (1,) + self.bit_signs
-        return signs[i] * signs[j] * float(self.j_hz[i, j])
 
     def offsets_hz(self) -> np.ndarray:
         return np.array([s.offset_hz for s in self.spins], dtype=float)

@@ -67,7 +67,9 @@ def test_criterion_01_compiler_soundness(capsys):
             controls = [(q, rng.randint(0, 1)) for q in controls_q]
             signs = [rng.choice([1, -1]) for _ in controls]
             angle = rng.uniform(-2 * math.pi, 2 * math.pi)
-            seq = compile_multilinear_z_phase(n, target, controls, angle, signs=signs)
+            # the sign convention folded into the polarity: eps = s (-1)^p
+            logical = [(q, p ^ (s < 0)) for (q, p), s in zip(controls, signs)]
+            seq = compile_multilinear_z_phase(n, target, logical, angle)
             ref = controlled_phase_direct(n, target, controls, angle, signs=signs)
             worst = max(worst, distance_up_to_global_phase(sequence_unitary(seq), ref))
         assert worst <= 1e-9, f"worst deviation {worst:.3e}"

@@ -18,6 +18,7 @@ import nmrfetch.cli as climod
 from nmrfetch import spectrometer
 from nmrfetch import (
     AcquisitionParams,
+    ConfigError,
     DecodeError,
     QueryPattern,
     SpectrometerError,
@@ -101,12 +102,21 @@ def test_bench_report_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_run_config_validation():
+def test_run_config_validation(monkeypatch):
     sys = crotonic_default()
-    for backend in ("ideal", "hard_pulse", "fast_diagonal"):
-        cfg = RunConfig(sys, QueryPattern.from_string("1x"), backend=backend)  # wrong length
-        with pytest.raises(ValueError, match="pattern length 2 != database size 6"):
-            run_fetch(cfg)
+
+    def never(*args):
+        raise AssertionError("a wrong-length pattern got past the length check")
+
+    # every backend refuses a wrong-length pattern alike, before it
+    # compiles a network or prepares a state
+    monkeypatch.setattr(climod, "build_query_network", never)
+    monkeypatch.setattr(climod, "_initial_state", never)
+    for text in ("1x", "10010"):
+        for backend in ("ideal", "hard_pulse", "fast_diagonal"):
+            cfg = RunConfig(sys, QueryPattern.from_string(text), backend=backend)
+            with pytest.raises(ConfigError, match=f"pattern length {len(text)} != database size 6"):
+                run_fetch(cfg)
     with pytest.raises(Exception):
         RunConfig(sys, QueryPattern.from_string("x" * 6), init="cold")
     with pytest.raises(Exception):

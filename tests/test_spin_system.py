@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nmrfetch import (
     AcquisitionParams,
@@ -59,9 +59,9 @@ def test_crotonic_methyl_multiplicity():
 def test_logical_couplings_absorb_signs():
     sys = crotonic_default()
     # ancilla row becomes |J|; sign bookkeeping moves into the bit convention
-    assert sys.logical_coupling(0, 4) == pytest.approx(7.1)
-    assert sys.logical_coupling(0, 6) == pytest.approx(0.7)
-    assert sys.logical_coupling(0, 1) == pytest.approx(156.0)
+    assert sys.logical_j_hz[0, 4] == sys.logical_j_hz[4, 0] == 7.1
+    assert sys.logical_j_hz[0, 6] == sys.logical_j_hz[6, 0] == 0.7
+    assert sys.logical_j_hz[0, 1] == 156.0
     assert tuple(sys.ancilla_couplings_abs()) == (156.0, 69.7, 41.6, 7.1, 1.4, 0.7)
 
 
@@ -115,7 +115,30 @@ def test_bit_signs_are_the_signs_of_the_ancilla_couplings(row):
     sys = make_system(row)
     assert sys.bit_signs == tuple(int(np.sign(j)) or 1 for j in row)
     for i, j in enumerate(row, start=1):
-        assert sys.logical_coupling(0, i) == sys.logical_coupling(i, 0) == abs(j)
+        assert sys.logical_j_hz[0, i] == sys.logical_j_hz[i, 0] == abs(j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_logical_j_hz_is_the_sign_folded_coupling_matrix(data):
+    # a random signed register: ancilla row, database couplings and zeros
+    m = data.draw(st.integers(1, 8))
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-200.0, 200.0, allow_nan=False))
+    j = np.zeros((m, m))
+    for a in range(m):
+        for b in range(a + 1, m):
+            j[a, b] = j[b, a] = data.draw(value)
+    sys = SpinSystem(spins=tuple(Spin(f"q{i}") for i in range(m)), j_hz=j)
+    s = np.array((1,) + sys.bit_signs)
+    assert np.array_equal(sys.logical_j_hz, np.outer(s, s) * sys.j_hz)
+    assert np.array_equal(sys.logical_j_hz[0, 1:], sys.ancilla_couplings_abs())
+    assert np.array_equal(sys.logical_j_hz, sys.logical_j_hz.T)
+    with pytest.raises(ValueError, match="read-only"):
+        sys.logical_j_hz[0, -1] = 1.0
+    with pytest.raises(AttributeError):
+        sys.logical_j_hz = j
+    with pytest.raises(TypeError):
+        SpinSystem(spins=sys.spins, j_hz=j, logical_j_hz=j)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
