@@ -8,10 +8,12 @@ and ``scripts/composite_negative.cfg`` (a composite group and negative
 couplings).  Per register it runs ``simulate`` (three backends x both
 inits x four patterns, ``--emit json,csv``), ``spectrum`` (both inits,
 ``--emit json,csv``), ``compile`` (ideal and hard, four patterns) and
-``verify`` (three backends, four patterns).  Each case prints one
-``<case>/<file> <sha256>`` line per artifact it writes, one for its stdout
-and one for its stderr, then ``<case>/exit <code>``.  Arguments keep only
-the cases whose name contains one of them.
+``verify`` (three backends, four patterns), and refuses a pattern one
+symbol short of the database size in ``simulate`` (three backends),
+``compile`` (ideal and hard) and ``verify`` (three backends).  Each case
+prints one ``<case>/<file> <sha256>`` line per artifact it writes, one
+for its stdout and one for its stderr, then ``<case>/exit <code>``.
+Arguments keep only the cases whose name contains one of them.
 
 Two source trees give byte-identical artifacts when the outputs of
 
@@ -60,6 +62,19 @@ def cases():
                     f"{register}/verify-{backend}-{pattern}",
                     ["verify", *common, "--pattern", pattern, "--backend", backend],
                 )
+        short = patterns[1][:-1]  # one symbol short of the database size
+        for backend in ("ideal", "hard", "fast"):
+            yield (
+                f"{register}/simulate-{backend}-eps-{short}",
+                ["simulate", *common, "--pattern", short, "--backend", backend, *emit],
+            )
+        for backend in ("ideal", "hard"):
+            yield (
+                f"{register}/compile-{backend}-{short}",
+                ["compile", *common, "--pattern", short, "--backend", backend],
+            )
+        for backend in ("ideal", "hard", "fast"):
+            yield f"{register}/verify-{backend}-{short}", ["verify", *common, "--pattern", short, "--backend", backend]
         for init in ("eps", "thermal"):
             yield f"{register}/spectrum-{init}", ["spectrum", *common, "--init", init, *emit]
 

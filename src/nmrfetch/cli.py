@@ -44,12 +44,13 @@ from .operators import rotation_block
 from .plotting import spectrum_svg
 from .spectrometer import (
     _PICK_THRESHOLD,
+    _ROUTE_GUARD,
     AcquisitionParams,
     DecodeError,
     Spectrum,
     SpectrometerError,
     _check_decodable,
-    _Readout,
+    _grid,
     _readouts,
     classify_marked,
     spectrum_csv,
@@ -88,11 +89,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
-
-# simulate and spectrum cross-check the FFT route against the closed-form
-# route and treat disagreement beyond this (relative L-inf) as a numerical
-# failure
-_ROUTE_GUARD = 1e-5
 
 # No relaxation acts during a simulated sequence, but the ancilla is
 # transverse through the query, so in the experiment its signal would fall
@@ -144,18 +140,17 @@ def classical_oracle(pattern: QueryPattern, n: int) -> list[int]:
 
     The constrained bits fix one base item; each wildcard bit, most
     significant first, doubles the list with that bit clear and set.  This
-    reads the pattern's symbols directly, independent of ``match_mask``.
+    reads the constrained bits directly, independent of ``match_mask``.
     """
     if n > 30:
         raise ConfigError("exhaustive oracle capped at 30 bits")
-    if len(pattern) != n:
-        raise ConfigError(f"pattern length {len(pattern)} != database size {n}")
+    fixed = dict(pattern.constrained_qubits(n))
     items = np.zeros(1, dtype=np.int64)
-    for qubit, symbol in enumerate(pattern.constraints, start=1):
+    for qubit in range(1, n + 1):
         bit = 1 << (n - qubit)
-        if symbol == "x":
+        if qubit not in fixed:
             items = (items[:, None] | np.array([0, bit])).ravel()
-        elif symbol == "1":
+        elif fixed[qubit]:
             items |= bit
     return items.tolist()
 
@@ -188,46 +183,21 @@ def _initial_state(system: SpinSystem, init: str) -> DensityState:
     return effective_pure_ancilla(system)
 
 
-def _readout(
-    states: tuple[DensityState, ...], system: SpinSystem, params: AcquisitionParams
-) -> list[_Readout]:
-    """FFT spectrum, decoded peaks and route gap per state, each gap checked.
-
-    The first state is the reference: its whole readout (FID and
-    closed-form rows, spectrum, peaks and gap) comes from the register's
-    cache once it has been read, and every later state is read out as the
-    reference plus its difference from it, then transformed, picked,
-    decoded and gap-checked in full (see ``spectrometer._readouts``).  The
-    route gap is the largest difference between the FID-route and the
-    closed-form spectrum, relative to the tallest closed-form amplitude.
-    State by state, in order, the peaks are decoded and then the gap is
-    checked against ``_ROUTE_GUARD``, on every run and for cached and fresh
-    readouts alike, so the first state's decode and route failures come
-    before the second's.
-    """
-    out = []
-    for readout in _readouts(states, system, params):
-        if readout.gap > _ROUTE_GUARD:
-            raise DecodeError(
-                f"time-domain and closed-form spectra disagree ({readout.gap:.2e} relative)"
-            )
-        out.append(readout)
-    return out
-
-
 def run_fetch(cfg: RunConfig) -> RunResult:
     """Refuse an unworkable run, then prepare, query once, read out, decode, verify.
 
-    An undecodable register, a pattern whose length is not the database
-    size (``classical_oracle`` raises ``ConfigError``) and a hard-pulse
-    schedule longer than ``_MAX_SCHEDULE_T2`` T2 are refused before any
-    state is prepared.  The query is applied to the populations through
-    the compressed product, so no 2^n x 2^n matrix is built.  The prepared
-    state is the readout reference, cached per register and acquisition;
-    the queried state is read out as its difference from it.
+    An undecodable register, an acquisition too narrow for its lines, a
+    pattern whose length is not the database size (``ConfigError``) and a
+    hard-pulse schedule longer than ``_MAX_SCHEDULE_T2`` T2 are refused
+    before any state is prepared.  The query is applied to the populations
+    through the compressed product, so no 2^n x 2^n matrix is built.  The
+    prepared state is the readout reference, cached per register and
+    acquisition; the queried state is read out as its difference from it,
+    and every state's route gap is checked (``spectrometer._readouts``).
     """
     params = cfg.params or AcquisitionParams.for_system(cfg.system)
     _check_decodable(cfg.system, params)
+    _grid(cfg.system, params)  # refuses a grid too narrow for the lines
     expected = tuple(classical_oracle(cfg.pattern, cfg.system.n_database))
 
     sequence: GateSequence | None = None
@@ -249,7 +219,7 @@ def run_fetch(cfg: RunConfig) -> RunResult:
     else:
         queried = _apply_product(state, *_compressed_product(sequence, cfg.system))
 
-    before, after = _readout((state, queried), cfg.system, params)
+    before, after = _readouts((state, queried), cfg.system, params)
 
     verdict = classify_marked(after.peaks)
     verified = verdict.marked == expected and not verdict.inconsistent
@@ -524,7 +494,7 @@ def _cmd_spectrum(args) -> int:
     params = _acq_from_args(system, args)  # refuses an undecodable register
     init = _INITS[args.init]
     state = _initial_state(system, init)
-    (readout,) = _readout((state,), system, params)
+    (readout,) = _readouts((state,), system, params)
     spec = readout.spectrum
     print(f"spectral width: {params.spectral_width_hz:g} Hz, {params.n_points} points")
     print(f"route gap: {readout.gap:.2e} (fails above {_ROUTE_GUARD:g})")

@@ -21,14 +21,16 @@ whose middle factor is half a ZZ turn, so each conjugation costs two ZZ
 periods and six selective pulses.  Lowered one subset at a time, the same
 outer conjugation would be undone and redone for every subset that shares
 it.  Instead the subsets are emitted in nested order (member tuples read
-from the outermost control, the highest index, inward), so consecutive
+from the outermost control, the last one given, inward), so consecutive
 subsets share their outer conjugations, and one stack pass drops every
 adjacent pair of exactly inverse gates: V followed by V^dagger vanishes.
 k controls then cost 2^(k+1) - 3 ZZ periods in 2^(k-1) - 1 conjugations,
-and the highest-index control is conjugated only once.  The ideal gate
-list can further be expanded into a hard-pulse schedule (delays under the
-always-on coupling Hamiltonian plus refocusing pi pulses) in which every
-unwanted coupling and chemical shift integrates to zero over the block.
+and the last control is conjugated only once.  A query network gives its
+controls strongest ancilla coupling first, so that one has the weakest
+coupling and the longest ZZ period.  The ideal gate list can further be
+expanded into a hard-pulse schedule (delays under the always-on coupling
+Hamiltonian plus refocusing pi pulses) in which every unwanted coupling
+and chemical shift integrates to zero over the block.
 
 Each distinct ZZ period is expanded once per register and the block kept
 for later calls.
@@ -217,9 +219,9 @@ def compile_multilinear_z_phase(
     exp(-i angle I_z^target prod_c P_c) with P_c = (1 + eps_c 2 I_z^c) / 2
     and eps_c = (-1)^{p_c}, so it fires exactly where the control bits
     equal the polarities.  The subsets are emitted in nested order, each
-    lowered by conjugating with its controls from the highest index inward,
+    lowered by conjugating with its controls from the last given inward,
     and adjacent inverse gates are then cancelled, so k controls cost
-    2^(k+1) - 3 ZZ periods.
+    2^(k+1) - 3 ZZ periods and the last control is conjugated only once.
     """
     seen = {target}
     eps: dict[int, float] = {}
@@ -230,18 +232,19 @@ def compile_multilinear_z_phase(
         if polarity not in (0, 1):
             raise CompileError("polarity must be 0 or 1")
         eps[qubit] = (-1.0) ** polarity
-    ctrl_qubits = sorted(eps)
-    k = len(ctrl_qubits)
+    order = list(eps)  # as given; the last control is the outermost
+    k = len(order)
     base = angle / 2.0**k
 
-    # nested order: member tuples read from the outermost control inward
+    # nested order: member positions read from the outermost control inward
     subsets = sorted(
-        ([q for b, q in enumerate(ctrl_qubits) if (mask >> b) & 1] for mask in range(2**k)),
-        key=lambda members: members[::-1],
+        ([b for b in range(k) if (mask >> b) & 1] for mask in range(2**k)),
+        key=lambda positions: positions[::-1],
     )
 
     gates: list[Gate] = []
-    for members in subsets:
+    for positions in subsets:
+        members = [order[b] for b in positions]
         lam = base * math.prod(eps[q] for q in members)
         if not members:
             gates.append(VirtualZ(target, lam))
@@ -281,15 +284,14 @@ def build_query_network(system: SpinSystem, pattern: QueryPattern) -> GateSequen
 
     The network is built in the logical basis, where a negative-sign qubit
     already has logical 0 in its flipped spin state, so the constrained
-    bits are the phase's control polarities exactly as written.
+    bits are the phase's control polarities exactly as written.  The
+    controls are passed strongest ancilla coupling first (ties by index),
+    so the weakest, whose ZZ period is the longest, is conjugated only once.
+    A pattern whose length is not the database size raises ``ConfigError``.
     """
-    if len(pattern) != system.n_database:
-        raise CompileError(
-            f"pattern length {len(pattern)} != database size {system.n_database}"
-        )
-    core = compile_multilinear_z_phase(
-        system.n_spins, system.ancilla, pattern.constrained_qubits(), np.pi
-    )
+    absj = system.ancilla_couplings_abs()
+    controls = sorted(pattern.constrained_qubits(system.n_database), key=lambda c: -absj[c[0] - 1])
+    core = compile_multilinear_z_phase(system.n_spins, system.ancilla, controls, np.pi)
     toggle = (
         _pulse(system.ancilla, "y", np.pi / 2),
         _pulse(system.ancilla, "x", np.pi),

@@ -47,7 +47,8 @@ readout that raises is not cached.  Every later state of the run is that
 reference's rows plus the readout of its difference from it, which
 synthesises FID terms and evaluates kernel rows only where the difference
 is nonzero, and is then transformed, picked, decoded and compared with
-its closed-form row in full.  The caller judges every gap, cached or not.
+its closed-form row in full.  Every gap, cached or not, is checked
+against ``_ROUTE_GUARD``.
 ``acquire_fid`` and ``analytic_spectrum`` read out any one state directly.
 """
 
@@ -102,6 +103,10 @@ _MAX_POINTS = 2**22
 # of the tallest one.  Every readout picks at it, and ``cli`` refuses a
 # schedule long enough for T2 decay to push the signal below it.
 _PICK_THRESHOLD = 0.05
+
+# A readout whose FFT and closed-form spectra disagree beyond this (relative
+# L-inf) is a numerical failure (``DecodeError``).
+_ROUTE_GUARD = 1e-5
 
 
 @dataclass(frozen=True)
@@ -760,7 +765,7 @@ def _reference_readout(
 def _readouts(
     states: tuple[DensityState, ...], system: SpinSystem, params: AcquisitionParams
 ):
-    """Each state's ``_Readout``, yielded state by state.
+    """Each state's ``_Readout``, yielded state by state, each route gap checked.
 
     The first state is the reference (see ``_reference_readout``).  Both
     routes are linear in the ancilla differences, so every later state's
@@ -769,20 +774,29 @@ def _readouts(
     the two states differ.  No threshold applies: an item whose difference
     is not exactly zero is read out.  Every later state is then
     transformed, picked and decoded and its route gap measured in full
-    (``_read``).  Readouts are made only when asked for, so a failure on
-    one state stops the work on the next.
+    (``_read``).  State by state, in order, the peaks are decoded and then
+    the gap is checked against ``_ROUTE_GUARD``, for cached and fresh
+    readouts alike, so the first state's decode and route failures come
+    before the second's.  Readouts are made only when asked for, so a
+    failure on one state stops the work on the next.
     """
     reference = _reference_readout(states[0], system, params)
-    yield reference
     base = states[0].ancilla_difference()
-    for state in states[1:]:
-        delta = _difference(state, system) - base
-        yield _read(
-            reference.fid + _fid_row(delta, system, params),
-            reference.closed + _closed_form_row(delta, system, params),
-            system,
-            params,
-        )
+    for k, state in enumerate(states):
+        readout = reference
+        if k:
+            delta = _difference(state, system) - base
+            readout = _read(
+                reference.fid + _fid_row(delta, system, params),
+                reference.closed + _closed_form_row(delta, system, params),
+                system,
+                params,
+            )
+        if readout.gap > _ROUTE_GUARD:
+            raise DecodeError(
+                f"time-domain and closed-form spectra disagree ({readout.gap:.2e} relative)"
+            )
+        yield readout
 
 
 def fft_spectrum(fid: np.ndarray, params: AcquisitionParams) -> Spectrum:

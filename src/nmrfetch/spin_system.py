@@ -30,6 +30,7 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class SpinSystemError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Raised when a spin-system config file cannot be parsed."""
+    """Raised when a spin-system config cannot be parsed or a pattern does not fit its register."""
 
 
 @dataclass(frozen=True)
@@ -199,8 +200,14 @@ class QueryPattern:
     def __str__(self) -> str:
         return "".join(self.constraints)
 
-    def constrained_qubits(self) -> list[tuple[int, int]]:
-        """(qubit index, required bit) for every non-wild position."""
+    def constrained_qubits(self, n_database: int) -> list[tuple[int, int]]:
+        """(qubit index, required bit) for every non-wild position.
+
+        This is where a pattern meets a register, and the one place its
+        length is checked: it must be the database size ``n_database``.
+        """
+        if len(self) != n_database:
+            raise ConfigError(f"pattern length {len(self)} != database size {n_database}")
         return [
             (i + 1, int(c)) for i, c in enumerate(self.constraints) if c != "x"
         ]
@@ -209,46 +216,27 @@ class QueryPattern:
         n = len(self.constraints)
         if not 0 <= item < 2**n:
             raise IndexError(f"item {item} out of range for {n} bits")
-        for qubit, bit in self.constrained_qubits():
-            if (item >> (n - qubit)) & 1 != bit:
-                return False
-        return True
+        return all((item >> (n - qubit)) & 1 == bit for qubit, bit in self.constrained_qubits(n))
 
     def match_mask(self, n_database: int) -> np.ndarray:
         """Boolean match flags for all 2**n items."""
-        if len(self) != n_database:
-            raise SpinSystemError(
-                f"pattern length {len(self)} != database size {n_database}"
-            )
         items = np.arange(2**n_database)
         mask = np.ones(2**n_database, dtype=bool)
-        for qubit, bit in self.constrained_qubits():
+        for qubit, bit in self.constrained_qubits(n_database):
             mask &= ((items >> (n_database - qubit)) & 1) == bit
         return mask
 
 
 def crotonic_default() -> SpinSystem:
-    """Builtin seven-spin register (crotonic acid).
+    """Builtin seven-spin register (crotonic acid), read from ``data/crotonic_acid.cfg``.
 
     The ancilla is the C2 carbon; database qubits are ordered by
     decreasing coupling magnitude.  Qubit 4 is the methyl group: three
     equivalent protons folded into one logical qubit.  Couplings among
-    database spins default to zero (override via a config file if they
-    matter for an experiment).
+    database spins are zero (override via a config file if they matter
+    for an experiment).
     """
-    spins = (
-        Spin("C2", "carbon", SPECIES_GAMMA["carbon"]),
-        Spin("H1", "proton", SPECIES_GAMMA["proton"]),
-        Spin("C3", "carbon", SPECIES_GAMMA["carbon"]),
-        Spin("C1", "carbon", SPECIES_GAMMA["carbon"]),
-        Spin("H3", "proton", SPECIES_GAMMA["proton"], multiplicity=3),
-        Spin("C4", "carbon", SPECIES_GAMMA["carbon"]),
-        Spin("H2", "proton", SPECIES_GAMMA["proton"]),
-    )
-    j = np.zeros((7, 7))
-    for qubit, coupling in enumerate((156.0, 69.7, 41.6, -7.1, 1.4, -0.7), start=1):
-        j[0, qubit] = j[qubit, 0] = coupling
-    return SpinSystem(spins=spins, j_hz=j)
+    return load_spin_system_file(Path(__file__).with_name("data") / "crotonic_acid.cfg")
 
 
 # ---------------------------------------------------------------------------

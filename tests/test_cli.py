@@ -69,6 +69,23 @@ def test_classical_oracle_agrees_with_pattern_matching():
         classical_oracle(QueryPattern.from_string("1x0"), 4)
 
 
+def test_every_direct_caller_refuses_a_wrong_length_pattern():
+    # the length is checked in one place, which every caller reaches
+    sys = crotonic_default()
+    state = climod._initial_state(sys, "thermal")
+    for text in ("10x", "10x1001"):
+        pat = QueryPattern.from_string(text)
+        for call in (
+            lambda: classical_oracle(pat, 6),
+            lambda: build_query_network(sys, pat),
+            lambda: pat.match_mask(6),
+            lambda: apply_query_diagonal(state, pat),
+            lambda: climod.direct_oracle_unitary(sys, pat),
+        ):
+            with pytest.raises(ConfigError, match=f"pattern length {len(text)} != database size 6"):
+                call()
+
+
 def test_classical_oracle_refuses_huge_registers():
     pat = QueryPattern.from_string("x" * 40)
     with pytest.raises(ValueError):
@@ -199,6 +216,21 @@ def test_run_fetch_refuses_schedules_beyond_ln20_t2(monkeypatch):
     monkeypatch.setattr(climod, "_initial_state", None)  # refused before any state
     with pytest.raises(climod.CompileError, match=r"3\.90563 s \(3\.004 T2\), longer than ln 20 = 2\.996 T2"):
         run_fetch(RunConfig(sys, pat, backend="hard_pulse", params=AcquisitionParams.for_system(sys, t2_s=1.30)))
+
+
+@pytest.mark.parametrize("backend", ["ideal", "hard_pulse", "fast_diagonal"])
+def test_run_fetch_refuses_a_narrow_acquisition_before_any_state(monkeypatch, backend):
+    # the builtin lines span +-145.35 Hz; a 128 Hz spectral width cannot
+    # hold them, and that is known before a state or a product exists
+    def never(*args):
+        raise AssertionError("a run on a too narrow acquisition did work first")
+
+    monkeypatch.setattr(climod, "_initial_state", never)
+    monkeypatch.setattr(climod, "_compressed_product", never)
+    params = AcquisitionParams(dwell_s=1.0 / 128.0)
+    cfg = RunConfig(crotonic_default(), QueryPattern.from_string("100101"), backend=backend, params=params)
+    with pytest.raises(SpectrometerError, match=r"spectral width 128 Hz too small for lines spanning \+-145\.35 Hz"):
+        run_fetch(cfg)
 
 
 def test_simulate_refuses_a_long_schedule_before_simulating_it(monkeypatch, capsys):
@@ -420,7 +452,7 @@ def test_artifact_flags_are_checked_before_the_run(monkeypatch, tmp_path, capsys
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran before the artifact flags were checked")
 
-    for name in ("run_fetch", "_readout", "build_query_network", "bench_report"):
+    for name in ("run_fetch", "_readouts", "build_query_network", "bench_report"):
         monkeypatch.setattr(climod, name, must_not_run)
     out = tmp_path / "d"
     assert main([arg.replace("{out}", str(out)) for arg in argv]) == EXIT_CONFIG
@@ -562,7 +594,7 @@ def test_route_guard_fails_simulate_and_spectrum_reports_gap(monkeypatch, capsys
     out = capsys.readouterr().out
     gap = float(re.search(r"route gap: (\S+) \(fails above 1e-05\)", out).group(1))
     assert 0.0 < gap < 1e-6
-    monkeypatch.setattr(climod, "_ROUTE_GUARD", 0.0)  # tighter than any real gap
+    monkeypatch.setattr(spectrometer, "_ROUTE_GUARD", 0.0)  # tighter than any real gap
     assert main(["simulate", "--pattern", "100xxx", "--backend", "fast"]) == EXIT_NUMERICAL
     assert main(["spectrum"]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.count("disagree") == 2
@@ -571,7 +603,7 @@ def test_route_guard_fails_simulate_and_spectrum_reports_gap(monkeypatch, capsys
 def test_route_guard_fails_on_the_before_state_first(monkeypatch, capsys):
     # one readout pass covers both states, but the before state is still
     # checked first: its gap is the one the error reports
-    monkeypatch.setattr(climod, "_ROUTE_GUARD", 0.0)
+    monkeypatch.setattr(spectrometer, "_ROUTE_GUARD", 0.0)
     sys = crotonic_default()
     cfg = RunConfig(sys, QueryPattern.from_string("100xxx"), backend="fast_diagonal")
     params = AcquisitionParams.for_system(sys)
@@ -580,7 +612,7 @@ def test_route_guard_fails_on_the_before_state_first(monkeypatch, capsys):
     messages = []
     for alone in (state, queried):
         with pytest.raises(DecodeError, match="disagree") as exc:
-            climod._readout((alone,), sys, params)
+            list(spectrometer._readouts((alone,), sys, params))
         messages.append(str(exc.value))
     assert messages[0] != messages[1]  # the two gaps tell the states apart
 
@@ -595,12 +627,12 @@ def test_decode_failure_comes_before_route_failure(monkeypatch):
     # readout itself does not refuse an undecodable register: items 1 and 2
     # share a line, the before state fails to decode, and that error wins
     # over the route gap of the same state
-    monkeypatch.setattr(climod, "_ROUTE_GUARD", 0.0)
+    monkeypatch.setattr(spectrometer, "_ROUTE_GUARD", 0.0)
     sys = make_system([10.0, 10.0])
     state = climod._initial_state(sys, "effective_pure")
     params = AcquisitionParams(n_points=4096, dwell_s=1.0 / 64.0)
     with pytest.raises(DecodeError, match="ambiguous peak"):
-        climod._readout((state,), sys, params)
+        list(spectrometer._readouts((state,), sys, params))
 
 
 def test_compile_listing_grammar(capsys):

@@ -1,9 +1,11 @@
 """Query compilation: multilinear lowering, networks, hard-pulse echoes."""
 
 import gc
+import itertools
 import math
 import random
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from nmrfetch import (
     CompileError,
+    ConfigError,
     Delay,
     QueryPattern,
     SelectivePulse,
@@ -97,6 +100,32 @@ def test_builtin_hard_schedules_stay_short(pattern, bound_s):
     sys = crotonic_default()
     net = build_query_network(sys, QueryPattern.from_string(pattern))
     assert sequence_report(expand_to_hard_pulses(net, sys)).total_duration_s < bound_s
+
+
+def test_controls_nest_in_the_order_given():
+    # ZZ periods per control depend on its place in the list, not its index:
+    # the last control given is the outermost, conjugated only once
+    for order in itertools.permutations([(1, 0), (2, 1), (3, 0)]):
+        seq = compile_multilinear_z_phase(4, 0, list(order), math.pi)
+        periods = Counter(g.q1 for g in seq.gates if isinstance(g, ZZEvolution))
+        assert [periods[q] for q, _ in order] == [4, 6, 3]
+        direct = controlled_phase_direct(4, 0, list(order), math.pi)
+        assert distance_up_to_global_phase(sequence_unitary(seq), direct) < 1e-9
+
+
+def test_query_controls_go_strongest_coupling_first():
+    # listed weakest first, the register compiles the same schedule as
+    # listed strongest first: the weakest control is conjugated only once
+    strong_first = make_system([24.0, 12.0, 6.0, 3.0])
+    weak_first = make_system([3.0, 6.0, 12.0, 24.0])
+    durations = []
+    for system, pattern in ((strong_first, "1011"), (weak_first, "1101")):
+        net = build_query_network(system, QueryPattern.from_string(pattern))
+        periods = Counter(g.q1 for g in net.gates if isinstance(g, ZZEvolution))
+        weakest = int(np.argmin(system.ancilla_couplings_abs())) + 1
+        assert periods[weakest] == min(periods.values())
+        durations.append(expand_to_hard_pulses(net, system).duration_s)
+    assert durations[0] == durations[1]
 
 
 def test_three_control_embedded_in_seven_qubits():
@@ -195,7 +224,7 @@ def test_negative_sign_qubits_translate_polarity():
 
 
 def test_network_pattern_length_mismatch():
-    with pytest.raises(CompileError):
+    with pytest.raises(ConfigError, match="pattern length 3 != database size 6"):
         build_query_network(crotonic_default(), QueryPattern.from_string("10x"))
 
 

@@ -600,11 +600,17 @@ def reference_readout_cases(draw):
 def test_reference_plus_difference_matches_direct_readout(case, backend, init):
     # the run's readout (cached reference plus the difference) against the
     # direct two-state routes, per state, relative to that state's maximum;
-    # no peaks are picked, since these grids need not resolve every line
+    # no peaks are picked, since these grids need not resolve every line.
+    # The builtin grid covers only 4 T2, where the closed form's infinite-time
+    # sum and the truncated FID differ by about 8.5e-3, far beyond the route
+    # guard, so the guard is off: each route is checked against its own
+    # direct form instead.
     system, params, pattern = case
     state = climod._initial_state(system, init)
     states = (state, queried_state(state, system, pattern, backend))
-    with mock.patch.object(spectrometer, "_pick", lambda spectrum, frac: []):
+    with mock.patch.object(spectrometer, "_pick", lambda spectrum, frac: []), mock.patch.object(
+        spectrometer, "_ROUTE_GUARD", math.inf
+    ):
         readouts = list(spectrometer._readouts(states, system, params))
     fids = [acquire_fid(s, system, params) for s in states]
     spectra = [analytic_spectrum(s, system, params) for s in states]
@@ -640,6 +646,8 @@ def test_difference_reads_only_the_items_that_changed(monkeypatch, backend):
 
     monkeypatch.setattr(spectrometer, "_phasors", counting_phasors)
     monkeypatch.setattr(spectrometer, "_line_amplitudes", counting_lines)
+    # a 4 T2 grid: the routes' finite-acquisition gap exceeds the guard
+    monkeypatch.setattr(spectrometer, "_ROUTE_GUARD", math.inf)
     sys = crotonic_default()
     params = AcquisitionParams(n_points=1024, dwell_s=1.0 / 512.0, t2_s=0.5)
     state = thermal_state(sys)
@@ -775,7 +783,7 @@ def test_route_guard_applies_to_a_cached_reference(monkeypatch):
     sys = crotonic_default()
     cfg = RunConfig(sys, QueryPattern.from_string("100xxx"), backend="fast_diagonal")
     assert run_fetch(cfg).verified
-    monkeypatch.setattr(climod, "_ROUTE_GUARD", 0.0)
+    monkeypatch.setattr(spectrometer, "_ROUTE_GUARD", 0.0)
     messages = []
     for config in (RunConfig(crotonic_default(), cfg.pattern, backend="fast_diagonal"), cfg, cfg):
         with pytest.raises(DecodeError, match="disagree") as exc:
@@ -783,7 +791,7 @@ def test_route_guard_applies_to_a_cached_reference(monkeypatch):
         messages.append(str(exc.value))
     params = AcquisitionParams.for_system(sys)
     with pytest.raises(DecodeError) as alone:
-        climod._readout((climod._initial_state(sys, cfg.init),), sys, params)
+        list(spectrometer._readouts((climod._initial_state(sys, cfg.init),), sys, params))
     assert messages == [str(alone.value)] * 3
 
 

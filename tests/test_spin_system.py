@@ -252,7 +252,12 @@ def test_pattern_rejects_garbage():
 
 def test_constrained_qubits():
     pat = QueryPattern.from_string("1x0")
-    assert pat.constrained_qubits() == [(1, 1), (3, 0)]
+    assert pat.constrained_qubits(3) == [(1, 1), (3, 0)]
+    for n in (2, 4):
+        with pytest.raises(ConfigError, match=f"pattern length 3 != database size {n}"):
+            pat.constrained_qubits(n)
+        with pytest.raises(ConfigError, match=f"pattern length 3 != database size {n}"):
+            pat.match_mask(n)
 
 
 # ---------------------------------------------------------------------------
@@ -320,21 +325,24 @@ def test_load_rejects_missing_ancilla():
 
 
 def test_shipped_config_equals_builtin():
+    # the builtin register is read from the shipped file, so both are
+    # pinned against the literal register here
     import nmrfetch
 
-    path = str(
-        __import__("pathlib").Path(nmrfetch.__file__).parent / "data" / "crotonic_acid.cfg"
-    )
-    loaded = load_spin_system_file(path)
-    builtin = crotonic_default()
-    assert loaded.labels == builtin.labels
-    assert loaded.bit_signs == builtin.bit_signs
-    assert np.array_equal(loaded.j_hz, builtin.j_hz)
-    for a, b in zip(loaded.spins, builtin.spins):
-        assert (a.label, a.species, a.gamma_rel, a.offset_hz, a.multiplicity) == (
-            b.label,
-            b.species,
-            b.gamma_rel,
-            b.offset_hz,
-            b.multiplicity,
-        )
+    path = __import__("pathlib").Path(nmrfetch.__file__).parent / "data" / "crotonic_acid.cfg"
+    spins = [
+        ("C2", "carbon", 1.0, 1),
+        ("H1", "proton", 3.977, 1),
+        ("C3", "carbon", 1.0, 1),
+        ("C1", "carbon", 1.0, 1),
+        ("H3", "proton", 3.977, 3),
+        ("C4", "carbon", 1.0, 1),
+        ("H2", "proton", 3.977, 1),
+    ]
+    j = np.zeros((7, 7))
+    j[0, 1:] = j[1:, 0] = (156.0, 69.7, 41.6, -7.1, 1.4, -0.7)
+    for register in (load_spin_system_file(str(path)), crotonic_default()):
+        assert [(s.label, s.species, s.gamma_rel, s.multiplicity) for s in register.spins] == spins
+        assert all(s.offset_hz == 0.0 for s in register.spins)
+        assert np.array_equal(register.j_hz, j)
+        assert register.bit_signs == (1, 1, 1, -1, 1, -1)
