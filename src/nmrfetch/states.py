@@ -5,11 +5,15 @@ ancilla = most significant bit): every molecule holds one basis label, the
 query permutes populations and readout reads population differences, so no
 coherent state ever arises.  A query is applied by ``_apply_product``, which
 conjugates the populations with the compiler's column-compressed product one
-block of rows at a time, keeps only the diagonal and refuses a product that
-leaves coherence behind; ``apply_query_diagonal`` is the same query as a
-population permutation.  The engine is
-deliberately convention-free about which physical spin state is "0"; that
-bookkeeping lives in the spectrometer.
+block of rows at a time and keeps only the diagonal.  It refuses a product
+whose rows miss unit norm, or that leaves coherence behind, by more than
+1e-10, and puts every population that moved by no more than the product's
+own rounding, 4 (row-norm defect + eps) times the largest population, back
+to its prepared value, so a query changes the populations of the items it
+matches and no others; ``apply_query_diagonal`` is the same query as a
+population permutation.  The engine is deliberately convention-free about
+which physical spin state is "0"; that bookkeeping lives in the
+spectrometer.
 
 The thermal state follows the high-temperature expansion
 
@@ -151,14 +155,28 @@ def _apply_product(
 ) -> DensityState:
     """Conjugate the state by a column-compressed product, block by block.
 
-    The populations are the diagonal of U rho U^dagger, and off-diagonal
-    weight above 1e-10 is refused, but no 2^n x 2^n matrix is built.
+    The populations are the diagonal of U rho U^dagger, but no 2^n x 2^n
+    matrix is built.  The product's row-norm defect max_i |sum_m
+    |acc[i, m]|^2 - 1| bounds how far rounding can move a population that
+    U leaves in place: every population within 4 (defect + eps) max(p) of
+    its prepared value gets that exact value back, so the items a query
+    does not match differ from the prepared state by exactly 0.0.  A
+    defect above 1e-10 is refused before the conjugation, since it would
+    widen that bound until it hid a real change, and so is off-diagonal
+    weight above 1e-10 after it.
     """
-    pops, worst = _conjugate_blocks(state.populations, acc, cols, embed)
+    before = state.populations
+    defect = float(np.max(np.abs(np.sum(acc.real**2 + acc.imag**2, axis=1) - 1.0)))
+    if defect > _DIAGONAL_ATOL:
+        raise StateError(f"product rows deviate from unit norm by {defect:.3g}; not unitary")
+    pops, worst = _conjugate_blocks(before, acc, cols, embed)
     if worst > _DIAGONAL_ATOL:
         raise StateError(
             f"state has off-diagonal weight {worst:.3g}; not a population state"
         )
+    rounding = 4.0 * (defect + np.finfo(float).eps) * float(np.max(before))
+    unmoved = np.abs(pops - before) <= rounding
+    pops[unmoved] = before[unmoved]
     return DensityState(pops)
 
 

@@ -89,6 +89,17 @@ def reference_unitary(seq, system=None):
     return acc
 
 
+def rounding_bound(acc, populations):
+    """4 (row-norm defect + eps) max(p): how far a product's rounding may move a population.
+
+    The row-norm defect of a column-compressed product is max_i |sum_m
+    |acc[i, m]|^2 - 1|; a population moved by no more than this is put back
+    to its prepared value after a conjugation.
+    """
+    defect = np.max(np.abs(np.sum(np.abs(acc) ** 2, axis=1) - 1.0))
+    return 4.0 * (defect + np.finfo(float).eps) * np.max(populations)
+
+
 @pytest.fixture
 def two_spin():
     """Ancilla plus one database qubit, J = 10 Hz."""

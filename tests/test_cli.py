@@ -43,7 +43,7 @@ from nmrfetch.cli import (
     run_fetch,
 )
 
-from conftest import make_system, random_full_system, superincreasing_config
+from conftest import make_system, random_full_system, rounding_bound, superincreasing_config
 from dense_reference import apply_unitary, dense_oracle, sequence_unitary
 
 
@@ -175,6 +175,40 @@ def test_run_fetch_applies_the_query_once(monkeypatch, backend, init):
         )
         assert res.verified and res.marked == marked
         assert calls == ["apply_query_diagonal" if backend == "fast_diagonal" else "_apply_product"]
+
+
+@pytest.mark.parametrize("init", ["thermal", "effective_pure"])
+@pytest.mark.parametrize("backend", ["ideal", "hard_pulse"])
+def test_pulse_level_query_changes_only_the_matched_items(monkeypatch, backend, init):
+    # the compressed product's rounding is put back, so the queried state
+    # that run_fetch reads out differs from the prepared one on the matched
+    # items' populations alone, as on fast_diagonal
+    seen = []
+    readouts = climod._readouts
+
+    def capture(states, system, params):
+        seen.append(states)
+        return readouts(states, system, params)
+
+    monkeypatch.setattr(climod, "_readouts", capture)
+    sys = crotonic_default()
+    half = 2**sys.n_database
+    for pattern, marked in (("100101", [37]), ("1001x1", [37, 39])):
+        seen.clear()
+        cfg = RunConfig(sys, QueryPattern.from_string(pattern), init=init, backend=backend)
+        assert run_fetch(cfg).verified
+        [(state, queried)] = seen
+        delta = queried.ancilla_difference() - state.ancilla_difference()
+        assert np.flatnonzero(delta).tolist() == marked
+        moved = np.flatnonzero(queried.populations != state.populations)
+        assert moved.tolist() == marked + [item + half for item in marked]
+        # and the dense conjugation by the same network agrees within the bound
+        network = build_query_network(sys, cfg.pattern)
+        if backend == "hard_pulse":
+            network = expand_to_hard_pulses(network, sys)
+        bound = rounding_bound(_compressed_product(network, sys)[0], state.populations)
+        dense = apply_unitary(state, sequence_unitary(network, sys))
+        assert np.max(np.abs(queried.populations - dense.populations)) <= bound
 
 
 @pytest.mark.parametrize("backend", ["fast_diagonal", "ideal", "hard_pulse"])

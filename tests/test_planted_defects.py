@@ -3,12 +3,13 @@
 Each case monkeypatches a single defect into one of the two models that a
 check compares and asserts that the check catches it: ``verify`` exits 2,
 the route guard of ``run_fetch`` raises ``DecodeError`` (exit 4 from
-``simulate``), or the decoded items miss the classical enumeration (exit
-2 from ``simulate``).  The same run passes on the same register without
-the defect, so the failure is the defect's doing.  Registers: the builtin
-crotonic acid register and a synthetic 8-spin one with a sign-flipped bit.
-Readout keeps a model per register, so every defect is planted before the
-register's first readout.
+``simulate``), the decoded items miss the classical enumeration (exit 2
+from ``simulate``), or the query refuses a product that is not unitary
+(exit 3 from ``simulate``).  The same run passes on the same register
+without the defect, so the failure is the defect's doing.  Registers: the
+builtin crotonic acid register and a synthetic 8-spin one with a
+sign-flipped bit.  Readout keeps a model per register, so every defect is
+planted before the register's first readout.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ from nmrfetch import (
     load_spin_system,
     spectrometer,
 )
-from nmrfetch.cli import EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, RunConfig, main, run_fetch
+from nmrfetch.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, RunConfig, main, run_fetch
 
 from conftest import superincreasing_config
 
@@ -325,3 +326,28 @@ def test_scipy_reference_catches_edge_extrema(monkeypatch):
     # last sample together
     errors = getattr(caught.value, "exceptions", (caught.value,))
     assert {type(e) for e in errors} <= {AssertionError, IndexError}
+
+
+# ---------------------------------------------------------------------------
+# query: the product whose rounding decides which populations are put back
+# ---------------------------------------------------------------------------
+
+
+def scale_one_row(real):
+    # row 0 (ancilla 0, the unmatched item 0) off unit norm by ~2e-6:
+    # a rounding bound read from this product would hide a change that size
+    def product(seq, system=None):
+        acc, cols, embed = real(seq, system)
+        acc = acc.copy()
+        acc[0] *= 1.0 + 1e-6
+        return acc, cols, embed
+
+    return product
+
+
+@pytest.mark.parametrize("backend", ["ideal", "hard"])
+def test_query_refuses_a_product_off_unit_norm(monkeypatch, capsys, backend):
+    assert simulate("100101", backend) == EXIT_OK
+    monkeypatch.setattr(climod, "_compressed_product", scale_one_row(climod._compressed_product))
+    assert simulate("100101", backend) == EXIT_CONFIG
+    assert "product rows deviate from unit norm by 2e-06; not unitary" in capsys.readouterr().err

@@ -31,7 +31,7 @@ from nmrfetch.compiler import (
 )
 from nmrfetch.states import _apply_product, _conjugate_blocks
 
-from conftest import make_system, random_full_system, reference_unitary
+from conftest import make_system, random_full_system, reference_unitary, rounding_bound
 from dense_reference import apply_unitary, rotation, sequence_unitary
 
 
@@ -201,6 +201,23 @@ def test_apply_product_refuses_coherence():
             _apply_product(state, *_compressed_product(seq, sys))
 
 
+def test_apply_product_refuses_a_non_unitary_product():
+    # one row scaled past 1e-10 of unit norm is refused before it could widen
+    # the rounding bound; well inside it, the query still runs
+    sys = crotonic_default()
+    state = thermal_state(sys)
+    acc, cols, embed = _compressed_product(build_query_network(sys, QueryPattern.from_string("100101")), sys)
+    for scale, refused in ((1.0 + 1e-6, True), (1.0 + 1e-12, False)):
+        bent = acc.copy()
+        bent[0] *= scale
+        if refused:
+            with pytest.raises(StateError, match="unit norm"):
+                _apply_product(state, bent, cols, embed)
+        else:
+            out = _apply_product(state, bent, cols, embed).populations
+            assert np.flatnonzero(out != state.populations).tolist() == [37, 101]
+
+
 def _dense_conjugation(populations, u):
     """Diagonal of U diag(p) U^dagger and its largest off-diagonal entry."""
     rho = (u * populations) @ u.conj().T
@@ -265,7 +282,14 @@ def test_block_conjugation_matches_dense(data):
         with pytest.raises(StateError, match="off-diagonal weight"):
             _apply_product(state, *product)
     elif want_worst < 1e-10 - 1e-12:
-        assert np.array_equal(_apply_product(state, *product).populations, got)
+        # each population is the conjugation's own, or was put back to its
+        # prepared value from within the product's rounding of it
+        out = _apply_product(state, *product).populations
+        kept = out == got
+        restored = ~kept & (out == state.populations)
+        assert np.all(kept | restored)
+        bound = rounding_bound(product[0], state.populations)
+        assert np.all(np.abs(got - state.populations)[restored] <= bound)
 
 
 # ---------------------------------------------------------------------------
