@@ -18,19 +18,19 @@ conjugation identity
         exp(+i pi/2 I_x^t) exp(-i pi/2 I_y^t)
 
 whose middle factor is half a ZZ turn, so each conjugation costs two ZZ
-periods and six selective pulses.  Lowered one subset at a time, the same
-outer conjugation would be undone and redone for every subset that shares
-it.  Instead the subsets are emitted in nested order (member tuples read
-from the outermost control, the last one given, inward), so consecutive
-subsets share their outer conjugations, and one stack pass drops every
-adjacent pair of exactly inverse gates: V followed by V^dagger vanishes.
-k controls then cost 2^(k+1) - 3 ZZ periods in 2^(k-1) - 1 conjugations,
-and the last control is conjugated only once.  A query network gives its
-controls strongest ancilla coupling first, so that one has the weakest
-coupling and the longest ZZ period.  The ideal gate list can further be
-expanded into a hard-pulse schedule (delays under the always-on coupling
-Hamiltonian plus refocusing pi pulses) in which every unwanted coupling
-and chemical shift integrates to zero over the block.
+periods and six selective pulses.  The subsets that hold the same outer
+control share one conjugation by it: one recursion from the outermost
+control (the last one given) inward emits, per control, the subsets of
+the inner controls, that control's own ZZ period, and one conjugation by
+it around the subsets it shares with an inner control.  So no gate is
+emitted only to be undone by its inverse, and k controls cost
+2^(k+1) - 3 ZZ periods in 2^(k-1) - 1 conjugations, the last control
+conjugated only once.  A query network gives its controls strongest
+ancilla coupling first, so that one has the weakest coupling and the
+longest ZZ period.  The ideal gate list can further be expanded into a
+hard-pulse schedule (delays under the always-on coupling Hamiltonian plus
+refocusing pi pulses) in which every unwanted coupling and chemical shift
+integrates to zero over the block.
 
 Each distinct ZZ period is expanded once per register and the block kept
 for later calls.
@@ -135,6 +135,7 @@ class GateSequence:
     ``mode`` is "ideal" (rotations, ZZ periods and virtual z only) or
     "hard_pulse" (rotations, delays and virtual z only).  Pulses are
     instantaneous, so the duration of a sequence is the sum of its delays.
+    Every angle and delay must be finite, and no delay negative.
     """
 
     n_qubits: int
@@ -147,6 +148,16 @@ class GateSequence:
         if self.n_qubits < 1:
             raise CompileError("sequence needs at least one qubit")
         for gate in self.gates:
+            if isinstance(gate, Delay):
+                if self.mode != "hard_pulse":
+                    raise CompileError("delays only appear in hard-pulse sequences")
+                if not 0 <= gate.seconds < math.inf:
+                    raise CompileError(f"delay must be finite and non-negative: {gate!r}")
+                continue
+            if not isinstance(gate, (SelectivePulse, ZZEvolution, VirtualZ)):
+                raise CompileError(f"unknown gate {gate!r}")
+            if not math.isfinite(gate.angle):
+                raise CompileError(f"gate angle must be finite: {gate!r}")
             if isinstance(gate, ZZEvolution):
                 if self.mode != "ideal":
                     raise CompileError("ZZ periods only appear in ideal sequences")
@@ -154,19 +165,10 @@ class GateSequence:
                     raise CompileError("ZZ period needs two distinct qubits")
                 self._check_qubit(gate.q1)
                 self._check_qubit(gate.q2)
-            elif isinstance(gate, Delay):
-                if self.mode != "hard_pulse":
-                    raise CompileError("delays only appear in hard-pulse sequences")
-                if gate.seconds < 0:
-                    raise CompileError("delay cannot be negative")
-            elif isinstance(gate, SelectivePulse):
-                if gate.axis not in _FLIP_AXIS:
+            else:
+                if isinstance(gate, SelectivePulse) and gate.axis not in _FLIP_AXIS:
                     raise CompileError(f"bad pulse axis {gate.axis!r}")
                 self._check_qubit(gate.qubit)
-            elif isinstance(gate, VirtualZ):
-                self._check_qubit(gate.qubit)
-            else:
-                raise CompileError(f"unknown gate {gate!r}")
 
     def _check_qubit(self, q: int) -> None:
         if not 0 <= q < self.n_qubits:
@@ -189,40 +191,26 @@ def _pulse(qubit: int, axis: str, angle: float) -> SelectivePulse:
     return SelectivePulse(qubit, axis, angle)
 
 
-def _lower_chain(chain: list[int], angle: float) -> list[Gate]:
-    """Gates for exp(-i angle 2^k I_z..I_z) over chain (target last)."""
-    if len(chain) == 2:
-        return [ZZEvolution(chain[0], chain[1], angle)]
-    ctrl, tgt = chain[-2], chain[-1]
-    v = [
-        _pulse(tgt, "y", np.pi / 2),
-        _pulse(tgt, "-x", np.pi / 2),
-        ZZEvolution(ctrl, tgt, np.pi / 2),
-        _pulse(tgt, "x", np.pi / 2),
-    ]
-    v_dag = [
-        _pulse(tgt, "-x", np.pi / 2),
-        ZZEvolution(ctrl, tgt, -np.pi / 2),
-        _pulse(tgt, "x", np.pi / 2),
-        _pulse(tgt, "-y", np.pi / 2),
-    ]
-    inner = _lower_chain(chain[:-2] + [tgt], angle)
-    return v_dag + inner + v
+def _conjugation(control: int, target: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    """V and V^dagger, as gate lists, of the conjugation by one control."""
+    half = np.pi / 2
+    v = (
+        SelectivePulse(target, "y", half),
+        SelectivePulse(target, "-x", half),
+        ZZEvolution(control, target, half),
+        SelectivePulse(target, "x", half),
+    )
+    v_dag = (
+        SelectivePulse(target, "-x", half),
+        ZZEvolution(control, target, -half),
+        SelectivePulse(target, "x", half),
+        SelectivePulse(target, "-y", half),
+    )
+    return v, v_dag
 
 
-def compile_multilinear_z_phase(
-    n_qubits: int, target: int, controls: list[tuple[int, int]], angle: float
-) -> GateSequence:
-    """Compile the conditioned z phase into pulses, ZZ periods and frame z.
-
-    ``controls`` holds (qubit, polarity) pairs: the phase is
-    exp(-i angle I_z^target prod_c P_c) with P_c = (1 + eps_c 2 I_z^c) / 2
-    and eps_c = (-1)^{p_c}, so it fires exactly where the control bits
-    equal the polarities.  The subsets are emitted in nested order, each
-    lowered by conjugating with its controls from the last given inward,
-    and adjacent inverse gates are then cancelled, so k controls cost
-    2^(k+1) - 3 ZZ periods and the last control is conjugated only once.
-    """
+def _phase_gates(target: int, controls: list[tuple[int, int]], angle: float) -> list[Gate]:
+    """The gates of ``compile_multilinear_z_phase``; its ``GateSequence`` checks qubits, angles."""
     seen = {target}
     eps: dict[int, float] = {}
     for qubit, polarity in controls:
@@ -233,44 +221,49 @@ def compile_multilinear_z_phase(
             raise CompileError("polarity must be 0 or 1")
         eps[qubit] = (-1.0) ** polarity
     order = list(eps)  # as given; the last control is the outermost
-    k = len(order)
-    base = angle / 2.0**k
+    base = angle / 2.0 ** len(order)
+    conjugations = [_conjugation(c, target) for c in order]
+    gates: list[Gate] = [VirtualZ(target, base)]
 
-    # nested order: member positions read from the outermost control inward
-    subsets = sorted(
-        ([b for b in range(k) if (mask >> b) & 1] for mask in range(2**k)),
-        key=lambda positions: positions[::-1],
-    )
+    def nest(j: int, sign: float) -> None:
+        # the subsets of the first j controls that hold at least one of
+        # them; sign is the product of the outer controls' polarities
+        if j == 0:
+            return
+        c = order[j - 1]
+        nest(j - 1, sign)
+        gates.append(ZZEvolution(c, target, base * (sign * eps[c])))
+        if j > 1:
+            v, v_dag = conjugations[j - 1]
+            gates.extend(v_dag)
+            nest(j - 1, sign * eps[c])
+            gates.extend(v)
 
-    gates: list[Gate] = []
-    for positions in subsets:
-        members = [order[b] for b in positions]
-        lam = base * math.prod(eps[q] for q in members)
-        if not members:
-            gates.append(VirtualZ(target, lam))
-        else:
-            gates.extend(_lower_chain(members + [target], lam))
-    return GateSequence(n_qubits=n_qubits, gates=tuple(_cancel_inverses(gates)), mode="ideal")
-
-
-def _inverse_pair(a: Gate, b: Gate) -> bool:
-    """Is b exactly a^-1: a pulse reversed in axis, or a ZZ period in angle?"""
-    if isinstance(a, SelectivePulse) and isinstance(b, SelectivePulse):
-        return a.qubit == b.qubit and a.angle == b.angle and b.axis == _FLIP_AXIS[a.axis]
-    if isinstance(a, ZZEvolution) and isinstance(b, ZZEvolution):
-        return {a.q1, a.q2} == {b.q1, b.q2} and a.angle == -b.angle
-    return False
+    nest(len(order), 1.0)
+    return gates
 
 
-def _cancel_inverses(gates: list[Gate]) -> list[Gate]:
-    """Drop every adjacent pair of exactly inverse gates, cascading."""
-    kept: list[Gate] = []
-    for gate in gates:
-        if kept and _inverse_pair(kept[-1], gate):
-            kept.pop()
-        else:
-            kept.append(gate)
-    return kept
+def compile_multilinear_z_phase(
+    n_qubits: int, target: int, controls: list[tuple[int, int]], angle: float
+) -> GateSequence:
+    """Compile the conditioned z phase into pulses, ZZ periods and frame z.
+
+    ``controls`` holds (qubit, polarity) pairs: the phase is
+    exp(-i angle I_z^target prod_c P_c) with P_c = (1 + eps_c 2 I_z^c) / 2
+    and eps_c = (-1)^{p_c}, so it fires exactly where the control bits
+    equal the polarities.  The last control given is the outermost: with
+    s the product of the polarities already conjugated outside, the
+    subsets that hold some of controls C + [c] are emitted as
+
+        N(C + [c], s) = N(C, s)  ZZ(c, t, base s eps_c)  [V_c^dagger N(C, s eps_c) V_c]
+
+    (the bracket only for a nonempty C) after one frame z of angle
+    base = angle / 2^k on the target.  So k controls cost 2^(k+1) - 3 ZZ
+    periods and 6 (2^(k-1) - 1) pulses, and the last control is
+    conjugated only once.  Non-finite angles raise ``CompileError``.
+    """
+    gates = _phase_gates(target, controls, angle)
+    return GateSequence(n_qubits=n_qubits, gates=tuple(gates), mode="ideal")
 
 
 def build_query_network(system: SpinSystem, pattern: QueryPattern) -> GateSequence:
@@ -291,16 +284,12 @@ def build_query_network(system: SpinSystem, pattern: QueryPattern) -> GateSequen
     """
     absj = system.ancilla_couplings_abs()
     controls = sorted(pattern.constrained_qubits(system.n_database), key=lambda c: -absj[c[0] - 1])
-    core = compile_multilinear_z_phase(system.n_spins, system.ancilla, controls, np.pi)
+    core = _phase_gates(system.ancilla, controls, np.pi)
     toggle = (
         _pulse(system.ancilla, "y", np.pi / 2),
         _pulse(system.ancilla, "x", np.pi),
     )
-    return GateSequence(
-        n_qubits=system.n_spins,
-        gates=toggle + core.gates + toggle,
-        mode="ideal",
-    )
+    return GateSequence(n_qubits=system.n_spins, gates=(*toggle, *core, *toggle), mode="ideal")
 
 
 # ---------------------------------------------------------------------------

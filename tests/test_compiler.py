@@ -63,6 +63,27 @@ def test_three_control_gate_counts():
     assert rep.n_virtual_z == 1
 
 
+def test_two_control_phase_gate_order():
+    # the outer control 2 (polarity 1) is conjugated once, around the inner
+    # control's period with its sign folded in
+    quarter, half = math.pi / 4, math.pi / 2
+    seq = compile_multilinear_z_phase(3, 0, [(1, 0), (2, 1)], math.pi)
+    assert seq.gates == (
+        VirtualZ(0, quarter),
+        ZZEvolution(1, 0, quarter),
+        ZZEvolution(2, 0, -quarter),
+        SelectivePulse(0, "-x", half),
+        ZZEvolution(2, 0, -half),
+        SelectivePulse(0, "x", half),
+        SelectivePulse(0, "-y", half),
+        ZZEvolution(1, 0, -quarter),
+        SelectivePulse(0, "y", half),
+        SelectivePulse(0, "-x", half),
+        ZZEvolution(2, 0, half),
+        SelectivePulse(0, "x", half),
+    )
+
+
 def _adjacent_inverse(a, b):
     if isinstance(a, SelectivePulse) and isinstance(b, SelectivePulse):
         flipped = {"x": "-x", "-x": "x", "y": "-y", "-y": "y"}[a.axis]
@@ -89,7 +110,10 @@ def test_nested_lowering_counts_and_exactness(k):
     signs = [rng.choice([1, -1]) for _ in range(k)]
     angle = rng.uniform(-2 * math.pi, 2 * math.pi)
     seq = compile_multilinear_z_phase(n, target, _absorb_signs(controls, signs), angle)
-    assert sequence_report(seq).n_zz == 2 ** (k + 1) - 3
+    report = sequence_report(seq)
+    assert report.n_zz == 2 ** (k + 1) - 3
+    assert report.n_pulses == 6 * (2 ** (k - 1) - 1)
+    assert report.n_virtual_z == 1
     assert not any(_adjacent_inverse(a, b) for a, b in zip(seq.gates, seq.gates[1:]))
     direct = controlled_phase_direct(n, target, controls, angle, signs=signs)
     assert distance_up_to_global_phase(sequence_unitary(seq), direct) <= 1e-9
@@ -244,6 +268,32 @@ def test_gate_qubit_out_of_range_rejected():
     for gate in (SelectivePulse(2, "x", 1.0), VirtualZ(-1, 0.3), ZZEvolution(0, 2, 0.5)):
         with pytest.raises(CompileError, match="out of range for 2-qubit register"):
             GateSequence(2, (gate,))
+
+
+@pytest.mark.parametrize(
+    "gate, mode",
+    [
+        (SelectivePulse(0, "x", math.nan), "ideal"),
+        (SelectivePulse(0, "y", math.inf), "hard_pulse"),
+        (ZZEvolution(0, 1, math.nan), "ideal"),
+        (ZZEvolution(0, 1, -math.inf), "ideal"),
+        (VirtualZ(1, math.nan), "ideal"),
+        (VirtualZ(1, math.inf), "hard_pulse"),
+        (Delay(math.nan), "hard_pulse"),
+        (Delay(math.inf), "hard_pulse"),
+        (Delay(-0.1), "hard_pulse"),
+    ],
+)
+def test_non_finite_gates_rejected(gate, mode):
+    with pytest.raises(CompileError, match="finite"):
+        GateSequence(2, (gate,), mode)
+
+
+@pytest.mark.parametrize("controls", [[], [(1, 0)], [(1, 0), (2, 1)]])
+def test_non_finite_phase_angle_rejected(controls):
+    for angle in (math.nan, math.inf):
+        with pytest.raises(CompileError, match="finite"):
+            compile_multilinear_z_phase(3, 0, controls, angle)
 
 
 def test_pulse_angles_canonicalized_nonnegative():

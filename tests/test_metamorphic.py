@@ -10,21 +10,35 @@ end through ``simulate`` and their answers compared:
   same verdict, exit code and hard-pulse duration;
 * global coupling sign: every ancilla coupling negated flips every
   ``bit_signs`` entry and nothing else, so spectra, peaks and verdicts are
-  bit-identical.
+  bit-identical;
+* carrier and offset: the ancilla's offset and the receiver carrier moved
+  by the same amount leave every line where it was relative to the
+  carrier, so the marked and expected items, the verdict and the peak
+  counts stay the same.  The command line has no carrier option, so this
+  relation runs ``run_fetch`` directly.
 
 Registers are the builtin one, ``scripts/composite_negative.cfg`` and
 random superincreasing ones with signed couplings, offsets and couplings
 among the database spins.
 """
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nmrfetch import crotonic_default, load_spin_system, load_spin_system_file
-from nmrfetch.cli import main
+from nmrfetch import (
+    AcquisitionParams,
+    QueryPattern,
+    SpinSystem,
+    crotonic_default,
+    load_spin_system,
+    load_spin_system_file,
+)
+from nmrfetch.cli import RunConfig, main, run_fetch
 
 COMPOSITE = Path(__file__).resolve().parents[1] / "scripts" / "composite_negative.cfg"
 BACKENDS = ("ideal", "hard", "fast")
@@ -149,3 +163,44 @@ def test_negating_every_ancilla_coupling_changes_only_the_bit_signs(case, backen
     signs, signs_neg = result["system"].pop("bit_signs"), result_neg["system"].pop("bit_signs")
     assert signs_neg == [-s for s in signs]
     assert result_neg == result
+
+
+def ancilla_shifted(system, delta_hz):
+    """The register with its ancilla's offset moved by ``delta_hz``."""
+    ancilla = system.spins[0]
+    moved = dataclasses.replace(ancilla, offset_hz=ancilla.offset_hz + delta_hz)
+    return SpinSystem((moved,) + system.spins[1:], system.j_hz)
+
+
+def fetches(system, pattern, carrier_hz):
+    """Per backend and init: marked, expected, verdict and peak counts, or the refusal."""
+    outcomes = []
+    for backend in ("ideal", "hard_pulse", "fast_diagonal"):
+        for init in ("effective_pure", "thermal"):
+            try:
+                params = AcquisitionParams.for_system(system, carrier_hz=carrier_hz)
+                cfg = RunConfig(system, QueryPattern.from_string(pattern), init, backend, params)
+                r = run_fetch(cfg)
+            except ValueError as exc:  # every refusal of run_fetch is one
+                outcomes.append(type(exc).__name__)
+                continue
+            peaks = len(r.peaks_before), len(r.peaks_after)
+            outcomes.append((r.marked, r.expected, r.verified, peaks))
+    return outcomes
+
+
+@pytest.mark.parametrize("pattern", ["100101", "1001x1", "x1x0xx"])
+@pytest.mark.parametrize("delta_hz", [37.5, -120.25, 1000.0])
+def test_moving_carrier_and_ancilla_offset_together_keeps_the_builtin_fetch(pattern, delta_hz):
+    system = crotonic_default()
+    outcomes = fetches(system, pattern, 0.0)
+    assert all(isinstance(o, tuple) and o[2] for o in outcomes)
+    assert fetches(ancilla_shifted(system, delta_hz), pattern, delta_hz) == outcomes
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=queries(), delta_hz=st.floats(-1000.0, 1000.0))
+def test_moving_carrier_and_ancilla_offset_together_keeps_the_fetch(case, delta_hz):
+    system, pattern = case
+    shifted = fetches(ancilla_shifted(system, delta_hz), pattern, delta_hz)
+    assert shifted == fetches(system, pattern, 0.0)
