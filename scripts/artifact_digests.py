@@ -6,8 +6,8 @@ Usage: python scripts/artifact_digests.py [case-substring ...]
 Runs ``nmrfetch.cli.main`` in process on two registers: the builtin one
 and ``scripts/composite_negative.cfg`` (a composite group and negative
 couplings).  Per register it runs ``simulate`` (three backends x both
-inits x four patterns, ``--emit json,csv``), ``spectrum`` (both inits,
-``--emit json,csv``), ``compile`` (ideal and hard, four patterns) and
+inits x four patterns, ``--emit json,csv,svg``), ``spectrum`` (both inits,
+``--emit json,csv,svg``), ``compile`` (ideal and hard, four patterns) and
 ``verify`` (three backends, four patterns), and refuses a pattern one
 symbol short of the database size in ``simulate`` (three backends),
 ``compile`` (ideal and hard) and ``verify`` (three backends).  Each case
@@ -42,7 +42,7 @@ REGISTERS = {
 
 def cases():
     """(name, argv) of every case; argv holds "{out}" where --out goes."""
-    emit = ["--out", "{out}", "--emit", "json,csv"]
+    emit = ["--out", "{out}", "--emit", "json,csv,svg"]
     for register, (system, patterns) in REGISTERS.items():
         common = ["--system", system]
         for pattern in patterns:

@@ -85,7 +85,7 @@ __all__ = [
     "free_hamiltonian_diagonal",
 ]
 
-_FLIP_AXIS = {"x": "-x", "-x": "x", "y": "-y", "-y": "y"}
+_PULSE_AXES = ("x", "-x", "y", "-y")
 
 
 class CompileError(ValueError):
@@ -166,7 +166,7 @@ class GateSequence:
                 self._check_qubit(gate.q1)
                 self._check_qubit(gate.q2)
             else:
-                if isinstance(gate, SelectivePulse) and gate.axis not in _FLIP_AXIS:
+                if isinstance(gate, SelectivePulse) and gate.axis not in _PULSE_AXES:
                     raise CompileError(f"bad pulse axis {gate.axis!r}")
                 self._check_qubit(gate.qubit)
 
@@ -183,12 +183,6 @@ class GateSequence:
     def duration_s(self) -> float:
         """The sum of the delays, in gate order."""
         return sum((gate.seconds for gate in self.gates if isinstance(gate, Delay)), 0.0)
-
-
-def _pulse(qubit: int, axis: str, angle: float) -> SelectivePulse:
-    if angle < 0:
-        axis, angle = _FLIP_AXIS[axis], -angle
-    return SelectivePulse(qubit, axis, angle)
 
 
 def _conjugation(control: int, target: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
@@ -286,8 +280,8 @@ def build_query_network(system: SpinSystem, pattern: QueryPattern) -> GateSequen
     controls = sorted(pattern.constrained_qubits(system.n_database), key=lambda c: -absj[c[0] - 1])
     core = _phase_gates(system.ancilla, controls, np.pi)
     toggle = (
-        _pulse(system.ancilla, "y", np.pi / 2),
-        _pulse(system.ancilla, "x", np.pi),
+        SelectivePulse(system.ancilla, "y", np.pi / 2),
+        SelectivePulse(system.ancilla, "x", np.pi),
     )
     return GateSequence(n_qubits=system.n_spins, gates=(*toggle, *core, *toggle), mode="ideal")
 
@@ -365,7 +359,7 @@ def _echo_block(gate: ZZEvolution, system: SpinSystem) -> list[Gate]:
             before = 1 if boundary == 0 else patterns[spin][boundary - 1]
             after = 1 if boundary == n_segments else patterns[spin][boundary]
             if before != after:
-                gates.append(_pulse(spin, "y", np.pi))
+                gates.append(SelectivePulse(spin, "y", np.pi))
         if boundary < n_segments:
             gates.append(Delay(tau / n_segments))
 
@@ -382,24 +376,6 @@ def _echo_block(gate: ZZEvolution, system: SpinSystem) -> list[Gate]:
     return gates
 
 
-def _fold_virtual_z(gates: list[Gate]) -> list[Gate]:
-    folded: list[Gate] = []
-    for gate in gates:
-        if (
-            isinstance(gate, VirtualZ)
-            and folded
-            and isinstance(folded[-1], VirtualZ)
-            and folded[-1].qubit == gate.qubit
-        ):
-            merged = VirtualZ(gate.qubit, folded[-1].angle + gate.angle)
-            folded[-1] = merged
-            if merged.angle == 0.0:
-                folded.pop()
-        else:
-            folded.append(gate)
-    return folded
-
-
 # SpinSystem is frozen, compares by identity and its j_hz is read-only, so
 # an echo block stays valid for as long as its register exists; the blocks
 # hold no reference to the register, so the weak cache can drop both
@@ -411,8 +387,7 @@ _ECHO_BLOCKS: "weakref.WeakKeyDictionary[SpinSystem, dict[ZZEvolution, tuple[Gat
 def expand_to_hard_pulses(seq: GateSequence, system: SpinSystem) -> GateSequence:
     """Replace every ZZ period by a refocused delay block.
 
-    Selective pulses pass through unchanged and virtual z rotations stay
-    virtual (adjacent ones on the same spin are folded together).  The
+    Selective pulses and virtual z rotations pass through unchanged.  The
     result reproduces the ideal sequence's unitary up to a global phase.
     Equal ZZ periods recur many times in a query network and across
     queries, so each distinct one is expanded once per register and its
@@ -436,7 +411,7 @@ def expand_to_hard_pulses(seq: GateSequence, system: SpinSystem) -> GateSequence
             gates.append(gate)
     return GateSequence(
         n_qubits=seq.n_qubits,
-        gates=tuple(_fold_virtual_z(gates)),
+        gates=tuple(gates),
         mode="hard_pulse",
     )
 

@@ -108,6 +108,11 @@ _PICK_THRESHOLD = 0.05
 # L-inf) is a numerical failure (``DecodeError``).
 _ROUTE_GUARD = 1e-5
 
+# The closed form sums the infinite-time signal but the FID stops, so the
+# routes part by about exp(-acquisition / T2): ``for_system`` refuses a grid
+# shorter than this many T2.  Fixed at import, so a moved guard is reached.
+_MIN_ACQUISITION_T2 = math.log(1.0 / _ROUTE_GUARD)
+
 
 @dataclass(frozen=True)
 class AcquisitionParams:
@@ -167,7 +172,8 @@ class AcquisitionParams:
         the closest pair of distinct lines spans at least four bins.  An
         undecodable register is refused first (``_check_decodable``), so
         that pair is a linewidth apart; a grid that then still needs more
-        than ``_MAX_POINTS`` points (a very long T2) is refused.
+        than ``_MAX_POINTS`` points (a very long T2) is refused, and so is
+        one whose acquisition lasts under ``_MIN_ACQUISITION_T2`` T2.
         """
         params = cls(n_points=n_points, t2_s=t2_s, carrier_hz=carrier_hz)  # refuse bad fields first
         _check_decodable(system, params)
@@ -177,7 +183,14 @@ class AcquisitionParams:
         sw = 2.0 ** math.ceil(math.log2(need))
         while sw / n_points > table.min_gap_hz / 4.0:
             n_points *= 2
-        return cls(n_points=n_points, dwell_s=1.0 / sw, t2_s=t2_s, carrier_hz=carrier_hz)
+        params = cls(n_points=n_points, dwell_s=1.0 / sw, t2_s=t2_s, carrier_hz=carrier_hz)
+        seconds = n_points / sw
+        if seconds < _MIN_ACQUISITION_T2 * t2_s:
+            raise SpectrometerError(
+                f"acquisition of {n_points} points lasts {seconds:.4g} s = {seconds / t2_s:.5g} T2, under"
+                f" the {_MIN_ACQUISITION_T2:.5g} T2 = ln(1 / route guard) the routes need; raise --points"
+            )
+        return params
 
 
 @dataclass(frozen=True)
@@ -722,17 +735,16 @@ def _read(
 
     The route gap is the largest difference between the FFT spectrum and
     the closed-form row, relative to the tallest closed-form amplitude.
-    Peaks are picked at ``_PICK_THRESHOLD`` and decoded; a peak that does
-    not decode raises ``DecodeError``.  The spectrum takes the grid's cached
-    axis, and picking calls ``_pick`` rather than ``pick_peaks``: perfbench
-    counts the peaks of every ``pick_peaks`` call and requires an op's
-    counts to repeat, which a reference picked on a cold register and read
-    from the cache on a warm one would break.
+    Peaks are picked at ``_PICK_THRESHOLD`` and decoded as arrays, and each
+    becomes one ``Peak`` only then; a peak that does not decode raises
+    ``DecodeError``.  The spectrum takes the grid's cached axis.  Picking
+    calls ``_pick``, not ``pick_peaks``, whose peaks perfbench counts: a
+    reference read from the cache on a warm register would change the count.
     """
     spectrum = Spectrum(_grid(system, params).freqs_hz, _absorptive(fid, params.dwell_s))
     top = float(np.max(np.abs(closed)))
     gap = float(np.max(np.abs(spectrum.amplitude - closed))) / top if top > 0.0 else 0.0
-    peaks = decode_peaks(_pick(spectrum, _PICK_THRESHOLD), system)
+    peaks = _decoded_peaks(*_pick(spectrum, _PICK_THRESHOLD), system)
     return _Readout(fid, closed, spectrum, tuple(peaks), gap)
 
 
@@ -859,34 +871,31 @@ def pick_peaks(spectrum: Spectrum, threshold_frac: float = _PICK_THRESHOLD) -> l
     """
     if not 0.0 < threshold_frac < 1.0:
         raise SpectrometerError("threshold_frac must be in (0, 1)")
-    return _pick(spectrum, threshold_frac)
+    freq, amp = _pick(spectrum, threshold_frac)
+    return [Peak(f, a) for f, a in zip(freq.tolist(), amp.tolist())]
 
 
-def _pick(spectrum: Spectrum, threshold_frac: float) -> list[Peak]:
-    """``pick_peaks`` for a threshold already known to lie in (0, 1)."""
+def _pick(spectrum: Spectrum, threshold_frac: float) -> tuple[np.ndarray, np.ndarray]:
+    """``pick_peaks`` as (frequency, amplitude) arrays by frequency, for a threshold in (0, 1)."""
     amp = spectrum.amplitude
-    top = float(np.max(np.abs(amp))) if amp.size else 0.0
-    if top == 0.0:
-        return []
-    height = threshold_frac * top
     maxima, minima = _extrema(amp)
     idx = np.concatenate([maxima, minima])
     sign = np.repeat([1.0, -1.0], [len(maxima), len(minima)])
-    keep = sign * amp[idx] >= height
+    keep = sign * amp[idx] >= threshold_frac * np.max(np.abs(amp), initial=0.0)
     idx, sign = idx[keep], sign[keep]
-    if not idx.size:
-        return []
+    if not idx.size:  # also a flat or one-sample spectrum, which has no grid step
+        return np.empty(0), np.empty(0)
     y0, y1, y2 = (sign * amp[idx + k] for k in (-1, 0, 1))
     denom = y0 - 2.0 * y1 + y2
     shift = np.divide(0.5 * (y0 - y2), denom, out=np.zeros_like(denom), where=denom != 0.0)
     freq = spectrum.freqs_hz[idx] + shift * (spectrum.freqs_hz[1] - spectrum.freqs_hz[0])
     value = sign * (y1 - 0.25 * (y0 - y2) * shift)
     order = np.argsort(freq, kind="stable")
-    return [Peak(f, a) for f, a in zip(freq[order].tolist(), value[order].tolist())]
+    return freq[order], value[order]
 
 
-def _decode(freqs: list[float], system: SpinSystem) -> list[tuple[int, str]]:
-    """(item, manifold) per frequency; DecodeError for the first that fails.
+def _decode(freq: np.ndarray, system: SpinSystem) -> np.ndarray:
+    """Line-table index per frequency; DecodeError for the first that fails.
 
     A frequency reads as its nearest line frequency (the lower one on a
     tie), and only when it lies closer than half the smallest gap between
@@ -894,33 +903,34 @@ def _decode(freqs: list[float], system: SpinSystem) -> list[tuple[int, str]]:
     first line there in table order, and is ambiguous when lines of two
     items share that frequency.
     """
-    if not freqs:
-        return []
     table = _lines(system)
-    f = np.asarray(freqs, dtype=float)
     block_freq = table.block_freq
-    right = np.minimum(np.searchsorted(block_freq, f), len(block_freq) - 1)
+    right = np.minimum(np.searchsorted(block_freq, freq), len(block_freq) - 1)
     left = np.maximum(right - 1, 0)
-    block = np.where(np.abs(f - block_freq[left]) <= np.abs(f - block_freq[right]), left, right)
+    block = np.where(np.abs(freq - block_freq[left]) <= np.abs(freq - block_freq[right]), left, right)
     tolerance = table.min_gap_hz / 2.0
-    far = np.abs(f - block_freq[block]) >= tolerance
+    far = np.abs(freq - block_freq[block]) >= tolerance
     bad = far | ~table.block_one_item[block]
     if bad.any():
         k = int(np.argmax(bad))
         if far[k]:
-            raise DecodeError(
-                f"no expected line within {tolerance:.4g} Hz of {freqs[k]:.4f} Hz"
-            )
+            raise DecodeError(f"no expected line within {tolerance:.4g} Hz of {freq[k]:.4f} Hz")
         a, b = _block_items(table, block[k])
-        raise DecodeError(f"ambiguous peak at {freqs[k]:.4f} Hz: items {a} and {b} share its line")
-    lines = table.by_freq[table.block_start[block]]
-    return [(int(table.item[i]), table.manifold[i]) for i in lines.tolist()]
+        raise DecodeError(f"ambiguous peak at {freq[k]:.4f} Hz: items {a} and {b} share its line")
+    return table.by_freq[table.block_start[block]]
+
+
+def _decoded_peaks(freq: np.ndarray, amp: np.ndarray, system: SpinSystem) -> list[Peak]:
+    """One decoded ``Peak`` per (frequency, amplitude) pair (see ``_decode``)."""
+    table, lines = _lines(system), _decode(freq, system)
+    decoded = zip(freq.tolist(), amp.tolist(), table.item[lines].tolist(), lines.tolist())
+    return [Peak(f, a, item, table.manifold[k]) for f, a, item, k in decoded]
 
 
 def decode_peaks(peaks: list[Peak], system: SpinSystem) -> list[Peak]:
     """Fill item / manifold assignments on picked peaks (see ``_decode``)."""
-    decoded = _decode([p.freq_hz for p in peaks], system)
-    return [Peak(p.freq_hz, p.amplitude, item, m) for p, (item, m) in zip(peaks, decoded)]
+    freq = np.array([p.freq_hz for p in peaks], dtype=float)
+    return _decoded_peaks(freq, np.array([p.amplitude for p in peaks], dtype=float), system)
 
 
 def classify_marked(peaks: list[Peak]) -> MarkedClassification:

@@ -280,6 +280,52 @@ def test_simulate_refuses_a_long_schedule_before_simulating_it(monkeypatch, caps
     assert "configuration error: hard-pulse schedule lasts 3.90563 s (6.509 T2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+def test_an_acquisition_shorter_than_the_route_guard_needs_exits_config(monkeypatch, capsys, command):
+    # at T2 = 3 s the builtin's 32 s grid lasts 10.7 T2 and its route gap
+    # would be 2.19e-5, above the 1e-5 guard: refused before any state,
+    # where it used to fail the guard with exit 4.  Twice the points run
+    argv = [command, "--t2", "3"] + (["--pattern", "100xxx", "--backend", "fast"] if command == "simulate" else [])
+    assert main([*argv, "--points", "32768"]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(climod, "_initial_state", None)
+    assert main(argv) == EXIT_CONFIG
+    assert "lasts 32 s = 10.667 T2, under the 11.513 T2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", range(6, 12))
+def test_size_sweep_runs_are_refused_before_any_state_or_verify(monkeypatch, tmp_path, capsys, n):
+    # superincreasing registers, one negative coupling: every backend and
+    # pattern either verifies or is refused before a state exists.  n <= 8
+    # gets 16 T2 or more and verifies; n = 9, 10 and 11 get 8, 4 and 2 T2
+    # and used to prepare their states and then fail the route guard
+    cfg = tmp_path / f"superincreasing{n}.cfg"
+    cfg.write_text(superincreasing_config(n, negative=(2,)))
+    patterns = [("10" * n)[:n], "x" * n, ("1x0" * n)[:n]]
+    prepared = []
+    real = climod._initial_state
+
+    def spy(system, init):
+        prepared.append(init)
+        return real(system, init)
+
+    monkeypatch.setattr(climod, "_initial_state", spy)
+    for backend in ("ideal", "hard", "fast"):
+        for pattern in patterns:
+            prepared.clear()
+            code = main(["simulate", "--system", str(cfg), "--pattern", pattern, "--backend", backend])
+            out, err = capsys.readouterr()
+            if code == EXIT_OK:
+                assert "verification: PASS" in out and prepared, (backend, pattern)
+            else:
+                assert code == EXIT_CONFIG and not prepared, (backend, pattern, code, err)
+            assert code == (EXIT_OK if n <= 8 else EXIT_CONFIG), (backend, pattern, err)
+    if n in (9, 10):  # the refusal's advice: more points make the grid long enough
+        argv = ["simulate", "--system", str(cfg), "--pattern", patterns[0], "--backend", "fast"]
+        assert main([*argv, "--points", str(16384 * 2 ** (n - 8))]) == EXIT_OK
+        assert "verification: PASS" in capsys.readouterr().out
+
+
 def test_run_fetch_all_wild_marks_everything():
     sys = make_system([40.0, 17.0])
     cfg = RunConfig(sys, QueryPattern.from_string("xx"))

@@ -439,9 +439,6 @@ def test_sequence_without_couplings_passes_through():
     hard = expand_to_hard_pulses(seq, sys)
     assert hard.mode == "hard_pulse"
     assert not any(isinstance(g, Delay) for g in hard.gates)
-    # adjacent virtual-z on one qubit folds into a single frame rotation
-    vz = [g for g in hard.gates if isinstance(g, VirtualZ)]
-    assert len(vz) == 1 and vz[0].angle == pytest.approx(0.7)
 
 
 def _two_controls(offsets):

@@ -25,7 +25,6 @@ from nmrfetch import (
     DecodeError,
     DensityState,
     GateSequence,
-    Peak,
     QueryPattern,
     SelectivePulse,
     SpinSystem,
@@ -212,7 +211,8 @@ def test_a_reference_readout_that_raises_is_not_cached(monkeypatch):
 
     def stray_peak(spectrum, threshold_frac):
         # one extra peak far from every line: decoding must refuse it
-        return pick(spectrum, threshold_frac) + [Peak(float(spectrum.freqs_hz[0]), 1.0)]
+        freq, amp = pick(spectrum, threshold_frac)
+        return np.r_[freq, spectrum.freqs_hz[0]], np.r_[amp, 1.0]
 
     monkeypatch.setattr(spectrometer, "_pick", stray_peak)
     for _ in range(2):  # the second run reads the reference afresh and fails again
@@ -253,13 +253,12 @@ def equal_manifold_weights(real):
 
 def shift_decode_one_block(real):
     # every frequency read as the line frequency above its own
-    def decode(freqs, system):
+    def decode(freq, system):
         table = spectrometer._lines(system)
-        real(freqs, system)  # the real checks still run
-        near = np.abs(np.subtract.outer(freqs, table.block_freq)).argmin(axis=1)
+        real(freq, system)  # the real checks still run
+        near = np.abs(np.subtract.outer(freq, table.block_freq)).argmin(axis=1)
         above = np.minimum(near + 1, len(table.block_freq) - 1)
-        lines = table.by_freq[table.block_start[above]]
-        return [(int(table.item[i]), table.manifold[i]) for i in lines.tolist()]
+        return table.by_freq[table.block_start[above]]
 
     return decode
 

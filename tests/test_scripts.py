@@ -57,10 +57,20 @@ def test_artifact_digests_are_deterministic():
     # cases run in matrix order, builtin register first
     case = "composite/simulate-hard-thermal-1010"
     assert names == [
-        f"builtin/spectrum-eps/{name}" for name in ("result.json", "spectrum.csv", "stdout", "stderr", "exit")
+        f"builtin/spectrum-eps/{name}"
+        for name in ("result.json", "spectrum.csv", "spectrum.svg", "stdout", "stderr", "exit")
     ] + [
         f"{case}/{name}"
-        for name in ("after_spectrum.csv", "before_spectrum.csv", "result.json", "stdout", "stderr", "exit")
+        for name in (
+            "after_spectrum.csv",
+            "after_spectrum.svg",
+            "before_spectrum.csv",
+            "before_spectrum.svg",
+            "result.json",
+            "stdout",
+            "stderr",
+            "exit",
+        )
     ]
     assert all(len(line.split()[1]) == 64 for line in lines if not line.split()[0].endswith("/exit"))
     assert [line for line in lines if line.split()[0].endswith("/exit")] == [

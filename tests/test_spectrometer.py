@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.signal import find_peaks
 
 from nmrfetch import (
@@ -40,6 +40,7 @@ from nmrfetch import spectrometer
 from nmrfetch.cli import RunConfig, run_fetch
 from nmrfetch.operators import zz_hamiltonian_diagonal
 from nmrfetch.spectrometer import (
+    MarkedClassification,
     Peak,
     _expanded_register,
     _extrema,
@@ -255,6 +256,28 @@ def test_grid_above_the_cap_is_refused_not_shrunk():
     # 1e-9 Hz apart is resolved at T2 = 1e12 s, but would need 2**37 points
     with pytest.raises(SpectrometerError, match="137438953472 points exceed"):
         AcquisitionParams.for_system(make_system([10.0, 10.0 + 1e-9]), t2_s=1e12)
+
+
+def test_for_system_refuses_an_acquisition_the_route_guard_would_fail():
+    # the routes part by about exp(-acquisition / T2), so below ln(1e5) =
+    # 11.513 T2 the gap would pass the 1e-5 guard.  The builtin grid lasts
+    # 32 s, which is enough up to T2 = 2.7795 s
+    system = crotonic_default()
+    assert AcquisitionParams.for_system(system, t2_s=2.77).n_points == 16384
+    with pytest.raises(SpectrometerError, match=r"lasts 32 s = 11\.47 T2, under the 11\.513 T2"):
+        AcquisitionParams.for_system(system, t2_s=2.79)
+    assert AcquisitionParams.for_system(system, n_points=32768, t2_s=2.79).n_points == 32768
+    # the ancilla at 1000 Hz with the receiver left at 0 Hz needs a 4 kHz
+    # spectral width, so its grid lasts 4 T2
+    ancilla = system.spins[0]
+    moved = SpinSystem((dataclasses.replace(ancilla, offset_hz=1000.0),) + system.spins[1:], system.j_hz)
+    with pytest.raises(SpectrometerError, match=r"32768 points lasts 8 s = 4 T2.*raise --points"):
+        AcquisitionParams.for_system(moved)
+    assert AcquisitionParams.for_system(moved, n_points=131072).n_points == 131072
+    # the bound is fixed at import, so a moved guard does not move it
+    with mock.patch.object(spectrometer, "_ROUTE_GUARD", math.inf):
+        with pytest.raises(SpectrometerError, match="under the 11.513 T2"):
+            AcquisitionParams.for_system(system, t2_s=2.79)
 
 
 def test_narrow_window_rejected():
@@ -608,7 +631,8 @@ def test_reference_plus_difference_matches_direct_readout(case, backend, init):
     system, params, pattern = case
     state = climod._initial_state(system, init)
     states = (state, queried_state(state, system, pattern, backend))
-    with mock.patch.object(spectrometer, "_pick", lambda spectrum, frac: []), mock.patch.object(
+    no_peaks = lambda spectrum, frac: (np.empty(0), np.empty(0))
+    with mock.patch.object(spectrometer, "_pick", no_peaks), mock.patch.object(
         spectrometer, "_ROUTE_GUARD", math.inf
     ):
         readouts = list(spectrometer._readouts(states, system, params))
@@ -846,6 +870,15 @@ def test_extrema_follow_the_find_peaks_rule(samples, maxima, minima):
     assert got_min.tolist() == find_peaks(-np.array(samples))[0].tolist()
 
 
+def test_pick_peaks_finds_none_on_a_flat_or_weak_spectrum():
+    assert pick_peaks(Spectrum(np.arange(5.0), np.zeros(5))) == []
+    # the tallest sample is an edge, never an extremum, and the one maximum
+    # is 2 % of it
+    weak = Spectrum(np.arange(5.0), np.array([10.0, 0.0, 0.2, 0.0, 0.1]))
+    assert pick_peaks(weak) == []
+    assert pick_peaks(weak, threshold_frac=0.01) == [Peak(2.0, 0.2)]
+
+
 def test_pick_peaks_height_is_inclusive():
     spec = Spectrum(np.arange(7.0), np.array([0.0, 2.0, 0.0, 4.0, 0.0, -2.0, 0.0]))
     assert [p.amplitude for p in pick_peaks(spec, threshold_frac=0.5)] == [2.0, 4.0, -2.0]
@@ -871,6 +904,7 @@ _spectra = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
+@example(amp=np.array([0.0]), start=0.0, step=1.0, threshold_frac=0.05)  # no grid step
 @given(
     amp=_spectra,
     start=st.floats(-500.0, 500.0),
@@ -1075,6 +1109,11 @@ def test_decode_peaks_annotates():
     peaks = [Peak(freq_hz=138.25, amplitude=-1.0)]
     out = decode_peaks(peaks, sys)
     assert out[0].item == 0 and out[0].manifold == "inner"
+
+
+def test_decode_and_classify_take_no_peaks():
+    assert decode_peaks([], crotonic_default()) == []
+    assert classify_marked([]) == MarkedClassification((), (), ())
 
 
 def test_monotonic_item_order():
