@@ -13,7 +13,12 @@ symbol short of the database size in ``simulate`` (three backends),
 ``compile`` (ideal and hard) and ``verify`` (three backends).  Each case
 prints one ``<case>/<file> <sha256>`` line per artifact it writes, one
 for its stdout and one for its stderr, then ``<case>/exit <code>``.
-Arguments keep only the cases whose name contains one of them.
+Then, for every pattern over ``01x`` of the database size (3^6 builtin,
+3^4 composite) and both networks (``ideal`` and its ``hard`` expansion),
+one ``<register>/product-<backend>-<pattern> <sha256>`` line digests the
+compiled network's ``_compressed_product`` arrays and its
+``format_sequence`` listing.  Arguments keep only the cases whose name
+contains one of them.
 
 Two source trees give byte-identical artifacts when the outputs of
 
@@ -23,13 +28,17 @@ are equal, which ``diff`` shows.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
+import itertools
 import sys
 import tempfile
 from pathlib import Path
 
-from nmrfetch.cli import main
+from nmrfetch import QueryPattern, build_query_network, expand_to_hard_pulses, format_sequence
+from nmrfetch.cli import _load_system, main
+from nmrfetch.compiler import _compressed_product
 
 REGISTERS = {
     "builtin": ("builtin", ("100xxx", "100101", "x1x0xx", "0x1x10")),
@@ -41,7 +50,20 @@ REGISTERS = {
 
 
 def cases():
-    """(name, argv) of every case; argv holds "{out}" where --out goes."""
+    """(name, run) of every case; run() returns the case's lines."""
+    for name, argv in cli_cases():
+        yield name, functools.partial(run_case, name, argv)
+    for register, (spec, _) in REGISTERS.items():
+        system = _load_system(spec)
+        for symbols in itertools.product("01x", repeat=system.n_database):
+            pattern = "".join(symbols)
+            for backend in ("ideal", "hard"):
+                name = f"{register}/product-{backend}-{pattern}"
+                yield name, functools.partial(product_case, name, system, pattern, backend)
+
+
+def cli_cases():
+    """(name, argv) of every CLI case; argv holds "{out}" where --out goes."""
     emit = ["--out", "{out}", "--emit", "json,csv,svg"]
     for register, (system, patterns) in REGISTERS.items():
         common = ["--system", system]
@@ -99,8 +121,19 @@ def run_case(name: str, argv: list[str]) -> list[str]:
     return lines
 
 
+def product_case(name: str, system, pattern: str, backend: str) -> list[str]:
+    seq = build_query_network(system, QueryPattern.from_string(pattern))
+    if backend == "hard":
+        seq = expand_to_hard_pulses(seq, system)
+    digest = hashlib.sha256()
+    for array in _compressed_product(seq, system):
+        digest.update(array.tobytes())
+    digest.update(format_sequence(seq).encode())
+    return [f"{name} {digest.hexdigest()}"]
+
+
 if __name__ == "__main__":
     filters = sys.argv[1:]
-    for name, argv in cases():
+    for name, run in cases():
         if not filters or any(f in name for f in filters):
-            print("\n".join(run_case(name, argv)), flush=True)
+            print("\n".join(run()), flush=True)

@@ -50,6 +50,7 @@ from .spectrometer import (
     Spectrum,
     SpectrometerError,
     _check_decodable,
+    _check_duration,
     _grid,
     _readouts,
     classify_marked,
@@ -186,17 +187,20 @@ def _initial_state(system: SpinSystem, init: str) -> DensityState:
 def run_fetch(cfg: RunConfig) -> RunResult:
     """Refuse an unworkable run, then prepare, query once, read out, decode, verify.
 
-    An undecodable register, an acquisition too narrow for its lines, a
-    pattern whose length is not the database size (``ConfigError``) and a
-    hard-pulse schedule longer than ``_MAX_SCHEDULE_T2`` T2 are refused
-    before any state is prepared.  The query is applied to the populations
-    through the compressed product, so no 2^n x 2^n matrix is built.  The
-    prepared state is the readout reference, cached per register and
-    acquisition; the queried state is read out as its difference from it,
-    and every state's route gap is checked (``spectrometer._readouts``).
+    An undecodable register, an acquisition too narrow for its lines or
+    too short for the route guard (``_check_duration``, an explicit
+    ``params`` included), a pattern whose length is not the database size
+    (``ConfigError``) and a hard-pulse schedule longer than
+    ``_MAX_SCHEDULE_T2`` T2 are refused before any state is prepared.  The
+    query is applied to the populations through the compressed product, so
+    no 2^n x 2^n matrix is built.  The prepared state is the readout
+    reference, cached per register and acquisition; the queried state is
+    read out as its difference from it, and every state's route gap is
+    checked (``spectrometer._readouts``).
     """
     params = cfg.params or AcquisitionParams.for_system(cfg.system)
     _check_decodable(cfg.system, params)
+    _check_duration(params)
     _grid(cfg.system, params)  # refuses a grid too narrow for the lines
     expected = tuple(classical_oracle(cfg.pattern, cfg.system.n_database))
 

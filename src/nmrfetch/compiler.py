@@ -40,11 +40,12 @@ only where a pulse mixes basis states.  Delays, ZZ periods and frame z
 rotations are diagonal, and a pi pulse about x or y is -i sigma, a signed
 bit flip; a diagonal moved through a signed flip stays diagonal
 (Pauli-frame bookkeeping), so every maximal run of such gates is one signed
-permutation times a diagonal phase.  A query network repeats the same few
-runs many times, so each distinct run is composed once per call and every
-occurrence applied as one row gather and scale.  The running product keeps
-only 2^|M| columns per row, M being the qubits that some non-flip pulse
-mixes (the ancilla alone in a query network).  A population state is
+permutation times a diagonal phase, and every maximal run of the other
+pulses on one qubit is one 2x2 block.  A query network repeats the same few
+runs many times, so each distinct run is composed once per call and applied
+once per occurrence.  The running product keeps only 2^|M| columns per row,
+M being the qubits that some non-flip pulse mixes (the ancilla alone in a
+query network).  A population state is
 conjugated by that product block by block (``states._apply_product``), and
 ``_product_distance`` compares two such products block by block, so no
 2^n x 2^n matrix is ever built.
@@ -52,6 +53,8 @@ conjugated by that product block by block (``states._apply_product``), and
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import weakref
 from collections import Counter
@@ -136,29 +139,41 @@ class GateSequence:
     "hard_pulse" (rotations, delays and virtual z only).  Pulses are
     instantaneous, so the duration of a sequence is the sum of its delays.
     Every angle and delay must be finite, and no delay negative.
+
+    The gates are indexed when the sequence is made: ``_distinct`` holds
+    each distinct gate once, in order of first occurrence, and ``_codes``
+    the index into it of every gate.  The gates of an echo block are the
+    same objects in every occurrence, so they are first told apart by
+    identity (``gates`` keeps them alive, so ids stay unique), and each
+    object is checked, then looked up by value, once.
     """
 
     n_qubits: int
     gates: tuple[Gate, ...]
     mode: str = "ideal"
+    _distinct: tuple[Gate, ...] = field(init=False, repr=False, compare=False)
+    _codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("ideal", "hard_pulse"):
             raise CompileError(f"unknown sequence mode {self.mode!r}")
         if self.n_qubits < 1:
             raise CompileError("sequence needs at least one qubit")
-        for gate in self.gates:
+        ids = list(map(id, self.gates))
+        distinct: dict[Gate, int] = {}
+        code_of = {}
+        for key, gate in dict(zip(ids, self.gates)).items():  # first occurrence first
+            # checked before it is hashed: a non-gate may be unhashable
             if isinstance(gate, Delay):
                 if self.mode != "hard_pulse":
                     raise CompileError("delays only appear in hard-pulse sequences")
                 if not 0 <= gate.seconds < math.inf:
                     raise CompileError(f"delay must be finite and non-negative: {gate!r}")
-                continue
-            if not isinstance(gate, (SelectivePulse, ZZEvolution, VirtualZ)):
+            elif not isinstance(gate, (SelectivePulse, ZZEvolution, VirtualZ)):
                 raise CompileError(f"unknown gate {gate!r}")
-            if not math.isfinite(gate.angle):
+            elif not math.isfinite(gate.angle):
                 raise CompileError(f"gate angle must be finite: {gate!r}")
-            if isinstance(gate, ZZEvolution):
+            elif isinstance(gate, ZZEvolution):
                 if self.mode != "ideal":
                     raise CompileError("ZZ periods only appear in ideal sequences")
                 if gate.q1 == gate.q2:
@@ -169,6 +184,9 @@ class GateSequence:
                 if isinstance(gate, SelectivePulse) and gate.axis not in _PULSE_AXES:
                     raise CompileError(f"bad pulse axis {gate.axis!r}")
                 self._check_qubit(gate.qubit)
+            code_of[key] = distinct.setdefault(gate, len(distinct))
+        object.__setattr__(self, "_distinct", tuple(distinct))
+        object.__setattr__(self, "_codes", tuple(map(code_of.__getitem__, ids)))
 
     def _check_qubit(self, q: int) -> None:
         if not 0 <= q < self.n_qubits:
@@ -181,8 +199,9 @@ class GateSequence:
 
     @property
     def duration_s(self) -> float:
-        """The sum of the delays, in gate order."""
-        return sum((gate.seconds for gate in self.gates if isinstance(gate, Delay)), 0.0)
+        """The sum of the delays, in gate order (a non-delay adds 0.0)."""
+        seconds = [gate.seconds if isinstance(gate, Delay) else 0.0 for gate in self._distinct]
+        return sum(map(seconds.__getitem__, self._codes), 0.0)
 
 
 def _conjugation(control: int, target: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
@@ -451,22 +470,20 @@ def _compressed_product(
     network mixes only its ancilla, and with every qubit mixed acc is the
     dense product itself.
 
-    The gates fall into two kinds:
-
-    * monomial gates: delays (ham * t under the always-on Hamiltonian),
-      virtual z, ZZ periods and every pulse whose block is a signed bit
-      flip (angle = pi mod 2 pi).  A maximal run of them is one monomial M
-      (a signed permutation times a diagonal phase), stored as a source
-      row and a complex coefficient per row: (M A)[i] = coef[i] A[src[i]].
-      Each distinct run, keyed by its gate tuple, is composed once per
-      call at O(2^n) per gate (a diagonal adds to a phase, a flip permutes
-      the vectors and scales the sign), and each occurrence is applied as
-      one row gather and scale, which gathers ``cols`` with the rows.
-    * other pulses, collected per run of consecutive pulses on one qubit
-      into one 2x2 block, applied as one two-row linear combination.  Such
-      a qubit is in M, and the two rows it combines always share their
-      columns (a flip's source map is i ^ F for a fixed mask F, so partner
-      rows stay partners), so ``cols`` is left alone.
+    Each distinct gate is labelled by the qubit it mixes, or -1 for a
+    monomial gate: a delay (ham * t under the always-on Hamiltonian), a
+    virtual z, a ZZ period or a pulse whose block is a signed bit flip
+    (angle = pi mod 2 pi).  The sequence is cut into maximal runs of one
+    label, and each distinct run is composed once per call and applied once
+    per occurrence.  A monomial run is a signed permutation times a
+    diagonal phase, stored as a source row and a complex coefficient per
+    row, (M A)[i] = coef[i] A[src[i]]: it is composed at O(2^n) per gate (a
+    diagonal adds to a phase, a flip permutes the vectors and scales the
+    sign) and applied as one row gather and scale, which gathers ``cols``
+    with the rows.  A run of pulses that mix qubit q is one 2x2 block,
+    applied as one two-row linear combination; the two rows always share
+    their columns (a flip's source map is i ^ F for a fixed mask F, so
+    partner rows stay partners), so ``cols`` is left alone.
 
     Every gate is still applied exactly (a pi pulse's dropped diagonal is
     rounding, see ``_FLIP_DIAGONAL``); only the representation of the
@@ -489,48 +506,39 @@ def _compressed_product(
     z = np.array([z_eigenvalues(n, q) for q in range(n)])
     masks = 1 << (n - 1 - np.arange(n))  # index bit of each qubit
 
-    # one code per distinct gate.  The gates of an echo block are the same
-    # objects in every occurrence, so the gates are first told apart by
-    # identity (seq.gates keeps them alive, so ids stay unique) and only one
-    # object per id is looked up by value.
-    ids = list(map(id, seq.gates))
-    distinct: dict[Gate, int] = {}
-    code_of = {
-        key: distinct.setdefault(gate, len(distinct))
-        for key, gate in dict(zip(ids, seq.gates)).items()
-    }
-    codes = list(map(code_of.__getitem__, ids))
-
-    # per distinct gate: the 2x2 block of a pulse that mixes its qubit, or
-    # the monomial step of any other gate, a flip (source rows and
-    # coefficients) or a diagonal phase
-    rots: dict[int, np.ndarray] = {}
-    steps: dict[int, tuple[np.ndarray, np.ndarray] | np.ndarray] = {}
-    qubit_of: dict[int, int] = {}  # the qubit of each mixing pulse
-    for code, gate in enumerate(distinct):
+    # per distinct gate: its label and its step, the 2x2 block of a pulse
+    # that mixes its qubit, a flip (source rows and coefficients) or a
+    # diagonal phase
+    labels, steps = [], []
+    for gate in seq._distinct:
+        label = -1
         if isinstance(gate, SelectivePulse):
-            rot = rotation_block(gate.axis, gate.angle)
-            if abs(rot[0, 0]) >= _FLIP_DIAGONAL:
-                rots[code], qubit_of[code] = rot, gate.qubit
+            step = rotation_block(gate.axis, gate.angle)
+            if abs(step[0, 0]) >= _FLIP_DIAGONAL:
+                label = gate.qubit
             else:
-                # row i takes its partner with rot[0, 1] if the qubit is 0
-                # in i, with rot[1, 0] if it is 1
-                coef = np.where(z[gate.qubit] < 0, rot[1, 0], rot[0, 1])
-                steps[code] = (rows ^ masks[gate.qubit], coef)
+                # row i takes its partner with step[0, 1] if the qubit is 0
+                # in i, with step[1, 0] if it is 1
+                coef = np.where(z[gate.qubit] < 0, step[1, 0], step[0, 1])
+                step = (rows ^ masks[gate.qubit], coef)
         elif isinstance(gate, Delay):
-            steps[code] = ham * gate.seconds
+            step = ham * gate.seconds
         elif isinstance(gate, VirtualZ):
-            steps[code] = gate.angle * z[gate.qubit]
+            step = gate.angle * z[gate.qubit]
         else:
-            steps[code] = 2.0 * gate.angle * z[gate.q1] * z[gate.q2]
-    mixed = sorted(set(qubit_of.values()))
+            step = 2.0 * gate.angle * z[gate.q1] * z[gate.q2]
+        labels.append(label)
+        steps.append(step)
+    mixed = sorted(set(labels) - {-1})
 
     embed = np.zeros(1, dtype=rows.dtype)
     for q in mixed:
         embed = np.concatenate([embed, embed | masks[q]])
     in_mixed = rows & int(masks[mixed].sum())
 
-    def monomial(run: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    def compose(run: tuple[int, ...]):
+        if labels[run[0]] >= 0:  # the first pulse acts first
+            return functools.reduce(lambda block, code: steps[code] @ block, run[1:], steps[run[0]])
         src, sign, phase = rows, np.ones(dim, dtype=complex), np.zeros(dim)
         for code in run:
             step = steps[code]
@@ -543,34 +551,17 @@ def _compressed_product(
 
     acc = (in_mixed[:, None] == embed).astype(complex)
     cols = rows - in_mixed
-    runs: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-    mixing = np.zeros(len(distinct), dtype=bool)
-    mixing[list(rots)] = True
-    stops = np.flatnonzero(mixing[codes]).tolist()
-    start = 0  # first gate of the monomial run not yet in acc
-    block, block_qubit = None, -1
-    for stop in stops + [len(codes)]:  # the end closes the last run
-        if start < stop:
-            if block is not None:
-                _mix_rows(acc, block_qubit, block)
-                block = None
-            run = tuple(codes[start:stop])
-            entry = runs.get(run)
-            if entry is None:
-                entry = runs[run] = monomial(run)
+    runs = {}
+    for label, group in itertools.groupby(seq._codes, labels.__getitem__):
+        run = tuple(group)
+        entry = runs.get(run)
+        if entry is None:
+            entry = runs[run] = compose(run)
+        if label >= 0:
+            _mix_rows(acc, label, entry)
+        else:
             src, coef = entry
             acc, cols = coef[:, None] * acc[src], cols[src]
-        if stop == len(codes):
-            break
-        qubit, rot = qubit_of[codes[stop]], rots[codes[stop]]
-        if block is not None and block_qubit != qubit:
-            _mix_rows(acc, block_qubit, block)
-            block = None
-        block = rot if block is None else rot @ block
-        block_qubit = qubit
-        start = stop + 1
-    if block is not None:
-        _mix_rows(acc, block_qubit, block)
     return acc, cols, embed
 
 
@@ -610,31 +601,24 @@ class SequenceReport:
 def sequence_report(seq: GateSequence) -> SequenceReport:
     """Count the gates by kind and the pulses by (axis, degrees to 6 places); sum the delays.
 
-    Pulses are collected as raw (axis, angle) pairs and tallied at once;
-    only the distinct pairs are converted to rounded degrees and merged,
+    The counts are tallied per distinct gate of the sequence's index, so
+    only the distinct pulses are converted to rounded degrees and merged,
     since a hard-pulse schedule has thousands of pulses but a handful of
     angles.  The duration is the sequence's ``duration_s``.
     """
-    pulses = []
-    n_zz = n_vz = n_delay = 0
-    for gate in seq.gates:
-        if isinstance(gate, SelectivePulse):
-            pulses.append((gate.axis, gate.angle))
-        elif isinstance(gate, ZZEvolution):
-            n_zz += 1
-        elif isinstance(gate, VirtualZ):
-            n_vz += 1
-        elif isinstance(gate, Delay):
-            n_delay += 1
+    counts = Counter(seq._codes)
+    kinds: Counter = Counter()
     pulse_counts: Counter = Counter()
-    for (axis, angle), count in Counter(pulses).items():
-        pulse_counts[axis, round(math.degrees(angle), 6)] += count
+    for code, gate in enumerate(seq._distinct):
+        kinds[type(gate)] += counts[code]
+        if isinstance(gate, SelectivePulse):
+            pulse_counts[gate.axis, round(math.degrees(gate.angle), 6)] += counts[code]
     return SequenceReport(
-        n_pulses=sum(pulse_counts.values()),
+        n_pulses=kinds[SelectivePulse],
         pulse_counts=dict(sorted(pulse_counts.items())),
-        n_zz=n_zz,
-        n_virtual_z=n_vz,
-        n_delays=n_delay,
+        n_zz=kinds[ZZEvolution],
+        n_virtual_z=kinds[VirtualZ],
+        n_delays=kinds[Delay],
         total_duration_s=seq.duration_s,
     )
 

@@ -109,8 +109,8 @@ _PICK_THRESHOLD = 0.05
 _ROUTE_GUARD = 1e-5
 
 # The closed form sums the infinite-time signal but the FID stops, so the
-# routes part by about exp(-acquisition / T2): ``for_system`` refuses a grid
-# shorter than this many T2.  Fixed at import, so a moved guard is reached.
+# routes part by about exp(-acquisition / T2): ``_check_duration`` refuses a
+# grid shorter than this many T2.  Fixed at import, so a moved guard is reached.
 _MIN_ACQUISITION_T2 = math.log(1.0 / _ROUTE_GUARD)
 
 
@@ -173,7 +173,7 @@ class AcquisitionParams:
         undecodable register is refused first (``_check_decodable``), so
         that pair is a linewidth apart; a grid that then still needs more
         than ``_MAX_POINTS`` points (a very long T2) is refused, and so is
-        one whose acquisition lasts under ``_MIN_ACQUISITION_T2`` T2.
+        one that lasts under ``_MIN_ACQUISITION_T2`` T2 (``_check_duration``).
         """
         params = cls(n_points=n_points, t2_s=t2_s, carrier_hz=carrier_hz)  # refuse bad fields first
         _check_decodable(system, params)
@@ -184,12 +184,7 @@ class AcquisitionParams:
         while sw / n_points > table.min_gap_hz / 4.0:
             n_points *= 2
         params = cls(n_points=n_points, dwell_s=1.0 / sw, t2_s=t2_s, carrier_hz=carrier_hz)
-        seconds = n_points / sw
-        if seconds < _MIN_ACQUISITION_T2 * t2_s:
-            raise SpectrometerError(
-                f"acquisition of {n_points} points lasts {seconds:.4g} s = {seconds / t2_s:.5g} T2, under"
-                f" the {_MIN_ACQUISITION_T2:.5g} T2 = ln(1 / route guard) the routes need; raise --points"
-            )
+        _check_duration(params)
         return params
 
 
@@ -471,6 +466,20 @@ def _check_decodable(system: SpinSystem, params: AcquisitionParams) -> None:
         raise SpectrometerError(
             f"the line at {table.block_freq[buried]:.4f} Hz is buried under its "
             f"neighbours' tails at linewidth {width:.4g} Hz (T2 {params.t2_s:g} s)"
+        )
+
+
+def _check_duration(params: AcquisitionParams) -> None:
+    """Refuse a grid that lasts under ``_MIN_ACQUISITION_T2`` T2, where the routes part.
+
+    ``for_system`` and ``cli.run_fetch`` ask it; readout does not, so the
+    route comparisons can still read a short grid on purpose.
+    """
+    seconds = params.n_points * params.dwell_s
+    if seconds < _MIN_ACQUISITION_T2 * params.t2_s:
+        raise SpectrometerError(
+            f"acquisition of {params.n_points} points lasts {seconds:.4g} s = {seconds / params.t2_s:.5g} T2,"
+            f" under the {_MIN_ACQUISITION_T2:.5g} T2 = ln(1 / route guard) the routes need; raise --points"
         )
 
 

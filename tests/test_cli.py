@@ -280,11 +280,28 @@ def test_simulate_refuses_a_long_schedule_before_simulating_it(monkeypatch, caps
     assert "configuration error: hard-pulse schedule lasts 3.90563 s (6.509 T2)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "run_fetch"])
 def test_an_acquisition_shorter_than_the_route_guard_needs_exits_config(monkeypatch, capsys, command):
     # at T2 = 3 s the builtin's 32 s grid lasts 10.7 T2 and its route gap
     # would be 2.19e-5, above the 1e-5 guard: refused before any state,
-    # where it used to fail the guard with exit 4.  Twice the points run
+    # where it used to fail the guard with exit 4.  Twice the points run.
+    # An explicit grid meets the same check: at T2 = 4 s the same grid lasts
+    # 8 T2, and run_fetch used to prepare its states and then fail the guard
+    if command == "run_fetch":
+        prepared = []
+        real = climod._initial_state
+
+        def spy(system, init):
+            prepared.append(init)
+            return real(system, init)
+
+        monkeypatch.setattr(climod, "_initial_state", spy)
+        params = AcquisitionParams(n_points=16384, dwell_s=1.0 / 512.0, t2_s=4.0)
+        cfg = RunConfig(crotonic_default(), QueryPattern.from_string("100xxx"), params=params)
+        with pytest.raises(SpectrometerError, match=r"lasts 32 s = 8 T2, under the 11\.513 T2"):
+            run_fetch(cfg)
+        assert prepared == []
+        return
     argv = [command, "--t2", "3"] + (["--pattern", "100xxx", "--backend", "fast"] if command == "simulate" else [])
     assert main([*argv, "--points", "32768"]) == EXIT_OK
     capsys.readouterr()

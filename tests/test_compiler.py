@@ -296,6 +296,12 @@ def test_non_finite_phase_angle_rejected(controls):
             compile_multilinear_z_phase(3, 0, controls, angle)
 
 
+def test_unhashable_non_gate_rejected():
+    # each object is checked before the sequence's index hashes it
+    with pytest.raises(CompileError, match=r"unknown gate \[0, 1\]"):
+        GateSequence(2, (VirtualZ(0, 0.5), [0, 1]))
+
+
 def test_pulse_angles_canonicalized_nonnegative():
     seq = compile_multilinear_z_phase(3, 0, [(1, 1), (2, 0)], 0.8)
     for g in seq.gates:
@@ -621,6 +627,14 @@ def test_sequence_unitary_with_few_mixed_qubits(data):
     seq = GateSequence(n, tuple(gates), mode=mode)
     got = sequence_unitary(seq, sys)
     assert np.max(np.abs(got - reference_unitary(seq, sys))) <= 1e-11
+
+
+@pytest.mark.parametrize("mode", ["ideal", "hard_pulse"])
+def test_empty_sequence_product_is_the_identity(mode):
+    sys = crotonic_default()
+    acc, cols, embed = compiler._compressed_product(GateSequence(sys.n_spins, (), mode), sys)
+    assert np.array_equal(acc, np.ones((2**sys.n_spins, 1)))
+    assert np.array_equal(cols, np.arange(2**sys.n_spins)) and np.array_equal(embed, [0])
 
 
 def test_sequence_unitary_matches_per_gate_product_on_flagship_schedule():

@@ -13,8 +13,9 @@ end through ``simulate`` and their answers compared:
   bit-identical;
 * carrier and offset: the ancilla's offset and the receiver carrier moved
   by the same amount leave every line where it was relative to the
-  carrier, so the marked and expected items, the verdict and the peak
-  counts stay the same.  The command line has no carrier option, so this
+  carrier, so the marked and expected items, the verdict, and each peak's
+  decoded item and frequency relative to the carrier (within 1e-9 Hz) stay
+  the same.  The command line has no carrier option, so this
   relation runs ``run_fetch`` directly.
 
 Registers are the builtin one, ``scripts/composite_negative.cfg`` and
@@ -173,7 +174,10 @@ def ancilla_shifted(system, delta_hz):
 
 
 def fetches(system, pattern, carrier_hz):
-    """Per backend and init: marked, expected, verdict and peak counts, or the refusal."""
+    """Per backend and init: marked, expected, verdict and peaks, or the refusal.
+
+    Each peak is its decoded item and its frequency relative to the carrier.
+    """
     outcomes = []
     for backend in ("ideal", "hard_pulse", "fast_diagonal"):
         for init in ("effective_pure", "thermal"):
@@ -184,9 +188,22 @@ def fetches(system, pattern, carrier_hz):
             except ValueError as exc:  # every refusal of run_fetch is one
                 outcomes.append(type(exc).__name__)
                 continue
-            peaks = len(r.peaks_before), len(r.peaks_after)
+            peaks = [[(p.item, p.freq_hz - carrier_hz) for p in ps] for ps in (r.peaks_before, r.peaks_after)]
             outcomes.append((r.marked, r.expected, r.verified, peaks))
     return outcomes
+
+
+def assert_same_fetches(got, want):
+    """The same outcomes, every peak of the same item at the same relative frequency within 1e-9 Hz."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(g, str) or isinstance(w, str):
+            assert g == w
+            continue
+        assert g[:3] == w[:3]
+        for peaks_g, peaks_w in zip(g[3], w[3]):
+            assert [item for item, _ in peaks_g] == [item for item, _ in peaks_w]
+            assert max((abs(a - b) for (_, a), (_, b) in zip(peaks_g, peaks_w)), default=0.0) <= 1e-9
 
 
 @pytest.mark.parametrize("pattern", ["100101", "1001x1", "x1x0xx"])
@@ -195,7 +212,7 @@ def test_moving_carrier_and_ancilla_offset_together_keeps_the_builtin_fetch(patt
     system = crotonic_default()
     outcomes = fetches(system, pattern, 0.0)
     assert all(isinstance(o, tuple) and o[2] for o in outcomes)
-    assert fetches(ancilla_shifted(system, delta_hz), pattern, delta_hz) == outcomes
+    assert_same_fetches(fetches(ancilla_shifted(system, delta_hz), pattern, delta_hz), outcomes)
 
 
 @settings(max_examples=25, deadline=None)
@@ -203,4 +220,4 @@ def test_moving_carrier_and_ancilla_offset_together_keeps_the_builtin_fetch(patt
 def test_moving_carrier_and_ancilla_offset_together_keeps_the_fetch(case, delta_hz):
     system, pattern = case
     shifted = fetches(ancilla_shifted(system, delta_hz), pattern, delta_hz)
-    assert shifted == fetches(system, pattern, 0.0)
+    assert_same_fetches(shifted, fetches(system, pattern, 0.0))

@@ -46,6 +46,7 @@ def test_artifact_digests_are_deterministic():
         sys.executable,
         str(ROOT / "scripts" / "artifact_digests.py"),
         "composite/simulate-hard-thermal-1010",
+        "builtin/product-hard-100101",
         "builtin/spectrum-eps",
     ]
     runs = [subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300) for _ in range(2)]
@@ -54,7 +55,7 @@ def test_artifact_digests_are_deterministic():
     assert runs[0].stdout == runs[1].stdout
     lines = runs[0].stdout.splitlines()
     names = [line.split()[0] for line in lines]
-    # cases run in matrix order, builtin register first
+    # cases run in matrix order, builtin register first, products last
     case = "composite/simulate-hard-thermal-1010"
     assert names == [
         f"builtin/spectrum-eps/{name}"
@@ -71,7 +72,7 @@ def test_artifact_digests_are_deterministic():
             "stderr",
             "exit",
         )
-    ]
+    ] + ["builtin/product-hard-100101"]
     assert all(len(line.split()[1]) == 64 for line in lines if not line.split()[0].endswith("/exit"))
     assert [line for line in lines if line.split()[0].endswith("/exit")] == [
         "builtin/spectrum-eps/exit 0",
