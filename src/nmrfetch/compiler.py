@@ -32,8 +32,9 @@ hard-pulse schedule (delays under the always-on coupling Hamiltonian plus
 refocusing pi pulses) in which every unwanted coupling and chemical shift
 integrates to zero over the block.
 
-Each distinct ZZ period is expanded once per register and the block kept
-for later calls.
+Each distinct ZZ period is expanded once per register and the block,
+checked and indexed, kept for later calls; an expanded schedule's index is
+built from the ideal network's and its blocks'.
 
 ``_compressed_product`` simulates either list exactly, but does dense work
 only where a pulse mixes basis states.  Delays, ZZ periods and frame z
@@ -42,11 +43,12 @@ bit flip; a diagonal moved through a signed flip stays diagonal
 (Pauli-frame bookkeeping), so every maximal run of such gates is one signed
 permutation times a diagonal phase, and every maximal run of the other
 pulses on one qubit is one 2x2 block.  A query network repeats the same few
-runs many times, so each distinct run is composed once per call and applied
-once per occurrence.  The running product keeps only 2^|M| columns per row,
-M being the qubits that some non-flip pulse mixes (the ancilla alone in a
-query network).  A population state is
-conjugated by that product block by block (``states._apply_product``), and
+runs many times, and queries on one register share most of them, so each
+distinct run is composed once per register (once per call without one) and
+applied once per occurrence.  The running product keeps only 2^|M| columns
+per row, M being the qubits that some non-flip pulse mixes (the ancilla
+alone in a query network).  A population state is conjugated by that
+product block by block (``states._apply_product``), and
 ``_product_distance`` compares two such products block by block, so no
 2^n x 2^n matrix is ever built.
 """
@@ -145,7 +147,8 @@ class GateSequence:
     the index into it of every gate.  The gates of an echo block are the
     same objects in every occurrence, so they are first told apart by
     identity (``gates`` keeps them alive, so ids stay unique), and each
-    object is checked, then looked up by value, once.
+    object is checked, then looked up by value, once.  An expanded schedule
+    skips this: ``expand_to_hard_pulses`` derives its index (``_indexed``).
     """
 
     n_qubits: int
@@ -187,6 +190,22 @@ class GateSequence:
             code_of[key] = distinct.setdefault(gate, len(distinct))
         object.__setattr__(self, "_distinct", tuple(distinct))
         object.__setattr__(self, "_codes", tuple(map(code_of.__getitem__, ids)))
+
+    @classmethod
+    def _indexed(
+        cls,
+        n_qubits: int,
+        gates: tuple[Gate, ...],
+        mode: str,
+        distinct: tuple[Gate, ...],
+        codes: tuple[int, ...],
+    ) -> GateSequence:
+        """A sequence whose gates the caller checked and indexed (``expand_to_hard_pulses``)."""
+        seq = object.__new__(cls)
+        fields = dict(n_qubits=n_qubits, gates=gates, mode=mode, _distinct=distinct, _codes=codes)
+        for name, value in fields.items():
+            object.__setattr__(seq, name, value)
+        return seq
 
     def _check_qubit(self, q: int) -> None:
         if not 0 <= q < self.n_qubits:
@@ -395,12 +414,32 @@ def _echo_block(gate: ZZEvolution, system: SpinSystem) -> list[Gate]:
     return gates
 
 
+@dataclass
+class _RegisterWork:
+    """The compiler's work that depends only on one register.
+
+    ``blocks`` holds each distinct ZZ period's echo block as a hard-pulse
+    sequence, so its gates were checked and indexed once, when it was
+    cached.  ``runs`` maps the gate values of each distinct run that a
+    product on this register composed to the composed run (see
+    ``_compressed_product``), which never leaves that function.
+    """
+
+    blocks: dict[ZZEvolution, GateSequence] = field(default_factory=dict)
+    runs: dict[tuple[Gate, ...], tuple[np.ndarray, ...] | np.ndarray] = field(default_factory=dict)
+
+
 # SpinSystem is frozen, compares by identity and its j_hz is read-only, so
-# an echo block stays valid for as long as its register exists; the blocks
-# hold no reference to the register, so the weak cache can drop both
-_ECHO_BLOCKS: "weakref.WeakKeyDictionary[SpinSystem, dict[ZZEvolution, tuple[Gate, ...]]]" = (
-    weakref.WeakKeyDictionary()
-)
+# this work stays valid for as long as its register exists; it holds no
+# reference to the register, so the weak cache can drop both
+_REGISTER_WORK: "weakref.WeakKeyDictionary[SpinSystem, _RegisterWork]" = weakref.WeakKeyDictionary()
+
+
+def _register_work(system: SpinSystem) -> _RegisterWork:
+    work = _REGISTER_WORK.get(system)
+    if work is None:
+        work = _REGISTER_WORK[system] = _RegisterWork()
+    return work
 
 
 def expand_to_hard_pulses(seq: GateSequence, system: SpinSystem) -> GateSequence:
@@ -410,28 +449,41 @@ def expand_to_hard_pulses(seq: GateSequence, system: SpinSystem) -> GateSequence
     result reproduces the ideal sequence's unitary up to a global phase.
     Equal ZZ periods recur many times in a query network and across
     queries, so each distinct one is expanded once per register and its
-    block, an immutable tuple, reused by later calls.
+    block, checked and indexed as a hard-pulse sequence, reused by later
+    calls.  The result's index is built from the ideal sequence's index
+    and the blocks' own, so no gate is checked or looked up again: walking
+    the ideal distinct gates in order of first occurrence, each expanded
+    into its block (or itself), meets the expanded distinct gates in their
+    own order of first occurrence.
     """
     if seq.mode != "ideal":
         raise CompileError("only ideal sequences can be expanded")
     if seq.n_qubits != system.n_spins:
         raise CompileError("sequence register size does not match the system")
-    blocks = _ECHO_BLOCKS.get(system)
-    if blocks is None:
-        blocks = _ECHO_BLOCKS[system] = {}
-    gates: list[Gate] = []
-    for gate in seq.gates:
+    blocks = _register_work(system).blocks
+    distinct: dict[Gate, int] = {}
+    parts = []  # per ideal distinct gate: its block's gates (None if it passes) and codes
+    for gate in seq._distinct:
         if isinstance(gate, ZZEvolution):
             block = blocks.get(gate)
             if block is None:
-                block = blocks[gate] = tuple(_echo_block(gate, system))
-            gates.extend(block)
+                block = blocks[gate] = GateSequence(
+                    seq.n_qubits, tuple(_echo_block(gate, system)), "hard_pulse"
+                )
+            codes = [distinct.setdefault(g, len(distinct)) for g in block._distinct]
+            parts.append((block.gates, tuple(map(codes.__getitem__, block._codes))))
         else:
+            parts.append((None, (distinct.setdefault(gate, len(distinct)),)))
+    gates: list[Gate] = []
+    for gate, code in zip(seq.gates, seq._codes):
+        block = parts[code][0]
+        if block is None:
             gates.append(gate)
-    return GateSequence(
-        n_qubits=seq.n_qubits,
-        gates=tuple(gates),
-        mode="hard_pulse",
+        else:
+            gates.extend(block)
+    codes = itertools.chain.from_iterable(parts[code][1] for code in seq._codes)
+    return GateSequence._indexed(
+        seq.n_qubits, tuple(gates), "hard_pulse", tuple(distinct), tuple(codes)
     )
 
 
@@ -474,13 +526,18 @@ def _compressed_product(
     monomial gate: a delay (ham * t under the always-on Hamiltonian), a
     virtual z, a ZZ period or a pulse whose block is a signed bit flip
     (angle = pi mod 2 pi).  The sequence is cut into maximal runs of one
-    label, and each distinct run is composed once per call and applied once
-    per occurrence.  A monomial run is a signed permutation times a
-    diagonal phase, stored as a source row and a complex coefficient per
-    row, (M A)[i] = coef[i] A[src[i]]: it is composed at O(2^n) per gate (a
-    diagonal adds to a phase, a flip permutes the vectors and scales the
-    sign) and applied as one row gather and scale, which gathers ``cols``
-    with the rows.  A run of pulses that mix qubit q is one 2x2 block,
+    label, and each distinct run is composed once and applied once per
+    occurrence.  Given a register, a run is looked up by its gate values in
+    the register's memo (``_RegisterWork.runs``) and composed only on a
+    miss, so queries on one register compose each run once per register; a
+    composed run depends only on its gate values and the register, so a
+    sequence built by hand composes the runs its own gates make.  A
+    monomial run is a signed permutation times a diagonal phase, stored as
+    a source row and a complex coefficient per row, (M A)[i] =
+    coef[i] A[src[i]]: it is composed at O(2^n) per gate (a diagonal adds
+    to a phase, a flip permutes the vectors and scales the sign) and
+    applied as one row gather and scale, which gathers ``cols`` with the
+    rows.  A run of pulses that mix qubit q is one 2x2 block,
     applied as one two-row linear combination; the two rows always share
     their columns (a flip's source map is i ^ F for a fixed mask F, so
     partner rows stay partners), so ``cols`` is left alone.
@@ -494,41 +551,22 @@ def _compressed_product(
         raise CompileError(
             f"query simulation limited to {MAX_DENSE_QUBITS} spins; the register has {n}"
         )
+    if system is not None and system.n_spins != n:
+        raise CompileError("sequence register size does not match the system")
+    if seq.mode == "hard_pulse" and system is None:
+        raise CompileError("hard-pulse simulation needs the spin system")
     dim = 2**n
-    ham = None
-    if seq.mode == "hard_pulse":
-        if system is None:
-            raise CompileError("hard-pulse simulation needs the spin system")
-        if system.n_spins != n:
-            raise CompileError("sequence register size does not match the system")
-        ham = free_hamiltonian_diagonal(system)
     rows = np.arange(dim)
-    z = np.array([z_eigenvalues(n, q) for q in range(n)])
     masks = 1 << (n - 1 - np.arange(n))  # index bit of each qubit
 
-    # per distinct gate: its label and its step, the 2x2 block of a pulse
-    # that mixes its qubit, a flip (source rows and coefficients) or a
-    # diagonal phase
-    labels, steps = [], []
-    for gate in seq._distinct:
-        label = -1
-        if isinstance(gate, SelectivePulse):
-            step = rotation_block(gate.axis, gate.angle)
-            if abs(step[0, 0]) >= _FLIP_DIAGONAL:
-                label = gate.qubit
-            else:
-                # row i takes its partner with step[0, 1] if the qubit is 0
-                # in i, with step[1, 0] if it is 1
-                coef = np.where(z[gate.qubit] < 0, step[1, 0], step[0, 1])
-                step = (rows ^ masks[gate.qubit], coef)
-        elif isinstance(gate, Delay):
-            step = ham * gate.seconds
-        elif isinstance(gate, VirtualZ):
-            step = gate.angle * z[gate.qubit]
-        else:
-            step = 2.0 * gate.angle * z[gate.q1] * z[gate.q2]
-        labels.append(label)
-        steps.append(step)
+    # each distinct gate's label: the qubit of a pulse that mixes it, or -1
+    labels = [
+        gate.qubit
+        if isinstance(gate, SelectivePulse)
+        and abs(rotation_block(gate.axis, gate.angle)[0, 0]) >= _FLIP_DIAGONAL
+        else -1
+        for gate in seq._distinct
+    ]
     mixed = sorted(set(labels) - {-1})
 
     embed = np.zeros(1, dtype=rows.dtype)
@@ -536,19 +574,41 @@ def _compressed_product(
         embed = np.concatenate([embed, embed | masks[q]])
     in_mixed = rows & int(masks[mixed].sum())
 
+    z = np.array([z_eigenvalues(n, q) for q in range(n)])
+    ham = functools.cache(lambda: free_hamiltonian_diagonal(system))
+
+    @functools.cache
+    def step(code: int):
+        # the 2x2 block of a pulse that mixes its qubit, a flip (source rows
+        # and coefficients) or a diagonal phase
+        gate = seq._distinct[code]
+        if isinstance(gate, SelectivePulse):
+            block = rotation_block(gate.axis, gate.angle)
+            if labels[code] >= 0:
+                return block
+            # row i takes its partner with block[0, 1] if the qubit is 0 in
+            # i, with block[1, 0] if it is 1
+            return rows ^ masks[gate.qubit], np.where(z[gate.qubit] < 0, block[1, 0], block[0, 1])
+        if isinstance(gate, Delay):
+            return ham() * gate.seconds
+        if isinstance(gate, VirtualZ):
+            return gate.angle * z[gate.qubit]
+        return 2.0 * gate.angle * z[gate.q1] * z[gate.q2]
+
     def compose(run: tuple[int, ...]):
         if labels[run[0]] >= 0:  # the first pulse acts first
-            return functools.reduce(lambda block, code: steps[code] @ block, run[1:], steps[run[0]])
+            return functools.reduce(lambda block, code: step(code) @ block, run[1:], step(run[0]))
         src, sign, phase = rows, np.ones(dim, dtype=complex), np.zeros(dim)
         for code in run:
-            step = steps[code]
-            if isinstance(step, tuple):
-                flip, coef = step
+            factor = step(code)
+            if isinstance(factor, tuple):
+                flip, coef = factor
                 src, sign, phase = src[flip], coef * sign[flip], phase[flip]
             else:
-                phase = phase + step
+                phase = phase + factor
         return src, sign * np.exp(-1.0j * phase)
 
+    memo = {} if system is None else _register_work(system).runs
     acc = (in_mixed[:, None] == embed).astype(complex)
     cols = rows - in_mixed
     runs = {}
@@ -556,7 +616,11 @@ def _compressed_product(
         run = tuple(group)
         entry = runs.get(run)
         if entry is None:
-            entry = runs[run] = compose(run)
+            key = tuple(map(seq._distinct.__getitem__, run))
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = compose(run)
+            runs[run] = entry
         if label >= 0:
             _mix_rows(acc, label, entry)
         else:

@@ -891,6 +891,8 @@ def _pick(spectrum: Spectrum, threshold_frac: float) -> tuple[np.ndarray, np.nda
     idx = np.concatenate([maxima, minima])
     sign = np.repeat([1.0, -1.0], [len(maxima), len(minima)])
     keep = sign * amp[idx] >= threshold_frac * np.max(np.abs(amp), initial=0.0)
+    # an edge sample is never a peak, and its refinement would read past the grid
+    keep &= (idx > 0) & (idx < amp.size - 1)
     idx, sign = idx[keep], sign[keep]
     if not idx.size:  # also a flat or one-sample spectrum, which has no grid step
         return np.empty(0), np.empty(0)

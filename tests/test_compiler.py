@@ -3,9 +3,11 @@
 import gc
 import itertools
 import math
+import operator
 import random
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from nmrfetch import (
     distance_up_to_global_phase,
     expand_to_hard_pulses,
     format_sequence,
+    load_spin_system_file,
     sequence_report,
 )
 from nmrfetch import compiler
@@ -458,13 +461,13 @@ def test_echo_blocks_are_cached_per_register():
     b = _two_controls([-4.0, 1.0, 7.0])
     net = compile_multilinear_z_phase(3, 0, [(1, 0), (2, 1)], math.pi)
     first = expand_to_hard_pulses(net, a)
-    blocks = dict(compiler._ECHO_BLOCKS[a])
+    blocks = dict(compiler._REGISTER_WORK[a].blocks)
     assert expand_to_hard_pulses(net, a) == first
-    assert all(compiler._ECHO_BLOCKS[a][zz] is block for zz, block in blocks.items())
-    assert all(isinstance(block, tuple) for block in blocks.values())
+    assert all(compiler._REGISTER_WORK[a].blocks[zz] is block for zz, block in blocks.items())
+    assert all(isinstance(block.gates, tuple) and block.mode == "hard_pulse" for block in blocks.values())
     other = expand_to_hard_pulses(net, b)
-    assert compiler._ECHO_BLOCKS[b].keys() == blocks.keys()
-    assert all(compiler._ECHO_BLOCKS[b][zz] != block for zz, block in blocks.items())
+    assert compiler._REGISTER_WORK[b].blocks.keys() == blocks.keys()
+    assert all(compiler._REGISTER_WORK[b].blocks[zz].gates != block.gates for zz, block in blocks.items())
     for sys, hard in ((a, first), (b, other)):
         gap = distance_up_to_global_phase(sequence_unitary(hard, sys), sequence_unitary(net, sys))
         assert gap < 1e-6
@@ -472,12 +475,57 @@ def test_echo_blocks_are_cached_per_register():
 
 def test_echo_block_cache_lets_its_register_go():
     sys = _two_controls([5.0, -3.0, 2.0])
-    expand_to_hard_pulses(compile_multilinear_z_phase(3, 0, [(1, 0), (2, 1)], math.pi), sys)
-    assert sys in compiler._ECHO_BLOCKS
+    net = compile_multilinear_z_phase(3, 0, [(1, 0), (2, 1)], math.pi)
+    compiler._compressed_product(expand_to_hard_pulses(net, sys), sys)
+    work = compiler._REGISTER_WORK[sys]
+    assert work.blocks and work.runs  # the blocks and the composed runs
     ref = weakref.ref(sys)
     del sys
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("spec", ["builtin", "composite"])
+def test_expanded_index_is_the_one_its_gates_give(spec):
+    # the index built from the ideal one and the blocks' own, against the
+    # one GateSequence builds gate by gate, for every pattern of the register
+    path = Path(__file__).resolve().parent.parent / "scripts" / "composite_negative.cfg"
+    sys = crotonic_default() if spec == "builtin" else load_spin_system_file(path)
+    for symbols in itertools.product("01x", repeat=sys.n_database):
+        net = build_query_network(sys, QueryPattern.from_string("".join(symbols)))
+        hard = expand_to_hard_pulses(net, sys)
+        again = GateSequence(sys.n_spins, hard.gates, "hard_pulse")
+        assert (hard.gates, hard._distinct, hard._codes) == (again.gates, again._distinct, again._codes)
+        assert all(map(operator.is_, hard._distinct, again._distinct))  # the same first objects
+        assert (hard.n_qubits, hard.mode) == (again.n_qubits, again.mode)
+
+
+def test_composed_runs_are_kept_per_register():
+    # one delay: the same gate values, a different run under each register
+    a = _two_controls([5.0, -3.0, 2.0])
+    b = _two_controls([-4.0, 1.0, 7.0])
+    seq = GateSequence(3, (Delay(0.01),), "hard_pulse")
+    for sys in (a, b, a):
+        assert np.max(np.abs(sequence_unitary(seq, sys) - reference_unitary(seq, sys))) <= 1e-12
+
+
+def _products(sys, bits):
+    """The bytes of the ideal and the hard product of one query on a register."""
+    net = build_query_network(sys, QueryPattern.from_string(bits))
+    products = (compiler._compressed_product(seq, sys) for seq in (net, expand_to_hard_pulses(net, sys)))
+    return [[(a.dtype, a.shape, a.tobytes()) for a in product] for product in products]
+
+
+def test_warm_register_products_match_a_fresh_register():
+    # runs composed for other queries and read back from the register's
+    # memo give the bytes that composing every run afresh gives
+    warm = crotonic_default()
+    patterns = ["".join(p) for p in itertools.product("01x", repeat=warm.n_database)]
+    for bits in patterns[::7]:
+        _products(warm, bits)
+    assert compiler._REGISTER_WORK[warm].runs
+    for bits in random.Random(5).sample(patterns, 16) + ["100101", "xxxxxx"]:
+        assert _products(warm, bits) == _products(crotonic_default(), bits)
 
 
 @settings(max_examples=20, deadline=None)

@@ -27,6 +27,7 @@ from nmrfetch import (
     GateSequence,
     QueryPattern,
     SelectivePulse,
+    Spectrum,
     SpinSystem,
     ZZEvolution,
     crotonic_default,
@@ -123,6 +124,22 @@ def test_verify_catches_planted_defect(monkeypatch, capsys, register, defect):
     assert verify(system, pattern, backend) == EXIT_OK
     monkeypatch.setattr(climod, name, plant(getattr(climod, name)))
     assert verify(system, pattern, backend) == EXIT_MISMATCH
+    assert "-> FAIL" in capsys.readouterr().out
+
+
+def test_verify_catches_a_dropped_refocusing_pulse_on_a_warm_register(monkeypatch, capsys, register):
+    # the register's memo already holds every composed run of its clean
+    # schedules; the defective schedule's runs must be composed from its
+    # own gates
+    spec, pattern = register
+    system = climod._load_system(spec)
+    for bits in (pattern, pattern.replace("x", "1"), pattern.replace("x", "0")):
+        assert run_fetch(RunConfig(system, QueryPattern.from_string(bits), backend="hard_pulse")).verified
+    monkeypatch.setattr(climod, "_load_system", lambda spec: system)
+    assert verify(spec, pattern, "hard") == EXIT_OK
+    plant = drop_one_refocusing_pulse(climod.expand_to_hard_pulses)
+    monkeypatch.setattr(climod, "expand_to_hard_pulses", plant)
+    assert verify(spec, pattern, "hard") == EXIT_MISMATCH
     assert "-> FAIL" in capsys.readouterr().out
 
 
@@ -314,17 +331,33 @@ def test_oracle_check_catches_shifted_decode(monkeypatch, capsys, backend):
 
 def test_scipy_reference_catches_edge_extrema(monkeypatch):
     monkeypatch.setattr(spectrometer, "_extrema", count_edge_samples(spectrometer._extrema))
-    # a run misses it: the spectrum's edge samples lie far below the 5 %
-    # peak threshold, so the extra candidates are dropped
+    # a run misses it: the picker never keeps an edge sample
     assert simulate("100101", "fast") == EXIT_OK
     # the picker's property test against scipy.signal.find_peaks does not:
-    # an edge extremum is a peak the reference never reports
+    # an edge extremum is one the reference never reports
     with pytest.raises(Exception) as caught:
         test_spectrometer.test_pick_peaks_matches_scipy_reference()
-    # hypothesis may report a wrong peak list and a refinement past the
-    # last sample together
     errors = getattr(caught.value, "exceptions", (caught.value,))
-    assert {type(e) for e in errors} <= {AssertionError, IndexError}
+    assert {type(e) for e in errors} == {AssertionError}
+
+
+def add_both_edges(real):
+    def extrema(x):
+        maxima, minima = real(x)
+        ends = [0, len(x) - 1]
+        return np.sort(np.r_[maxima, ends]).astype(int), np.sort(np.r_[minima, ends]).astype(int)
+
+    return extrema
+
+
+@pytest.mark.parametrize("amp", [[5.0, 1.0, 0.0, 3.0, 0.0, 1.0, 5.0], [-4.0, 0.0, 2.0, -1.0, 3.0]])
+def test_picker_drops_edge_extrema(monkeypatch, amp):
+    # edges far above the threshold, as a maximum and as a minimum
+    spectrum = Spectrum(0.5 * np.arange(len(amp)), np.array(amp))
+    clean = spectrometer._pick(spectrum, 0.05)
+    monkeypatch.setattr(spectrometer, "_extrema", add_both_edges(spectrometer._extrema))
+    picked = spectrometer._pick(spectrum, 0.05)
+    assert all(map(np.array_equal, picked, clean))
 
 
 # ---------------------------------------------------------------------------

@@ -913,6 +913,9 @@ _spectra = st.one_of(
     threshold_frac=st.one_of(st.sampled_from([0.05, 0.25, 0.5, 0.75]), st.floats(0.001, 0.999)),
 )
 def test_pick_peaks_matches_scipy_reference(amp, start, step, threshold_frac):
+    # read from the module, so that a defect planted there shows
+    extrema = spectrometer._extrema(amp)
+    assert all(map(np.array_equal, extrema, (find_peaks(amp)[0], find_peaks(-amp)[0])))
     spec = Spectrum(start + step * np.arange(len(amp)), amp)
     got = pick_peaks(spec, threshold_frac)
     want = reference_pick_peaks(spec, threshold_frac)
