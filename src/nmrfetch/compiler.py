@@ -93,10 +93,39 @@ __all__ = [
 _PULSE_AXES = ("x", "-x", "y", "-y")
 
 
+def _keeps_hash(cls):
+    """Make a frozen gate dataclass keep its hash once computed.
+
+    Gates key the per-register memos, and a warm product looks every
+    distinct run up by the tuple of its gates, so a gate is hashed many
+    times.  The hash is the dataclass's own hash of the field tuple, so
+    equal gates hash alike (0.0 and -0.0 included).  It is set as an
+    attribute on first use, shadowing the class's None; writing it into
+    ``__dict__`` instead would make every gate build its dict and slow
+    all attribute reads on it.  Pickled state leaves it out, since a
+    string's hash differs from process to process.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        value = self._hash  # the class's None until the object keeps its own
+        if value is None:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self):
+        return {name: value for name, value in vars(self).items() if name != "_hash"}
+
+    cls._hash, cls.__hash__, cls.__getstate__ = None, __hash__, __getstate__
+    return cls
+
+
 class CompileError(ValueError):
     """Raised when a gate sequence cannot be produced for a register."""
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class SelectivePulse:
     """Ideal instantaneous rotation exp(-i angle I_axis) on one spin."""
@@ -106,6 +135,7 @@ class SelectivePulse:
     angle: float  # radians, canonically >= 0 (sign lives in the axis)
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class ZZEvolution:
     """Coupling phase exp(-i angle 2 I_z I_z) between two spins."""
@@ -115,6 +145,7 @@ class ZZEvolution:
     angle: float
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class VirtualZ:
     """Software frame rotation exp(-i angle I_z); takes no real time."""
@@ -123,6 +154,7 @@ class VirtualZ:
     angle: float
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class Delay:
     """Free evolution under the register's coupling Hamiltonian."""

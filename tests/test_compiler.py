@@ -1,9 +1,11 @@
 """Query compilation: multilinear lowering, networks, hard-pulse echoes."""
 
+import dataclasses
 import gc
 import itertools
 import math
 import operator
+import pickle
 import random
 import weakref
 from collections import Counter
@@ -303,6 +305,24 @@ def test_unhashable_non_gate_rejected():
     # each object is checked before the sequence's index hashes it
     with pytest.raises(CompileError, match=r"unknown gate \[0, 1\]"):
         GateSequence(2, (VirtualZ(0, 0.5), [0, 1]))
+
+
+def test_gate_hash_is_kept_and_equal_gates_hash_alike():
+    # a gate hashes its field tuple once and keeps it; 0.0 and -0.0 gates are equal
+    pairs = [
+        (SelectivePulse(0, "x", 0.0), SelectivePulse(0, "x", -0.0)),
+        (ZZEvolution(0, 1, 0.0), ZZEvolution(0, 1, -0.0)),
+        (VirtualZ(1, 0.0), VirtualZ(1, -0.0)),
+        (Delay(0.0), Delay(-0.0)),
+        (SelectivePulse(2, "-y", math.pi), SelectivePulse(2, "-y", math.pi)),
+    ]
+    for a, b in pairs:
+        fields = tuple(getattr(a, f.name) for f in dataclasses.fields(a))
+        assert a == b and hash(a) == hash(b) == hash(fields)
+        assert vars(a)["_hash"] == hash(a)  # kept on the gate
+        # a pickled gate leaves its hash behind: a string's hash is per process
+        copy = pickle.loads(pickle.dumps(a))
+        assert "_hash" not in vars(copy) and copy == a and hash(copy) == hash(a)
 
 
 def test_pulse_angles_canonicalized_nonnegative():

@@ -105,10 +105,14 @@ def reference_fid(state, system, params):
 
 def reference_analytic(state, system, params):
     """Closed-form spectrum summed one line at a time."""
+    return reference_row(state.ancilla_difference(), system, params)
+
+
+def reference_row(diff, system, params):
+    """Closed-form row of per-item ancilla differences, summed one line at a time."""
     grid = params.frequency_grid()
     dt = params.dwell_s
     decay = math.exp(-dt / params.t2_s)
-    diff = state.ancilla_difference()
     amp = np.zeros_like(grid)
     for line in line_table(system):
         line_amp = 0.5 * diff[line.item] * line.fraction
@@ -484,6 +488,67 @@ def test_fid_matches_dense_pulse_reference_composite(sys, seed, t2, carrier):
     assert relative_gap(
         analytic_spectrum(state, sys, params).amplitude, reference_analytic(state, sys, params)
     ) <= 1e-12
+
+
+def panel_switch(n_points):
+    """The fewest nonzero lines whose closed-form row is evaluated by panels."""
+    return next(L for L in itertools.count(1) if spectrometer._panel_width(L, n_points) < n_points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    register=st.sampled_from(("plain", "composite")),
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.sampled_from((1024, 4096, 16384, 65536)),
+    carrier=st.floats(-20.0, 20.0),
+    edge=st.booleans(),
+    rows=st.sampled_from(("zero", "one", "few", "below", "above", "all")),
+)
+@example(register="plain", seed=1, n_points=65536, carrier=0.0, edge=True, rows="all")
+@example(register="composite", seed=2, n_points=1024, carrier=0.0, edge=True, rows="above")
+@example(register="plain", seed=3, n_points=16384, carrier=3.0, edge=False, rows="below")
+def test_closed_form_row_matches_the_per_line_sum(register, seed, n_points, carrier, edge, rows):
+    # the closed-form row, dense or by panels, against the line-by-line sum.
+    # T2 is 512 dwells on every grid, so neither sum's rounding nears the
+    # tolerance (both grow as T2 / dwell).  An edge grid is as narrow as
+    # the coverage check allows and centred on the lines, so the outermost
+    # line on each side lies three linewidths, well under a panel, from its
+    # band edge and wraps onto the panel at the other edge
+    rng = np.random.default_rng(seed)
+    if register == "plain":
+        system = superincreasing_system(rng, 6)
+    else:
+        row = [rng.choice((-1, 1)) * 1.5 * 2 ** (5 - i) for i in range(1, 6)]
+        system = make_system(row, multiplicities=[1, 1, 3, 1, 1], offsets=[1.0] + [0.0] * 5)
+    freq = spectrometer._lines(system).freq_hz
+    if edge:
+        carrier = (freq.min() + freq.max()) / 2.0
+    span = float(np.max(np.abs(freq - carrier)))
+    # with T2 = 512 dwell the coverage check asks for 2 span / (1 - 6 / (512 pi))
+    need = 2.0 * span / (1.0 - 6.0 / (512.0 * math.pi))
+    width = need * (1.0 + 1e-9) if edge else 2.0 ** math.ceil(math.log2(need + 10.0))
+    params = AcquisitionParams(n_points, 1.0 / width, 512.0 / width, carrier)
+
+    items, per_item = 2**system.n_database, len(freq) // 2**system.n_database
+    switch = panel_switch(n_points)
+    count = {
+        "zero": 0,
+        "one": 1,
+        "few": int(rng.integers(2, 5)),
+        "below": (switch - 1) // per_item,
+        "above": -(-switch // per_item),
+        "all": items,
+    }[rows]
+    diff = np.zeros(items)
+    diff[rng.permutation(items)[:count]] = rng.uniform(-1.0, 1.0, count)
+    lines = count * per_item
+    if rows in ("below", "above"):  # the two sides of the switch are both reached
+        assert (spectrometer._panel_width(lines, n_points) < n_points) == (rows == "above")
+    got = spectrometer._closed_form_row(diff, system, params)
+    if not count:
+        assert not got.any()
+        return
+    assert relative_gap(got, reference_row(diff, system, params)) <= 1e-12
 
 
 def test_nonzero_carrier_routes_agree_and_decode():
