@@ -33,24 +33,25 @@ refocusing pi pulses) in which every unwanted coupling and chemical shift
 integrates to zero over the block.
 
 Each distinct ZZ period is expanded once per register and the block,
-checked and indexed, kept for later calls; an expanded schedule's index is
-built from the ideal network's and its blocks'.
+checked, kept for later calls.  An expanded schedule's index is the ideal
+network's, with each ZZ period's entry replaced by its echo block, so a
+query pays per echo block, not per expanded gate.
 
 ``_compressed_product`` simulates either list exactly, but does dense work
 only where a pulse mixes basis states.  Delays, ZZ periods and frame z
 rotations are diagonal, and a pi pulse about x or y is -i sigma, a signed
 bit flip; a diagonal moved through a signed flip stays diagonal
-(Pauli-frame bookkeeping), so every maximal run of such gates is one signed
-permutation times a diagonal phase, and every maximal run of the other
-pulses on one qubit is one 2x2 block.  A query network repeats the same few
-runs many times, and queries on one register share most of them, so each
-distinct run is composed once per register (once per call without one) and
-applied once per occurrence.  The running product keeps only 2^|M| columns
-per row, M being the qubits that some non-flip pulse mixes (the ancilla
-alone in a query network).  A population state is conjugated by that
-product block by block (``states._apply_product``), and
-``_product_distance`` compares two such products block by block, so no
-2^n x 2^n matrix is ever built.
+(Pauli-frame bookkeeping), so every maximal run of such gates, and every
+echo block, is one signed permutation times a diagonal phase, and every
+maximal run of the other pulses on one qubit is one 2x2 block.  A query
+network repeats the same few runs many times, and queries on one register
+share most of them, so each distinct run is composed once per register
+(once per call without one) and applied once per occurrence.  The running
+product keeps only 2^|M| columns per row, M being the qubits that some
+non-flip pulse mixes (the ancilla alone in a query network).  A population
+state is conjugated by that product block by block
+(``states._apply_product``), and ``_product_distance`` compares two such
+products block by block, so no 2^n x 2^n matrix is ever built.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
@@ -165,94 +167,144 @@ class Delay:
 Gate = SelectivePulse | ZZEvolution | VirtualZ | Delay
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class _EchoBlock:
+    """One ZZ period's echo block on one register, as one entry of a schedule's index.
+
+    Its gates were checked as a hard-pulse sequence when the register
+    cached the block, and none of them mixes a qubit, so the whole block
+    lies inside one monomial run of a product.  A register keeps one block
+    per distinct period, so a block compares and hashes by identity: a run
+    that holds it is keyed by one hash for the block, not one per gate.
+    """
+
+    gates: tuple[Gate, ...]
+
+
+Entry = Gate | _EchoBlock
+
+
+def _is_qubit(q) -> bool:
+    # the exact type first: an abstract isinstance is slow, and a bool is an Integral
+    return type(q) is int or (isinstance(q, numbers.Integral) and not isinstance(q, bool))
+
+
+def _is_real(x) -> bool:
+    return type(x) is float or isinstance(x, numbers.Real)
+
+
+def _check_gate(gate, n_qubits: int, mode: str) -> None:
+    """Refuse a gate that a sequence of this size and mode cannot hold."""
+    if isinstance(gate, Delay):
+        if mode != "hard_pulse":
+            raise CompileError("delays only appear in hard-pulse sequences")
+        if not (_is_real(gate.seconds) and 0 <= gate.seconds < math.inf):
+            raise CompileError(f"delay must be finite and non-negative: {gate!r}")
+        return
+    if not isinstance(gate, (SelectivePulse, ZZEvolution, VirtualZ)):
+        raise CompileError(f"unknown gate {gate!r}")
+    if not (_is_real(gate.angle) and math.isfinite(gate.angle)):
+        raise CompileError(f"gate angle must be a finite real number: {gate!r}")
+    if isinstance(gate, ZZEvolution):
+        if mode != "ideal":
+            raise CompileError("ZZ periods only appear in ideal sequences")
+        qubits = (gate.q1, gate.q2)
+    else:
+        if isinstance(gate, SelectivePulse) and gate.axis not in _PULSE_AXES:
+            raise CompileError(f"bad pulse axis {gate.axis!r}")
+        qubits = (gate.qubit,)
+    for q in qubits:
+        if not _is_qubit(q):
+            raise CompileError(f"gate qubit {q!r} is not an integer: {gate!r}")
+        if not 0 <= q < n_qubits:
+            raise CompileError(f"gate qubit {q} out of range for {n_qubits}-qubit register")
+    if len(qubits) == 2 and qubits[0] == qubits[1]:
+        raise CompileError("ZZ period needs two distinct qubits")
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class GateSequence:
     """Time-ordered gate list (first gate acts first) on a register.
 
     ``mode`` is "ideal" (rotations, ZZ periods and virtual z only) or
     "hard_pulse" (rotations, delays and virtual z only).  Pulses are
     instantaneous, so the duration of a sequence is the sum of its delays.
-    Every angle and delay must be finite, and no delay negative.
+    Every qubit must be an integer in range (not a bool), every angle and
+    delay a finite real number, and no delay negative.
 
-    The gates are indexed when the sequence is made: ``_distinct`` holds
-    each distinct gate once, in order of first occurrence, and ``_codes``
-    the index into it of every gate.  The gates of an echo block are the
-    same objects in every occurrence, so they are first told apart by
-    identity (``gates`` keeps them alive, so ids stay unique), and each
-    object is checked, then looked up by value, once.  An expanded schedule
-    skips this: ``expand_to_hard_pulses`` derives its index (``_indexed``).
+    A sequence is its index: ``_entries`` holds each distinct entry once,
+    in order of first occurrence, and ``_codes`` the index into it of every
+    entry in time order.  An entry is a gate, or, in an expanded schedule,
+    a register's cached echo block (``expand_to_hard_pulses``).  ``gates``
+    is derived from the index, each block giving its own gates.  The
+    constructor indexes a flat gate list: the gates of an echo block are
+    the same objects in every occurrence, so they are first told apart by
+    identity (the list keeps them alive, so ids stay unique), and each
+    object is checked, then looked up by value, once.
     """
 
     n_qubits: int
-    gates: tuple[Gate, ...]
-    mode: str = "ideal"
-    _distinct: tuple[Gate, ...] = field(init=False, repr=False, compare=False)
-    _codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    mode: str
+    _entries: tuple[Entry, ...]
+    _codes: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.mode not in ("ideal", "hard_pulse"):
-            raise CompileError(f"unknown sequence mode {self.mode!r}")
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int, gates: tuple[Gate, ...], mode: str = "ideal"):
+        if mode not in ("ideal", "hard_pulse"):
+            raise CompileError(f"unknown sequence mode {mode!r}")
+        if n_qubits < 1:
             raise CompileError("sequence needs at least one qubit")
-        ids = list(map(id, self.gates))
+        gates = tuple(gates)
+        ids = list(map(id, gates))
         distinct: dict[Gate, int] = {}
         code_of = {}
-        for key, gate in dict(zip(ids, self.gates)).items():  # first occurrence first
-            # checked before it is hashed: a non-gate may be unhashable
-            if isinstance(gate, Delay):
-                if self.mode != "hard_pulse":
-                    raise CompileError("delays only appear in hard-pulse sequences")
-                if not 0 <= gate.seconds < math.inf:
-                    raise CompileError(f"delay must be finite and non-negative: {gate!r}")
-            elif not isinstance(gate, (SelectivePulse, ZZEvolution, VirtualZ)):
-                raise CompileError(f"unknown gate {gate!r}")
-            elif not math.isfinite(gate.angle):
-                raise CompileError(f"gate angle must be finite: {gate!r}")
-            elif isinstance(gate, ZZEvolution):
-                if self.mode != "ideal":
-                    raise CompileError("ZZ periods only appear in ideal sequences")
-                if gate.q1 == gate.q2:
-                    raise CompileError("ZZ period needs two distinct qubits")
-                self._check_qubit(gate.q1)
-                self._check_qubit(gate.q2)
-            else:
-                if isinstance(gate, SelectivePulse) and gate.axis not in _PULSE_AXES:
-                    raise CompileError(f"bad pulse axis {gate.axis!r}")
-                self._check_qubit(gate.qubit)
+        for key, gate in dict(zip(ids, gates)).items():  # first occurrence first
+            _check_gate(gate, n_qubits, mode)  # before it is hashed: a non-gate may be unhashable
             code_of[key] = distinct.setdefault(gate, len(distinct))
-        object.__setattr__(self, "_distinct", tuple(distinct))
-        object.__setattr__(self, "_codes", tuple(map(code_of.__getitem__, ids)))
+        self._fill(n_qubits, mode, tuple(distinct), tuple(map(code_of.__getitem__, ids)))
+
+    def _fill(self, n_qubits: int, mode: str, entries: tuple[Entry, ...], codes: tuple[int, ...]) -> None:
+        for name, value in zip(("n_qubits", "mode", "_entries", "_codes"), (n_qubits, mode, entries, codes)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _indexed(
-        cls,
-        n_qubits: int,
-        gates: tuple[Gate, ...],
-        mode: str,
-        distinct: tuple[Gate, ...],
-        codes: tuple[int, ...],
+        cls, n_qubits: int, mode: str, entries: tuple[Entry, ...], codes: tuple[int, ...]
     ) -> GateSequence:
-        """A sequence whose gates the caller checked and indexed (``expand_to_hard_pulses``)."""
+        """A sequence whose entries the caller checked and indexed (``expand_to_hard_pulses``)."""
         seq = object.__new__(cls)
-        fields = dict(n_qubits=n_qubits, gates=gates, mode=mode, _distinct=distinct, _codes=codes)
-        for name, value in fields.items():
-            object.__setattr__(seq, name, value)
+        seq._fill(n_qubits, mode, entries, codes)
         return seq
 
-    def _check_qubit(self, q: int) -> None:
-        if not 0 <= q < self.n_qubits:
-            raise CompileError(
-                f"gate qubit {q} out of range for {self.n_qubits}-qubit register"
-            )
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates in time order: the entries as indexed, each echo block as its gates."""
+        parts = [entry.gates if isinstance(entry, _EchoBlock) else (entry,) for entry in self._entries]
+        return tuple(itertools.chain.from_iterable(map(parts.__getitem__, self._codes)))
 
     def __len__(self) -> int:
         return len(self.gates)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GateSequence):
+            return NotImplemented
+        return (self.n_qubits, self.mode, self.gates) == (other.n_qubits, other.mode, other.gates)
+
+    def __hash__(self) -> int:
+        return hash((self.n_qubits, self.mode, self.gates))
+
+    def __repr__(self) -> str:
+        return f"GateSequence(n_qubits={self.n_qubits}, gates={self.gates!r}, mode={self.mode!r})"
+
     @property
     def duration_s(self) -> float:
-        """The sum of the delays, in gate order (a non-delay adds 0.0)."""
-        seconds = [gate.seconds if isinstance(gate, Delay) else 0.0 for gate in self._distinct]
-        return sum(map(seconds.__getitem__, self._codes), 0.0)
+        """The sum of the delays, in gate order."""
+        delays = [
+            [g.seconds for g in entry.gates if isinstance(g, Delay)]
+            if isinstance(entry, _EchoBlock)
+            else [entry.seconds] if isinstance(entry, Delay) else []
+            for entry in self._entries
+        ]
+        return sum(itertools.chain.from_iterable(map(delays.__getitem__, self._codes)), 0.0)
 
 
 def _conjugation(control: int, target: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
@@ -287,24 +339,23 @@ def _phase_gates(target: int, controls: list[tuple[int, int]], angle: float) -> 
     order = list(eps)  # as given; the last control is the outermost
     base = angle / 2.0 ** len(order)
     conjugations = [_conjugation(c, target) for c in order]
-    gates: list[Gate] = [VirtualZ(target, base)]
 
-    def nest(j: int, sign: float) -> None:
+    @functools.cache
+    def nest(j: int, sign: float) -> tuple[Gate, ...]:
         # the subsets of the first j controls that hold at least one of
-        # them; sign is the product of the outer controls' polarities
+        # them; sign is the product of the outer controls' polarities.  Each
+        # (j, sign) is made once, so its ZZ period is one object however
+        # often it recurs, and the sequence checks it once
         if j == 0:
-            return
+            return ()
         c = order[j - 1]
-        nest(j - 1, sign)
-        gates.append(ZZEvolution(c, target, base * (sign * eps[c])))
+        gates = nest(j - 1, sign) + (ZZEvolution(c, target, base * (sign * eps[c])),)
         if j > 1:
             v, v_dag = conjugations[j - 1]
-            gates.extend(v_dag)
-            nest(j - 1, sign * eps[c])
-            gates.extend(v)
+            gates += v_dag + nest(j - 1, sign * eps[c]) + v
+        return gates
 
-    nest(len(order), 1.0)
-    return gates
+    return [VirtualZ(target, base), *nest(len(order), 1.0)]
 
 
 def compile_multilinear_z_phase(
@@ -450,15 +501,15 @@ def _echo_block(gate: ZZEvolution, system: SpinSystem) -> list[Gate]:
 class _RegisterWork:
     """The compiler's work that depends only on one register.
 
-    ``blocks`` holds each distinct ZZ period's echo block as a hard-pulse
-    sequence, so its gates were checked and indexed once, when it was
-    cached.  ``runs`` maps the gate values of each distinct run that a
-    product on this register composed to the composed run (see
-    ``_compressed_product``), which never leaves that function.
+    ``blocks`` maps each distinct ZZ period to the entries it expands into
+    (``_expansion``): its echo block, made and checked once.  ``runs`` maps
+    the entries of each distinct run that a product on this register
+    composed to the composed run (see ``_compressed_product``), which never
+    leaves that function.
     """
 
-    blocks: dict[ZZEvolution, GateSequence] = field(default_factory=dict)
-    runs: dict[tuple[Gate, ...], tuple[np.ndarray, ...] | np.ndarray] = field(default_factory=dict)
+    blocks: dict[ZZEvolution, tuple[Entry, ...]] = field(default_factory=dict)
+    runs: dict[tuple[Entry, ...], tuple | np.ndarray] = field(default_factory=dict)
 
 
 # SpinSystem is frozen, compares by identity and its j_hz is read-only, so
@@ -474,6 +525,18 @@ def _register_work(system: SpinSystem) -> _RegisterWork:
     return work
 
 
+def _expansion(gate: ZZEvolution, system: SpinSystem) -> tuple[Entry, ...]:
+    """The entries one ZZ period expands into: its echo block, checked as a hard-pulse sequence.
+
+    A block that holds a pulse that mixes a qubit is not one monomial
+    factor, so it is inlined as its plain gates.
+    """
+    gates = GateSequence(system.n_spins, tuple(_echo_block(gate, system)), "hard_pulse").gates
+    if any(_mixed_qubit(g) >= 0 for g in gates):
+        return gates
+    return (_EchoBlock(gates),)
+
+
 def expand_to_hard_pulses(seq: GateSequence, system: SpinSystem) -> GateSequence:
     """Replace every ZZ period by a refocused delay block.
 
@@ -481,42 +544,32 @@ def expand_to_hard_pulses(seq: GateSequence, system: SpinSystem) -> GateSequence
     result reproduces the ideal sequence's unitary up to a global phase.
     Equal ZZ periods recur many times in a query network and across
     queries, so each distinct one is expanded once per register and its
-    block, checked and indexed as a hard-pulse sequence, reused by later
-    calls.  The result's index is built from the ideal sequence's index
-    and the blocks' own, so no gate is checked or looked up again: walking
-    the ideal distinct gates in order of first occurrence, each expanded
-    into its block (or itself), meets the expanded distinct gates in their
-    own order of first occurrence.
+    block, checked, reused by later calls.  The result's index is the ideal
+    sequence's, each ZZ period's entry replaced by its block: no gate is
+    checked or looked up again, and the codes are the ideal ones.  Only a
+    block inlined as its gates (``_expansion``) makes new codes: walking
+    the ideal entries in order of first occurrence, each expanded, meets
+    the expanded entries in their own order of first occurrence.
     """
     if seq.mode != "ideal":
         raise CompileError("only ideal sequences can be expanded")
     if seq.n_qubits != system.n_spins:
         raise CompileError("sequence register size does not match the system")
     blocks = _register_work(system).blocks
-    distinct: dict[Gate, int] = {}
-    parts = []  # per ideal distinct gate: its block's gates (None if it passes) and codes
-    for gate in seq._distinct:
-        if isinstance(gate, ZZEvolution):
-            block = blocks.get(gate)
-            if block is None:
-                block = blocks[gate] = GateSequence(
-                    seq.n_qubits, tuple(_echo_block(gate, system)), "hard_pulse"
-                )
-            codes = [distinct.setdefault(g, len(distinct)) for g in block._distinct]
-            parts.append((block.gates, tuple(map(codes.__getitem__, block._codes))))
+    distinct: dict[Entry, int] = {}
+    parts = []  # per ideal entry: the codes of the entries it expands into
+    for entry in seq._entries:
+        if isinstance(entry, ZZEvolution):
+            expanded = blocks.get(entry)
+            if expanded is None:
+                expanded = blocks[entry] = _expansion(entry, system)
         else:
-            parts.append((None, (distinct.setdefault(gate, len(distinct)),)))
-    gates: list[Gate] = []
-    for gate, code in zip(seq.gates, seq._codes):
-        block = parts[code][0]
-        if block is None:
-            gates.append(gate)
-        else:
-            gates.extend(block)
-    codes = itertools.chain.from_iterable(parts[code][1] for code in seq._codes)
-    return GateSequence._indexed(
-        seq.n_qubits, tuple(gates), "hard_pulse", tuple(distinct), tuple(codes)
-    )
+            expanded = (entry,)
+        parts.append([distinct.setdefault(e, len(distinct)) for e in expanded])
+    codes = seq._codes
+    if any(part != [code] for code, part in enumerate(parts)):
+        codes = tuple(itertools.chain.from_iterable(map(parts.__getitem__, codes)))
+    return GateSequence._indexed(seq.n_qubits, "hard_pulse", tuple(distinct), codes)
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +583,11 @@ def expand_to_hard_pulses(seq: GateSequence, system: SpinSystem) -> GateSequence
 _FLIP_DIAGONAL = 1e-15
 
 
-def _mix_rows(acc: np.ndarray, qubit: int, block: np.ndarray) -> None:
-    """acc <- (block on ``qubit``) @ acc, in place: one two-row combination."""
-    view = acc.reshape(2**qubit, 2, -1)
-    top, bottom = view[:, 0], view[:, 1]
-    new_top = block[0, 0] * top + block[0, 1] * bottom
-    view[:, 1] = block[1, 0] * top + block[1, 1] * bottom
-    view[:, 0] = new_top
+def _mixed_qubit(entry: Entry) -> int:
+    """The qubit a pulse that is not a signed flip mixes, or -1 for a monomial entry."""
+    if isinstance(entry, SelectivePulse) and abs(math.cos(0.5 * entry.angle)) >= _FLIP_DIAGONAL:
+        return entry.qubit
+    return -1
 
 
 def _compressed_product(
@@ -554,25 +605,31 @@ def _compressed_product(
     network mixes only its ancilla, and with every qubit mixed acc is the
     dense product itself.
 
-    Each distinct gate is labelled by the qubit it mixes, or -1 for a
-    monomial gate: a delay (ham * t under the always-on Hamiltonian), a
-    virtual z, a ZZ period or a pulse whose block is a signed bit flip
-    (angle = pi mod 2 pi).  The sequence is cut into maximal runs of one
-    label, and each distinct run is composed once and applied once per
-    occurrence.  Given a register, a run is looked up by its gate values in
-    the register's memo (``_RegisterWork.runs``) and composed only on a
-    miss, so queries on one register compose each run once per register; a
-    composed run depends only on its gate values and the register, so a
-    sequence built by hand composes the runs its own gates make.  A
+    Each distinct entry of the index is labelled by the qubit it mixes, or
+    -1 for a monomial entry: an echo block, a delay (ham * t under the
+    always-on Hamiltonian), a virtual z, a ZZ period or a pulse whose block
+    is a signed bit flip (angle = pi mod 2 pi).  One loop walks the codes
+    in maximal runs of one label, and each distinct run is composed once
+    and applied once per occurrence.  Given a register, a run is looked up
+    by its entries in the register's memo (``_RegisterWork.runs``) and
+    composed only on a miss, so queries on one register compose each run
+    once per register; an echo block is one entry of a run, keyed by one
+    hash.  A composed run depends only on its gates and the register, so a
+    sequence built by hand composes the runs its own gates make.  A run is
+    composed gate by gate, each echo block's gates in place, so an expanded
+    schedule and its flat gate list give bit-identical products.  A
     monomial run is a signed permutation times a diagonal phase, stored as
-    a source row and a complex coefficient per row, (M A)[i] =
-    coef[i] A[src[i]]: it is composed at O(2^n) per gate (a diagonal adds
-    to a phase, a flip permutes the vectors and scales the sign) and
-    applied as one row gather and scale, which gathers ``cols`` with the
-    rows.  A run of pulses that mix qubit q is one 2x2 block,
-    applied as one two-row linear combination; the two rows always share
-    their columns (a flip's source map is i ^ F for a fixed mask F, so
-    partner rows stay partners), so ``cols`` is left alone.
+    a source row and a complex coefficient per row, (M A)[i] = coef[i]
+    A[src[i]]: it is composed at O(2^n) per gate (a diagonal adds to a
+    phase, a flip permutes the vectors and scales the sign).  A monomial run
+    that permutes nothing (its source map is the identity, stored as None),
+    as a query network's runs between ancilla pulses do, scales ``acc`` in
+    place and leaves ``cols`` alone; one that does is applied as one row
+    gather and scale, which gathers ``cols`` with the rows.  A run of
+    pulses that mix qubit q is one 2x2 block, applied in place as one
+    broadcast product and one sum over the row pairs; the two rows always
+    share their columns (a flip's source map is i ^ F for a fixed mask F,
+    so partner rows stay partners), so ``cols`` is left alone.
 
     Every gate is still applied exactly (a pi pulse's dropped diagonal is
     rounding, see ``_FLIP_DIAGONAL``); only the representation of the
@@ -591,14 +648,7 @@ def _compressed_product(
     rows = np.arange(dim)
     masks = 1 << (n - 1 - np.arange(n))  # index bit of each qubit
 
-    # each distinct gate's label: the qubit of a pulse that mixes it, or -1
-    labels = [
-        gate.qubit
-        if isinstance(gate, SelectivePulse)
-        and abs(rotation_block(gate.axis, gate.angle)[0, 0]) >= _FLIP_DIAGONAL
-        else -1
-        for gate in seq._distinct
-    ]
+    labels = list(map(_mixed_qubit, seq._entries))
     mixed = sorted(set(labels) - {-1})
 
     embed = np.zeros(1, dtype=rows.dtype)
@@ -606,39 +656,40 @@ def _compressed_product(
         embed = np.concatenate([embed, embed | masks[q]])
     in_mixed = rows & int(masks[mixed].sum())
 
-    z = np.array([z_eigenvalues(n, q) for q in range(n)])
+    z = functools.cache(lambda q: z_eigenvalues(n, q))
     ham = functools.cache(lambda: free_hamiltonian_diagonal(system))
 
     @functools.cache
-    def step(code: int):
+    def step(gate: Gate):
         # the 2x2 block of a pulse that mixes its qubit, a flip (source rows
         # and coefficients) or a diagonal phase
-        gate = seq._distinct[code]
         if isinstance(gate, SelectivePulse):
             block = rotation_block(gate.axis, gate.angle)
-            if labels[code] >= 0:
+            if _mixed_qubit(gate) >= 0:
                 return block
             # row i takes its partner with block[0, 1] if the qubit is 0 in
             # i, with block[1, 0] if it is 1
-            return rows ^ masks[gate.qubit], np.where(z[gate.qubit] < 0, block[1, 0], block[0, 1])
+            return rows ^ masks[gate.qubit], np.where(z(gate.qubit) < 0, block[1, 0], block[0, 1])
         if isinstance(gate, Delay):
             return ham() * gate.seconds
         if isinstance(gate, VirtualZ):
-            return gate.angle * z[gate.qubit]
-        return 2.0 * gate.angle * z[gate.q1] * z[gate.q2]
+            return gate.angle * z(gate.qubit)
+        return 2.0 * gate.angle * z(gate.q1) * z(gate.q2)
 
-    def compose(run: tuple[int, ...]):
-        if labels[run[0]] >= 0:  # the first pulse acts first
-            return functools.reduce(lambda block, code: step(code) @ block, run[1:], step(run[0]))
+    def compose(run: tuple[Entry, ...]):
+        # an echo block's gates in place, so the arithmetic is the flat schedule's
+        gates = [g for entry in run for g in (entry.gates if isinstance(entry, _EchoBlock) else (entry,))]
+        if gates and _mixed_qubit(gates[0]) >= 0:  # the first pulse acts first
+            return functools.reduce(lambda block, g: step(g) @ block, gates[1:], step(gates[0]))
         src, sign, phase = rows, np.ones(dim, dtype=complex), np.zeros(dim)
-        for code in run:
-            factor = step(code)
+        for gate in gates:
+            factor = step(gate)
             if isinstance(factor, tuple):
                 flip, coef = factor
                 src, sign, phase = src[flip], coef * sign[flip], phase[flip]
             else:
                 phase = phase + factor
-        return src, sign * np.exp(-1.0j * phase)
+        return (None if np.array_equal(src, rows) else src), sign * np.exp(-1.0j * phase)
 
     memo = {} if system is None else _register_work(system).runs
     acc = (in_mixed[:, None] == embed).astype(complex)
@@ -646,18 +697,24 @@ def _compressed_product(
     runs = {}
     for label, group in itertools.groupby(seq._codes, labels.__getitem__):
         run = tuple(group)
-        entry = runs.get(run)
-        if entry is None:
-            key = tuple(map(seq._distinct.__getitem__, run))
-            entry = memo.get(key)
-            if entry is None:
-                entry = memo[key] = compose(run)
-            runs[run] = entry
+        factor = runs.get(run)
+        if factor is None:
+            key = tuple(map(seq._entries.__getitem__, run))
+            factor = memo.get(key)
+            if factor is None:
+                factor = memo[key] = compose(key)
+            runs[run] = factor
         if label >= 0:
-            _mix_rows(acc, label, entry)
+            # view[q, a] <- factor[a, 0] view[q, 0] + factor[a, 1] view[q, 1]
+            view = acc.reshape(2**label, 2, -1)
+            terms = factor[:, :, None] * view[:, None]
+            np.add(terms[:, :, 0], terms[:, :, 1], out=view)
         else:
-            src, coef = entry
-            acc, cols = coef[:, None] * acc[src], cols[src]
+            src, coef = factor
+            if src is None:  # coefficient first, as in the gather: numpy rounds a * b and b * a apart
+                np.multiply(coef[:, None], acc, out=acc)
+            else:
+                acc, cols = coef[:, None] * acc[src], cols[src]
     return acc, cols, embed
 
 
@@ -697,18 +754,23 @@ class SequenceReport:
 def sequence_report(seq: GateSequence) -> SequenceReport:
     """Count the gates by kind and the pulses by (axis, degrees to 6 places); sum the delays.
 
-    The counts are tallied per distinct gate of the sequence's index, so
-    only the distinct pulses are converted to rounded degrees and merged,
-    since a hard-pulse schedule has thousands of pulses but a handful of
-    angles.  The duration is the sequence's ``duration_s``.
+    The counts are tallied per distinct gate, from the counts of the
+    sequence's index entries, so only the distinct pulses are converted to
+    rounded degrees and merged, since a hard-pulse schedule has thousands
+    of pulses but a handful of angles.  The duration is the sequence's
+    ``duration_s``.
     """
-    counts = Counter(seq._codes)
+    counts: Counter = Counter()
+    for code, count in Counter(seq._codes).items():
+        entry = seq._entries[code]
+        for gate in entry.gates if isinstance(entry, _EchoBlock) else (entry,):
+            counts[gate] += count
     kinds: Counter = Counter()
     pulse_counts: Counter = Counter()
-    for code, gate in enumerate(seq._distinct):
-        kinds[type(gate)] += counts[code]
+    for gate, count in counts.items():
+        kinds[type(gate)] += count
         if isinstance(gate, SelectivePulse):
-            pulse_counts[gate.axis, round(math.degrees(gate.angle), 6)] += counts[code]
+            pulse_counts[gate.axis, round(math.degrees(gate.angle), 6)] += count
     return SequenceReport(
         n_pulses=kinds[SelectivePulse],
         pulse_counts=dict(sorted(pulse_counts.items())),

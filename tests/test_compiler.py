@@ -4,7 +4,6 @@ import dataclasses
 import gc
 import itertools
 import math
-import operator
 import pickle
 import random
 import weakref
@@ -29,13 +28,14 @@ from nmrfetch import (
     distance_up_to_global_phase,
     expand_to_hard_pulses,
     format_sequence,
+    load_spin_system,
     load_spin_system_file,
     sequence_report,
 )
 from nmrfetch import compiler
 from nmrfetch.compiler import GateSequence
 
-from conftest import make_system, random_full_system, reference_unitary
+from conftest import make_system, random_full_system, reference_unitary, superincreasing_config
 from dense_reference import controlled_phase_direct, dense_oracle, sequence_unitary
 
 
@@ -294,6 +294,43 @@ def test_non_finite_gates_rejected(gate, mode):
         GateSequence(2, (gate,), mode)
 
 
+@pytest.mark.parametrize(
+    "gate, mode",
+    [
+        (SelectivePulse(1.5, "x", 1.0), "ideal"),
+        (SelectivePulse(True, "x", 1.0), "ideal"),
+        (VirtualZ(2.5, 1.0), "hard_pulse"),
+        (ZZEvolution(0, 1.5, 1.0), "ideal"),
+        (ZZEvolution(False, 1, 1.0), "ideal"),
+        (SelectivePulse(0, "x", "1.0"), "ideal"),
+        (VirtualZ(0, 1j), "ideal"),
+        (ZZEvolution(0, 1, None), "ideal"),
+        (Delay("0.1"), "hard_pulse"),
+        (Delay(np.complex128(0.1)), "hard_pulse"),
+    ],
+)
+def test_gates_of_the_wrong_type_rejected(gate, mode):
+    # bool and non-integer qubits, non-real angles and delays: refused when
+    # the sequence is made, not by numpy or math later
+    with pytest.raises(CompileError, match="not an integer|finite real|non-negative"):
+        GateSequence(3, (gate,), mode)
+
+
+def test_numpy_integer_qubits_and_real_angles_accepted():
+    # each product on a register of its own, so neither reads the other's composed runs
+    registers = [make_system([30.0, 8.0], offsets=[5.0, -3.0, 2.0]) for _ in range(2)]
+    plain = (SelectivePulse(1, "x", math.pi), VirtualZ(2, 0.5), SelectivePulse(0, "y", 0.7), Delay(0.01))
+    numpy_typed = (
+        SelectivePulse(np.int64(1), "x", np.float64(math.pi)),
+        VirtualZ(np.uint8(2), np.float32(0.5)),
+        SelectivePulse(np.int32(0), "y", 0.7),
+        Delay(np.float64(0.01)),
+    )
+    want = sequence_unitary(GateSequence(3, plain, "hard_pulse"), registers[0])
+    got = sequence_unitary(GateSequence(3, numpy_typed, "hard_pulse"), registers[1])
+    assert np.array_equal(got, want)  # float32(0.5) is 0.5 exactly
+
+
 @pytest.mark.parametrize("controls", [[], [(1, 0)], [(1, 0), (2, 1)]])
 def test_non_finite_phase_angle_rejected(controls):
     for angle in (math.nan, math.inf):
@@ -484,10 +521,12 @@ def test_echo_blocks_are_cached_per_register():
     blocks = dict(compiler._REGISTER_WORK[a].blocks)
     assert expand_to_hard_pulses(net, a) == first
     assert all(compiler._REGISTER_WORK[a].blocks[zz] is block for zz, block in blocks.items())
-    assert all(isinstance(block.gates, tuple) and block.mode == "hard_pulse" for block in blocks.values())
+    # each period expands into one echo block, its gates a tuple
+    assert all(len(block) == 1 and isinstance(block[0], compiler._EchoBlock) for block in blocks.values())
+    assert all(isinstance(block[0].gates, tuple) for block in blocks.values())
     other = expand_to_hard_pulses(net, b)
     assert compiler._REGISTER_WORK[b].blocks.keys() == blocks.keys()
-    assert all(compiler._REGISTER_WORK[b].blocks[zz].gates != block.gates for zz, block in blocks.items())
+    assert all(compiler._REGISTER_WORK[b].blocks[zz][0].gates != block[0].gates for zz, block in blocks.items())
     for sys, hard in ((a, first), (b, other)):
         gap = distance_up_to_global_phase(sequence_unitary(hard, sys), sequence_unitary(net, sys))
         assert gap < 1e-6
@@ -506,18 +545,48 @@ def test_echo_block_cache_lets_its_register_go():
 
 
 @pytest.mark.parametrize("spec", ["builtin", "composite"])
-def test_expanded_index_is_the_one_its_gates_give(spec):
-    # the index built from the ideal one and the blocks' own, against the
-    # one GateSequence builds gate by gate, for every pattern of the register
+def test_expanded_index_is_the_ideal_one_with_blocks(spec):
+    # an expanded schedule keeps the ideal network's codes, each ZZ period's
+    # entry replaced by the register's echo block and every other entry
+    # kept; its gates are the blocks' gates in place of the periods, and
+    # the flat index GateSequence builds from them gives the same schedule
     path = Path(__file__).resolve().parent.parent / "scripts" / "composite_negative.cfg"
     sys = crotonic_default() if spec == "builtin" else load_spin_system_file(path)
+    blocks = compiler._register_work(sys).blocks
     for symbols in itertools.product("01x", repeat=sys.n_database):
         net = build_query_network(sys, QueryPattern.from_string("".join(symbols)))
         hard = expand_to_hard_pulses(net, sys)
+        assert hard._codes is net._codes
+        assert len(hard._entries) == len(net._entries)
+        for ideal, entry in zip(net._entries, hard._entries):
+            if isinstance(ideal, ZZEvolution):
+                assert blocks[ideal] == (entry,) and isinstance(entry, compiler._EchoBlock)
+            else:
+                assert entry is ideal
+        flat = [blocks[g][0].gates if isinstance(g, ZZEvolution) else (g,) for g in net.gates]
+        assert hard.gates == tuple(itertools.chain.from_iterable(flat))
         again = GateSequence(sys.n_spins, hard.gates, "hard_pulse")
-        assert (hard.gates, hard._distinct, hard._codes) == (again.gates, again._distinct, again._codes)
-        assert all(map(operator.is_, hard._distinct, again._distinct))  # the same first objects
-        assert (hard.n_qubits, hard.mode) == (again.n_qubits, again.mode)
+        assert again == hard and again.duration_s == hard.duration_s
+
+
+def test_echo_block_with_a_mixing_pulse_is_inlined(monkeypatch):
+    # a block that is not one monomial factor enters the schedule as its
+    # plain gates; the product is still the flat gate list's
+    def echo_block(gate, system):
+        half = SelectivePulse(gate.q2, "x", math.pi / 2)
+        return [half, *real(gate, system), dataclasses.replace(half, axis="-x")]
+
+    real = compiler._echo_block
+    monkeypatch.setattr(compiler, "_echo_block", echo_block)
+    sys = _two_controls([5.0, -3.0, 2.0])
+    net = compile_multilinear_z_phase(3, 0, [(1, 0), (2, 1)], math.pi)
+    hard = expand_to_hard_pulses(net, sys)
+    assert not any(isinstance(e, compiler._EchoBlock) for e in hard._entries)
+    expanded = (echo_block(g, sys) if isinstance(g, ZZEvolution) else (g,) for g in net.gates)
+    assert hard.gates == tuple(itertools.chain.from_iterable(expanded))
+    flat = GateSequence(sys.n_spins, hard.gates, "hard_pulse")
+    assert (hard._entries, hard._codes) == (flat._entries, flat._codes)
+    assert np.max(np.abs(sequence_unitary(hard, sys) - reference_unitary(hard, sys))) <= 1e-11
 
 
 def test_composed_runs_are_kept_per_register():
@@ -546,6 +615,50 @@ def test_warm_register_products_match_a_fresh_register():
     assert compiler._REGISTER_WORK[warm].runs
     for bits in random.Random(5).sample(patterns, 16) + ["100101", "xxxxxx"]:
         assert _products(warm, bits) == _products(crotonic_default(), bits)
+
+
+_SCHEDULE_REGISTERS = {
+    "builtin": crotonic_default(),
+    "negative_n7": load_spin_system(superincreasing_config(7, negative=(3,))),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_SCHEDULE_REGISTERS)),
+    symbols=st.lists(st.sampled_from("01x"), min_size=7, max_size=7),
+)
+def test_expanded_schedule_is_its_flat_gate_list(name, symbols):
+    # the block-indexed schedule against the same gates indexed flat by
+    # GateSequence: equal gates, bit-equal duration, the same product (a
+    # run composes a block's gates in place, so even bit for bit)
+    sys = _SCHEDULE_REGISTERS[name]
+    pattern = QueryPattern.from_string("".join(symbols[: sys.n_database]))
+    hard = expand_to_hard_pulses(build_query_network(sys, pattern), sys)
+    flat = GateSequence(sys.n_spins, hard.gates, "hard_pulse")
+    assert flat.gates == hard.gates
+    assert flat.duration_s.hex() == hard.duration_s.hex()
+    products = [compiler._compressed_product(seq, sys) for seq in (hard, flat)]
+    assert compiler._product_distance(*products) <= 1e-12
+    assert all(map(np.array_equal, *products))
+
+
+def test_monomial_runs_in_place_and_gathered_match_the_reference():
+    # one hand-built schedule of each kind of monomial run: a diagonal run
+    # (scaled in place), a run with a single pi pulse (gathered), a pair of
+    # pi pulses that cancel (in place again), and mixing pulses between them
+    sys = make_system([30.0, 8.0], offsets=[5.0, -3.0, 2.0])
+    flip, mix = SelectivePulse(1, "y", math.pi), SelectivePulse(0, "x", math.pi / 3)
+    gates = (
+        Delay(0.004), VirtualZ(2, 0.3), mix,
+        Delay(0.002), flip, VirtualZ(0, -0.2), mix,
+        flip, Delay(0.003), flip, SelectivePulse(0, "-y", 0.4),
+        SelectivePulse(2, "x", math.pi), Delay(0.001),
+    )  # fmt: skip
+    seq = GateSequence(sys.n_spins, gates, "hard_pulse")
+    assert np.max(np.abs(sequence_unitary(seq, sys) - reference_unitary(seq, sys))) <= 1e-12
+    monomial = [f for f in compiler._REGISTER_WORK[sys].runs.values() if isinstance(f, tuple)]
+    assert {f[0] is None for f in monomial} == {True, False}  # both branches ran
 
 
 @settings(max_examples=20, deadline=None)

@@ -16,7 +16,12 @@ end through ``simulate`` and their answers compared:
   carrier, so the marked and expected items, the verdict, and each peak's
   decoded item and frequency relative to the carrier (within 1e-9 Hz) stay
   the same.  The command line has no carrier option, so this
-  relation runs ``run_fetch`` directly.
+  relation runs ``run_fetch`` directly;
+* wildcard union: a pattern with a wildcard marks exactly the union of
+  what its two completions on that qubit mark.  It queries the register
+  with that qubit constrained, so it reaches a defect that only a
+  constrained bit can show (a wrong sign on a wildcard qubit moves both of
+  its sides alike).
 
 Registers are the builtin one, ``scripts/composite_negative.cfg`` and
 random superincreasing ones with signed couplings, offsets and couplings
@@ -39,7 +44,7 @@ from nmrfetch import (
     load_spin_system,
     load_spin_system_file,
 )
-from nmrfetch.cli import RunConfig, main, run_fetch
+from nmrfetch.cli import EXIT_CONFIG, RunConfig, main, run_fetch
 
 COMPOSITE = Path(__file__).resolve().parents[1] / "scripts" / "composite_negative.cfg"
 BACKENDS = ("ideal", "hard", "fast")
@@ -221,3 +226,45 @@ def test_moving_carrier_and_ancilla_offset_together_keeps_the_fetch(case, delta_
     system, pattern = case
     shifted = fetches(ancilla_shifted(system, delta_hz), pattern, delta_hz)
     assert_same_fetches(shifted, fetches(system, pattern, 0.0))
+
+
+def wildcard_union(text, pattern, position, backend, init):
+    """Check that ``pattern`` marks the union of what its completions on ``position`` mark.
+
+    A run refused with exit 3 gives no answer, so when one of the three is
+    refused there is nothing to compare and this returns False.  Every
+    other run must answer: a run that fails without writing its marked
+    items (a decode error, exit 4) breaks the relation like a wrong set.
+    """
+    assert pattern[position] == "x"
+    patterns = [pattern] + [pattern[:position] + bit + pattern[position + 1 :] for bit in "01"]
+    runs = [simulate(text, p, backend, init)[:2] for p in patterns]
+    if any(code == EXIT_CONFIG for code, _ in runs):
+        return False
+    assert all(result is not None for _, result in runs), [code for code, _ in runs]
+    whole, zero, one = (set(result["marked_items"]) for _, result in runs)
+    assert whole == zero | one
+    return True
+
+
+@st.composite
+def wildcard_queries(draw):
+    """A register, a pattern over its database and the position of one wildcard in it."""
+    system, pattern = draw(queries())
+    position = draw(st.integers(0, len(pattern) - 1))
+    return system, pattern[:position] + "x" + pattern[position + 1 :], position
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=10, deadline=None)
+@given(case=wildcard_queries(), init=st.sampled_from(INITS))
+def test_a_wildcard_marks_the_union_of_its_completions(backend, case, init):
+    system, pattern, position = case
+    wildcard_union(config_text(system), pattern, position, backend, init)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("pattern, position", [("100xxx", 3), ("x1x0xx", 0), ("1001x1", 4)])
+def test_the_builtin_wildcard_union_is_compared(backend, pattern, position):
+    # on the builtin register no side is refused, so the relation compares
+    assert wildcard_union(config_text(crotonic_default()), pattern, position, backend, "thermal")

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import nmrfetch.cli as climod
+import test_metamorphic
 import test_spectrometer
 from nmrfetch import (
     AcquisitionParams,
@@ -30,6 +31,7 @@ from nmrfetch import (
     Spectrum,
     SpinSystem,
     ZZEvolution,
+    compiler,
     crotonic_default,
     load_spin_system,
     spectrometer,
@@ -141,6 +143,30 @@ def test_verify_catches_a_dropped_refocusing_pulse_on_a_warm_register(monkeypatc
     monkeypatch.setattr(climod, "expand_to_hard_pulses", plant)
     assert verify(spec, pattern, "hard") == EXIT_MISMATCH
     assert "-> FAIL" in capsys.readouterr().out
+
+
+def drop_one_refocusing_pulse_from_each_block(real):
+    # inside the echo block itself, so the register keeps the defective
+    # block and every later expansion reads it back
+    def echo_block(gate, system):
+        gates = real(gate, system)
+        index = next(i for i, g in enumerate(gates) if isinstance(g, SelectivePulse))
+        return gates[:index] + gates[index + 1 :]
+
+    return echo_block
+
+
+def test_verify_catches_a_dropped_refocusing_pulse_in_a_cached_echo_block(monkeypatch, capsys, register):
+    spec, pattern = register
+    system = climod._load_system(spec)  # no block of it expanded yet
+    monkeypatch.setattr(climod, "_load_system", lambda spec: system)
+    monkeypatch.setattr(compiler, "_echo_block", drop_one_refocusing_pulse_from_each_block(compiler._echo_block))
+    for _ in range(2):  # the first run caches the defective blocks, the second reads them back
+        assert verify(spec, pattern, "hard") == EXIT_MISMATCH
+        assert "hard-pulse expansion vs ideal gates: products differ in support" in capsys.readouterr().out
+    assert compiler._REGISTER_WORK[system].blocks
+    monkeypatch.undo()
+    assert verify(spec, pattern, "hard") == EXIT_OK  # a fresh register, clean blocks
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +337,18 @@ def test_route_guard_catches_flipped_bit_sign(monkeypatch, capsys, backend):
     # with qubit 4 a wildcard, both of its sides change alike and the
     # spectra cannot tell them apart
     assert simulate("100xxx", backend) == EXIT_OK
+
+
+@pytest.mark.parametrize("backend", ["fast", "ideal", "hard"])
+def test_wildcard_union_catches_flipped_bit_sign_on_a_wildcard(monkeypatch, backend):
+    # 100xxx alone passes under the defect; the relation also queries the
+    # register with qubit 4 constrained, and those runs cannot answer
+    text = test_metamorphic.config_text(crotonic_default())
+    assert test_metamorphic.wildcard_union(text, "100xxx", 3, backend, "eps")
+    monkeypatch.setattr(SpinSystem, "bit_signs", flip_bit_sign_of_qubit_4(SpinSystem.bit_signs))
+    assert simulate("100xxx", backend) == EXIT_OK
+    with pytest.raises(AssertionError):
+        test_metamorphic.wildcard_union(text, "100xxx", 3, backend, "eps")
 
 
 @pytest.mark.parametrize("backend", ["fast", "ideal", "hard"])

@@ -1,5 +1,6 @@
 """The example scripts run against the package in src/."""
 
+import json
 import os
 import subprocess
 import sys
@@ -78,3 +79,17 @@ def test_artifact_digests_are_deterministic():
         "builtin/spectrum-eps/exit 0",
         f"{case}/exit 0",
     ]
+
+
+def test_bench_query_layers_times_every_layer():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, str(ROOT / "scripts" / "bench_query_layers.py"), "1"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    out = json.loads(proc.stdout)
+    registers = ["builtin_100101", "builtin_10010x", "builtin_1001xx", "synthetic9_101010101"]
+    assert list(out) == [f"{r}/{b}" for r in registers for b in ("ideal", "hard_pulse")]
+    for case, layers in out.items():
+        hard = ["expand", "duration_s"] if case.endswith("hard_pulse") else []
+        assert list(layers) == ["build", *hard, "product", "apply", "run_fetch"]
+        assert all(isinstance(ms, float) and ms > 0.0 for ms in layers.values()), (case, layers)
