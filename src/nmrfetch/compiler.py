@@ -95,39 +95,10 @@ __all__ = [
 _PULSE_AXES = ("x", "-x", "y", "-y")
 
 
-def _keeps_hash(cls):
-    """Make a frozen gate dataclass keep its hash once computed.
-
-    Gates key the per-register memos, and a warm product looks every
-    distinct run up by the tuple of its gates, so a gate is hashed many
-    times.  The hash is the dataclass's own hash of the field tuple, so
-    equal gates hash alike (0.0 and -0.0 included).  It is set as an
-    attribute on first use, shadowing the class's None; writing it into
-    ``__dict__`` instead would make every gate build its dict and slow
-    all attribute reads on it.  Pickled state leaves it out, since a
-    string's hash differs from process to process.
-    """
-    field_hash = cls.__hash__
-
-    def __hash__(self):
-        value = self._hash  # the class's None until the object keeps its own
-        if value is None:
-            value = field_hash(self)
-            object.__setattr__(self, "_hash", value)
-        return value
-
-    def __getstate__(self):
-        return {name: value for name, value in vars(self).items() if name != "_hash"}
-
-    cls._hash, cls.__hash__, cls.__getstate__ = None, __hash__, __getstate__
-    return cls
-
-
 class CompileError(ValueError):
     """Raised when a gate sequence cannot be produced for a register."""
 
 
-@_keeps_hash
 @dataclass(frozen=True)
 class SelectivePulse:
     """Ideal instantaneous rotation exp(-i angle I_axis) on one spin."""
@@ -137,7 +108,6 @@ class SelectivePulse:
     angle: float  # radians, canonically >= 0 (sign lives in the axis)
 
 
-@_keeps_hash
 @dataclass(frozen=True)
 class ZZEvolution:
     """Coupling phase exp(-i angle 2 I_z I_z) between two spins."""
@@ -147,7 +117,6 @@ class ZZEvolution:
     angle: float
 
 
-@_keeps_hash
 @dataclass(frozen=True)
 class VirtualZ:
     """Software frame rotation exp(-i angle I_z); takes no real time."""
@@ -156,7 +125,6 @@ class VirtualZ:
     angle: float
 
 
-@_keeps_hash
 @dataclass(frozen=True)
 class Delay:
     """Free evolution under the register's coupling Hamiltonian."""
@@ -172,16 +140,22 @@ class _EchoBlock:
     """One ZZ period's echo block on one register, as one entry of a schedule's index.
 
     Its gates were checked as a hard-pulse sequence when the register
-    cached the block, and none of them mixes a qubit, so the whole block
-    lies inside one monomial run of a product.  A register keeps one block
-    per distinct period, so a block compares and hashes by identity: a run
-    that holds it is keyed by one hash for the block, not one per gate.
+    cached the block, and none of them mixes a qubit (``_expansion``
+    refuses one that does), so the whole block lies inside one monomial
+    run of a product.  A register keeps one block per distinct period, so
+    a block compares and hashes by identity: a run that holds it is keyed
+    by one hash for the block, not one per gate.
     """
 
     gates: tuple[Gate, ...]
 
 
 Entry = Gate | _EchoBlock
+
+
+def _gates_of(entry: Entry) -> tuple[Gate, ...]:
+    """The gates of one index entry: an echo block's own, or the gate itself."""
+    return entry.gates if isinstance(entry, _EchoBlock) else (entry,)
 
 
 def _is_qubit(q) -> bool:
@@ -237,10 +211,10 @@ class GateSequence:
     entry in time order.  An entry is a gate, or, in an expanded schedule,
     a register's cached echo block (``expand_to_hard_pulses``).  ``gates``
     is derived from the index, each block giving its own gates.  The
-    constructor indexes a flat gate list: the gates of an echo block are
-    the same objects in every occurrence, so they are first told apart by
-    identity (the list keeps them alive, so ids stay unique), and each
-    object is checked, then looked up by value, once.
+    constructor indexes a flat gate list: an ideal network repeats its
+    shared ``nest`` tuples, so the same gate objects recur, and they are
+    first told apart by identity (the list keeps them alive, so ids stay
+    unique); each object is checked, then looked up by value, once.
     """
 
     n_qubits: int
@@ -251,8 +225,8 @@ class GateSequence:
     def __init__(self, n_qubits: int, gates: tuple[Gate, ...], mode: str = "ideal"):
         if mode not in ("ideal", "hard_pulse"):
             raise CompileError(f"unknown sequence mode {mode!r}")
-        if n_qubits < 1:
-            raise CompileError("sequence needs at least one qubit")
+        if not (_is_qubit(n_qubits) and n_qubits >= 1):
+            raise CompileError(f"sequence needs a positive integer number of qubits, not {n_qubits!r}")
         gates = tuple(gates)
         ids = list(map(id, gates))
         distinct: dict[Gate, int] = {}
@@ -278,7 +252,7 @@ class GateSequence:
     @property
     def gates(self) -> tuple[Gate, ...]:
         """The gates in time order: the entries as indexed, each echo block as its gates."""
-        parts = [entry.gates if isinstance(entry, _EchoBlock) else (entry,) for entry in self._entries]
+        parts = list(map(_gates_of, self._entries))
         return tuple(itertools.chain.from_iterable(map(parts.__getitem__, self._codes)))
 
     def __len__(self) -> int:
@@ -298,12 +272,7 @@ class GateSequence:
     @property
     def duration_s(self) -> float:
         """The sum of the delays, in gate order."""
-        delays = [
-            [g.seconds for g in entry.gates if isinstance(g, Delay)]
-            if isinstance(entry, _EchoBlock)
-            else [entry.seconds] if isinstance(entry, Delay) else []
-            for entry in self._entries
-        ]
+        delays = [[g.seconds for g in _gates_of(entry) if isinstance(g, Delay)] for entry in self._entries]
         return sum(itertools.chain.from_iterable(map(delays.__getitem__, self._codes)), 0.0)
 
 
@@ -501,14 +470,14 @@ def _echo_block(gate: ZZEvolution, system: SpinSystem) -> list[Gate]:
 class _RegisterWork:
     """The compiler's work that depends only on one register.
 
-    ``blocks`` maps each distinct ZZ period to the entries it expands into
-    (``_expansion``): its echo block, made and checked once.  ``runs`` maps
+    ``blocks`` maps each distinct ZZ period to its echo block
+    (``_expansion``), made and checked once.  ``runs`` maps
     the entries of each distinct run that a product on this register
     composed to the composed run (see ``_compressed_product``), which never
     leaves that function.
     """
 
-    blocks: dict[ZZEvolution, tuple[Entry, ...]] = field(default_factory=dict)
+    blocks: dict[ZZEvolution, _EchoBlock] = field(default_factory=dict)
     runs: dict[tuple[Entry, ...], tuple | np.ndarray] = field(default_factory=dict)
 
 
@@ -525,16 +494,17 @@ def _register_work(system: SpinSystem) -> _RegisterWork:
     return work
 
 
-def _expansion(gate: ZZEvolution, system: SpinSystem) -> tuple[Entry, ...]:
-    """The entries one ZZ period expands into: its echo block, checked as a hard-pulse sequence.
+def _expansion(gate: ZZEvolution, system: SpinSystem) -> _EchoBlock:
+    """One ZZ period's echo block, checked as a hard-pulse sequence.
 
     A block that holds a pulse that mixes a qubit is not one monomial
-    factor, so it is inlined as its plain gates.
+    factor, so it is refused with ``CompileError``.
     """
     gates = GateSequence(system.n_spins, tuple(_echo_block(gate, system)), "hard_pulse").gates
-    if any(_mixed_qubit(g) >= 0 for g in gates):
-        return gates
-    return (_EchoBlock(gates),)
+    for g in gates:
+        if _mixed_qubit(g) >= 0:
+            raise CompileError(f"echo block of {gate!r} mixes qubit {g.qubit} with {g!r}")
+    return _EchoBlock(gates)
 
 
 def expand_to_hard_pulses(seq: GateSequence, system: SpinSystem) -> GateSequence:
@@ -545,31 +515,22 @@ def expand_to_hard_pulses(seq: GateSequence, system: SpinSystem) -> GateSequence
     Equal ZZ periods recur many times in a query network and across
     queries, so each distinct one is expanded once per register and its
     block, checked, reused by later calls.  The result's index is the ideal
-    sequence's, each ZZ period's entry replaced by its block: no gate is
-    checked or looked up again, and the codes are the ideal ones.  Only a
-    block inlined as its gates (``_expansion``) makes new codes: walking
-    the ideal entries in order of first occurrence, each expanded, meets
-    the expanded entries in their own order of first occurrence.
+    sequence's, each ZZ period's entry replaced by its block, and its codes
+    are the ideal sequence's own: no gate is checked or looked up again.
     """
     if seq.mode != "ideal":
         raise CompileError("only ideal sequences can be expanded")
     if seq.n_qubits != system.n_spins:
         raise CompileError("sequence register size does not match the system")
     blocks = _register_work(system).blocks
-    distinct: dict[Entry, int] = {}
-    parts = []  # per ideal entry: the codes of the entries it expands into
+    entries = []
     for entry in seq._entries:
         if isinstance(entry, ZZEvolution):
-            expanded = blocks.get(entry)
-            if expanded is None:
-                expanded = blocks[entry] = _expansion(entry, system)
-        else:
-            expanded = (entry,)
-        parts.append([distinct.setdefault(e, len(distinct)) for e in expanded])
-    codes = seq._codes
-    if any(part != [code] for code, part in enumerate(parts)):
-        codes = tuple(itertools.chain.from_iterable(map(parts.__getitem__, codes)))
-    return GateSequence._indexed(seq.n_qubits, "hard_pulse", tuple(distinct), codes)
+            if entry not in blocks:
+                blocks[entry] = _expansion(entry, system)
+            entry = blocks[entry]
+        entries.append(entry)
+    return GateSequence._indexed(seq.n_qubits, "hard_pulse", tuple(entries), seq._codes)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +639,7 @@ def _compressed_product(
 
     def compose(run: tuple[Entry, ...]):
         # an echo block's gates in place, so the arithmetic is the flat schedule's
-        gates = [g for entry in run for g in (entry.gates if isinstance(entry, _EchoBlock) else (entry,))]
+        gates = [g for entry in run for g in _gates_of(entry)]
         if gates and _mixed_qubit(gates[0]) >= 0:  # the first pulse acts first
             return functools.reduce(lambda block, g: step(g) @ block, gates[1:], step(gates[0]))
         src, sign, phase = rows, np.ones(dim, dtype=complex), np.zeros(dim)
@@ -762,8 +723,7 @@ def sequence_report(seq: GateSequence) -> SequenceReport:
     """
     counts: Counter = Counter()
     for code, count in Counter(seq._codes).items():
-        entry = seq._entries[code]
-        for gate in entry.gates if isinstance(entry, _EchoBlock) else (entry,):
+        for gate in _gates_of(seq._entries[code]):
             counts[gate] += count
     kinds: Counter = Counter()
     pulse_counts: Counter = Counter()

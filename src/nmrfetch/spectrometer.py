@@ -59,6 +59,7 @@ against ``_ROUTE_GUARD``.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 
@@ -140,6 +141,8 @@ class AcquisitionParams:
     carrier_hz: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.n_points, numbers.Integral) or isinstance(self.n_points, bool):
+            raise SpectrometerError(f"n_points must be an integer, not {self.n_points!r}")
         if self.n_points < 256 or self.n_points & (self.n_points - 1):
             raise SpectrometerError("n_points must be a power of two, at least 256")
         if self.n_points > _MAX_POINTS:
@@ -177,20 +180,20 @@ class AcquisitionParams:
     ) -> "AcquisitionParams":
         """Choose a grid that covers the register's multiplet and resolves it.
 
-        The spectral width is the smallest power of two beyond twice the
-        outermost line (plus tails); the point count is raised if needed so
-        the closest pair of distinct lines spans at least four bins.  An
-        undecodable register is refused first (``_check_decodable``), so
-        that pair is a linewidth apart; a grid that then still needs more
-        than ``_MAX_POINTS`` points (a very long T2) is refused, and so is
-        one that lasts under ``_MIN_ACQUISITION_T2`` T2 (``_check_duration``).
+        The spectral width is the smallest power of two at least 10 Hz
+        beyond the width that covers the lines (``_coverage``); the point
+        count is raised if needed so the closest pair of distinct lines
+        spans at least four bins.  An undecodable register is refused first
+        (``_check_decodable``), so that pair is a linewidth apart; a grid
+        that then still needs more than ``_MAX_POINTS`` points (a very long
+        T2) is refused, and so is one that lasts under
+        ``_MIN_ACQUISITION_T2`` T2 (``_check_duration``).
         """
         params = cls(n_points=n_points, t2_s=t2_s, carrier_hz=carrier_hz)  # refuse bad fields first
         _check_decodable(system, params)
         table = _lines(system)
-        span = float(np.max(np.abs(table.block_freq - carrier_hz)))
-        need = 2.0 * (span + 3.0 / (math.pi * t2_s)) + 10.0
-        sw = 2.0 ** math.ceil(math.log2(need))
+        _, width = _coverage(table, params)
+        sw = 2.0 ** math.ceil(math.log2(width + 10.0))
         while sw / n_points > table.min_gap_hz / 4.0:
             n_points *= 2
         params = cls(n_points=n_points, dwell_s=1.0 / sw, t2_s=t2_s, carrier_hz=carrier_hz)
@@ -542,9 +545,20 @@ def _line_amplitudes(difference: np.ndarray, table: _LineTable) -> np.ndarray:
     return 0.5 * difference[table.item] * table.fraction
 
 
-def _check_coverage(table: _LineTable, params: AcquisitionParams) -> None:
+def _coverage(table: _LineTable, params: AcquisitionParams) -> tuple[float, float]:
+    """The outermost line's distance from the carrier, and the spectral width that covers it.
+
+    The width is 2 (span + 3 linewidths), every line with three linewidths
+    of tail: ``_check_coverage`` refuses a narrower grid, and
+    ``AcquisitionParams.for_system`` sizes its grid from it.
+    """
     span = float(np.max(np.abs(table.block_freq - params.carrier_hz)))
-    if params.spectral_width_hz < 2.0 * (span + 3.0 * params.linewidth_hz):
+    return span, 2.0 * (span + 3.0 * params.linewidth_hz)
+
+
+def _check_coverage(table: _LineTable, params: AcquisitionParams) -> None:
+    span, width = _coverage(table, params)
+    if params.spectral_width_hz < width:
         raise SpectrometerError(
             f"spectral width {params.spectral_width_hz:g} Hz too small for lines "
             f"spanning +-{span:g} Hz"

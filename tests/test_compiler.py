@@ -316,6 +316,13 @@ def test_gates_of_the_wrong_type_rejected(gate, mode):
         GateSequence(3, (gate,), mode)
 
 
+@pytest.mark.parametrize("n_qubits", [2.5, np.float64(3.0), True, "3", None])
+def test_register_size_of_the_wrong_type_rejected(n_qubits):
+    # refused when the sequence is made, not by numpy's left_shift in the product
+    with pytest.raises(CompileError, match="positive integer number of qubits"):
+        GateSequence(n_qubits, (VirtualZ(0, 0.5),))
+
+
 def test_numpy_integer_qubits_and_real_angles_accepted():
     # each product on a register of its own, so neither reads the other's composed runs
     registers = [make_system([30.0, 8.0], offsets=[5.0, -3.0, 2.0]) for _ in range(2)]
@@ -344,8 +351,8 @@ def test_unhashable_non_gate_rejected():
         GateSequence(2, (VirtualZ(0, 0.5), [0, 1]))
 
 
-def test_gate_hash_is_kept_and_equal_gates_hash_alike():
-    # a gate hashes its field tuple once and keeps it; 0.0 and -0.0 gates are equal
+def test_equal_gates_hash_alike_and_survive_pickling():
+    # a gate hashes its field tuple, so 0.0 and -0.0 gates are equal and hash alike
     pairs = [
         (SelectivePulse(0, "x", 0.0), SelectivePulse(0, "x", -0.0)),
         (ZZEvolution(0, 1, 0.0), ZZEvolution(0, 1, -0.0)),
@@ -356,10 +363,8 @@ def test_gate_hash_is_kept_and_equal_gates_hash_alike():
     for a, b in pairs:
         fields = tuple(getattr(a, f.name) for f in dataclasses.fields(a))
         assert a == b and hash(a) == hash(b) == hash(fields)
-        assert vars(a)["_hash"] == hash(a)  # kept on the gate
-        # a pickled gate leaves its hash behind: a string's hash is per process
         copy = pickle.loads(pickle.dumps(a))
-        assert "_hash" not in vars(copy) and copy == a and hash(copy) == hash(a)
+        assert copy == a and hash(copy) == hash(a)
 
 
 def test_pulse_angles_canonicalized_nonnegative():
@@ -522,11 +527,11 @@ def test_echo_blocks_are_cached_per_register():
     assert expand_to_hard_pulses(net, a) == first
     assert all(compiler._REGISTER_WORK[a].blocks[zz] is block for zz, block in blocks.items())
     # each period expands into one echo block, its gates a tuple
-    assert all(len(block) == 1 and isinstance(block[0], compiler._EchoBlock) for block in blocks.values())
-    assert all(isinstance(block[0].gates, tuple) for block in blocks.values())
+    assert all(isinstance(block, compiler._EchoBlock) for block in blocks.values())
+    assert all(isinstance(block.gates, tuple) for block in blocks.values())
     other = expand_to_hard_pulses(net, b)
     assert compiler._REGISTER_WORK[b].blocks.keys() == blocks.keys()
-    assert all(compiler._REGISTER_WORK[b].blocks[zz][0].gates != block[0].gates for zz, block in blocks.items())
+    assert all(compiler._REGISTER_WORK[b].blocks[zz].gates != block.gates for zz, block in blocks.items())
     for sys, hard in ((a, first), (b, other)):
         gap = distance_up_to_global_phase(sequence_unitary(hard, sys), sequence_unitary(net, sys))
         assert gap < 1e-6
@@ -560,33 +565,13 @@ def test_expanded_index_is_the_ideal_one_with_blocks(spec):
         assert len(hard._entries) == len(net._entries)
         for ideal, entry in zip(net._entries, hard._entries):
             if isinstance(ideal, ZZEvolution):
-                assert blocks[ideal] == (entry,) and isinstance(entry, compiler._EchoBlock)
+                assert blocks[ideal] is entry and isinstance(entry, compiler._EchoBlock)
             else:
                 assert entry is ideal
-        flat = [blocks[g][0].gates if isinstance(g, ZZEvolution) else (g,) for g in net.gates]
+        flat = [blocks[g].gates if isinstance(g, ZZEvolution) else (g,) for g in net.gates]
         assert hard.gates == tuple(itertools.chain.from_iterable(flat))
         again = GateSequence(sys.n_spins, hard.gates, "hard_pulse")
         assert again == hard and again.duration_s == hard.duration_s
-
-
-def test_echo_block_with_a_mixing_pulse_is_inlined(monkeypatch):
-    # a block that is not one monomial factor enters the schedule as its
-    # plain gates; the product is still the flat gate list's
-    def echo_block(gate, system):
-        half = SelectivePulse(gate.q2, "x", math.pi / 2)
-        return [half, *real(gate, system), dataclasses.replace(half, axis="-x")]
-
-    real = compiler._echo_block
-    monkeypatch.setattr(compiler, "_echo_block", echo_block)
-    sys = _two_controls([5.0, -3.0, 2.0])
-    net = compile_multilinear_z_phase(3, 0, [(1, 0), (2, 1)], math.pi)
-    hard = expand_to_hard_pulses(net, sys)
-    assert not any(isinstance(e, compiler._EchoBlock) for e in hard._entries)
-    expanded = (echo_block(g, sys) if isinstance(g, ZZEvolution) else (g,) for g in net.gates)
-    assert hard.gates == tuple(itertools.chain.from_iterable(expanded))
-    flat = GateSequence(sys.n_spins, hard.gates, "hard_pulse")
-    assert (hard._entries, hard._codes) == (flat._entries, flat._codes)
-    assert np.max(np.abs(sequence_unitary(hard, sys) - reference_unitary(hard, sys))) <= 1e-11
 
 
 def test_composed_runs_are_kept_per_register():

@@ -4,8 +4,9 @@ Each case monkeypatches a single defect into one of the two models that a
 check compares and asserts that the check catches it: ``verify`` exits 2,
 the route guard of ``run_fetch`` raises ``DecodeError`` (exit 4 from
 ``simulate``), the decoded items miss the classical enumeration (exit 2
-from ``simulate``), or the query refuses a product that is not unitary
-(exit 3 from ``simulate``).  The same run passes on the same register
+from ``simulate``), the query refuses a product that is not unitary
+(exit 3 from ``simulate``), or the expansion refuses an echo block that
+mixes a qubit (exit 3 from ``verify``).  The same run passes on the same register
 without the defect, so the failure is the defect's doing.  Registers: the
 builtin crotonic acid register and a synthetic 8-spin one with a
 sign-flipped bit.  Readout keeps a model per register, so every defect is
@@ -23,6 +24,7 @@ import test_metamorphic
 import test_spectrometer
 from nmrfetch import (
     AcquisitionParams,
+    CompileError,
     DecodeError,
     DensityState,
     GateSequence,
@@ -165,6 +167,33 @@ def test_verify_catches_a_dropped_refocusing_pulse_in_a_cached_echo_block(monkey
         assert verify(spec, pattern, "hard") == EXIT_MISMATCH
         assert "hard-pulse expansion vs ideal gates: products differ in support" in capsys.readouterr().out
     assert compiler._REGISTER_WORK[system].blocks
+    monkeypatch.undo()
+    assert verify(spec, pattern, "hard") == EXIT_OK  # a fresh register, clean blocks
+
+
+def add_a_mixing_pulse_to_each_block(real):
+    # a half turn about x on the second partner before the block, and back after
+    def echo_block(gate, system):
+        half = SelectivePulse(gate.q2, "x", math.pi / 2)
+        return [half, *real(gate, system), dataclasses.replace(half, axis="-x")]
+
+    return echo_block
+
+
+def test_an_echo_block_that_mixes_a_qubit_is_refused(monkeypatch, capsys, register):
+    # such a block is not one monomial factor: the expansion refuses it and
+    # keeps nothing, so a second run refuses it afresh
+    spec, pattern = register
+    system = climod._load_system(spec)
+    monkeypatch.setattr(climod, "_load_system", lambda spec: system)
+    monkeypatch.setattr(compiler, "_echo_block", add_a_mixing_pulse_to_each_block(compiler._echo_block))
+    network = climod.build_query_network(system, QueryPattern.from_string(pattern))
+    with pytest.raises(CompileError, match="mixes qubit"):
+        compiler.expand_to_hard_pulses(network, system)
+    for _ in range(2):
+        assert verify(spec, pattern, "hard") == EXIT_CONFIG
+        assert "mixes qubit" in capsys.readouterr().err
+        assert not compiler._REGISTER_WORK[system].blocks
     monkeypatch.undo()
     assert verify(spec, pattern, "hard") == EXIT_OK  # a fresh register, clean blocks
 

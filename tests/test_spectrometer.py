@@ -219,6 +219,13 @@ def test_for_system_refuses_bad_fields_before_using_them():
         AcquisitionParams.for_system(crotonic_default(), t2_s=0.0)
     with pytest.raises(SpectrometerError, match="power of two"):
         AcquisitionParams.for_system(crotonic_default(), n_points=1000)
+    # a float or bool point count used to escape as a TypeError from the bit test
+    for n_points in (4096.0, np.float64(4096.0), True):
+        with pytest.raises(SpectrometerError, match="must be an integer"):
+            AcquisitionParams(n_points=n_points)
+        with pytest.raises(SpectrometerError, match="must be an integer"):
+            AcquisitionParams.for_system(crotonic_default(), n_points=n_points)
+    assert AcquisitionParams(n_points=np.int64(4096)).n_points == 4096
 
 
 def test_params_derived_quantities():
