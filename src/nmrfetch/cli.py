@@ -353,8 +353,12 @@ def _add_common(p: argparse.ArgumentParser, pattern_required: bool) -> None:
 
 
 def _add_acquisition(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--points", type=int, default=16384, help="FID length (power of two)")
-    p.add_argument("--t2", type=float, default=2.0, help="coherence decay time in seconds")
+    p.add_argument(
+        "--points", type=int, default=AcquisitionParams.n_points, help="FID length (power of two)"
+    )
+    p.add_argument(
+        "--t2", type=float, default=AcquisitionParams.t2_s, help="coherence decay time in seconds"
+    )
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:

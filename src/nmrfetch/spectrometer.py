@@ -30,11 +30,12 @@ FFT and synthesises no sample, so it stays independent of the FID.
 All of readout is array code.  Each register gets one readout model,
 built on first use and kept while the register lives: its line table,
 sorted by frequency so that decoding a peak is a binary search, the
-ancilla transitions of its expanded register, per acquisition grid the
-frequency axis, the closed-form kernel's bin table and the FID's decay
-envelope, and the readouts of the reference states it has been read
-against.  The FID needs no pulse matrix (see ``acquire_fid``) and is
-synthesised in blocks, as one matrix product.
+ancilla transitions of its expanded register and the one population
+share of their configurations, per acquisition grid the frequency axis,
+the closed-form kernel's bin table and the FID's decay envelope, and the
+readouts of the reference states it has been read against.  The FID
+needs no pulse matrix (see ``acquire_fid``) and is synthesised in
+blocks, as one matrix product.
 
 The line table also decides whether a register can be read at all: every
 line frequency must belong to one item, distinct frequencies must lie a
@@ -149,8 +150,9 @@ class AcquisitionParams:
             raise SpectrometerError(
                 f"{self.n_points} points exceed the {_MAX_POINTS}-point acquisition cap"
             )
-        if not all(map(math.isfinite, (self.dwell_s, self.t2_s, self.carrier_hz))):
-            raise SpectrometerError("dwell_s, t2_s and carrier_hz must be finite")
+        for x in (self.dwell_s, self.t2_s, self.carrier_hz):
+            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+                raise SpectrometerError("dwell_s, t2_s and carrier_hz must be finite real numbers")
         if self.dwell_s <= 0 or self.t2_s <= 0:
             raise SpectrometerError("dwell_s and t2_s must be positive")
 
@@ -174,9 +176,9 @@ class AcquisitionParams:
     def for_system(
         cls,
         system: SpinSystem,
-        n_points: int = 16384,
-        t2_s: float = 2.0,
-        carrier_hz: float = 0.0,
+        n_points: int = n_points,  # the fields' own defaults, read in the class body
+        t2_s: float = t2_s,
+        carrier_hz: float = carrier_hz,
     ) -> "AcquisitionParams":
         """Choose a grid that covers the register's multiplet and resolves it.
 
@@ -317,10 +319,11 @@ class _ReadoutModel:
     """What readout keeps of one register.
 
     ``lines`` is the line table.  ``transitions`` is built on first use,
-    since only the FID route needs the expanded register: per configuration
-    of its non-ancilla spins, the logical item the configuration belongs
-    to, its share of that item's populations and its ancilla transition in
-    rad/s (see ``_transitions``).  ``grids`` maps an acquisition to its
+    since only the FID route needs the expanded register: two arrays over
+    the configurations of its non-ancilla spins, the logical item each
+    belongs to and its ancilla transition in rad/s, and the one share of
+    an item's populations that every configuration holds (see
+    ``_transitions``).  ``grids`` maps an acquisition to its
     ``_Grid`` (see ``_grid``).  ``references`` maps (acquisition,
     populations bit pattern) to a reference state's whole ``_Readout``
     (see ``_reference_readout``).  Every array is read-only, and the model
@@ -328,7 +331,7 @@ class _ReadoutModel:
     """
 
     lines: _LineTable
-    transitions: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    transitions: tuple[np.ndarray, np.ndarray, float] | None = None
     grids: dict = field(default_factory=dict)
     references: dict = field(default_factory=dict)
 
@@ -748,43 +751,6 @@ def _multiplicities(system: SpinSystem) -> list[int]:
     return mults
 
 
-def _expanded_register(system: SpinSystem):
-    """Physical spin layout with composite qubits unfolded into copies.
-
-    Returns (offsets, couplings, logical_index, weight) arrays over the
-    2**n_phys physical basis: ``logical_index`` maps each physical config
-    to its logical basis label and ``weight`` divides populations evenly
-    across the matching manifold configurations.
-    """
-    mults = _multiplicities(system)
-    n_phys = sum(mults)
-    owner = np.repeat(np.arange(system.n_spins), mults)  # logical qubit per physical spin
-    offsets = system.offsets_hz()[owner]
-    couplings = system.logical_j_hz[np.ix_(owner, owner)]
-    couplings[owner[:, None] == owner] = 0.0  # equivalent copies: mutual J is silent
-
-    dim = 2**n_phys
-    idx = np.arange(dim)
-    m_log = system.n_spins
-    logical_index = np.zeros(dim, dtype=int)
-    weight = np.ones(dim)
-    pos = 0
-    for q in range(m_log):
-        width = mults[q]
-        chunk = (idx >> (n_phys - pos - width)) & ((1 << width) - 1)
-        if width == 1:
-            bit = chunk
-        else:
-            downs = np.zeros(dim, dtype=int)
-            for b in range(width):
-                downs += (chunk >> b) & 1
-            bit = (downs > width // 2).astype(int)
-            weight /= 2.0 ** (width - 1)
-        logical_index |= bit << (m_log - 1 - q)
-        pos += width
-    return offsets, couplings, logical_index, weight
-
-
 def _phasors(times: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """exp(i omega t) as a (times x omega) table, for evenly spaced times from 0.
 
@@ -799,21 +765,36 @@ def _phasors(times: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return table.reshape(len(times), len(omega))
 
 
-def _transitions(system: SpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(item, weight, omega) per configuration of the expanded register's other spins.
+def _transitions(system: SpinSystem) -> tuple[np.ndarray, np.ndarray, float]:
+    """(item, omega, share) of the expanded register: composite qubits unfolded.
 
-    ``item`` is the logical database item of the configuration, ``weight``
-    its share of that item's populations and ``omega`` = E(0, d) - E(1, d)
-    its ancilla transition in rad/s, from the diagonal Hamiltonian of the
-    expanded register.  Built once per register and kept in its model.
+    Each composite qubit of multiplicity mu becomes mu equivalent spin
+    copies, with the qubit's offset and couplings and no coupling among
+    themselves.  Per configuration of the spins other than the ancilla,
+    ``item`` is the logical database item (a qubit reads 1 when most of its
+    copies are down) and ``omega`` = E(0, d) - E(1, d) the ancilla
+    transition in rad/s, from the diagonal Hamiltonian of the expanded
+    register.  Every item spreads its populations evenly over the
+    2^(mu - 1) matching configurations of each composite qubit, so each
+    configuration holds the same ``share`` of its item's, 2^-sum(mu - 1).
+    Built once per register and kept in its model.
     """
     model = _model(system)
     if model.transitions is None:
-        offsets, couplings, logical_index, weight = _expanded_register(system)
-        energies = zz_hamiltonian_diagonal(offsets, couplings)
+        mults = _multiplicities(system)
+        owner = np.repeat(np.arange(system.n_spins), mults)  # logical qubit per physical spin
+        couplings = system.logical_j_hz[np.ix_(owner, owner)]
+        couplings[owner[:, None] == owner] = 0.0  # equivalent copies: mutual J is silent
+        energies = zz_hamiltonian_diagonal(system.offsets_hz()[owner], couplings)
         half = len(energies) // 2  # the ancilla is the leading physical spin
-        model.transitions = (logical_index[:half], weight[:half], energies[:half] - energies[half:])
-        _read_only(*model.transitions)
+        down = (np.arange(half)[:, None] >> np.arange(len(owner) - 2, -1, -1)) & 1
+        copies = owner[1:, None] == np.arange(1, system.n_spins)  # spin x database qubit
+        downs = down @ copies.astype(float)  # float, so that the product runs in BLAS
+        majority = downs > np.array(mults[1:]) // 2
+        item = majority @ (1 << np.arange(system.n_database - 1, -1, -1))
+        omega = energies[:half] - energies[half:]
+        _read_only(item, omega)
+        model.transitions = (item, omega, 2.0 ** (system.n_spins - len(owner)))
     return model.transitions
 
 
@@ -842,18 +823,19 @@ def _fid_row(
 ) -> np.ndarray:
     """FID of one vector of per-item ancilla differences.
 
-    A configuration's population difference is its item's times its
-    ``weight``.  Samples are synthesised in blocks: with t = (m B + b)
-    dwell, each term exp(i w t) is exp(i w m B dwell) * exp(i w b dwell).
-    The frequencies of the nonzero configurations and both exponential
-    tables (see ``_phasors``) are built once; the FID is then one
-    (blocks x terms) @ (terms x B) product with the amplitudes folded into
-    the left factor, written into the preallocated row.
+    A configuration's population difference is its item's times the
+    register's one ``share`` (see ``_transitions``).  Samples are
+    synthesised in blocks: with t = (m B + b) dwell, each term exp(i w t)
+    is exp(i w m B dwell) * exp(i w b dwell).  The frequencies of the
+    nonzero configurations and both exponential tables (see ``_phasors``)
+    are built once; the FID is then one (blocks x terms) @ (terms x B)
+    product with the amplitudes folded into the left factor, written into
+    the preallocated row.
     """
     envelope = _grid(system, params).envelope
-    item, weight, omega = _transitions(system)
+    item, omega, share = _transitions(system)
     # receiver phase i times the coherence -i/2 (p0 - p1): a real amplitude
-    amp = 0.5 * difference[item] * weight
+    amp = 0.5 * difference[item] * share
     keep = amp != 0.0
     # exp(-i (E1 - E0) t), demodulated at the carrier
     omega = omega[keep] - 2.0 * math.pi * params.carrier_hz

@@ -29,6 +29,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,7 +126,9 @@ class SpinSystem:
                     raise SpinSystemError(f"{s.label}: {name} must be finite")
             if s.gamma_rel <= 0:
                 raise SpinSystemError(f"{s.label}: gamma_rel must be positive")
-            if s.multiplicity < 1 or s.multiplicity % 2 == 0:
+            mu = s.multiplicity
+            integer = isinstance(mu, numbers.Integral) and not isinstance(mu, bool)
+            if not integer or mu < 1 or mu % 2 == 0:
                 raise SpinSystemError(
                     f"{s.label}: multiplicity must be an odd positive integer"
                 )

@@ -42,7 +42,6 @@ from nmrfetch.operators import zz_hamiltonian_diagonal
 from nmrfetch.spectrometer import (
     MarkedClassification,
     Peak,
-    _expanded_register,
     _extrema,
     spectrum_csv,
 )
@@ -82,11 +81,28 @@ def reference_pick_peaks(spectrum, threshold_frac):
 
 
 def reference_fid(state, system, params):
-    """Conjugate by the dense 90-degree pulse, then sum coherence by coherence."""
-    pops = state.populations
-    offsets, couplings, logical_index, weight = _expanded_register(system)
-    n_phys = len(offsets)
-    phys_pops = pops[logical_index] * weight
+    """Dense-pulse FID of the register unfolded spin by spin, summed coherence by coherence.
+
+    A qubit of multiplicity mu becomes mu copies with its offset and
+    couplings and no coupling among them.  A configuration reads 1 on the
+    qubit when its copies' total z is negative, and each logical label's
+    population is spread evenly over the configurations that read it.
+    """
+    owner = [q for q, spin in enumerate(system.spins) for _ in range(spin.multiplicity)]
+    n_phys = len(owner)
+    offsets = np.array([system.spins[q].offset_hz for q in owner])
+    couplings = np.array(
+        [[0.0 if a == b else system.logical_j_hz[a, b] for b in owner] for a in owner]
+    )
+    labels = []
+    for config in range(2**n_phys):
+        label = 0
+        for q, spin in enumerate(system.spins):
+            down = sum((config >> (n_phys - 1 - p)) & 1 for p, o in enumerate(owner) if o == q)
+            label = 2 * label + int(spin.multiplicity / 2.0 - down < 0)
+        labels.append(label)
+    labels = np.array(labels)
+    phys_pops = state.populations[labels] / np.bincount(labels)[labels]
     pulse = rotation(0, "x", math.pi / 2.0, n_phys)
     rho = pulse @ np.diag(phys_pops.astype(complex)) @ pulse.conj().T
     energies = zz_hamiltonian_diagonal(offsets, couplings)
@@ -226,6 +242,14 @@ def test_for_system_refuses_bad_fields_before_using_them():
         with pytest.raises(SpectrometerError, match="must be an integer"):
             AcquisitionParams.for_system(crotonic_default(), n_points=n_points)
     assert AcquisitionParams(n_points=np.int64(4096)).n_points == 4096
+    # a non-real field used to escape as a TypeError from math.isfinite, and True read as 1 s
+    for name, value in (("t2_s", "2"), ("carrier_hz", None), ("dwell_s", 1j), ("dwell_s", True)):
+        with pytest.raises(SpectrometerError, match="finite real numbers"):
+            AcquisitionParams(**{name: value})
+        if name != "dwell_s":  # for_system derives the dwell itself
+            with pytest.raises(SpectrometerError, match="finite real numbers"):
+                AcquisitionParams.for_system(crotonic_default(), **{name: value})
+    assert AcquisitionParams(t2_s=np.float64(2.0)).t2_s == 2.0
 
 
 def test_params_derived_quantities():
@@ -811,7 +835,9 @@ def test_cached_readout_arrays_are_read_only():
     readouts = list(model.references.values())
     assert all(isinstance(r.peaks, tuple) and r.peaks for r in readouts)
     (grid,) = model.grids.values()
-    arrays = [grid.freqs_hz, grid.bin_cs, grid.envelope] + list(model.transitions)
+    item, omega, share = model.transitions
+    assert isinstance(share, float)
+    arrays = [grid.freqs_hz, grid.bin_cs, grid.envelope, item, omega]
     for r in readouts:
         assert r.spectrum.freqs_hz is grid.freqs_hz
         arrays += [r.fid, r.closed, r.spectrum.amplitude]

@@ -162,6 +162,14 @@ def test_even_multiplicity_rejected():
         make_system([10.0], multiplicities=[2])
 
 
+@pytest.mark.parametrize("mu", [2.5, 3.0, True])
+def test_non_integer_multiplicity_rejected(mu):
+    # a float passed the odd-positive test and then broke readout; True ran as a plain spin
+    with pytest.raises(SpinSystemError, match="odd positive integer"):
+        make_system([10.0], multiplicities=[mu])
+    assert make_system([10.0], multiplicities=[np.int64(3)]).spins[1].multiplicity == 3
+
+
 def test_ancilla_multiplicity_must_be_one():
     j = np.zeros((2, 2))
     j[0, 1] = j[1, 0] = 10.0
