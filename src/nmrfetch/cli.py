@@ -51,9 +51,9 @@ from .spectrometer import (
     SpectrometerError,
     _check_decodable,
     _check_duration,
+    _classify,
     _grid,
     _readouts,
-    classify_marked,
     spectrum_csv,
 )
 from .spin_system import (
@@ -122,7 +122,10 @@ class RunResult:
     readout: every run with the same register, acquisition and prepared
     state shares them, so their arrays are read-only.  ``after`` is read
     out afresh on every run; its frequency axis is the acquisition's
-    shared, read-only one.
+    shared, read-only one.  ``peaks_before`` and ``peaks_after`` are
+    tuples of decoded ``Peak`` records.  The verdict (``marked``,
+    ``inconsistent``) is taken from the queried readout's peak arrays, and
+    is the one ``classify_marked(peaks_after)`` gives.
     """
 
     before: Spectrum
@@ -196,7 +199,8 @@ def run_fetch(cfg: RunConfig) -> RunResult:
     no 2^n x 2^n matrix is built.  The prepared state is the readout
     reference, cached per register and acquisition; the queried state is
     read out as its difference from it, and every state's route gap is
-    checked (``spectrometer._readouts``).
+    checked (``spectrometer._readouts``).  The verdict is taken from the
+    queried state's decoded peak arrays (``spectrometer._classify``).
     """
     params = cfg.params or AcquisitionParams.for_system(cfg.system)
     _check_decodable(cfg.system, params)
@@ -225,7 +229,7 @@ def run_fetch(cfg: RunConfig) -> RunResult:
 
     before, after = _readouts((state, queried), cfg.system, params)
 
-    verdict = classify_marked(after.peaks)
+    verdict = _classify(after.peak_item, after.peak_amplitude)
     verified = verdict.marked == expected and not verdict.inconsistent
     return RunResult(
         before=before.spectrum,

@@ -32,10 +32,10 @@ built on first use and kept while the register lives: its line table,
 sorted by frequency so that decoding a peak is a binary search, the
 ancilla transitions of its expanded register and the one population
 share of their configurations, per acquisition grid the frequency axis,
-the closed-form kernel's bin table and the FID's decay envelope, and the
-readouts of the reference states it has been read against.  The FID
-needs no pulse matrix (see ``acquire_fid``) and is synthesised in
-blocks, as one matrix product.
+the closed-form kernel's bin table and the FID's sample times and decay
+envelope, and the readouts of the reference states it has been read
+against.  The FID needs no pulse matrix (see ``acquire_fid``) and is
+synthesised in blocks, as one matrix product.
 
 The line table also decides whether a register can be read at all: every
 line frequency must belong to one item, distinct frequencies must lie a
@@ -63,6 +63,7 @@ import math
 import numbers
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,8 +224,9 @@ class Spectrum:
             raise SpectrometerError("frequency and amplitude grids differ in length")
 
 
-@dataclass(frozen=True)
-class Peak:
+class Peak(NamedTuple):
+    """One picked peak; ``item`` and ``manifold`` are filled in by decoding."""
+
     freq_hz: float
     amplitude: float
     item: int | None = None
@@ -294,24 +296,33 @@ class _Grid:
 
     ``freqs_hz`` is the ascending frequency axis of the FFT spectrum,
     ``bin_cs`` the (2 x points) cosines and sines of pi dwell f per bin
-    that the closed-form kernel multiplies by, and ``envelope`` the decay
-    exp(-t / T2) per FID sample.
+    that the closed-form kernel multiplies by, ``times`` the FID's sample
+    times and ``envelope`` the decay exp(-t / T2) per sample.
     """
 
     freqs_hz: np.ndarray
     bin_cs: np.ndarray
+    times: np.ndarray
     envelope: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class _Readout:
-    """One state's readout: FID row, closed-form row, FFT spectrum, decoded peaks, route gap."""
+    """One state's readout: FID row, closed-form row, FFT spectrum, decoded peaks, route gap.
+
+    ``peaks`` holds one ``Peak`` record per picked peak, by frequency, and
+    ``peak_item`` and ``peak_amplitude`` hold the same peaks' decoded items
+    and signed amplitudes as read-only arrays, which the verdict is taken
+    from (``_classify``).
+    """
 
     fid: np.ndarray
     closed: np.ndarray
     spectrum: Spectrum
     peaks: tuple[Peak, ...]
     gap: float
+    peak_item: np.ndarray
+    peak_amplitude: np.ndarray
 
 
 @dataclass(eq=False)
@@ -370,12 +381,14 @@ def _grid(system: SpinSystem, params: AcquisitionParams) -> _Grid:
         _check_coverage(model.lines, params)
         freqs = params.frequency_grid()
         bin_angle = math.pi * params.dwell_s * freqs
+        times = params.times()
         grid = _Grid(
             freqs_hz=freqs,
             bin_cs=np.stack([np.cos(bin_angle), np.sin(bin_angle)]),
-            envelope=np.exp(-params.times() / params.t2_s),
+            times=times,
+            envelope=np.exp(-times / params.t2_s),
         )
-        _read_only(grid.freqs_hz, grid.bin_cs, grid.envelope)
+        _read_only(grid.freqs_hz, grid.bin_cs, grid.times, grid.envelope)
         model.grids[params] = grid
     return grid
 
@@ -832,7 +845,7 @@ def _fid_row(
     product with the amplitudes folded into the left factor, written into
     the preallocated row.
     """
-    envelope = _grid(system, params).envelope
+    grid = _grid(system, params)
     item, omega, share = _transitions(system)
     # receiver phase i times the coherence -i/2 (p0 - p1): a real amplitude
     amp = 0.5 * difference[item] * share
@@ -840,34 +853,41 @@ def _fid_row(
     # exp(-i (E1 - E0) t), demodulated at the carrier
     omega = omega[keep] - 2.0 * math.pi * params.carrier_hz
 
-    times = params.times()
     block = 1 << (params.n_points.bit_length() - 1) // 2  # ~sqrt(n_points)
-    starts = _phasors(times[::block], omega)
-    offsets_in_block = _phasors(times[:block], omega).T
+    starts = _phasors(grid.times[::block], omega)
+    offsets_in_block = _phasors(grid.times[:block], omega).T
     fid = np.empty(params.n_points, dtype=complex)
     np.matmul(starts * amp[keep], offsets_in_block, out=fid.reshape(len(starts), block))
-    fid *= envelope
+    fid *= grid.envelope
     return fid
 
 
 def _read(
     fid: np.ndarray, closed: np.ndarray, system: SpinSystem, params: AcquisitionParams
 ) -> _Readout:
-    """One state's FFT spectrum, decoded peaks and route gap, from its two rows.
+    """One state's FFT spectrum, decoded peaks and route gap (``_route_gap``), from its two rows.
 
-    The route gap is the largest difference between the FFT spectrum and
-    the closed-form row, relative to the tallest closed-form amplitude.
-    Peaks are picked at ``_PICK_THRESHOLD`` and decoded as arrays, and each
-    becomes one ``Peak`` only then; a peak that does not decode raises
-    ``DecodeError``.  The spectrum takes the grid's cached axis.  Picking
-    calls ``_pick``, not ``pick_peaks``, whose peaks perfbench counts: a
-    reference read from the cache on a warm register would change the count.
+    Peaks are picked at ``_PICK_THRESHOLD`` and decoded as arrays; a peak
+    that does not decode raises ``DecodeError``.  The readout keeps their
+    items and amplitudes as read-only arrays, for the verdict, and one
+    ``Peak`` record per peak, built at once.  The spectrum takes the grid's
+    cached axis.  Picking calls ``_pick``, not ``pick_peaks``, whose peaks
+    perfbench counts: a reference read from the cache on a warm register
+    would change the count.
     """
     spectrum = Spectrum(_grid(system, params).freqs_hz, _absorptive(fid, params.dwell_s))
+    freq, amp = _pick(spectrum, _PICK_THRESHOLD)
+    table, lines = _lines(system), _decode(freq, system)
+    item = table.item[lines]
+    _read_only(item, amp)
+    peaks = _peak_records(freq, amp, lines, table)
+    return _Readout(fid, closed, spectrum, peaks, _route_gap(spectrum.amplitude, closed), item, amp)
+
+
+def _route_gap(amplitude: np.ndarray, closed: np.ndarray) -> float:
+    """Largest difference of the FFT spectrum from the closed-form row, relative to the row's peak."""
     top = float(np.max(np.abs(closed)))
-    gap = float(np.max(np.abs(spectrum.amplitude - closed))) / top if top > 0.0 else 0.0
-    peaks = _decoded_peaks(*_pick(spectrum, _PICK_THRESHOLD), system)
-    return _Readout(fid, closed, spectrum, tuple(peaks), gap)
+    return float(np.max(np.abs(amplitude - closed))) / top if top > 0.0 else 0.0
 
 
 def _reference_readout(
@@ -920,12 +940,11 @@ def _readouts(
         readout = reference
         if k:
             delta = _difference(state, system) - base
-            readout = _read(
-                reference.fid + _fid_row(delta, system, params),
-                reference.closed + _closed_form_row(delta, system, params),
-                system,
-                params,
-            )
+            fid = _fid_row(delta, system, params)
+            fid += reference.fid
+            closed = _closed_form_row(delta, system, params)
+            closed += reference.closed
+            readout = _read(fid, closed, system, params)
         if readout.gap > _ROUTE_GUARD:
             raise DecodeError(
                 f"time-domain and closed-form spectra disagree ({readout.gap:.2e} relative)"
@@ -964,18 +983,25 @@ def _absorptive(fid: np.ndarray, dwell_s: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the local maxima and minima of ``x``.
+def _extrema(x: np.ndarray, height: float = -math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the local maxima and minima of ``x`` whose magnitude reaches ``height``.
 
     This is the rule of ``scipy.signal.find_peaks``: a maximum is a strict
     rise followed by a strict fall, a flat top counts once, at the middle
     index (left + right) // 2 of its run of equal samples, and the first
-    and last samples are never extrema.  Minima are the maxima of -x.  Runs of equal
-    samples are found once: every run but the first and last is an
-    extremum candidate, compared with the samples just outside it.
+    and last samples are never extrema.  Minima are the maxima of -x.
+    Only the inner samples with |x| >= ``height`` are looked at, and a run
+    of equal samples is all in or all out, so the runs among them are
+    found once: each is compared with the samples just outside it.  A run
+    that reaches an edge is cut short there, so it keeps an equal sample
+    beside it and is neither kind of extremum.
     """
-    edge = np.flatnonzero(x[1:] != x[:-1])  # last index of every run but the final one
-    start, end = edge[:-1] + 1, edge[1:]
+    at = np.flatnonzero(np.abs(x[1:-1]) >= height) + 1
+    if not at.size:
+        return at, at
+    level = x[at]
+    same = (at[1:] == at[:-1] + 1) & (level[1:] == level[:-1])  # sample k + 1 continues k's run
+    start, end = at[np.concatenate(([True], ~same))], at[np.concatenate((~same, [True]))]
     before, level, after = x[start - 1], x[start], x[end + 1]
     mid = (start + end) // 2
     return mid[(before < level) & (after < level)], mid[(before > level) & (after > level)]
@@ -994,16 +1020,21 @@ def pick_peaks(spectrum: Spectrum, threshold_frac: float = _PICK_THRESHOLD) -> l
     if not 0.0 < threshold_frac < 1.0:
         raise SpectrometerError("threshold_frac must be in (0, 1)")
     freq, amp = _pick(spectrum, threshold_frac)
-    return [Peak(f, a) for f, a in zip(freq.tolist(), amp.tolist())]
+    return list(map(Peak, freq.tolist(), amp.tolist()))
 
 
 def _pick(spectrum: Spectrum, threshold_frac: float) -> tuple[np.ndarray, np.ndarray]:
-    """``pick_peaks`` as (frequency, amplitude) arrays by frequency, for a threshold in (0, 1)."""
+    """``pick_peaks`` as (frequency, amplitude) arrays by frequency, for a threshold in (0, 1).
+
+    Only samples whose magnitude reaches the threshold can be kept, so the
+    extrema are looked for among those alone.
+    """
     amp = spectrum.amplitude
-    maxima, minima = _extrema(amp)
+    height = threshold_frac * np.max(np.abs(amp), initial=0.0)
+    maxima, minima = _extrema(amp, height)
     idx = np.concatenate([maxima, minima])
     sign = np.repeat([1.0, -1.0], [len(maxima), len(minima)])
-    keep = sign * amp[idx] >= threshold_frac * np.max(np.abs(amp), initial=0.0)
+    keep = sign * amp[idx] >= height
     # an edge sample is never a peak, and its refinement would read past the grid
     keep &= (idx > 0) & (idx < amp.size - 1)
     idx, sign = idx[keep], sign[keep]
@@ -1044,30 +1075,42 @@ def _decode(freq: np.ndarray, system: SpinSystem) -> np.ndarray:
     return table.by_freq[table.block_start[block]]
 
 
-def _decoded_peaks(freq: np.ndarray, amp: np.ndarray, system: SpinSystem) -> list[Peak]:
-    """One decoded ``Peak`` per (frequency, amplitude) pair (see ``_decode``)."""
-    table, lines = _lines(system), _decode(freq, system)
-    decoded = zip(freq.tolist(), amp.tolist(), table.item[lines].tolist(), lines.tolist())
-    return [Peak(f, a, item, table.manifold[k]) for f, a, item, k in decoded]
+def _peak_records(
+    freq: np.ndarray, amp: np.ndarray, lines: np.ndarray, table: _LineTable
+) -> tuple[Peak, ...]:
+    """One decoded ``Peak`` per (frequency, amplitude, line-table index), built in one ``map``."""
+    manifold = map(table.manifold.__getitem__, lines.tolist())
+    return tuple(map(Peak, freq.tolist(), amp.tolist(), table.item[lines].tolist(), manifold))
 
 
 def decode_peaks(peaks: list[Peak], system: SpinSystem) -> list[Peak]:
     """Fill item / manifold assignments on picked peaks (see ``_decode``)."""
     freq = np.array([p.freq_hz for p in peaks], dtype=float)
-    return _decoded_peaks(freq, np.array([p.amplitude for p in peaks], dtype=float), system)
+    amp = np.array([p.amplitude for p in peaks], dtype=float)
+    return list(_peak_records(freq, amp, _decode(freq, system), _lines(system)))
 
 
 def classify_marked(peaks: list[Peak]) -> MarkedClassification:
-    """Split decoded items into marked (inverted) and unmarked.
+    """Split decoded items into marked (inverted) and unmarked (see ``_classify``).
 
-    An item counts as marked only when every one of its resolved manifold
-    peaks is negative; items whose manifolds disagree in sign are reported
-    as inconsistent rather than silently resolved.
+    Readout takes its verdict from the peak arrays directly; this takes it
+    from ``Peak`` records, which must be decoded.
     """
     if any(p.item is None for p in peaks):
         raise DecodeError("classify_marked needs decoded peaks")
-    items, where = np.unique(np.array([p.item for p in peaks], dtype=int), return_inverse=True)
-    amps = np.array([p.amplitude for p in peaks], dtype=float)
+    item = np.array([p.item for p in peaks], dtype=int)
+    return _classify(item, np.array([p.amplitude for p in peaks], dtype=float))
+
+
+def _classify(item: np.ndarray, amps: np.ndarray) -> MarkedClassification:
+    """Split the items of decoded peaks, given as arrays, by the signs of their amplitudes.
+
+    An item counts as marked only when every one of its resolved manifold
+    peaks is negative; items whose manifolds disagree in sign, or that
+    have a zero peak, are reported as inconsistent rather than silently
+    resolved.
+    """
+    items, where = np.unique(item, return_inverse=True)
     count = np.bincount(where, minlength=len(items))
     negative = np.bincount(where, amps < 0, minlength=len(items)) == count
     positive = np.bincount(where, amps > 0, minlength=len(items)) == count

@@ -84,7 +84,7 @@ class SpinSystem:
 
     Qubit 0 is always the ancilla.  ``j_hz`` is the symmetric scalar
     coupling matrix in Hz (zero diagonal).  Offsets, gammas and couplings
-    must be finite.
+    must be finite, and offsets and gammas real numbers, not bools.
 
     ``logical_j_hz`` is derived when the register is made: the couplings in
     the logical frame, s_i * s_j * J_ij with s_0 = +1 and s_i the
@@ -115,14 +115,18 @@ class SpinSystem:
             raise SpinSystemError("coupling matrix must be symmetric")
         if np.any(np.diag(j) != 0.0):
             raise SpinSystemError("coupling matrix must have a zero diagonal")
+        for s in self.spins:
+            if not isinstance(s.label, str) or not s.label or any(c in s.label for c in "-.[]= \t"):
+                raise SpinSystemError(f"bad spin label {s.label!r}")
         labels = [s.label for s in self.spins]
         if len(set(labels)) != len(labels):
             raise SpinSystemError("spin labels must be unique")
         for s in self.spins:
-            if not s.label or any(c in s.label for c in "-.[]= \t"):
-                raise SpinSystemError(f"bad spin label {s.label!r}")
             for name in ("gamma_rel", "offset_hz"):
-                if not math.isfinite(getattr(s, name)):
+                value = getattr(s, name)
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise SpinSystemError(f"{s.label}: {name} must be a real number, not {value!r}")
+                if not math.isfinite(value):
                     raise SpinSystemError(f"{s.label}: {name} must be finite")
             if s.gamma_rel <= 0:
                 raise SpinSystemError(f"{s.label}: gamma_rel must be positive")

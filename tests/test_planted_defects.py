@@ -5,11 +5,12 @@ check compares and asserts that the check catches it: ``verify`` exits 2,
 the route guard of ``run_fetch`` raises ``DecodeError`` (exit 4 from
 ``simulate``), the decoded items miss the classical enumeration (exit 2
 from ``simulate``), the query refuses a product that is not unitary
-(exit 3 from ``simulate``), or the expansion refuses an echo block that
-mixes a qubit (exit 3 from ``verify``).  The same run passes on the same register
-without the defect, so the failure is the defect's doing.  Registers: the
-builtin crotonic acid register and a synthetic 8-spin one with a
-sign-flipped bit.  Readout keeps a model per register, so every defect is
+(exit 3 from ``simulate``), the expansion refuses an echo block that
+mixes a qubit (exit 3 from ``verify``), or the committed artifact digests
+that carry no floating-point last bits no longer match.  The same run
+passes on the same register without the defect, so the failure is the
+defect's doing.  Registers: the builtin crotonic acid register and a
+synthetic 8-spin one with a sign-flipped bit.  Readout keeps a model per register, so every defect is
 planted before the register's first readout.
 """
 
@@ -21,6 +22,7 @@ import pytest
 
 import nmrfetch.cli as climod
 import test_metamorphic
+import test_scripts
 import test_spectrometer
 from nmrfetch import (
     AcquisitionParams,
@@ -338,8 +340,8 @@ def shift_decode_one_block(real):
 def count_edge_samples(real):
     # the first and last samples taken as extrema when they pass their one
     # neighbour, against the find_peaks rule
-    def extrema(x):
-        maxima, minima = real(x)
+    def extrema(x, *height):
+        maxima, minima = real(x, *height)
         if len(x) < 2:
             return maxima, minima
         ends = [(0, 1), (len(x) - 1, len(x) - 2)]
@@ -396,6 +398,17 @@ def test_oracle_check_catches_shifted_decode(monkeypatch, capsys, backend):
     assert "verification: FAIL" in capsys.readouterr().out
 
 
+def test_committed_digests_catch_a_moved_verdict(monkeypatch):
+    # the platform-independent digest lines alone see a decode shifted by one line
+    digests = test_scripts.load_script("artifact_digests")
+    expected = set(digests.EXPECTED.read_text().splitlines())
+    monkeypatch.setattr(spectrometer, "_decode", shift_decode_one_block(spectrometer._decode))
+    moved = [line for line in test_scripts.stable_digest_lines(digests) if line not in expected]
+    names = {line.split()[0] for line in moved}
+    assert "builtin/simulate-fast-eps-100101/exit" in names
+    assert "builtin/simulate-fast-eps-100101/stdout" in names
+
+
 def test_scipy_reference_catches_edge_extrema(monkeypatch):
     monkeypatch.setattr(spectrometer, "_extrema", count_edge_samples(spectrometer._extrema))
     # a run misses it: the picker never keeps an edge sample
@@ -409,8 +422,8 @@ def test_scipy_reference_catches_edge_extrema(monkeypatch):
 
 
 def add_both_edges(real):
-    def extrema(x):
-        maxima, minima = real(x)
+    def extrema(x, *height):
+        maxima, minima = real(x, *height)
         ends = [0, len(x) - 1]
         return np.sort(np.r_[maxima, ends]).astype(int), np.sort(np.r_[minima, ends]).astype(int)
 

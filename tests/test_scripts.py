@@ -1,5 +1,6 @@
 """The example scripts run against the package in src/."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -93,3 +94,66 @@ def test_bench_query_layers_times_every_layer():
         hard = ["expand", "duration_s"] if case.endswith("hard_pulse") else []
         assert list(layers) == ["build", *hard, "product", "apply", "run_fetch"]
         assert all(isinstance(ms, float) and ms > 0.0 for ms in layers.values()), (case, layers)
+
+
+def test_bench_readout_layers_times_every_layer():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, str(ROOT / "scripts" / "bench_readout_layers.py"), "1"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    out = json.loads(proc.stdout)
+    builtin = [f"builtin_{bits}" for bits in ("100101", "10010x", "1001xx", "xxxxxx")]
+    assert list(out) == [*builtin, "synthetic8_10101010"]
+    layers = ["fid_row", "closed_row", "fft", "gap", "pick", "decode", "records", "verdict", "read", "run_fetch"]
+    for case, got in out.items():
+        assert got["points"] == 16384 and got["peaks"] == (256 if case.startswith("synthetic") else 128)
+        assert list(got["ms"]) == layers
+        assert all(isinstance(ms, float) and ms > 0.0 for ms in got["ms"].values()), (case, got)
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# a few cases of the digest matrix, each quick: runs that verify, refusals of
+# a short pattern, listings, and commands whose summaries carry last bits
+CHEAP_DIGEST_CASES = (
+    "builtin/simulate-fast-eps-100101",
+    "builtin/simulate-hard-thermal-100xxx",
+    "composite/simulate-ideal-eps-x01x",
+    "builtin/simulate-ideal-eps-10010",
+    "builtin/compile-hard-10010",
+    "composite/compile-ideal-0x1x",
+    "composite/verify-fast-x01",
+    "builtin/verify-hard-100101",
+    "composite/spectrum-thermal",
+)
+
+
+def stable_digest_lines(digests):
+    lines = [line for name, run in digests.cases() if name in CHEAP_DIGEST_CASES for line in run()]
+    return [line for line in lines if digests.bit_stable(line.split()[0])]
+
+
+def test_stable_artifact_digests_match_the_committed_file():
+    # exit codes, refusals, verdicts, marked items and listings, on any
+    # platform: these lines carry no floating-point last bits
+    digests = load_script("artifact_digests")
+    expected = set(digests.EXPECTED.read_text().splitlines())
+    lines = stable_digest_lines(digests)
+    names = [line.split()[0] for line in lines]
+    assert sum(name.endswith("/exit") for name in names) == len(CHEAP_DIGEST_CASES)
+    assert sum(name.endswith("/stdout") for name in names) == 6  # simulate and compile only
+    assert [line for line in lines if line not in expected] == []
+
+
+def test_artifact_digests_check_mode():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, str(ROOT / "scripts" / "artifact_digests.py"), "--check", "composite/compile-ideal-0x1x"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    first, last = proc.stdout.splitlines()[0], proc.stdout.splitlines()[-1]
+    assert first.startswith(("environment matches", "environment differs")) and last == "no line differs"

@@ -35,6 +35,7 @@ from nmrfetch import (
     pick_peaks,
     thermal_state,
 )
+import nmrfetch
 from nmrfetch import cli as climod
 from nmrfetch import spectrometer
 from nmrfetch.cli import RunConfig, run_fetch
@@ -837,10 +838,13 @@ def test_cached_readout_arrays_are_read_only():
     (grid,) = model.grids.values()
     item, omega, share = model.transitions
     assert isinstance(share, float)
-    arrays = [grid.freqs_hz, grid.bin_cs, grid.envelope, item, omega]
+    arrays = [grid.freqs_hz, grid.bin_cs, grid.times, grid.envelope, item, omega]
     for r in readouts:
         assert r.spectrum.freqs_hz is grid.freqs_hz
-        arrays += [r.fid, r.closed, r.spectrum.amplitude]
+        # the peak arrays are the records' items and amplitudes, peak by peak
+        assert r.peak_item.tolist() == [p.item for p in r.peaks]
+        assert r.peak_amplitude.tolist() == [p.amplitude for p in r.peaks]
+        arrays += [r.fid, r.closed, r.spectrum.amplitude, r.peak_item, r.peak_amplitude]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -885,6 +889,7 @@ def test_grid_tables_are_kept_per_acquisition():
             assert got.verified and hexes(got) == hexes(fresh)
             grid = spectrometer._grid(warm, params)
             assert np.array_equal(grid.freqs_hz, params.frequency_grid())
+            assert np.array_equal(grid.times, params.times())
             assert np.array_equal(grid.envelope, np.exp(-params.times() / params.t2_s))
     assert len(spectrometer._model(warm).grids) == len(grids)
 
@@ -1003,6 +1008,16 @@ _spectra = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @example(amp=np.array([0.0]), start=0.0, step=1.0, threshold_frac=0.05)  # no grid step
+# runs of equal samples that touch the first or the last sample, above the threshold
+@example(amp=np.array([1.0, 1.0, 0.0, 1.0, 1.0]), start=0.0, step=1.0, threshold_frac=0.05)
+@example(amp=np.array([-3.0, 2.0, 2.0, 2.0]), start=0.0, step=1.0, threshold_frac=0.05)
+@example(amp=np.array([2.0, 2.0, -3.0, 0.5, -3.0, -3.0]), start=0.0, step=1.0, threshold_frac=0.05)
+# equal maxima apart, each its own run
+@example(amp=np.array([0.0, 2.0, 0.0, 2.0, 0.0]), start=0.0, step=1.0, threshold_frac=0.05)
+# plateaus, a maximum and a minimum, whose magnitude is exactly the threshold (0.25 x 4)
+@example(
+    amp=np.array([0.0, 1.0, 1.0, 1.0, 0.0, 4.0, 0.0, -1.0, -1.0, 0.0]), start=0.0, step=1.0, threshold_frac=0.25
+)
 @given(
     amp=_spectra,
     start=st.floats(-500.0, 500.0),
@@ -1263,6 +1278,75 @@ def test_classify_marked_matches_per_item_grouping(entries):
 def test_classify_requires_decoded_peaks():
     with pytest.raises(SpectrometerError):
         classify_marked([Peak(1.0, 1.0)])
+
+
+@settings(max_examples=200, deadline=None)
+@example(entries=[])
+@example(entries=[(3, 0.0), (3, -0.0), (5, -0.0), (5, -1.0), (7, 1.0)])
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.one_of(st.integers(0, 7), st.integers(0, 2**16 - 1)),
+            st.one_of(
+                st.sampled_from([-2.0, -0.0, 0.0, 2.0, -5e-324, 5e-324]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+        ),
+        max_size=40,
+    )
+)
+def test_array_verdict_matches_classify_marked_over_records(entries):
+    # the readout's verdict core on peak arrays against the public verdict on
+    # Peak records of the same peaks, read-only arrays as the readout keeps them
+    item = np.array([i for i, _ in entries], dtype=int)
+    amp = np.array([a for _, a in entries], dtype=float)
+    item.flags.writeable = amp.flags.writeable = False
+    peaks = [Peak(float(k), a, item=i, manifold="n/a") for k, (i, a) in enumerate(entries)]
+    got = spectrometer._classify(item, amp)
+    assert got == classify_marked(peaks)
+    assert all(type(i) is int for i in got.marked + got.unmarked + got.inconsistent)
+    # an item with a zero peak, of either sign, is neither marked nor unmarked
+    zero = {i for i, a in entries if a == 0.0}
+    assert zero <= set(got.inconsistent)
+
+
+@pytest.mark.parametrize("backend", ["fast_diagonal", "ideal", "hard_pulse"])
+@pytest.mark.parametrize("init", ["thermal", "effective_pure"])
+def test_run_fetch_verdict_is_classify_marked_of_its_peaks(backend, init):
+    for bits in ("100101", "10x1x0"):
+        result = run_fetch(RunConfig(crotonic_default(), QueryPattern.from_string(bits), init=init, backend=backend))
+        verdict = classify_marked(list(result.peaks_after))
+        assert (result.marked, result.inconsistent) == (verdict.marked, verdict.inconsistent)
+        assert result.verified and result.marked == result.expected
+
+
+def test_run_fetch_takes_its_verdict_without_classify_marked(monkeypatch):
+    def refuse(peaks):
+        raise AssertionError("run_fetch went through classify_marked")
+
+    for module in (spectrometer, climod, nmrfetch):
+        monkeypatch.setattr(module, "classify_marked", refuse, raising=False)
+    for backend in ("fast_diagonal", "ideal"):
+        result = run_fetch(RunConfig(crotonic_default(), QueryPattern.from_string("100xxx"), backend=backend))
+        assert result.verified and result.marked == tuple(range(32, 40))
+
+
+def test_peak_record_contract():
+    assert Peak._fields == ("freq_hz", "amplitude", "item", "manifold")
+    assert Peak._field_defaults == {"item": None, "manifold": None}
+    peak = Peak(2.0, -0.5)
+    assert (peak.freq_hz, peak.amplitude, peak.item, peak.manifold) == (2.0, -0.5, None, None)
+    assert Peak(2.0, -0.5, item=3, manifold="inner") == Peak(2.0, -0.5, 3, "inner")
+    for name in Peak._fields:
+        with pytest.raises(AttributeError):
+            setattr(peak, name, 1)
+    # picking leaves the records undecoded; decoding returns new records
+    spec = Spectrum(np.arange(7.0), np.array([0.0, 2.0, 0.0, 4.0, 0.0, -2.0, 0.0]))
+    picked = pick_peaks(spec)
+    assert picked == [Peak(1.0, 2.0), Peak(3.0, 4.0), Peak(5.0, -2.0)]
+    assert all(type(p) is Peak and p.item is None and p.manifold is None for p in picked)
+    (decoded,) = decode_peaks([Peak(138.25, -1.0)], crotonic_default())
+    assert type(decoded) is Peak and (decoded.item, decoded.manifold) == (0, "inner")
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,29 @@ def test_non_finite_values_rejected(value):
         SpinSystem((Spin("a"), Spin("b")), bad)
 
 
+@pytest.mark.parametrize("name", ["offset_hz", "gamma_rel"])
+@pytest.mark.parametrize("value", ["1", None, 1j, True, False, np.bool_(True), [1.0]])
+def test_non_real_spin_fields_rejected(name, value):
+    # each used to raise a raw TypeError from math.isfinite, or to pass as 1 or 0
+    spins = (Spin("a"), Spin("b", **{name: value}))
+    with pytest.raises(SpinSystemError, match=f"b: {name} must be a real number, not "):
+        SpinSystem(spins, np.array([[0.0, 5.0], [5.0, 0.0]]))
+
+
+@pytest.mark.parametrize("label", [5, None, ["b"], b"b", ""])
+def test_non_string_spin_labels_rejected(label):
+    # an int, list or bytes label used to raise a raw TypeError
+    with pytest.raises(SpinSystemError, match="bad spin label"):
+        SpinSystem((Spin("a"), Spin(label)), np.array([[0.0, 5.0], [5.0, 0.0]]))
+
+
+@pytest.mark.parametrize("value", [np.float64(2.5), np.float32(2.5), np.int64(2), 2])
+def test_numpy_and_integer_spin_fields_accepted(value):
+    spins = (Spin("a"), Spin("b", offset_hz=value, gamma_rel=value))
+    system = SpinSystem(spins, np.array([[0.0, 5.0], [5.0, 0.0]]))
+    assert system.spins[1].offset_hz == value and system.spins[1].gamma_rel == value
+
+
 def test_even_multiplicity_rejected():
     # an even group has m = 0 manifolds that carry no bit information
     with pytest.raises(SpinSystemError):
