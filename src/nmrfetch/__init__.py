@@ -44,16 +44,12 @@ from .spectrometer import (
     AcquisitionParams,
     DecodeError,
     Peak,
+    Readout,
     SpectralLine,
     Spectrum,
     SpectrometerError,
-    acquire_fid,
-    analytic_spectrum,
-    classify_marked,
-    decode_peaks,
-    fft_spectrum,
     line_table,
-    pick_peaks,
+    readout,
 )
 from .cli import RunConfig, RunResult, bench_report, classical_oracle, run_fetch
 
@@ -69,6 +65,7 @@ __all__ = [
     "GateSequence",
     "Peak",
     "QueryPattern",
+    "Readout",
     "RunConfig",
     "RunResult",
     "SelectivePulse",
@@ -81,25 +78,20 @@ __all__ = [
     "StateError",
     "VirtualZ",
     "ZZEvolution",
-    "acquire_fid",
-    "analytic_spectrum",
     "apply_query_diagonal",
     "bench_report",
     "build_query_network",
     "classical_oracle",
-    "classify_marked",
     "compile_multilinear_z_phase",
     "crotonic_default",
-    "decode_peaks",
     "distance_up_to_global_phase",
     "effective_pure_ancilla",
     "expand_to_hard_pulses",
-    "fft_spectrum",
     "format_sequence",
     "line_table",
     "load_spin_system",
     "load_spin_system_file",
-    "pick_peaks",
+    "readout",
     "run_fetch",
     "sequence_report",
     "thermal_state",

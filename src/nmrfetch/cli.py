@@ -53,7 +53,7 @@ from .spectrometer import (
     _check_duration,
     _classify,
     _grid,
-    _readouts,
+    readout,
     spectrum_csv,
 )
 from .spin_system import (
@@ -124,8 +124,8 @@ class RunResult:
     out afresh on every run; its frequency axis is the acquisition's
     shared, read-only one.  ``peaks_before`` and ``peaks_after`` are
     tuples of decoded ``Peak`` records.  The verdict (``marked``,
-    ``inconsistent``) is taken from the queried readout's peak arrays, and
-    is the one ``classify_marked(peaks_after)`` gives.
+    ``inconsistent``) is taken from the queried readout's peak arrays,
+    which hold the items and amplitudes of ``peaks_after`` in its order.
     """
 
     before: Spectrum
@@ -199,7 +199,7 @@ def run_fetch(cfg: RunConfig) -> RunResult:
     no 2^n x 2^n matrix is built.  The prepared state is the readout
     reference, cached per register and acquisition; the queried state is
     read out as its difference from it, and every state's route gap is
-    checked (``spectrometer._readouts``).  The verdict is taken from the
+    checked (``spectrometer.readout``).  The verdict is taken from the
     queried state's decoded peak arrays (``spectrometer._classify``).
     """
     params = cfg.params or AcquisitionParams.for_system(cfg.system)
@@ -227,7 +227,7 @@ def run_fetch(cfg: RunConfig) -> RunResult:
     else:
         queried = _apply_product(state, *_compressed_product(sequence, cfg.system))
 
-    before, after = _readouts((state, queried), cfg.system, params)
+    before, after = readout((state, queried), cfg.system, params)
 
     verdict = _classify(after.peak_item, after.peak_amplitude)
     verified = verdict.marked == expected and not verdict.inconsistent
@@ -506,12 +506,12 @@ def _cmd_spectrum(args) -> int:
     params = _acq_from_args(system, args)  # refuses an undecodable register
     init = _INITS[args.init]
     state = _initial_state(system, init)
-    (readout,) = _readouts((state,), system, params)
-    spec = readout.spectrum
+    (read,) = readout((state,), system, params)
+    spec = read.spectrum
     print(f"spectral width: {params.spectral_width_hz:g} Hz, {params.n_points} points")
-    print(f"route gap: {readout.gap:.2e} (fails above {_ROUTE_GUARD:g})")
-    print(f"peaks found: {len(readout.peaks)}")
-    for p in readout.peaks:
+    print(f"route gap: {read.gap:.2e} (fails above {_ROUTE_GUARD:g})")
+    print(f"peaks found: {len(read.peaks)}")
+    for p in read.peaks:
         print(
             f"  {p.freq_hz:+10.3f} Hz  amp {p.amplitude:+.6g}  "
             f"item {p.item} ({p.manifold})"
@@ -520,7 +520,7 @@ def _cmd_spectrum(args) -> int:
         "system": _system_dict(system),
         "init": init,
         "acquisition": _acq_dict(params),
-        "peaks": [_peak_dict(p) for p in readout.peaks],
+        "peaks": [_peak_dict(p) for p in read.peaks],
     }
     emit(
         {

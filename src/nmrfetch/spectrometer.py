@@ -34,7 +34,7 @@ ancilla transitions of its expanded register and the one population
 share of their configurations, per acquisition grid the frequency axis,
 the closed-form kernel's bin table and the FID's sample times and decay
 envelope, and the readouts of the reference states it has been read
-against.  The FID needs no pulse matrix (see ``acquire_fid``) and is
+against.  The FID needs no pulse matrix (see ``_fid_row``) and is
 synthesised in blocks, as one matrix product.
 
 The line table also decides whether a register can be read at all: every
@@ -45,7 +45,7 @@ than half the smallest gap.
 
 Both routes are linear in the per-item ancilla differences, and a query
 changes those only on the items it matches.  So a run reads out against a
-reference (``_readouts``).  The reference state's whole readout - FID row,
+reference (``readout``).  The reference state's whole readout - FID row,
 closed-form row, FFT spectrum, decoded peaks and route gap - is made once
 per acquisition grid and cached in the register's model, read-only; a
 readout that raises is not cached.  Every later state of the run is that
@@ -53,8 +53,8 @@ reference's rows plus the readout of its difference from it, which
 synthesises FID terms and evaluates kernel rows only where the difference
 is nonzero, and is then transformed, picked, decoded and compared with
 its closed-form row in full.  Every gap, cached or not, is checked
-against ``_ROUTE_GUARD``.
-``acquire_fid`` and ``analytic_spectrum`` read out any one state directly.
+against ``_ROUTE_GUARD``.  ``readout`` is the one public route, and
+reads one state as a one-state tuple.
 """
 
 from __future__ import annotations
@@ -79,13 +79,9 @@ __all__ = [
     "MarkedClassification",
     "SpectrometerError",
     "DecodeError",
+    "Readout",
     "line_table",
-    "analytic_spectrum",
-    "acquire_fid",
-    "fft_spectrum",
-    "pick_peaks",
-    "decode_peaks",
-    "classify_marked",
+    "readout",
     "spectrum_csv",
 ]
 
@@ -225,12 +221,12 @@ class Spectrum:
 
 
 class Peak(NamedTuple):
-    """One picked peak; ``item`` and ``manifold`` are filled in by decoding."""
+    """One picked and decoded peak: its item and the manifold of its line."""
 
     freq_hz: float
     amplitude: float
-    item: int | None = None
-    manifold: str | None = None
+    item: int
+    manifold: str
 
 
 @dataclass(frozen=True)
@@ -307,7 +303,7 @@ class _Grid:
 
 
 @dataclass(frozen=True, eq=False)
-class _Readout:
+class Readout:
     """One state's readout: FID row, closed-form row, FFT spectrum, decoded peaks, route gap.
 
     ``peaks`` holds one ``Peak`` record per picked peak, by frequency, and
@@ -336,7 +332,7 @@ class _ReadoutModel:
     an item's populations that every configuration holds (see
     ``_transitions``).  ``grids`` maps an acquisition to its
     ``_Grid`` (see ``_grid``).  ``references`` maps (acquisition,
-    populations bit pattern) to a reference state's whole ``_Readout``
+    populations bit pattern) to a reference state's whole ``Readout``
     (see ``_reference_readout``).  Every array is read-only, and the model
     holds no reference to its register, so the weak cache can drop both.
     """
@@ -581,10 +577,10 @@ def _check_coverage(table: _LineTable, params: AcquisitionParams) -> None:
         )
 
 
-def analytic_spectrum(
-    state: DensityState, system: SpinSystem, params: AcquisitionParams
-) -> Spectrum:
-    """Closed-form absorptive spectrum of one state on the acquisition grid.
+def _closed_form_row(
+    difference: np.ndarray, system: SpinSystem, params: AcquisitionParams
+) -> np.ndarray:
+    """Closed-form absorptive spectrum of per-item ancilla differences on the acquisition grid.
 
     Each line is the infinite-time limit of the sampled acquisition,
     summed as a geometric series: amplitude * dwell * Re[(1+z)/(2(1-z))]
@@ -592,20 +588,6 @@ def analytic_spectrum(
     the textbook Lorentzian A*t2 / (1 + (2 pi (nu-f) t2)^2); at finite
     dwell it also carries the spectral-window images, so it matches an
     ideal noiseless FFT readout of the same grid without aliasing error.
-    The sum runs over the lines of the line table, dense for a few lines
-    and by panels for many, where the lines far from a panel of bins are
-    interpolated from Chebyshev nodes within 3.3e-14 of their peaks (see
-    ``_closed_form_row``).
-    """
-    amplitude = _closed_form_row(_difference(state, system), system, params)
-    return Spectrum(freqs_hz=params.frequency_grid(), amplitude=amplitude)
-
-
-def _closed_form_row(
-    difference: np.ndarray, system: SpinSystem, params: AcquisitionParams
-) -> np.ndarray:
-    """Closed-form spectrum of one vector of per-item ancilla differences.
-
     With d = |z| and theta = 2 pi (f - nu) dwell the real part is
     (1 - d^2) / (2 |1-z|^2) and |1-z|^2 = (1-d)^2 + 4 d sin^2(theta/2).
     The half angle splits into a per-line and a per-bin angle, so sines
@@ -811,30 +793,21 @@ def _transitions(system: SpinSystem) -> tuple[np.ndarray, np.ndarray, float]:
     return model.transitions
 
 
-def acquire_fid(
-    state: DensityState, system: SpinSystem, params: AcquisitionParams
+def _fid_row(
+    difference: np.ndarray, system: SpinSystem, params: AcquisitionParams
 ) -> np.ndarray:
-    """Simulated FID of one state: 90-degree ancilla pulse, free evolution, decay.
+    """FID of per-item ancilla differences: 90-degree ancilla pulse, free evolution, decay.
 
     Composite qubits are unfolded into their physical spin copies and the
     ancilla coherence Tr(rho(t) I+) is sampled on the acquisition grid,
-    demodulated at the carrier.  The state is a population state, and for
-    a diagonal rho an x pulse exp(-i pi/2 I_x) on the ancilla leaves exactly
+    demodulated at the carrier.  For a diagonal rho an x pulse
+    exp(-i pi/2 I_x) on the ancilla leaves exactly
     <1,d| rho |0,d> = -i/2 (p(0,d) - p(1,d)) for each configuration d of
     the other spins: the closed form of the conjugation, with no matrix
     needed.  Each coherence then precesses at the ancilla transition of
     its configuration, taken from the diagonal Hamiltonian of the expanded
     register.  The receiver phase is fixed so that positive ancilla
-    polarization gives positive absorptive lines after fft_spectrum.
-    The synthesis is ``_fid_row`` on the state's ancilla differences.
-    """
-    return _fid_row(_difference(state, system), system, params)
-
-
-def _fid_row(
-    difference: np.ndarray, system: SpinSystem, params: AcquisitionParams
-) -> np.ndarray:
-    """FID of one vector of per-item ancilla differences.
+    polarization gives positive absorptive lines after ``_absorptive``.
 
     A configuration's population difference is its item's times the
     register's one ``share`` (see ``_transitions``).  Samples are
@@ -864,16 +837,14 @@ def _fid_row(
 
 def _read(
     fid: np.ndarray, closed: np.ndarray, system: SpinSystem, params: AcquisitionParams
-) -> _Readout:
+) -> Readout:
     """One state's FFT spectrum, decoded peaks and route gap (``_route_gap``), from its two rows.
 
     Peaks are picked at ``_PICK_THRESHOLD`` and decoded as arrays; a peak
     that does not decode raises ``DecodeError``.  The readout keeps their
     items and amplitudes as read-only arrays, for the verdict, and one
     ``Peak`` record per peak, built at once.  The spectrum takes the grid's
-    cached axis.  Picking calls ``_pick``, not ``pick_peaks``, whose peaks
-    perfbench counts: a reference read from the cache on a warm register
-    would change the count.
+    cached axis.
     """
     spectrum = Spectrum(_grid(system, params).freqs_hz, _absorptive(fid, params.dwell_s))
     freq, amp = _pick(spectrum, _PICK_THRESHOLD)
@@ -881,7 +852,7 @@ def _read(
     item = table.item[lines]
     _read_only(item, amp)
     peaks = _peak_records(freq, amp, lines, table)
-    return _Readout(fid, closed, spectrum, peaks, _route_gap(spectrum.amplitude, closed), item, amp)
+    return Readout(fid, closed, spectrum, peaks, _route_gap(spectrum.amplitude, closed), item, amp)
 
 
 def _route_gap(amplitude: np.ndarray, closed: np.ndarray) -> float:
@@ -892,7 +863,7 @@ def _route_gap(amplitude: np.ndarray, closed: np.ndarray) -> float:
 
 def _reference_readout(
     state: DensityState, system: SpinSystem, params: AcquisitionParams
-) -> _Readout:
+) -> Readout:
     """A reference state's whole readout, cached in the register's model.
 
     The cache key is the acquisition and the bit pattern of the state's
@@ -903,23 +874,23 @@ def _reference_readout(
     difference = _difference(state, system)
     references = _model(system).references
     key = (params, state.populations.tobytes())
-    readout = references.get(key)
-    if readout is None:
-        readout = _read(
+    cached = references.get(key)
+    if cached is None:
+        cached = _read(
             _fid_row(difference, system, params),
             _closed_form_row(difference, system, params),
             system,
             params,
         )
-        _read_only(readout.fid, readout.closed, readout.spectrum.amplitude)
-        references[key] = readout
-    return readout
+        _read_only(cached.fid, cached.closed, cached.spectrum.amplitude)
+        references[key] = cached
+    return cached
 
 
-def _readouts(
+def readout(
     states: tuple[DensityState, ...], system: SpinSystem, params: AcquisitionParams
 ):
-    """Each state's ``_Readout``, yielded state by state, each route gap checked.
+    """Each state's ``Readout``, yielded state by state, each route gap checked.
 
     The first state is the reference (see ``_reference_readout``).  Both
     routes are linear in the ancilla differences, so every later state's
@@ -937,36 +908,19 @@ def _readouts(
     reference = _reference_readout(states[0], system, params)
     base = states[0].ancilla_difference()
     for k, state in enumerate(states):
-        readout = reference
+        read = reference
         if k:
             delta = _difference(state, system) - base
             fid = _fid_row(delta, system, params)
             fid += reference.fid
             closed = _closed_form_row(delta, system, params)
             closed += reference.closed
-            readout = _read(fid, closed, system, params)
-        if readout.gap > _ROUTE_GUARD:
+            read = _read(fid, closed, system, params)
+        if read.gap > _ROUTE_GUARD:
             raise DecodeError(
-                f"time-domain and closed-form spectra disagree ({readout.gap:.2e} relative)"
+                f"time-domain and closed-form spectra disagree ({read.gap:.2e} relative)"
             )
-        yield readout
-
-
-def fft_spectrum(fid: np.ndarray, params: AcquisitionParams) -> Spectrum:
-    """Discrete Fourier transform of an FID to an absorptive spectrum.
-
-    Applies the standard half-first-point correction (so the finite sum
-    matches the continuous transform of a decaying signal), scales by the
-    dwell time and keeps the real part.  The FID must hold exactly
-    ``params.n_points`` samples: the frequency axis is the one of the
-    acquisition grid.
-    """
-    fid = np.asarray(fid, dtype=complex)
-    if fid.shape != (params.n_points,):
-        raise SpectrometerError(
-            f"FID of shape {fid.shape} does not fit a {params.n_points}-point acquisition"
-        )
-    return Spectrum(freqs_hz=params.frequency_grid(), amplitude=_absorptive(fid, params.dwell_s))
+        yield read
 
 
 def _absorptive(fid: np.ndarray, dwell_s: float) -> np.ndarray:
@@ -1007,27 +961,17 @@ def _extrema(x: np.ndarray, height: float = -math.inf) -> tuple[np.ndarray, np.n
     return mid[(before < level) & (after < level)], mid[(before > level) & (after > level)]
 
 
-def pick_peaks(spectrum: Spectrum, threshold_frac: float = _PICK_THRESHOLD) -> list[Peak]:
-    """Local extrema above a fraction of the tallest magnitude.
+def _pick(spectrum: Spectrum, threshold_frac: float) -> tuple[np.ndarray, np.ndarray]:
+    """Local extrema above a fraction of the tallest magnitude, as (frequency, amplitude) arrays.
 
     Extrema are found by ``_extrema``; a maximum counts when its sample is
-    at least the threshold, a minimum when its negation is.  Peak
-    positions are refined by parabolic interpolation through the three
-    points around each extremum, so line centers are recovered far below
-    the grid spacing.  The refinement runs on the sign-flipped samples of
-    a minimum, so both kinds are refined as maxima, all of them at once.
-    """
-    if not 0.0 < threshold_frac < 1.0:
-        raise SpectrometerError("threshold_frac must be in (0, 1)")
-    freq, amp = _pick(spectrum, threshold_frac)
-    return list(map(Peak, freq.tolist(), amp.tolist()))
-
-
-def _pick(spectrum: Spectrum, threshold_frac: float) -> tuple[np.ndarray, np.ndarray]:
-    """``pick_peaks`` as (frequency, amplitude) arrays by frequency, for a threshold in (0, 1).
-
-    Only samples whose magnitude reaches the threshold can be kept, so the
-    extrema are looked for among those alone.
+    at least the threshold, a minimum when its negation is.  Only samples
+    whose magnitude reaches the threshold can be kept, so the extrema are
+    looked for among those alone.  Peak positions are refined by parabolic
+    interpolation through the three points around each extremum, so line
+    centers are recovered far below the grid spacing.  The refinement runs
+    on the sign-flipped samples of a minimum, so both kinds are refined as
+    maxima, all of them at once.  The peaks come back by frequency.
     """
     amp = spectrum.amplitude
     height = threshold_frac * np.max(np.abs(amp), initial=0.0)
@@ -1081,25 +1025,6 @@ def _peak_records(
     """One decoded ``Peak`` per (frequency, amplitude, line-table index), built in one ``map``."""
     manifold = map(table.manifold.__getitem__, lines.tolist())
     return tuple(map(Peak, freq.tolist(), amp.tolist(), table.item[lines].tolist(), manifold))
-
-
-def decode_peaks(peaks: list[Peak], system: SpinSystem) -> list[Peak]:
-    """Fill item / manifold assignments on picked peaks (see ``_decode``)."""
-    freq = np.array([p.freq_hz for p in peaks], dtype=float)
-    amp = np.array([p.amplitude for p in peaks], dtype=float)
-    return list(_peak_records(freq, amp, _decode(freq, system), _lines(system)))
-
-
-def classify_marked(peaks: list[Peak]) -> MarkedClassification:
-    """Split decoded items into marked (inverted) and unmarked (see ``_classify``).
-
-    Readout takes its verdict from the peak arrays directly; this takes it
-    from ``Peak`` records, which must be decoded.
-    """
-    if any(p.item is None for p in peaks):
-        raise DecodeError("classify_marked needs decoded peaks")
-    item = np.array([p.item for p in peaks], dtype=int)
-    return _classify(item, np.array([p.amplitude for p in peaks], dtype=float))
 
 
 def _classify(item: np.ndarray, amps: np.ndarray) -> MarkedClassification:

@@ -16,26 +16,22 @@ import pytest
 from nmrfetch import (
     AcquisitionParams,
     DensityState,
-    Peak,
     QueryPattern,
-    analytic_spectrum,
     apply_query_diagonal,
     bench_report,
     build_query_network,
     compile_multilinear_z_phase,
     crotonic_default,
-    decode_peaks,
     distance_up_to_global_phase,
     effective_pure_ancilla,
     expand_to_hard_pulses,
-    fft_spectrum,
-    acquire_fid,
     line_table,
-    pick_peaks,
+    readout,
     thermal_state,
 )
 from nmrfetch.cli import RunConfig, run_fetch
 from nmrfetch.compiler import Delay, GateSequence, SelectivePulse, VirtualZ, ZZEvolution
+from nmrfetch.spectrometer import _decode, _lines
 
 from conftest import make_system, random_full_system
 from dense_reference import apply_unitary, controlled_phase_direct, sequence_unitary
@@ -94,10 +90,9 @@ def test_criterion_03_spectral_geometry(capsys):
     with criterion(capsys, 3, "128 lines in 8 groups at the expected centroids"):
         sys = crotonic_default()
         params = AcquisitionParams.for_system(sys)
-        spec = analytic_spectrum(effective_pure_ancilla(sys), sys, params)
-        peaks = pick_peaks(spec, threshold_frac=0.05)
-        assert len(peaks) == 128
-        freqs = np.sort([p.freq_hz for p in peaks])
+        (read,) = readout((effective_pure_ancilla(sys),), sys, params)
+        assert len(read.peaks) == 128
+        freqs = np.sort([p.freq_hz for p in read.peaks])
         centroids = freqs.reshape(8, 16).mean(axis=1)
         expected = [-133.65, -92.05, -63.95, -22.35, 22.35, 63.95, 92.05, 133.65]
         assert np.max(np.abs(centroids - expected)) <= 0.01
@@ -111,13 +106,12 @@ def test_criterion_04_methyl_intensity_ratio(capsys):
     with criterion(capsys, 4, "methyl inner/outer intensity ratio 3.0 within 2%"):
         sys = crotonic_default()
         params = AcquisitionParams.for_system(sys)
-        spec = analytic_spectrum(effective_pure_ancilla(sys), sys, params)
-        peaks = pick_peaks(spec, threshold_frac=0.05)
+        (read,) = readout((effective_pure_ancilla(sys),), sys, params)
         by_freq = {}
         for line in line_table(sys):
             by_freq[round(line.freq_hz, 6)] = line
         inner = outer = 0.0
-        for p in peaks:
+        for p in read.peaks:
             key = min(by_freq, key=lambda f: abs(f - p.freq_hz))
             line = by_freq[key]
             if line.manifold == "inner":
@@ -134,11 +128,9 @@ def test_criterion_05_fid_route_agreement(capsys):
         params = AcquisitionParams(n_points=16384, dwell_s=1.0 / 512.0, t2_s=2.0)
         before = effective_pure_ancilla(sys)
         after = apply_query_diagonal(before, QueryPattern.from_string("100xxx"))
-        for state in (before, after):
-            via_fft = fft_spectrum(acquire_fid(state, sys, params), params)
-            direct = analytic_spectrum(state, sys, params)
-            scale = np.max(np.abs(direct.amplitude))
-            gap = np.max(np.abs(via_fft.amplitude - direct.amplitude)) / scale
+        for read in readout((before, after), sys, params):
+            scale = np.max(np.abs(read.closed))
+            gap = np.max(np.abs(read.spectrum.amplitude - read.closed)) / scale
             assert gap <= 1e-6, f"route gap {gap:.3e}"
         assert time.monotonic() - box["start"] < 60.0
 
@@ -234,9 +226,10 @@ def test_criterion_09_unambiguous_monotonic_decode(capsys):
     with criterion(capsys, 9, "every item decodes uniquely; inner lines order items"):
         sys = crotonic_default()
         lines = line_table(sys)
-        for line in lines:
-            (peak,) = decode_peaks([Peak(line.freq_hz, 1.0)], sys)
-            assert (peak.item, peak.manifold) == (line.item, line.manifold)
+        table = _lines(sys)
+        decoded = _decode(np.array([line.freq_hz for line in lines]), sys)
+        for line, k in zip(lines, decoded.tolist()):
+            assert (table.item[k], table.manifold[k]) == (line.item, line.manifold)
         inner = sorted(
             (l for l in lines if l.manifold == "inner"), key=lambda l: -l.freq_hz
         )

@@ -184,13 +184,13 @@ def test_pulse_level_query_changes_only_the_matched_items(monkeypatch, backend, 
     # that run_fetch reads out differs from the prepared one on the matched
     # items' populations alone, as on fast_diagonal
     seen = []
-    readouts = climod._readouts
+    readout = climod.readout
 
     def capture(states, system, params):
         seen.append(states)
-        return readouts(states, system, params)
+        return readout(states, system, params)
 
-    monkeypatch.setattr(climod, "_readouts", capture)
+    monkeypatch.setattr(climod, "readout", capture)
     sys = crotonic_default()
     half = 2**sys.n_database
     for pattern, marked in (("100101", [37]), ("1001x1", [37, 39])):
@@ -549,7 +549,7 @@ def test_artifact_flags_are_checked_before_the_run(monkeypatch, tmp_path, capsys
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran before the artifact flags were checked")
 
-    for name in ("run_fetch", "_readouts", "build_query_network", "bench_report"):
+    for name in ("run_fetch", "readout", "build_query_network", "bench_report"):
         monkeypatch.setattr(climod, name, must_not_run)
     out = tmp_path / "d"
     assert main([arg.replace("{out}", str(out)) for arg in argv]) == EXIT_CONFIG
@@ -709,7 +709,7 @@ def test_route_guard_fails_on_the_before_state_first(monkeypatch, capsys):
     messages = []
     for alone in (state, queried):
         with pytest.raises(DecodeError, match="disagree") as exc:
-            list(spectrometer._readouts((alone,), sys, params))
+            list(spectrometer.readout((alone,), sys, params))
         messages.append(str(exc.value))
     assert messages[0] != messages[1]  # the two gaps tell the states apart
 
@@ -729,7 +729,7 @@ def test_decode_failure_comes_before_route_failure(monkeypatch):
     state = climod._initial_state(sys, "effective_pure")
     params = AcquisitionParams(n_points=4096, dwell_s=1.0 / 64.0)
     with pytest.raises(DecodeError, match="ambiguous peak"):
-        list(spectrometer._readouts((state,), sys, params))
+        list(spectrometer.readout((state,), sys, params))
 
 
 def test_compile_listing_grammar(capsys):

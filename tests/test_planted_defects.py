@@ -221,7 +221,7 @@ def scale_closed_form_row(real):
 
 
 def drop_half_first_point(real):
-    # the FFT core of fft_spectrum without halving the first sample
+    # the FFT step of readout without halving the first sample
     def absorptive(fid, dwell_s):
         work = fid.copy()
         work[0] *= 2.0
