@@ -16,7 +16,8 @@ for its stdout and one for its stderr, then ``<case>/exit <code>``.
 Then, for every pattern over ``01x`` of the database size (3^6 builtin,
 3^4 composite) and both networks (``ideal`` and its ``hard`` expansion),
 one ``<register>/product-<backend>-<pattern> <sha256>`` line digests the
-compiled network's ``_compressed_product`` arrays and its
+compiled network's product, its per-item ancilla blocks and item map
+``(blocks, src)`` from ``_compressed_product``, and its
 ``format_sequence`` listing.  Arguments keep only the cases whose name
 contains one of them.
 
@@ -137,9 +138,9 @@ def product_case(name: str, system, pattern: str, backend: str) -> list[str]:
     seq = build_query_network(system, QueryPattern.from_string(pattern))
     if backend == "hard":
         seq = expand_to_hard_pulses(seq, system)
-    digest = hashlib.sha256()
-    for array in _compressed_product(seq, system):
-        digest.update(array.tobytes())
+    blocks, src = _compressed_product(seq, system)
+    digest = hashlib.sha256(blocks.tobytes())  # in (items, 2, 2) order
+    digest.update(src.tobytes())
     digest.update(format_sequence(seq).encode())
     return [f"{name} {digest.hexdigest()}"]
 
@@ -151,7 +152,7 @@ def bit_stable(name: str) -> bool:
     (peak counts, marked and expected items, the verdict, the schedule
     length to 6 digits) and the ``compile`` listings: 290 of the 2196
     lines.  Measured, not assumed: none of them moved when the outputs of
-    the FFT, the FID row, the closed-form row or the compressed product
+    the FFT, the FID row, the closed-form row or the product's blocks
     were scaled by 1 + 2^-50, one at a time, or when the FFT's were scaled
     by 1 + 2^-30.  Under those the spectrum CSVs, ``result.json`` files,
     ``verify`` summaries (deviations near 1e-16) and product digests moved,

@@ -10,7 +10,7 @@ enough) with every bit constrained, each on the ideal and the hard-pulse
 backend.  Each case first runs ``run_fetch`` once, so the register is warm
 as in a stream of queries, then times each layer on its own:
 ``build_query_network``, ``expand_to_hard_pulses`` and the schedule's
-``duration_s`` (hard only), the compressed product, its application to the
+``duration_s`` (hard only), the block product, its application to the
 prepared state, and the whole ``run_fetch``.  Prints one JSON object
 mapping "<register>_<pattern>/<backend>" to the best wall time of each
 layer in ms, or to the name of the exception a refused layer raised.

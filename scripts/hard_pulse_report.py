@@ -5,8 +5,9 @@ Usage: python scripts/hard_pulse_report.py [pattern]
 
 Prints gate counts and total duration for the soft (frequency-selective)
 and hard-pulse versions of the query network, then verifies the two
-propagators agree up to a global phase, block by block on their
-column-compressed products, as ``nmrfetch verify --backend hard`` does.
+propagators agree up to a global phase, item by item on their block
+products (one 2x2 ancilla block per item), as ``nmrfetch verify --backend
+hard`` does.
 """
 
 import sys

@@ -7,7 +7,7 @@ simulate   full pipeline: prepare, apply the query once, read out before
            classical enumeration
 spectrum   pre-query readout only
 compile    print the pulse-sequence listing for a pattern
-verify     dual-route consistency checks, block by block on the compressed
+verify     dual-route consistency checks, item by item on the block
            product (compiled vs. direct oracle, hard-pulse vs. ideal,
            fast diagonal vs. block conjugation)
 bench      query-count comparison table for search strategies
@@ -159,9 +159,7 @@ def classical_oracle(pattern: QueryPattern, n: int) -> list[int]:
     return items.tolist()
 
 
-def direct_oracle_unitary(
-    system: SpinSystem, pattern: QueryPattern
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def direct_oracle_unitary(system: SpinSystem, pattern: QueryPattern) -> tuple[np.ndarray, np.ndarray]:
     """Reference oracle built from first principles, bypassing the compiler.
 
     A matching item picks up exp(-i pi I_z) on the ancilla between two
@@ -169,16 +167,13 @@ def direct_oracle_unitary(
     else is untouched.  The oracle never mixes two items, so it is one 2x2
     ancilla block per item, H diag(e^{-i pi/2}, e^{+i pi/2}) H if the item
     matches and H H otherwise, returned in ``compiler._compressed_product``'s
-    ``(acc, cols, embed)`` form: row (a, item) holds block row a in the
-    columns (0, item) and (1, item).
+    ``(blocks, src)`` form with every item reading its own columns.
     """
-    half = 2**system.n_database
+    items = 2**system.n_database
     toggle = rotation_block("x", math.pi) @ rotation_block("y", math.pi / 2.0)
     kick = np.exp(-0.5j * math.pi * np.array([1.0, -1.0]))
     phases = np.where(pattern.match_mask(system.n_database)[:, None], kick, 1.0)
-    blocks = (toggle * phases[:, None, :]) @ toggle  # one per item
-    acc = blocks.transpose(1, 0, 2).reshape(2 * half, 2)
-    return acc, np.tile(np.arange(half), 2), np.array([0, half])
+    return (toggle * phases[:, None, :]) @ toggle, np.arange(items)
 
 
 def _initial_state(system: SpinSystem, init: str) -> DensityState:
@@ -195,7 +190,7 @@ def run_fetch(cfg: RunConfig) -> RunResult:
     ``params`` included), a pattern whose length is not the database size
     (``ConfigError``) and a hard-pulse schedule longer than
     ``_MAX_SCHEDULE_T2`` T2 are refused before any state is prepared.  The
-    query is applied to the populations through the compressed product, so
+    query is applied to the populations through the block product, so
     no 2^n x 2^n matrix is built.  The prepared state is the readout
     reference, cached per register and acquisition; the queried state is
     read out as its difference from it, and every state's route gap is
@@ -556,8 +551,8 @@ def _verdict(name: str, value: float, tol: float) -> bool:
 def _cmd_verify(args) -> int:
     """Check the compiled query against the direct oracle, then the chosen backend.
 
-    Each check compares two models block by block: compressed products by
-    ``_product_distance`` (inf where their supports differ), and the fast
+    Each check compares two models item by item: block products by
+    ``_product_distance`` (inf where their item maps differ), and the fast
     backend's populations against the block conjugation that ``run_fetch``
     runs.  A failed oracle check ends the run with exit 2 before the
     backend check.

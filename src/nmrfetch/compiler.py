@@ -37,21 +37,20 @@ checked, kept for later calls.  An expanded schedule's index is the ideal
 network's, with each ZZ period's entry replaced by its echo block, so a
 query pays per echo block, not per expanded gate.
 
-``_compressed_product`` simulates either list exactly, but does dense work
-only where a pulse mixes basis states.  Delays, ZZ periods and frame z
-rotations are diagonal, and a pi pulse about x or y is -i sigma, a signed
-bit flip; a diagonal moved through a signed flip stays diagonal
-(Pauli-frame bookkeeping), so every maximal run of such gates, and every
-echo block, is one signed permutation times a diagonal phase, and every
-maximal run of the other pulses on one qubit is one 2x2 block.  A query
-network repeats the same few runs many times, and queries on one register
-share most of them, so each distinct run is composed once per register
-(once per call without one) and applied once per occurrence.  The running
-product keeps only 2^|M| columns per row, M being the qubits that some
-non-flip pulse mixes (the ancilla alone in a query network).  A population
-state is conjugated by that product block by block
-(``states._apply_product``), and ``_product_distance`` compares two such
-products block by block, so no 2^n x 2^n matrix is ever built.
+``_compressed_product`` simulates either list exactly as one 2x2 ancilla
+block per database item.  Delays, ZZ periods and frame z rotations are
+diagonal, and a pi pulse about x or y is -i sigma, a signed bit flip; a
+diagonal moved through a signed flip stays diagonal (Pauli-frame
+bookkeeping), so every maximal run of such gates, and every echo block, is
+one signed permutation times a diagonal phase, and every maximal run of
+the other pulses is one 2x2 block on the ancilla.  A pulse that mixes a
+database qubit is refused: a query never mixes two items.  A query network
+repeats the same few runs many times, and queries on one register share
+most of them, so each distinct run is composed once per register (once
+per call without one) and applied once per occurrence.  A population state
+is conjugated by the product item by item (``states._apply_product``), and
+``_product_distance`` compares two products block by block, so no
+2^n x 2^n matrix is ever built.
 """
 
 from __future__ import annotations
@@ -551,23 +550,21 @@ def _mixed_qubit(entry: Entry) -> int:
     return -1
 
 
-def _compressed_product(
-    seq: GateSequence, system: SpinSystem | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column-compressed unitary of a gate sequence: ``(acc, cols, embed)``.
+def _compressed_product(seq: GateSequence, system: SpinSystem | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The unitary of a gate sequence as one 2x2 ancilla block per item: ``(blocks, src)``.
 
     Time order is a right-to-left product.  Hard-pulse sequences need the
     register to evaluate delays under the always-on Hamiltonian.
 
-    Row i of the product is nonzero only in the columns whose bits outside
-    M equal cols[i], M being the qubits that receive a pulse other than a
-    signed flip, and acc[i, m] is its entry in the column whose M bits are
-    embed[m].  So the accumulator holds 2^n x 2^|M| entries; a query
-    network mixes only its ancilla, and with every qubit mixed acc is the
-    dense product itself.
+    blocks[i, a, b] is the product's entry in row (a, i) and column
+    (b, src[i]), a and b being ancilla bits and i and src[i] items; every
+    other entry is zero.  So blocks has shape (items, 2, 2), and src is the
+    item permutation of the database flips.  A pulse that mixes a database
+    qubit would mix two items; it is refused with ``CompileError``, as an
+    echo block that mixes a qubit is (``_expansion``).
 
-    Each distinct entry of the index is labelled by the qubit it mixes, or
-    -1 for a monomial entry: an echo block, a delay (ham * t under the
+    Each distinct entry of the index is labelled 0 if it is a pulse that
+    mixes the ancilla, else -1: an echo block, a delay (ham * t under the
     always-on Hamiltonian), a virtual z, a ZZ period or a pulse whose block
     is a signed bit flip (angle = pi mod 2 pi).  One loop walks the codes
     in maximal runs of one label, and each distinct run is composed once
@@ -580,17 +577,18 @@ def _compressed_product(
     composed gate by gate, each echo block's gates in place, so an expanded
     schedule and its flat gate list give bit-identical products.  A
     monomial run is a signed permutation times a diagonal phase, stored as
-    a source row and a complex coefficient per row, (M A)[i] = coef[i]
-    A[src[i]]: it is composed at O(2^n) per gate (a diagonal adds to a
-    phase, a flip permutes the vectors and scales the sign).  A monomial run
-    that permutes nothing (its source map is the identity, stored as None),
-    as a query network's runs between ancilla pulses do, scales ``acc`` in
-    place and leaves ``cols`` alone; one that does is applied as one row
-    gather and scale, which gathers ``cols`` with the rows.  A run of
-    pulses that mix qubit q is one 2x2 block, applied in place as one
-    broadcast product and one sum over the row pairs; the two rows always
-    share their columns (a flip's source map is i ^ F for a fixed mask F,
-    so partner rows stay partners), so ``cols`` is left alone.
+    a source row and a complex coefficient per row, (M A)[r] = coef[r]
+    A[perm[r]]: it is composed at O(2^n) per gate (a diagonal adds to a
+    phase, a flip permutes the vectors and scales the sign).  The running
+    product is kept as a (2^n, 2) array, row (a, i) being row a of item
+    i's block.  A monomial run that permutes nothing (its source map is
+    the identity, stored as None), as a query network's runs between
+    ancilla pulses do, scales it in place and leaves ``src`` alone; one
+    that does is applied as one row gather and scale, which gathers
+    ``src`` with the items (a flip's source map is r ^ F for a fixed mask
+    F, so the two rows of an item move together).  A run of ancilla pulses
+    is one 2x2 block, applied in place as one broadcast product and one
+    sum over the two ancilla halves.
 
     Every gate is still applied exactly (a pi pulse's dropped diagonal is
     rounding, see ``_FLIP_DIAGONAL``); only the representation of the
@@ -605,31 +603,28 @@ def _compressed_product(
         raise CompileError("sequence register size does not match the system")
     if seq.mode == "hard_pulse" and system is None:
         raise CompileError("hard-pulse simulation needs the spin system")
+    labels = list(map(_mixed_qubit, seq._entries))
+    for entry, label in zip(seq._entries, labels):
+        if label > 0:
+            raise CompileError(f"{entry!r} mixes qubit {label}; a query mixes only the ancilla, qubit 0")
     dim = 2**n
+    half = dim // 2
     rows = np.arange(dim)
     masks = 1 << (n - 1 - np.arange(n))  # index bit of each qubit
-
-    labels = list(map(_mixed_qubit, seq._entries))
-    mixed = sorted(set(labels) - {-1})
-
-    embed = np.zeros(1, dtype=rows.dtype)
-    for q in mixed:
-        embed = np.concatenate([embed, embed | masks[q]])
-    in_mixed = rows & int(masks[mixed].sum())
 
     z = functools.cache(lambda q: z_eigenvalues(n, q))
     ham = functools.cache(lambda: free_hamiltonian_diagonal(system))
 
     @functools.cache
     def step(gate: Gate):
-        # the 2x2 block of a pulse that mixes its qubit, a flip (source rows
-        # and coefficients) or a diagonal phase
+        # the 2x2 block of a pulse that mixes the ancilla, a flip (source
+        # rows and coefficients) or a diagonal phase
         if isinstance(gate, SelectivePulse):
             block = rotation_block(gate.axis, gate.angle)
             if _mixed_qubit(gate) >= 0:
                 return block
-            # row i takes its partner with block[0, 1] if the qubit is 0 in
-            # i, with block[1, 0] if it is 1
+            # row r takes its partner with block[0, 1] if the qubit is 0 in
+            # r, with block[1, 0] if it is 1
             return rows ^ masks[gate.qubit], np.where(z(gate.qubit) < 0, block[1, 0], block[0, 1])
         if isinstance(gate, Delay):
             return ham() * gate.seconds
@@ -642,19 +637,19 @@ def _compressed_product(
         gates = [g for entry in run for g in _gates_of(entry)]
         if gates and _mixed_qubit(gates[0]) >= 0:  # the first pulse acts first
             return functools.reduce(lambda block, g: step(g) @ block, gates[1:], step(gates[0]))
-        src, sign, phase = rows, np.ones(dim, dtype=complex), np.zeros(dim)
+        perm, sign, phase = rows, np.ones(dim, dtype=complex), np.zeros(dim)
         for gate in gates:
             factor = step(gate)
             if isinstance(factor, tuple):
                 flip, coef = factor
-                src, sign, phase = src[flip], coef * sign[flip], phase[flip]
+                perm, sign, phase = perm[flip], coef * sign[flip], phase[flip]
             else:
                 phase = phase + factor
-        return (None if np.array_equal(src, rows) else src), sign * np.exp(-1.0j * phase)
+        return (None if np.array_equal(perm, rows) else perm), sign * np.exp(-1.0j * phase)
 
     memo = {} if system is None else _register_work(system).runs
-    acc = (in_mixed[:, None] == embed).astype(complex)
-    cols = rows - in_mixed
+    acc = np.repeat(np.eye(2, dtype=complex), half, axis=0)  # identity blocks
+    src = rows[:half]
     runs = {}
     for label, group in itertools.groupby(seq._codes, labels.__getitem__):
         run = tuple(group)
@@ -665,39 +660,36 @@ def _compressed_product(
             if factor is None:
                 factor = memo[key] = compose(key)
             runs[run] = factor
-        if label >= 0:
-            # view[q, a] <- factor[a, 0] view[q, 0] + factor[a, 1] view[q, 1]
-            view = acc.reshape(2**label, 2, -1)
-            terms = factor[:, :, None] * view[:, None]
-            np.add(terms[:, :, 0], terms[:, :, 1], out=view)
+        if label == 0:
+            # halves[a] <- factor[a, 0] halves[0] + factor[a, 1] halves[1]
+            halves = acc.reshape(2, -1)
+            terms = factor[:, :, None] * halves
+            np.add(terms[:, 0], terms[:, 1], out=halves)
         else:
-            src, coef = factor
-            if src is None:  # coefficient first, as in the gather: numpy rounds a * b and b * a apart
+            perm, coef = factor
+            if perm is None:  # coefficient first, as in the gather: numpy rounds a * b and b * a apart
                 np.multiply(coef[:, None], acc, out=acc)
             else:
-                acc, cols = coef[:, None] * acc[src], cols[src]
-    return acc, cols, embed
+                acc, src = coef[:, None] * acc[perm], src[perm[:half] & (half - 1)]
+    return acc.reshape(2, half, 2).transpose(1, 0, 2), src
 
 
-def _product_distance(
-    a: tuple[np.ndarray, np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> float:
-    """Max-norm distance between two column-compressed products, modulo one global phase.
+def _product_distance(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> float:
+    """Max-norm distance between two block products, modulo one global phase.
 
-    Products with the same ``cols`` and ``embed`` hold their entries at
-    the same places of the dense matrix and are zero elsewhere, so the
-    distance of their ``acc`` arrays, one phase for all blocks, is their
-    dense distance at O(2^n 2^|M|) (with ascending ``embed``, as in a query,
-    even the entry that fixes the phase is the same).  Products with
-    different ``cols`` or ``embed`` are not compared: their distance is inf.
-    So a product that moves a basis state, or has a pulse that mixes a
-    qubit, where the other does not fails even if that mixing cancels
-    overall; nothing is projected away.
+    Products with the same ``src`` hold their blocks at the same places of
+    the dense matrix and are zero elsewhere, so the distance of their block
+    arrays, one phase for all blocks, is their dense distance at O(items).
+    The blocks are read in the dense matrix's row order (ancilla bit, item,
+    column), so even the entry that fixes the phase is the dense one's.
+    Products with different ``src`` are not compared: their distance is
+    inf.  So a product that moves an item where the other does not fails
+    even if that move cancels overall; nothing is projected away.
     """
-    (acc_a, cols_a, embed_a), (acc_b, cols_b, embed_b) = a, b
-    if not (np.array_equal(embed_a, embed_b) and np.array_equal(cols_a, cols_b)):
+    (blocks_a, src_a), (blocks_b, src_b) = a, b
+    if not np.array_equal(src_a, src_b):
         return math.inf
-    return distance_up_to_global_phase(acc_a, acc_b)
+    return distance_up_to_global_phase(blocks_a.transpose(1, 0, 2), blocks_b.transpose(1, 0, 2))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ single-spin angular momentum operators I_a = sigma_a / 2, so all unitaries
 have closed forms: a selective rotation is a 2x2 block and the
 coupling/phase gates are diagonal.  No general matrix exponential is used,
 and no operator on the whole register is built here: the compiler applies
-blocks and diagonals to its column-compressed product directly.
+blocks and diagonals to its per-item ancilla blocks directly.
 
 Basis convention: qubit 0 occupies the most significant bit of the basis
 index (plain Kronecker ordering), and sigma_z |0> = +|0>, i.e. basis state
@@ -43,8 +43,8 @@ _AXIS_SIGMA = {
 }
 
 #: the most spins a register may have where an array grows as 2^spins: the
-#: logical register of a query's column-compressed product (2^n rows) and
-#: readout's expanded register (2^n_phys configurations)
+#: logical register of a query's block product (one 2x2 block per item,
+#: 2^(n-1) items) and readout's expanded register (2^n_phys configurations)
 MAX_DENSE_QUBITS = 12
 
 
@@ -98,8 +98,8 @@ def distance_up_to_global_phase(u: np.ndarray, v: np.ndarray) -> float:
 
     The phase is fixed by aligning the entries at the position where |v|
     is largest; exact for arrays that truly differ by a phase.  The arrays
-    may be matrices or the ``acc`` blocks of two column-compressed products
-    with the same support (see ``compiler._product_distance``).
+    may be matrices or the ancilla blocks of two block products with the
+    same item map (see ``compiler._product_distance``).
     """
     u = np.asarray(u)
     v = np.asarray(v)

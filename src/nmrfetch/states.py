@@ -4,8 +4,8 @@ A state is a population vector over the register's logical basis (qubit 0 =
 ancilla = most significant bit): every molecule holds one basis label, the
 query permutes populations and readout reads population differences, so no
 coherent state ever arises.  A query is applied by ``_apply_product``, which
-conjugates the populations with the compiler's column-compressed product one
-block of rows at a time and keeps only the diagonal.  It refuses a product
+conjugates the populations with the compiler's product, one 2x2 ancilla
+block per item, and keeps only the diagonal.  It refuses a product
 whose rows miss unit norm, or that leaves coherence behind, by more than
 1e-10, and puts every population that moved by no more than the product's
 own rounding, 4 (row-norm defect + eps) times the largest population, back
@@ -125,40 +125,31 @@ def thermal_state(system: SpinSystem, polarization: float = 1e-5) -> DensityStat
     return DensityState(pops)
 
 
-def _conjugate_blocks(
-    populations: np.ndarray, acc: np.ndarray, cols: np.ndarray, embed: np.ndarray
-) -> tuple[np.ndarray, float]:
+def _conjugate_blocks(populations: np.ndarray, blocks: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, float]:
     """Diagonal of U diag(p) U^dagger and its largest off-diagonal entry.
 
-    ``(acc, cols, embed)`` is ``compiler._compressed_product``'s form of U:
-    row i is acc[i, m] in column cols[i] | embed[m].  Two rows of U rho
-    U^dagger can only meet where their columns do, so its support is the
-    blocks of rows that share a ``cols`` class; U is unitary, so each class
-    has exactly 2^|M| = len(embed) rows and one block is a 2^|M| x 2^|M|
-    product over the class's populations.  That costs O(2^n 4^|M|) in all,
-    O(2^n) for a query network, which mixes only the ancilla.
+    ``(blocks, src)`` is ``compiler._compressed_product``'s form of U: rows
+    (0, i) and (1, i) hold item i's 2x2 block in the columns (0, src[i])
+    and (1, src[i]).  Two rows of U rho U^dagger can only meet where their
+    columns do, so its support is one 2x2 block per item, the block times
+    the populations of (0, src[i]) and (1, src[i]) times its adjoint: O(2^n)
+    in all.
     """
-    width = embed.size
-    order = np.argsort(cols, kind="stable")
-    blocks = acc[order].reshape(-1, width, width)
-    pops = populations[cols[order[::width], None] | embed]
+    half = populations.size // 2
+    pops = populations.reshape(2, half)[:, src].T
     rho = (blocks * pops[:, None, :]) @ blocks.conj().transpose(0, 2, 1)
-    diag = np.arange(width)
-    out = np.empty(populations.size)
-    out[order] = np.real(rho[:, diag, diag]).ravel()
-    rho[:, diag, diag] = 0.0
+    out = np.real(rho[:, [0, 1], [0, 1]]).T.ravel()
+    rho[:, [0, 1], [0, 1]] = 0.0
     return out, float(np.max(np.abs(rho)))
 
 
-def _apply_product(
-    state: DensityState, acc: np.ndarray, cols: np.ndarray, embed: np.ndarray
-) -> DensityState:
-    """Conjugate the state by a column-compressed product, block by block.
+def _apply_product(state: DensityState, blocks: np.ndarray, src: np.ndarray) -> DensityState:
+    """Conjugate the state by a block product, item by item.
 
     The populations are the diagonal of U rho U^dagger, but no 2^n x 2^n
-    matrix is built.  The product's row-norm defect max_i |sum_m
-    |acc[i, m]|^2 - 1| bounds how far rounding can move a population that
-    U leaves in place: every population within 4 (defect + eps) max(p) of
+    matrix is built.  The product's row-norm defect max |sum_b |blocks[i,
+    a, b]|^2 - 1| bounds how far rounding can move a population that U
+    leaves in place: every population within 4 (defect + eps) max(p) of
     its prepared value gets that exact value back, so the items a query
     does not match differ from the prepared state by exactly 0.0.  A
     defect above 1e-10 is refused before the conjugation, since it would
@@ -166,10 +157,10 @@ def _apply_product(
     weight above 1e-10 after it.
     """
     before = state.populations
-    defect = float(np.max(np.abs(np.sum(acc.real**2 + acc.imag**2, axis=1) - 1.0)))
+    defect = float(np.max(np.abs(np.sum(blocks.real**2 + blocks.imag**2, axis=2) - 1.0)))
     if defect > _DIAGONAL_ATOL:
         raise StateError(f"product rows deviate from unit norm by {defect:.3g}; not unitary")
-    pops, worst = _conjugate_blocks(before, acc, cols, embed)
+    pops, worst = _conjugate_blocks(before, blocks, src)
     if worst > _DIAGONAL_ATOL:
         raise StateError(
             f"state has off-diagonal weight {worst:.3g}; not a population state"

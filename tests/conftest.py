@@ -1,11 +1,9 @@
-"""Shared builders for synthetic spin registers and the gate-by-gate reference product."""
+"""Shared builders for synthetic spin registers and a product's rounding bound."""
 
 import numpy as np
 import pytest
 
-from nmrfetch import Delay, SelectivePulse, Spin, SpinSystem, VirtualZ, ZZEvolution
-from nmrfetch.compiler import free_hamiltonian_diagonal
-from nmrfetch.operators import rotation_block, z_eigenvalues
+from nmrfetch import Spin, SpinSystem
 
 
 def make_system(ancilla_row, multiplicities=None, offsets=None, full_j=None):
@@ -69,34 +67,14 @@ def random_full_system(rng, n_database, j_scale=40.0, offset_scale=30.0):
     return make_system(list(j[0, 1:]), offsets=offsets, full_j=j)
 
 
-def reference_unitary(seq, system=None):
-    """Gate-by-gate product: one dense 2^n x 2^n update for every gate."""
-    n = seq.n_qubits
-    ham = free_hamiltonian_diagonal(system) if seq.mode == "hard_pulse" else None
-    acc = np.eye(2**n, dtype=complex)
-    for gate in seq.gates:
-        if isinstance(gate, SelectivePulse):
-            view = acc.reshape(2**gate.qubit, 2, -1)
-            block = rotation_block(gate.axis, gate.angle)
-            acc = np.einsum("ab,qbr->qar", block, view).reshape(acc.shape)
-        elif isinstance(gate, ZZEvolution):
-            zz = z_eigenvalues(n, gate.q1) * z_eigenvalues(n, gate.q2)
-            acc = np.exp(-2.0j * gate.angle * zz)[:, None] * acc
-        elif isinstance(gate, VirtualZ):
-            acc = np.exp(-1.0j * gate.angle * z_eigenvalues(n, gate.qubit))[:, None] * acc
-        elif isinstance(gate, Delay):
-            acc = np.exp(-1.0j * ham * gate.seconds)[:, None] * acc
-    return acc
-
-
-def rounding_bound(acc, populations):
+def rounding_bound(product, populations):
     """4 (row-norm defect + eps) max(p): how far a product's rounding may move a population.
 
-    The row-norm defect of a column-compressed product is max_i |sum_m
-    |acc[i, m]|^2 - 1|; a population moved by no more than this is put back
-    to its prepared value after a conjugation.
+    The row-norm defect is max |sum |u|^2 - 1| over the rows of a dense
+    product, or of a block product's blocks; a population moved by no more
+    than this is put back to its prepared value after a conjugation.
     """
-    defect = np.max(np.abs(np.sum(np.abs(acc) ** 2, axis=1) - 1.0))
+    defect = np.max(np.abs(np.sum(np.abs(product) ** 2, axis=-1) - 1.0))
     return 4.0 * (defect + np.finfo(float).eps) * np.max(populations)
 
 

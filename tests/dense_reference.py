@@ -1,18 +1,18 @@
 """Dense reference for the tests: whole-register matrices, built the plain way.
 
 The package never builds a 2^n x 2^n matrix: it compiles, applies and
-compares queries in column-compressed form.  These helpers build the
-dense operators with Kronecker products and full matrix algebra, so the
-block-wise routes can be checked against them on small registers.
+compares queries as one 2x2 ancilla block per item.  These helpers build
+the dense operators with Kronecker products and full matrix algebra, gate
+by gate and without the compiler's product, so the block-wise routes can
+be checked against them on small registers.
 """
 
 import math
 
 import numpy as np
 
-from nmrfetch import DensityState, StateError
-from nmrfetch.compiler import _compressed_product
-from nmrfetch.operators import MAX_DENSE_QUBITS, rotation_block, z_eigenvalues
+from nmrfetch import Delay, DensityState, SelectivePulse, StateError, VirtualZ, ZZEvolution
+from nmrfetch.operators import MAX_DENSE_QUBITS, rotation_block, z_eigenvalues, zz_hamiltonian_diagonal
 
 
 def _check_dims(n_qubits, *qubits):
@@ -76,14 +76,38 @@ def controlled_phase_direct(n_qubits, target, controls, angle, signs=None):
 
 
 def sequence_unitary(seq, system=None):
-    """Dense unitary of a gate sequence: the scatter of its compressed product."""
+    """Gate-by-gate product: one dense 2^n x 2^n update for every gate.
+
+    A hard-pulse sequence needs the register: a delay evolves under its
+    always-on Hamiltonian in the logical frame.
+    """
     n = seq.n_qubits
-    acc, cols, embed_bits = _compressed_product(seq, system)
-    rows = np.arange(2**n)
-    u = np.zeros((2**n, 2**n), dtype=complex)
-    for m, bits in enumerate(embed_bits):
-        u[rows, cols | bits] = acc[:, m]
+    ham = None
+    if seq.mode == "hard_pulse":
+        ham = zz_hamiltonian_diagonal(system.offsets_hz(), system.logical_j_hz)
+    u = np.eye(2**n, dtype=complex)
+    for gate in seq.gates:
+        if isinstance(gate, SelectivePulse):
+            view = u.reshape(2**gate.qubit, 2, -1)
+            block = rotation_block(gate.axis, gate.angle)
+            u = np.einsum("ab,qbr->qar", block, view).reshape(u.shape)
+        elif isinstance(gate, ZZEvolution):
+            zz = z_eigenvalues(n, gate.q1) * z_eigenvalues(n, gate.q2)
+            u = np.exp(-2.0j * gate.angle * zz)[:, None] * u
+        elif isinstance(gate, VirtualZ):
+            u = np.exp(-1.0j * gate.angle * z_eigenvalues(n, gate.qubit))[:, None] * u
+        elif isinstance(gate, Delay):
+            u = np.exp(-1.0j * ham * gate.seconds)[:, None] * u
     return u
+
+
+def scatter(blocks, src):
+    """The dense matrix of a block product: row (a, i) holds blocks[i, a] in the columns (0, src[i]) and (1, src[i])."""
+    items = len(src)
+    u = np.zeros((2, items, 2, items), dtype=complex)
+    for a, b in np.ndindex(2, 2):
+        u[a, np.arange(items), b, src] = blocks[:, a, b]
+    return u.reshape(2 * items, 2 * items)
 
 
 def dense_oracle(system, pattern):

@@ -44,7 +44,7 @@ from nmrfetch.cli import (
 )
 
 from conftest import make_system, random_full_system, rounding_bound, superincreasing_config
-from dense_reference import apply_unitary, dense_oracle, sequence_unitary
+from dense_reference import apply_unitary, dense_oracle, scatter, sequence_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ def test_run_fetch_marks_expected_items():
 @pytest.mark.parametrize("init", ["thermal", "effective_pure"])
 @pytest.mark.parametrize("backend", ["fast_diagonal", "ideal", "hard_pulse"])
 def test_run_fetch_applies_the_query_once(monkeypatch, backend, init):
-    # the query acts on the populations once, through the compressed product
+    # the query acts on the populations once, through the block product
     # or the population permutation; no route builds a 2^n x 2^n matrix
     calls = []
 
@@ -180,7 +180,7 @@ def test_run_fetch_applies_the_query_once(monkeypatch, backend, init):
 @pytest.mark.parametrize("init", ["thermal", "effective_pure"])
 @pytest.mark.parametrize("backend", ["ideal", "hard_pulse"])
 def test_pulse_level_query_changes_only_the_matched_items(monkeypatch, backend, init):
-    # the compressed product's rounding is put back, so the queried state
+    # the block product's rounding is put back, so the queried state
     # that run_fetch reads out differs from the prepared one on the matched
     # items' populations alone, as on fast_diagonal
     seen = []
@@ -202,12 +202,15 @@ def test_pulse_level_query_changes_only_the_matched_items(monkeypatch, backend, 
         assert np.flatnonzero(delta).tolist() == marked
         moved = np.flatnonzero(queried.populations != state.populations)
         assert moved.tolist() == marked + [item + half for item in marked]
-        # and the dense conjugation by the same network agrees within the bound
+        # and the dense gate-by-gate conjugation by the same network agrees
+        # within the sum of the two products' rounding bounds
         network = build_query_network(sys, cfg.pattern)
         if backend == "hard_pulse":
             network = expand_to_hard_pulses(network, sys)
+        u = sequence_unitary(network, sys)
         bound = rounding_bound(_compressed_product(network, sys)[0], state.populations)
-        dense = apply_unitary(state, sequence_unitary(network, sys))
+        bound += rounding_bound(u, state.populations)
+        dense = apply_unitary(state, u)
         assert np.max(np.abs(queried.populations - dense.populations)) <= bound
 
 
@@ -773,7 +776,7 @@ def test_verify_fast_backend(capsys):
 
 
 def test_verify_refuses_registers_beyond_the_dense_limit(tmp_path, capsys):
-    # 13 spins: the compressed product refuses the register before it exists
+    # 13 spins: the block product refuses the register before it exists
     n_db = 12
     cfg = tmp_path / "thirteen.cfg"
     cfg.write_text(superincreasing_config(n_db))
@@ -784,9 +787,9 @@ def test_verify_refuses_registers_beyond_the_dense_limit(tmp_path, capsys):
 
 @pytest.mark.parametrize("register", ["builtin", "synthetic"])
 def test_blockwise_verify_matches_the_dense_reference(register):
-    # verify's block-wise deviations are the dense ones: the test-side
-    # scatter of each product against the dense oracle, the dense hard-pulse
-    # unitary and dense conjugation.  Negative bit signs: builtin bits 4 and
+    # verify's block-wise deviations are the dense ones of the same
+    # matrices: each product scattered to a dense matrix, against the dense
+    # oracle, the scattered hard-pulse product and dense conjugation.  Negative bit signs: builtin bits 4 and
     # 6, synthetic bits 1, 4 and 6
     if register == "builtin":
         system = crotonic_default()
@@ -800,7 +803,8 @@ def test_blockwise_verify_matches_the_dense_reference(register):
         network = build_query_network(system, pattern)
         hard = expand_to_hard_pulses(network, system)
         product = _compressed_product(network)
-        dense = sequence_unitary(network, system)
+        hard_product = _compressed_product(hard, system)
+        dense = scatter(*product)
         fast = apply_query_diagonal(state, pattern).populations
         pairs = [
             (
@@ -808,8 +812,8 @@ def test_blockwise_verify_matches_the_dense_reference(register):
                 distance_up_to_global_phase(dense, dense_oracle(system, pattern)),
             ),
             (
-                _product_distance(_compressed_product(hard, system), product),
-                distance_up_to_global_phase(sequence_unitary(hard, system), dense),
+                _product_distance(hard_product, product),
+                distance_up_to_global_phase(scatter(*hard_product), dense),
             ),
             (
                 np.max(np.abs(_apply_product(state, *product).populations - fast)),

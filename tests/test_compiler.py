@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -35,8 +36,8 @@ from nmrfetch import (
 from nmrfetch import compiler
 from nmrfetch.compiler import GateSequence
 
-from conftest import make_system, random_full_system, reference_unitary, superincreasing_config
-from dense_reference import controlled_phase_direct, dense_oracle, sequence_unitary
+from conftest import make_system, random_full_system, superincreasing_config
+from dense_reference import controlled_phase_direct, dense_oracle, scatter, sequence_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +569,7 @@ def test_expanded_index_is_the_ideal_one_with_blocks(spec):
                 assert blocks[ideal] is entry and isinstance(entry, compiler._EchoBlock)
             else:
                 assert entry is ideal
+        assert {compiler._mixed_qubit(e) for e in net._entries} <= {-1, 0}  # only the ancilla mixes
         flat = [blocks[g].gates if isinstance(g, ZZEvolution) else (g,) for g in net.gates]
         assert hard.gates == tuple(itertools.chain.from_iterable(flat))
         again = GateSequence(sys.n_spins, hard.gates, "hard_pulse")
@@ -580,7 +582,7 @@ def test_composed_runs_are_kept_per_register():
     b = _two_controls([-4.0, 1.0, 7.0])
     seq = GateSequence(3, (Delay(0.01),), "hard_pulse")
     for sys in (a, b, a):
-        assert np.max(np.abs(sequence_unitary(seq, sys) - reference_unitary(seq, sys))) <= 1e-12
+        assert np.max(np.abs(product_unitary(seq, sys) - sequence_unitary(seq, sys))) <= 1e-12
 
 
 def _products(sys, bits):
@@ -641,7 +643,7 @@ def test_monomial_runs_in_place_and_gathered_match_the_reference():
         SelectivePulse(2, "x", math.pi), Delay(0.001),
     )  # fmt: skip
     seq = GateSequence(sys.n_spins, gates, "hard_pulse")
-    assert np.max(np.abs(sequence_unitary(seq, sys) - reference_unitary(seq, sys))) <= 1e-12
+    assert np.max(np.abs(product_unitary(seq, sys) - sequence_unitary(seq, sys))) <= 1e-12
     monomial = [f for f in compiler._REGISTER_WORK[sys].runs.values() if isinstance(f, tuple)]
     assert {f[0] is None for f in monomial} == {True, False}  # both branches ran
 
@@ -712,6 +714,11 @@ def test_pulse_durations_add_to_total():
 # ---------------------------------------------------------------------------
 
 
+def product_unitary(seq, sys):
+    """The compiler's block product of a sequence as a dense matrix, to meet the gate-by-gate one."""
+    return scatter(*compiler._compressed_product(seq, sys))
+
+
 # pi-multiples exercise the signed-flip path (3 pi and -pi included), 0 and
 # pi/2 the dense 2x2 path, arbitrary floats either.  Both products round each
 # phase to about eps relative, so they may differ by about eps times the
@@ -721,14 +728,16 @@ _ANGLES = st.one_of(
     st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi, -math.pi]),
     st.floats(min_value=-10.0, max_value=10.0),
 )
+# odd multiples of pi: signed flips, the only pulses a database qubit may take
+_PI_MULTIPLES = st.sampled_from([math.pi, 3 * math.pi, -math.pi, -3 * math.pi])
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_sequence_unitary_matches_per_gate_product(data):
-    n = data.draw(st.integers(1, 4))
-    mode = data.draw(st.sampled_from(["ideal", "hard_pulse"]))
-    sys = random_full_system(random.Random(data.draw(st.integers(0, 10**6))), n - 1)
+def _draw_sequence(data, n, mode, runs, max_size):
+    """A drawn sequence: pulses on the ancilla at any angle, flips anywhere, diagonals anywhere.
+
+    ``runs`` draws how many pulses each pulse run holds, so pulses meet
+    pulses on other qubits.
+    """
     kinds = ["pulses", "vz"]
     if mode == "hard_pulse":
         kinds.append("delay")
@@ -737,12 +746,11 @@ def test_sequence_unitary_matches_per_gate_product(data):
     qubit = st.integers(0, n - 1)
     axis = st.sampled_from(["x", "y", "-x", "-y"])
     gates = []
-    for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=20)):
-        if kind == "pulses":  # a run, so pulses meet pulses on other qubits
-            for _ in range(data.draw(st.integers(1, 3))):
-                gates.append(
-                    SelectivePulse(data.draw(qubit), data.draw(axis), data.draw(_ANGLES))
-                )
+    for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=max_size)):
+        if kind == "pulses":
+            for _ in range(data.draw(runs)):
+                q = data.draw(qubit)
+                gates.append(SelectivePulse(q, data.draw(axis), data.draw(_ANGLES if q == 0 else _PI_MULTIPLES)))
         elif kind == "vz":
             gates.append(VirtualZ(data.draw(qubit), data.draw(_ANGLES)))
         elif kind == "zz":
@@ -750,65 +758,70 @@ def test_sequence_unitary_matches_per_gate_product(data):
             gates.append(ZZEvolution(q1, q2, data.draw(_ANGLES)))
         else:
             gates.append(Delay(data.draw(st.floats(min_value=0.0, max_value=0.05))))
-    seq = GateSequence(n, tuple(gates), mode=mode)
-    got = sequence_unitary(seq, sys)
-    assert np.max(np.abs(got - reference_unitary(seq, sys))) <= 1e-11
+    return gates
 
 
-# odd multiples of pi: signed flips, which never widen the accumulator
-_PI_MULTIPLES = st.sampled_from([math.pi, 3 * math.pi, -math.pi, -3 * math.pi])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_sequence_unitary_matches_per_gate_product(data):
+    n = data.draw(st.integers(1, 4))
+    mode = data.draw(st.sampled_from(["ideal", "hard_pulse"]))
+    sys = random_full_system(random.Random(data.draw(st.integers(0, 10**6))), n - 1)
+    seq = GateSequence(n, tuple(_draw_sequence(data, n, mode, st.integers(1, 3), 20)), mode=mode)
+    assert np.max(np.abs(product_unitary(seq, sys) - sequence_unitary(seq, sys))) <= 1e-11
 
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_sequence_unitary_with_few_mixed_qubits(data):
-    # arbitrary rotations reach only a drawn subset of the qubits (possibly
-    # none), so the accumulator keeps fewer columns than the register
+    # single pulses, and on a drawn share of the sequences no pulse that
+    # mixes at all, so that every run is monomial
     n = data.draw(st.integers(1, 5))
     mode = data.draw(st.sampled_from(["ideal", "hard_pulse"]))
     sys = random_full_system(random.Random(data.draw(st.integers(0, 10**6))), n - 1)
-    mixed = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-    kinds = ["flip", "vz"] + (["mix"] if mixed else [])
-    if mode == "hard_pulse":
-        kinds.append("delay")
-    elif n > 1:
-        kinds.append("zz")
-    qubit = st.integers(0, n - 1)
-    axis = st.sampled_from(["x", "y", "-x", "-y"])
-    gates = []
-    for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=30)):
-        if kind == "mix":
-            gates.append(
-                SelectivePulse(data.draw(st.sampled_from(mixed)), data.draw(axis), data.draw(_ANGLES))
-            )
-        elif kind == "flip":
-            gates.append(SelectivePulse(data.draw(qubit), data.draw(axis), data.draw(_PI_MULTIPLES)))
-        elif kind == "vz":
-            gates.append(VirtualZ(data.draw(qubit), data.draw(_ANGLES)))
-        elif kind == "zz":
-            q1, q2 = data.draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
-            gates.append(ZZEvolution(q1, q2, data.draw(_ANGLES)))
-        else:
-            gates.append(Delay(data.draw(st.floats(min_value=0.0, max_value=0.05))))
+    gates = _draw_sequence(data, n, mode, st.just(1), 30)
+    if data.draw(st.booleans()):
+        gates = [g for g in gates if compiler._mixed_qubit(g) < 0]
     seq = GateSequence(n, tuple(gates), mode=mode)
-    got = sequence_unitary(seq, sys)
-    assert np.max(np.abs(got - reference_unitary(seq, sys))) <= 1e-11
+    assert np.max(np.abs(product_unitary(seq, sys) - sequence_unitary(seq, sys))) <= 1e-11
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_pulse_that_mixes_a_database_qubit_is_refused(data):
+    # any angle that is not an odd multiple of pi mixes two items, 0 and
+    # 2 pi included; no network or schedule of the package holds one
+    n = data.draw(st.integers(2, 5))
+    mode = data.draw(st.sampled_from(["ideal", "hard_pulse"]))
+    sys = random_full_system(random.Random(data.draw(st.integers(0, 10**6))), n - 1)
+    gates = _draw_sequence(data, n, mode, st.integers(1, 3), 10)
+    angle = data.draw(
+        st.one_of(
+            st.sampled_from([0.0, 2 * math.pi, -2 * math.pi, math.pi / 2]),
+            st.floats(-10.0, 10.0).filter(lambda a: abs(math.cos(0.5 * a)) >= 1e-15),
+        )
+    )
+    bad = SelectivePulse(data.draw(st.integers(1, n - 1)), data.draw(st.sampled_from(["x", "-y"])), angle)
+    gates.insert(data.draw(st.integers(0, len(gates))), bad)
+    seq = GateSequence(n, tuple(gates), mode=mode)
+    with pytest.raises(CompileError, match=re.escape(f"{bad!r} mixes qubit {bad.qubit};")):
+        compiler._compressed_product(seq, sys)
 
 
 @pytest.mark.parametrize("mode", ["ideal", "hard_pulse"])
 def test_empty_sequence_product_is_the_identity(mode):
     sys = crotonic_default()
-    acc, cols, embed = compiler._compressed_product(GateSequence(sys.n_spins, (), mode), sys)
-    assert np.array_equal(acc, np.ones((2**sys.n_spins, 1)))
-    assert np.array_equal(cols, np.arange(2**sys.n_spins)) and np.array_equal(embed, [0])
+    blocks, src = compiler._compressed_product(GateSequence(sys.n_spins, (), mode), sys)
+    items = 2**sys.n_database
+    assert np.array_equal(blocks, np.broadcast_to(np.eye(2), (items, 2, 2)))
+    assert np.array_equal(src, np.arange(items))
 
 
 def test_sequence_unitary_matches_per_gate_product_on_flagship_schedule():
     sys = crotonic_default()
     net = build_query_network(sys, QueryPattern.from_string("100101"))
     hard = expand_to_hard_pulses(net, sys)
-    got = sequence_unitary(hard, sys)
-    assert np.max(np.abs(got - reference_unitary(hard, sys))) <= 1e-11
+    assert np.max(np.abs(product_unitary(hard, sys) - sequence_unitary(hard, sys))) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +834,6 @@ def test_listing_line_grammar():
     net = build_query_network(sys, QueryPattern.from_string("1"))
     text = format_sequence(net)
     body = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    import re
-
     grammar = re.compile(
         r"^(PULSE q=\d+ axis=-?[xy] deg=-?[\d.]+"
         r"|ZZ q=\d+,\d+ rad=-?[\d.]+"

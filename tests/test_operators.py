@@ -115,11 +115,9 @@ def test_hamiltonian_doublet_splitting():
 
 def oracle_blocks(system, pattern):
     """The direct oracle's 2x2 ancilla block of every item, (items, 2, 2)."""
-    acc, cols, embed = direct_oracle_unitary(system, QueryPattern.from_string(pattern))
-    half = 2**system.n_database
-    assert embed.tolist() == [0, half]
-    assert cols.tolist() == list(range(half)) * 2
-    return acc.reshape(2, half, 2).transpose(1, 0, 2)
+    blocks, src = direct_oracle_unitary(system, QueryPattern.from_string(pattern))
+    assert src.tolist() == list(range(2**system.n_database))  # no item moves
+    return blocks
 
 
 def test_hadamard_like_closed_form():

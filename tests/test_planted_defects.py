@@ -6,8 +6,10 @@ the route guard of ``run_fetch`` raises ``DecodeError`` (exit 4 from
 ``simulate``), the decoded items miss the classical enumeration (exit 2
 from ``simulate``), the query refuses a product that is not unitary
 (exit 3 from ``simulate``), the expansion refuses an echo block that
-mixes a qubit (exit 3 from ``verify``), or the committed artifact digests
-that carry no floating-point last bits no longer match.  The same run
+mixes a qubit (exit 3 from ``verify``), the product refuses a network that
+mixes a database qubit (exit 3 from ``verify`` and ``simulate``), or the
+committed artifact digests that carry no floating-point last bits no
+longer match.  The same run
 passes on the same register without the defect, so the failure is the
 defect's doing.  Registers: the builtin crotonic acid register and a
 synthetic 8-spin one with a sign-flipped bit.  Readout keeps a model per register, so every defect is
@@ -102,6 +104,16 @@ def move_toggle_to_qubit_1(real):
     return build
 
 
+def append_a_flip_on_qubit_1(real):
+    # a pi pulse about x on the first database qubit moves every item to
+    # its partner without mixing any qubit
+    def build(system, pattern):
+        net = real(system, pattern)
+        return GateSequence(net.n_qubits, net.gates + (SelectivePulse(1, "x", math.pi),), net.mode)
+
+    return build
+
+
 def flip_one_unmatched_item(real):
     def query(state, pattern):
         pops = real(state, pattern).populations.copy()
@@ -117,8 +129,9 @@ def flip_one_unmatched_item(real):
 DEFECTS = {
     "dropped-subset-period": (drop_one_subset_period, "build_query_network", "ideal"),
     "dropped-refocusing-pulse": (drop_one_refocusing_pulse, "expand_to_hard_pulses", "hard"),
-    "toggle-on-qubit-1": (move_toggle_to_qubit_1, "build_query_network", "ideal"),
-    "toggle-on-qubit-1-fast": (move_toggle_to_qubit_1, "build_query_network", "fast"),
+    "flip-on-qubit-1": (append_a_flip_on_qubit_1, "build_query_network", "ideal"),
+    "flip-on-qubit-1-hard": (append_a_flip_on_qubit_1, "build_query_network", "hard"),
+    "flip-on-qubit-1-fast": (append_a_flip_on_qubit_1, "build_query_network", "fast"),
     "flipped-unmatched-item": (flip_one_unmatched_item, "apply_query_diagonal", "fast"),
 }
 
@@ -198,6 +211,20 @@ def test_an_echo_block_that_mixes_a_qubit_is_refused(monkeypatch, capsys, regist
         assert not compiler._REGISTER_WORK[system].blocks
     monkeypatch.undo()
     assert verify(spec, pattern, "hard") == EXIT_OK  # a fresh register, clean blocks
+
+
+def test_a_network_that_mixes_a_database_qubit_is_refused(monkeypatch, capsys, register):
+    # the basis-toggling pulses moved to qubit 1 would mix two items: the
+    # product refuses the network before any check or state
+    spec, pattern = register
+    monkeypatch.setattr(climod, "build_query_network", move_toggle_to_qubit_1(climod.build_query_network))
+    for backend in ("ideal", "fast"):
+        assert verify(spec, pattern, backend) == EXIT_CONFIG
+        assert "mixes qubit 1; a query mixes only the ancilla" in capsys.readouterr().err
+    assert main(["simulate", "--system", spec, "--pattern", pattern, "--backend", "ideal"]) == EXIT_CONFIG
+    assert "mixes qubit 1; a query mixes only the ancilla" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert verify(spec, pattern, "ideal") == EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +476,10 @@ def scale_one_row(real):
     # row 0 (ancilla 0, the unmatched item 0) off unit norm by ~2e-6:
     # a rounding bound read from this product would hide a change that size
     def product(seq, system=None):
-        acc, cols, embed = real(seq, system)
-        acc = acc.copy()
-        acc[0] *= 1.0 + 1e-6
-        return acc, cols, embed
+        blocks, src = real(seq, system)
+        blocks = blocks.copy()
+        blocks[0, 0] *= 1.0 + 1e-6
+        return blocks, src
 
     return product
 

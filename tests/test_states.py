@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nmrfetch import (
+    CompileError,
     DensityState,
     QueryPattern,
     Spin,
@@ -31,7 +32,7 @@ from nmrfetch.compiler import (
 )
 from nmrfetch.states import _apply_product, _conjugate_blocks
 
-from conftest import make_system, random_full_system, reference_unitary, rounding_bound
+from conftest import make_system, random_full_system, rounding_bound
 from dense_reference import apply_unitary, rotation, sequence_unitary
 
 
@@ -193,12 +194,14 @@ def test_apply_unitary_refuses_coherence():
 
 
 def test_apply_product_refuses_coherence():
-    # a lone pi/2 pulse on a polarized database qubit, and one on the ancilla
+    # a lone pi/2 pulse on the polarized ancilla leaves coherence behind;
+    # one on a database qubit would mix two items, so no product is made
     sys = make_system([10.0, 20.0])
-    for qubit, state in ((1, thermal_state(sys, polarization=1e-3)), (0, effective_pure_ancilla(sys))):
-        seq = GateSequence(3, (SelectivePulse(qubit, "y", math.pi / 2),))
-        with pytest.raises(StateError, match="off-diagonal weight"):
-            _apply_product(state, *_compressed_product(seq, sys))
+    seq = GateSequence(3, (SelectivePulse(0, "y", math.pi / 2),))
+    with pytest.raises(StateError, match="off-diagonal weight"):
+        _apply_product(effective_pure_ancilla(sys), *_compressed_product(seq, sys))
+    with pytest.raises(CompileError, match="mixes qubit 1"):
+        _compressed_product(GateSequence(3, (SelectivePulse(1, "y", math.pi / 2),)), sys)
 
 
 def test_apply_product_refuses_a_non_unitary_product():
@@ -206,15 +209,15 @@ def test_apply_product_refuses_a_non_unitary_product():
     # the rounding bound; well inside it, the query still runs
     sys = crotonic_default()
     state = thermal_state(sys)
-    acc, cols, embed = _compressed_product(build_query_network(sys, QueryPattern.from_string("100101")), sys)
+    blocks, src = _compressed_product(build_query_network(sys, QueryPattern.from_string("100101")), sys)
     for scale, refused in ((1.0 + 1e-6, True), (1.0 + 1e-12, False)):
-        bent = acc.copy()
-        bent[0] *= scale
+        bent = blocks.copy()
+        bent[0, 0] *= scale
         if refused:
             with pytest.raises(StateError, match="unit norm"):
-                _apply_product(state, bent, cols, embed)
+                _apply_product(state, bent, src)
         else:
-            out = _apply_product(state, bent, cols, embed).populations
+            out = _apply_product(state, bent, src).populations
             assert np.flatnonzero(out != state.populations).tolist() == [37, 101]
 
 
@@ -227,8 +230,10 @@ def _dense_conjugation(populations, u):
 
 
 _AXES = st.sampled_from(["x", "y", "-x", "-y"])
-# pi multiples are signed flips (monomial gates), the rest mix their qubit
-_PULSE_ANGLES = st.sampled_from([math.pi, -math.pi, 3 * math.pi, math.pi / 2, 0.7])
+# pi multiples are signed flips (monomial gates) on any qubit; the rest mix
+# their qubit, so they go on the ancilla
+_FLIP_ANGLES = [math.pi, -math.pi, 3 * math.pi]
+_PULSE_ANGLES = st.sampled_from([*_FLIP_ANGLES, math.pi / 2, 0.7])
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +254,8 @@ def test_block_conjugation_matches_dense(data):
     def gate():
         kind = data.draw(st.sampled_from(kinds))
         if kind == "pulse":
-            return SelectivePulse(data.draw(qubit), data.draw(_AXES), data.draw(_PULSE_ANGLES))
+            angle = data.draw(_PULSE_ANGLES)
+            return SelectivePulse(data.draw(qubit) if angle in _FLIP_ANGLES else 0, data.draw(_AXES), angle)
         if kind == "vz":
             return VirtualZ(data.draw(qubit), data.draw(st.floats(-3.0, 3.0)))
         if kind == "zz":
@@ -273,7 +279,7 @@ def test_block_conjugation_matches_dense(data):
         raw = np.array([data.draw(st.floats(0.01, 1.0)) for _ in range(2**n)])
         state = DensityState(raw / raw.sum())
 
-    want, want_worst = _dense_conjugation(state.populations, reference_unitary(seq, sys))
+    want, want_worst = _dense_conjugation(state.populations, sequence_unitary(seq, sys))
     product = _compressed_product(seq, sys)
     got, worst = _conjugate_blocks(state.populations, *product)
     assert np.max(np.abs(got - want)) <= 1e-12
