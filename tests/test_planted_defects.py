@@ -125,25 +125,33 @@ def flip_one_unmatched_item(real):
     return query
 
 
-# defect, the cli name it replaces, the verify backend whose check must catch it
+MISMATCH = (EXIT_MISMATCH, "out", "-> FAIL")
+MIXES_QUBIT_1 = (EXIT_CONFIG, "err", "mixes qubit 1; a query mixes only the ancilla")
+
+# defect, the cli name it replaces, the verify backend whose check must
+# catch it, and how it is caught: exit code, stream and a line of it
 DEFECTS = {
-    "dropped-subset-period": (drop_one_subset_period, "build_query_network", "ideal"),
-    "dropped-refocusing-pulse": (drop_one_refocusing_pulse, "expand_to_hard_pulses", "hard"),
-    "flip-on-qubit-1": (append_a_flip_on_qubit_1, "build_query_network", "ideal"),
-    "flip-on-qubit-1-hard": (append_a_flip_on_qubit_1, "build_query_network", "hard"),
-    "flip-on-qubit-1-fast": (append_a_flip_on_qubit_1, "build_query_network", "fast"),
-    "flipped-unmatched-item": (flip_one_unmatched_item, "apply_query_diagonal", "fast"),
+    "dropped-subset-period": (drop_one_subset_period, "build_query_network", "ideal", MISMATCH),
+    "dropped-refocusing-pulse": (drop_one_refocusing_pulse, "expand_to_hard_pulses", "hard", MISMATCH),
+    "flip-on-qubit-1": (append_a_flip_on_qubit_1, "build_query_network", "ideal", MISMATCH),
+    "flip-on-qubit-1-hard": (append_a_flip_on_qubit_1, "build_query_network", "hard", MISMATCH),
+    "flip-on-qubit-1-fast": (append_a_flip_on_qubit_1, "build_query_network", "fast", MISMATCH),
+    "flipped-unmatched-item": (flip_one_unmatched_item, "apply_query_diagonal", "fast", MISMATCH),
+    # the product refuses the network before any check or state
+    "toggle-on-qubit-1": (move_toggle_to_qubit_1, "build_query_network", "ideal", MIXES_QUBIT_1),
+    "toggle-on-qubit-1-fast": (move_toggle_to_qubit_1, "build_query_network", "fast", MIXES_QUBIT_1),
 }
 
 
 @pytest.mark.parametrize("defect", sorted(DEFECTS))
 def test_verify_catches_planted_defect(monkeypatch, capsys, register, defect):
-    plant, name, backend = DEFECTS[defect]
+    plant, name, backend, (code, stream, line) = DEFECTS[defect]
     system, pattern = register
     assert verify(system, pattern, backend) == EXIT_OK
+    capsys.readouterr()
     monkeypatch.setattr(climod, name, plant(getattr(climod, name)))
-    assert verify(system, pattern, backend) == EXIT_MISMATCH
-    assert "-> FAIL" in capsys.readouterr().out
+    assert verify(system, pattern, backend) == code
+    assert line in getattr(capsys.readouterr(), stream)
 
 
 def test_verify_catches_a_dropped_refocusing_pulse_on_a_warm_register(monkeypatch, capsys, register):
@@ -215,12 +223,10 @@ def test_an_echo_block_that_mixes_a_qubit_is_refused(monkeypatch, capsys, regist
 
 def test_a_network_that_mixes_a_database_qubit_is_refused(monkeypatch, capsys, register):
     # the basis-toggling pulses moved to qubit 1 would mix two items: the
-    # product refuses the network before any check or state
+    # product refuses the network before any state, in ``simulate`` as in
+    # ``verify`` (the toggle-on-qubit-1 defects above)
     spec, pattern = register
     monkeypatch.setattr(climod, "build_query_network", move_toggle_to_qubit_1(climod.build_query_network))
-    for backend in ("ideal", "fast"):
-        assert verify(spec, pattern, backend) == EXIT_CONFIG
-        assert "mixes qubit 1; a query mixes only the ancilla" in capsys.readouterr().err
     assert main(["simulate", "--system", spec, "--pattern", pattern, "--backend", "ideal"]) == EXIT_CONFIG
     assert "mixes qubit 1; a query mixes only the ancilla" in capsys.readouterr().err
     monkeypatch.undo()
