@@ -12,7 +12,9 @@ inits x four patterns, ``--emit json,csv,svg``), ``spectrum`` (both inits,
 symbol short of the database size in ``simulate`` (three backends),
 ``compile`` (ideal and hard) and ``verify`` (three backends).  Each case
 prints one ``<case>/<file> <sha256>`` line per artifact it writes, one
-for its stdout and one for its stderr, then ``<case>/exit <code>``.
+``<case>/result.json.shape`` line per ``result.json`` (the digest of its
+structure, ``json_shape``), one for its stdout and one for its stderr,
+then ``<case>/exit <code>``.
 Then, for every pattern over ``01x`` of the database size (3^6 builtin,
 3^4 composite) and both networks (``ideal`` and its ``hard`` expansion),
 one ``<register>/product-<backend>-<pattern> <sha256>`` line digests the
@@ -40,6 +42,7 @@ import functools
 import hashlib
 import io
 import itertools
+import json
 import platform
 import sys
 import tempfile
@@ -118,16 +121,28 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def json_shape(data: bytes) -> bytes:
+    """The parsed JSON with every float replaced by a placeholder, keys sorted.
+
+    Its digest moves with a key that is added, dropped or renamed, and with
+    any string, integer, boolean or list length, but not with a float's
+    last bits.
+    """
+    return json.dumps(json.loads(data, parse_float=lambda _: "<float>"), sort_keys=True).encode()
+
+
 def run_case(name: str, argv: list[str]) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([tmp if arg == "{out}" else arg for arg in argv])
-        lines = [
-            f"{name}/{path.relative_to(tmp)} {sha256(path.read_bytes())}"
-            for path in sorted(Path(tmp).rglob("*"))
-            if path.is_file()
-        ]
+        lines = []
+        for path in sorted(Path(tmp).rglob("*")):
+            if path.is_file():
+                file, data = f"{name}/{path.relative_to(tmp)}", path.read_bytes()
+                lines.append(f"{file} {sha256(data)}")
+                if path.name == "result.json":
+                    lines.append(f"{file}.shape {sha256(json_shape(data))}")
     lines.append(f"{name}/stdout {sha256(out.getvalue().encode())}")
     lines.append(f"{name}/stderr {sha256(err.getvalue().encode())}")
     lines.append(f"{name}/exit {code}")
@@ -148,19 +163,20 @@ def product_case(name: str, system, pattern: str, backend: str) -> list[str]:
 def bit_stable(name: str) -> bool:
     """Whether the line ``name`` carries no floating-point last bits.
 
-    Exit codes, standard error (refusal messages), the ``simulate`` summary
-    (peak counts, marked and expected items, the verdict, the schedule
-    length to 6 digits) and the ``compile`` listings: 290 of the 2196
-    lines.  Measured, not assumed: none of them moved when the outputs of
-    the FFT, the FID row, the closed-form row or the product's blocks
-    were scaled by 1 + 2^-50, one at a time, or when the FFT's were scaled
-    by 1 + 2^-30.  Under those the spectrum CSVs, ``result.json`` files,
-    ``verify`` summaries (deviations near 1e-16) and product digests moved,
-    and so did the ``spectrum`` summary (its route gap and amplitudes) at
-    2^-30.  The SVGs never moved, but they draw floats and are left out.
+    Exit codes, standard error (refusal messages), the structure of each
+    ``result.json`` (``json_shape``), the ``simulate`` summary (peak counts,
+    marked and expected items, the verdict, the schedule length to 6
+    digits) and the ``compile`` listings: 342 of the 2248 lines.  Measured,
+    not assumed: none of them moved when the outputs of the FFT, the FID
+    row, the closed-form row or the product's blocks were scaled by
+    1 + 2^-50, one at a time, or when the FFT's were scaled by 1 + 2^-30.
+    Under those the spectrum CSVs, ``result.json`` files, ``verify``
+    summaries (deviations near 1e-16) and product digests moved, and so
+    did the ``spectrum`` summary (its route gap and amplitudes) at 2^-30.
+    The SVGs never moved, but they draw floats and are left out.
     """
     case, _, stream = name.rpartition("/")
-    if stream in ("exit", "stderr"):
+    if stream in ("exit", "stderr", "result.json.shape"):
         return True
     command = case.rpartition("/")[2].split("-")[0]
     return stream == "stdout" and command in ("simulate", "compile")

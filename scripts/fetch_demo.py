@@ -2,8 +2,9 @@
 """End-to-end demo: fetch all items whose first three bits are 100.
 
 Runs the flagship experiment on the built-in seven-spin register directly
-from thermal equilibrium, prints the decoded items, and drops spectra and
-a run summary into ./demo_out.
+from thermal equilibrium, prints the decoded items and the verdict, and
+writes the spectra before and after the query (CSV and SVG) into
+./demo_out.  Exits 1 when the fetch is not verified.
 """
 
 import sys

@@ -25,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -188,14 +188,15 @@ def run_fetch(cfg: RunConfig) -> RunResult:
     An undecodable register, an acquisition too narrow for its lines or
     too short for the route guard (``_check_duration``, an explicit
     ``params`` included), a pattern whose length is not the database size
-    (``ConfigError``) and a hard-pulse schedule longer than
-    ``_MAX_SCHEDULE_T2`` T2 are refused before any state is prepared.  The
-    query is applied to the populations through the block product, so
-    no 2^n x 2^n matrix is built.  The prepared state is the readout
-    reference, cached per register and acquisition; the queried state is
-    read out as its difference from it, and every state's route gap is
-    checked (``spectrometer.readout``).  The verdict is taken from the
-    queried state's decoded peak arrays (``spectrometer._classify``).
+    (``ConfigError``), a hard-pulse schedule longer than
+    ``_MAX_SCHEDULE_T2`` T2 and a network that mixes a database qubit
+    (``CompileError`` from the product) are refused before any state is
+    prepared.  The query is applied to the populations through the block
+    product, so no 2^n x 2^n matrix is built.  The prepared state is the
+    readout reference, cached per register and acquisition; the queried
+    state is read out as its difference from it, and every state's route
+    gap is checked (``spectrometer.readout``).  The verdict is taken from
+    the queried state's decoded peak arrays (``spectrometer._classify``).
     """
     params = cfg.params or AcquisitionParams.for_system(cfg.system)
     _check_decodable(cfg.system, params)
@@ -216,11 +217,13 @@ def run_fetch(cfg: RunConfig) -> RunResult:
                     " would decay below the 5 % peak-pick threshold"
                 )
 
+    # the product refuses a network that mixes a database qubit, so it comes first
+    product = None if sequence is None else _compressed_product(sequence, cfg.system)
     state = _initial_state(cfg.system, cfg.init)
-    if sequence is None:
+    if product is None:
         queried = apply_query_diagonal(state, cfg.pattern)
     else:
-        queried = _apply_product(state, *_compressed_product(sequence, cfg.system))
+        queried = _apply_product(state, *product)
 
     before, after = readout((state, queried), cfg.system, params)
 
@@ -274,26 +277,11 @@ def bench_report(n_bits: int, n_marked: int) -> dict:
 
 
 def _peak_dict(p) -> dict:
-    return {
-        "freq_hz": p.freq_hz,
-        "amplitude": p.amplitude,
-        "item": p.item,
-        "manifold": p.manifold,
-        "marked": p.amplitude < 0,
-    }
+    return {**p._asdict(), "marked": p.amplitude < 0}
 
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _acq_dict(params: AcquisitionParams) -> dict:
-    return {
-        "n_points": params.n_points,
-        "dwell_s": params.dwell_s,
-        "t2_s": params.t2_s,
-        "carrier_hz": params.carrier_hz,
-    }
 
 
 def _system_dict(system: SpinSystem) -> dict:
@@ -465,7 +453,7 @@ def _cmd_simulate(args) -> int:
         "pattern": "".join(cfg.pattern.constraints),
         "init": cfg.init,
         "backend": cfg.backend,
-        "acquisition": _acq_dict(params),
+        "acquisition": asdict(params),
         "marked_items": list(result.marked),
         "expected_items": list(result.expected),
         "inconsistent_items": list(result.inconsistent),
@@ -514,7 +502,7 @@ def _cmd_spectrum(args) -> int:
     payload = {
         "system": _system_dict(system),
         "init": init,
-        "acquisition": _acq_dict(params),
+        "acquisition": asdict(params),
         "peaks": [_peak_dict(p) for p in read.peaks],
     }
     emit(

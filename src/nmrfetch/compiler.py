@@ -582,13 +582,14 @@ def _compressed_product(seq: GateSequence, system: SpinSystem | None = None) -> 
     phase, a flip permutes the vectors and scales the sign).  The running
     product is kept as a (2^n, 2) array, row (a, i) being row a of item
     i's block.  A monomial run that permutes nothing (its source map is
-    the identity, stored as None), as a query network's runs between
-    ancilla pulses do, scales it in place and leaves ``src`` alone; one
-    that does is applied as one row gather and scale, which gathers
-    ``src`` with the items (a flip's source map is r ^ F for a fixed mask
-    F, so the two rows of an item move together).  A run of ancilla pulses
-    is one 2x2 block, applied in place as one broadcast product and one
-    sum over the two ancilla halves.
+    the identity, stored as None) scales it in place and leaves ``src``
+    alone; one that does is applied as one row gather and scale, which
+    gathers ``src`` with the items (a flip's source map is r ^ F for a
+    fixed mask F, so the two rows of an item move together).  In a query
+    network the two runs that hold the toggle's pi pulse on the ancilla
+    permute, since that pulse swaps the ancilla rows; the others do not.
+    A run of ancilla pulses is one 2x2 block, applied in place as one
+    broadcast product and one sum over the two ancilla halves.
 
     Every gate is still applied exactly (a pi pulse's dropped diagonal is
     rounding, see ``_FLIP_DIAGONAL``); only the representation of the

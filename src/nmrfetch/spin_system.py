@@ -68,7 +68,8 @@ class Spin:
 
     ``multiplicity`` counts magnetically equivalent physical spins folded
     into one logical qubit (3 for a methyl group).  ``offset_hz`` is the
-    rotating-frame chemical-shift offset relative to the ancilla carrier.
+    chemical-shift offset in the register's one rotating frame, which is
+    also the receiver's: readout's frequency axis is centred on 0 Hz.
     """
 
     label: str

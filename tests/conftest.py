@@ -1,5 +1,7 @@
 """Shared builders for synthetic spin registers and a product's rounding bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,13 @@ def superincreasing_config(n_database, negative=(), composite=()):
         sign = -1 if i in negative else 1
         lines.append(f"A-Q{i} = {sign * 1.5 * 2 ** (n_database - i)}")
     return "\n".join(lines) + "\n"
+
+
+def ancilla_shifted(system, delta_hz):
+    """The register with its ancilla's offset moved by ``delta_hz``: its multiplet moves with it."""
+    ancilla = system.spins[0]
+    moved = dataclasses.replace(ancilla, offset_hz=ancilla.offset_hz + delta_hz)
+    return SpinSystem((moved,) + system.spins[1:], system.j_hz)
 
 
 def random_full_system(rng, n_database, j_scale=40.0, offset_scale=30.0):

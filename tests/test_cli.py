@@ -487,7 +487,7 @@ def test_non_finite_t2_exit_config(capsys, t2):
     assert main(["simulate", "--pattern", "100xxx", "--backend", "fast", "--t2", t2]) == EXIT_CONFIG
     assert main(["spectrum", "--t2", t2]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.count("configuration error: dwell_s, t2_s and carrier_hz must be finite") == 2
+    assert err.count("configuration error: dwell_s and t2_s must be finite") == 2
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -637,12 +637,7 @@ def test_spectrum_honours_acquisition_flags(tmp_path):
     assert code == EXIT_OK
     want = AcquisitionParams.for_system(crotonic_default(), n_points=32768, t2_s=1.0)
     acquisition = json.loads((out / "result.json").read_text())["acquisition"]
-    assert acquisition == {
-        "n_points": 32768,
-        "dwell_s": want.dwell_s,
-        "t2_s": 1.0,
-        "carrier_hz": 0.0,
-    }
+    assert acquisition == {"n_points": 32768, "dwell_s": want.dwell_s, "t2_s": 1.0}
     rows = (out / "spectrum.csv").read_text().splitlines()[1:]
     freqs = np.array([float(r.split(",")[0]) for r in rows])
     assert np.allclose(freqs, want.frequency_grid(), rtol=1e-8, atol=0.0)

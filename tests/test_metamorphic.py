@@ -11,12 +11,11 @@ end through ``simulate`` and their answers compared:
 * global coupling sign: every ancilla coupling negated flips every
   ``bit_signs`` entry and nothing else, so spectra, peaks and verdicts are
   bit-identical;
-* carrier and offset: the ancilla's offset and the receiver carrier moved
-  by the same amount leave every line where it was relative to the
-  carrier, so the marked and expected items, the verdict, and each peak's
-  decoded item and frequency relative to the carrier (within 1e-9 Hz) stay
-  the same.  The command line has no carrier option, so this
-  relation runs ``run_fetch`` directly;
+* whole-bin shift: the ancilla's offset moved by k bins of a fixed grid
+  moves every line, and so every peak, by k bins (within 1e-9 Hz), and
+  keeps the marked and expected items, the verdict, each peak's decoded
+  item and any refusal.  The grid is fixed, so this relation runs
+  ``run_fetch`` directly;
 * wildcard union: a pattern with a wildcard marks exactly the union of
   what its two completions on that qubit mark.  It queries the register
   with that qubit constrained, so it reaches a defect that only a
@@ -28,7 +27,6 @@ random superincreasing ones with signed couplings, offsets and couplings
 among the database spins.
 """
 
-import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -39,12 +37,14 @@ from hypothesis import example, given, settings, strategies as st
 from nmrfetch import (
     AcquisitionParams,
     QueryPattern,
-    SpinSystem,
     crotonic_default,
     load_spin_system,
     load_spin_system_file,
+    spectrometer,
 )
 from nmrfetch.cli import EXIT_CONFIG, RunConfig, main, run_fetch
+
+from conftest import ancilla_shifted
 
 COMPOSITE = Path(__file__).resolve().parents[1] / "scripts" / "composite_negative.cfg"
 BACKENDS = ("ideal", "hard", "fast")
@@ -171,35 +171,33 @@ def test_negating_every_ancilla_coupling_changes_only_the_bit_signs(case, backen
     assert result_neg == result
 
 
-def ancilla_shifted(system, delta_hz):
-    """The register with its ancilla's offset moved by ``delta_hz``."""
-    ancilla = system.spins[0]
-    moved = dataclasses.replace(ancilla, offset_hz=ancilla.offset_hz + delta_hz)
-    return SpinSystem((moved,) + system.spins[1:], system.j_hz)
-
-
-def fetches(system, pattern, carrier_hz):
+def fetches(system, pattern, params):
     """Per backend and init: marked, expected, verdict and peaks, or the refusal.
 
-    Each peak is its decoded item and its frequency relative to the carrier.
+    Each peak is its decoded item and its frequency.
     """
     outcomes = []
     for backend in ("ideal", "hard_pulse", "fast_diagonal"):
         for init in ("effective_pure", "thermal"):
             try:
-                params = AcquisitionParams.for_system(system, carrier_hz=carrier_hz)
-                cfg = RunConfig(system, QueryPattern.from_string(pattern), init, backend, params)
-                r = run_fetch(cfg)
+                r = run_fetch(RunConfig(system, QueryPattern.from_string(pattern), init, backend, params))
             except ValueError as exc:  # every refusal of run_fetch is one
                 outcomes.append(type(exc).__name__)
                 continue
-            peaks = [[(p.item, p.freq_hz - carrier_hz) for p in ps] for ps in (r.peaks_before, r.peaks_after)]
+            peaks = [[(p.item, p.freq_hz) for p in ps] for ps in (r.peaks_before, r.peaks_after)]
             outcomes.append((r.marked, r.expected, r.verified, peaks))
     return outcomes
 
 
-def assert_same_fetches(got, want):
-    """The same outcomes, every peak of the same item at the same relative frequency within 1e-9 Hz."""
+def assert_whole_bin_shift_keeps_the_fetch(system, pattern, params, k):
+    """The ancilla's offset moved by ``k`` bins of ``params``: the same outcomes, peaks ``k`` bins higher.
+
+    Every peak keeps its item and moves within 1e-9 Hz.  Returns the
+    unshifted register's outcomes.
+    """
+    shift_hz = k * params.spectral_width_hz / params.n_points
+    want = fetches(system, pattern, params)
+    got = fetches(ancilla_shifted(system, shift_hz), pattern, params)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         if isinstance(g, str) or isinstance(w, str):
@@ -208,24 +206,30 @@ def assert_same_fetches(got, want):
         assert g[:3] == w[:3]
         for peaks_g, peaks_w in zip(g[3], w[3]):
             assert [item for item, _ in peaks_g] == [item for item, _ in peaks_w]
-            assert max((abs(a - b) for (_, a), (_, b) in zip(peaks_g, peaks_w)), default=0.0) <= 1e-9
+            assert max((abs(a - b - shift_hz) for (_, a), (_, b) in zip(peaks_g, peaks_w)), default=0.0) <= 1e-9
+    return want
 
 
 @pytest.mark.parametrize("pattern", ["100101", "1001x1", "x1x0xx"])
-@pytest.mark.parametrize("delta_hz", [37.5, -120.25, 1000.0])
-def test_moving_carrier_and_ancilla_offset_together_keeps_the_builtin_fetch(pattern, delta_hz):
+@pytest.mark.parametrize("k", [1, -37, 1200, -3400])
+def test_a_whole_bin_ancilla_shift_moves_the_builtin_peaks(pattern, k):
     system = crotonic_default()
-    outcomes = fetches(system, pattern, 0.0)
+    params = AcquisitionParams.for_system(system)  # 1/32 Hz bins, 3525 bins of slack each side
+    outcomes = assert_whole_bin_shift_keeps_the_fetch(system, pattern, params, k)
     assert all(isinstance(o, tuple) and o[2] for o in outcomes)
-    assert_same_fetches(fetches(ancilla_shifted(system, delta_hz), pattern, delta_hz), outcomes)
 
 
 @settings(max_examples=25, deadline=None)
-@given(case=queries(), delta_hz=st.floats(-1000.0, 1000.0))
-def test_moving_carrier_and_ancilla_offset_together_keeps_the_fetch(case, delta_hz):
+@given(case=queries(), data=st.data())
+def test_a_whole_bin_ancilla_shift_moves_the_peaks(case, data):
+    # k is drawn within the slack of the register's own grid, so both
+    # multiplets are covered and any refusal is not the coverage check's
     system, pattern = case
-    shifted = fetches(ancilla_shifted(system, delta_hz), pattern, delta_hz)
-    assert_same_fetches(shifted, fetches(system, pattern, 0.0))
+    params = AcquisitionParams.for_system(system)
+    _, width = spectrometer._coverage(spectrometer._lines(system), params)
+    slack = int((params.spectral_width_hz - width) / 2.0 * params.n_points / params.spectral_width_hz)
+    k = data.draw(st.integers(-slack, slack), label="k")
+    assert_whole_bin_shift_keeps_the_fetch(system, pattern, params, k)
 
 
 def wildcard_union(text, pattern, position, backend, init):

@@ -44,7 +44,7 @@ from nmrfetch import (
 )
 from nmrfetch.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, RunConfig, main, run_fetch
 
-from conftest import superincreasing_config
+from conftest import ancilla_shifted, superincreasing_config
 
 
 @pytest.fixture(params=["builtin", "synthetic"])
@@ -227,6 +227,7 @@ def test_a_network_that_mixes_a_database_qubit_is_refused(monkeypatch, capsys, r
     # ``verify`` (the toggle-on-qubit-1 defects above)
     spec, pattern = register
     monkeypatch.setattr(climod, "build_query_network", move_toggle_to_qubit_1(climod.build_query_network))
+    monkeypatch.setattr(climod, "_initial_state", None)  # refused before any state
     assert main(["simulate", "--system", spec, "--pattern", pattern, "--backend", "ideal"]) == EXIT_CONFIG
     assert "mixes qubit 1; a query mixes only the ancilla" in capsys.readouterr().err
     monkeypatch.undo()
@@ -238,10 +239,10 @@ def test_a_network_that_mixes_a_database_qubit_is_refused(monkeypatch, capsys, r
 # ---------------------------------------------------------------------------
 
 
-def flip_fid_carrier(real):
-    # the FID demodulated at minus the carrier
+def mirror_fid(real):
+    # the FID conjugated, so that its spectrum is mirrored about 0 Hz
     def fid_row(difference, system, params):
-        return real(difference, system, dataclasses.replace(params, carrier_hz=-params.carrier_hz))
+        return real(difference, system, params).conj()
 
     return fid_row
 
@@ -265,7 +266,7 @@ def drop_half_first_point(real):
 
 # defect, the spectrometer name it replaces
 READOUT_DEFECTS = {
-    "fid-carrier-sign": (flip_fid_carrier, "_fid_row"),
+    "mirrored-fid": (mirror_fid, "_fid_row"),
     "scaled-difference-row": (scale_closed_form_row, "_closed_form_row"),
     "no-half-first-point": (drop_half_first_point, "_absorptive"),
 }
@@ -273,12 +274,13 @@ READOUT_DEFECTS = {
 
 @pytest.fixture(params=["builtin", "synthetic"])
 def warm_run(request):
-    """A register with a nonzero carrier (so the carrier's sign matters) and a pattern."""
+    """A register with its multiplet off 0 Hz (so a mirrored spectrum moves it) and a pattern."""
     if request.param == "builtin":
         system, pattern = crotonic_default(), "100101"
     else:
         system, pattern = load_spin_system(superincreasing_config(7, negative=(3,))), "1010x10"
-    params = AcquisitionParams.for_system(system, carrier_hz=1.25)
+    system = ancilla_shifted(system, -1.25)
+    params = AcquisitionParams.for_system(system)
     return system, QueryPattern.from_string(pattern), params
 
 

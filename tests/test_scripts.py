@@ -61,7 +61,7 @@ def test_artifact_digests_are_deterministic():
     case = "composite/simulate-hard-thermal-1010"
     assert names == [
         f"builtin/spectrum-eps/{name}"
-        for name in ("result.json", "spectrum.csv", "spectrum.svg", "stdout", "stderr", "exit")
+        for name in ("result.json", "result.json.shape", "spectrum.csv", "spectrum.svg", "stdout", "stderr", "exit")
     ] + [
         f"{case}/{name}"
         for name in (
@@ -70,6 +70,7 @@ def test_artifact_digests_are_deterministic():
             "before_spectrum.csv",
             "before_spectrum.svg",
             "result.json",
+            "result.json.shape",
             "stdout",
             "stderr",
             "exit",
@@ -147,7 +148,23 @@ def test_stable_artifact_digests_match_the_committed_file():
     names = [line.split()[0] for line in lines]
     assert sum(name.endswith("/exit") for name in names) == len(CHEAP_DIGEST_CASES)
     assert sum(name.endswith("/stdout") for name in names) == 6  # simulate and compile only
+    assert sum(name.endswith("/result.json.shape") for name in names) == 4  # runs that answer
     assert [line for line in lines if line not in expected] == []
+
+
+def test_json_shape_sees_keys_and_values_but_not_float_bits():
+    digests = load_script("artifact_digests")
+    shape = digests.json_shape
+    base = b'{"acquisition": {"dwell_s": 0.001953125, "n_points": 16384}, "marked": [1, 2], "ok": true}'
+    assert shape(base) == shape(base.replace(b"0.001953125", b"0.0019531250000000002"))
+    for changed in (
+        base.replace(b"dwell_s", b"dwell"),  # a renamed key
+        base.replace(b'"n_points": 16384', b'"n_points": 16384, "carrier_hz": 0.0'),  # an added key
+        base.replace(b"[1, 2]", b"[1]"),  # a list length
+        base.replace(b"16384", b"8192"),  # an integer
+        base.replace(b"true", b"false"),  # a boolean
+    ):
+        assert shape(changed) != shape(base)
 
 
 def test_artifact_digests_check_mode():

@@ -48,7 +48,7 @@ from nmrfetch.spectrometer import (
     spectrum_csv,
 )
 
-from conftest import make_system
+from conftest import ancilla_shifted, make_system
 from dense_reference import apply_unitary, rotation, sequence_unitary
 
 
@@ -120,7 +120,6 @@ def reference_fid(state, system, params):
         if c != 0.0:
             fid += c * np.exp(-1.0j * d * times)
     fid *= np.exp(-times / params.t2_s)
-    fid *= np.exp(-2.0j * math.pi * params.carrier_hz * times)
     return 1.0j * fid
 
 
@@ -252,7 +251,7 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["dwell_s", "t2_s", "carrier_hz"])
+@pytest.mark.parametrize("name", ["dwell_s", "t2_s"])
 def test_params_refuse_non_finite_fields(name, value):
     with pytest.raises(SpectrometerError, match="must be finite"):
         AcquisitionParams(**{name: value})
@@ -275,7 +274,7 @@ def test_for_system_refuses_bad_fields_before_using_them():
             AcquisitionParams.for_system(crotonic_default(), n_points=n_points)
     assert AcquisitionParams(n_points=np.int64(4096)).n_points == 4096
     # a non-real field used to escape as a TypeError from math.isfinite, and True read as 1 s
-    for name, value in (("t2_s", "2"), ("carrier_hz", None), ("dwell_s", 1j), ("dwell_s", True)):
+    for name, value in (("t2_s", "2"), ("t2_s", None), ("dwell_s", 1j), ("dwell_s", True)):
         with pytest.raises(SpectrometerError, match="finite real numbers"):
             AcquisitionParams(**{name: value})
         if name != "dwell_s":  # for_system derives the dwell itself
@@ -294,6 +293,9 @@ def test_params_derived_quantities():
     assert len(grid) == 1024
     assert grid[0] == pytest.approx(-256.0)
     assert np.all(np.diff(grid) > 0)
+    for n_points, dwell_s in ((1024, 1.0 / 512.0), (16384, 1.0 / 37.3), (65536, 0.0123)):
+        axis = AcquisitionParams(n_points, dwell_s).frequency_grid()
+        assert axis.tobytes() == np.fft.fftshift(np.fft.fftfreq(n_points, dwell_s)).tobytes()
 
 
 def test_for_system_covers_all_lines():
@@ -443,7 +445,8 @@ def test_two_spin_doublet():
     assert amps[0] == pytest.approx(amps[1], rel=1e-6)
 
 
-def test_ancilla_only_line_at_carrier():
+def test_ancilla_only_line_at_zero_hz():
+    # a lone ancilla at offset 0 reads at the centre of the register's frame
     sys = SpinSystem((Spin("c", species="carbon"),), np.zeros((1, 1)))
     params = AcquisitionParams(n_points=512, dwell_s=1.0 / 64.0)
     state = DensityState(np.array([1.0, 0.0]))
@@ -515,11 +518,11 @@ def test_methyl_composite_closed_form():
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_points=st.sampled_from((1024, 4096)),
-    carrier=st.sampled_from((0.0, -3.5)),
+    shift=st.sampled_from((0.0, 3.5)),
 )
-def test_fid_matches_dense_pulse_reference_builtin(seed, n_points, carrier):
-    sys = crotonic_default()
-    params = AcquisitionParams(n_points=n_points, dwell_s=1.0 / 512.0, t2_s=0.5, carrier_hz=carrier)
+def test_fid_matches_dense_pulse_reference_builtin(seed, n_points, shift):
+    sys = ancilla_shifted(crotonic_default(), shift)
+    params = AcquisitionParams(n_points=n_points, dwell_s=1.0 / 512.0, t2_s=0.5)
     state = random_population_state(sys, seed)
     assert relative_gap(fid_of(state, sys, params), reference_fid(state, sys, params)) <= 1e-12
     assert relative_gap(closed_of(state, sys, params), reference_analytic(state, sys, params)) <= 1e-12
@@ -530,10 +533,11 @@ def test_fid_matches_dense_pulse_reference_builtin(seed, n_points, carrier):
     sys=small_composite_systems(),
     seed=st.integers(0, 2**32 - 1),
     t2=st.floats(0.5, 4.0),
-    carrier=st.floats(-20.0, 20.0),
+    shift=st.floats(-20.0, 20.0),
 )
-def test_fid_matches_dense_pulse_reference_composite(sys, seed, t2, carrier):
-    params = AcquisitionParams(n_points=2048, dwell_s=1.0 / 256.0, t2_s=t2, carrier_hz=carrier)
+def test_fid_matches_dense_pulse_reference_composite(sys, seed, t2, shift):
+    sys = ancilla_shifted(sys, shift)
+    params = AcquisitionParams(n_points=2048, dwell_s=1.0 / 256.0, t2_s=t2)
     state = random_population_state(sys, seed)
     assert relative_gap(fid_of(state, sys, params), reference_fid(state, sys, params)) <= 1e-12
     assert relative_gap(closed_of(state, sys, params), reference_analytic(state, sys, params)) <= 1e-12
@@ -549,14 +553,14 @@ def panel_switch(n_points):
     register=st.sampled_from(("plain", "composite")),
     seed=st.integers(0, 2**32 - 1),
     n_points=st.sampled_from((1024, 4096, 16384, 65536)),
-    carrier=st.floats(-20.0, 20.0),
+    shift=st.floats(-20.0, 20.0),
     edge=st.booleans(),
     rows=st.sampled_from(("zero", "one", "few", "below", "above", "all")),
 )
-@example(register="plain", seed=1, n_points=65536, carrier=0.0, edge=True, rows="all")
-@example(register="composite", seed=2, n_points=1024, carrier=0.0, edge=True, rows="above")
-@example(register="plain", seed=3, n_points=16384, carrier=3.0, edge=False, rows="below")
-def test_closed_form_row_matches_the_per_line_sum(register, seed, n_points, carrier, edge, rows):
+@example(register="plain", seed=1, n_points=65536, shift=0.0, edge=True, rows="all")
+@example(register="composite", seed=2, n_points=1024, shift=0.0, edge=True, rows="above")
+@example(register="plain", seed=3, n_points=16384, shift=-3.0, edge=False, rows="below")
+def test_closed_form_row_matches_the_per_line_sum(register, seed, n_points, shift, edge, rows):
     # the closed-form row, dense or by panels, against the line-by-line sum.
     # T2 is 512 dwells on every grid, so neither sum's rounding nears the
     # tolerance (both grow as T2 / dwell).  An edge grid is as narrow as
@@ -571,12 +575,13 @@ def test_closed_form_row_matches_the_per_line_sum(register, seed, n_points, carr
         system = make_system(row, multiplicities=[1, 1, 3, 1, 1], offsets=[1.0] + [0.0] * 5)
     freq = spectrometer._lines(system).freq_hz
     if edge:
-        carrier = (freq.min() + freq.max()) / 2.0
-    span = float(np.max(np.abs(freq - carrier)))
+        shift = -(freq.min() + freq.max()) / 2.0
+    system = ancilla_shifted(system, shift)
+    span = float(np.max(np.abs(freq + shift)))
     # with T2 = 512 dwell the coverage check asks for 2 span / (1 - 6 / (512 pi))
     need = 2.0 * span / (1.0 - 6.0 / (512.0 * math.pi))
     width = need * (1.0 + 1e-9) if edge else 2.0 ** math.ceil(math.log2(need + 10.0))
-    params = AcquisitionParams(n_points, 1.0 / width, 512.0 / width, carrier)
+    params = AcquisitionParams(n_points, 1.0 / width, 512.0 / width)
 
     items, per_item = 2**system.n_database, len(freq) // 2**system.n_database
     switch = panel_switch(n_points)
@@ -600,9 +605,9 @@ def test_closed_form_row_matches_the_per_line_sum(register, seed, n_points, carr
     assert relative_gap(got, reference_row(diff, system, params)) <= 1e-12
 
 
-def test_nonzero_carrier_routes_agree_and_decode():
-    sys = crotonic_default()
-    params = AcquisitionParams.for_system(sys, carrier_hz=5.0)
+def test_off_centre_multiplet_routes_agree_and_decode():
+    sys = ancilla_shifted(crotonic_default(), -5.0)
+    params = AcquisitionParams.for_system(sys)
     (read,) = readout((effective_pure_ancilla(sys),), sys, params)
     assert relative_gap(read.spectrum.amplitude, read.closed) < 1e-6
     assert sorted((p.item, p.manifold) for p in read.peaks) == sorted(
@@ -661,11 +666,11 @@ def assert_readout_matches_references(state, system, params):
 @given(
     seed=st.integers(0, 2**32 - 1),
     second=st.sampled_from(("complement", "zero")),
-    carrier=st.sampled_from((0.0, -3.5)),
+    shift=st.sampled_from((0.0, 3.5)),
 )
-def test_readout_with_zero_differences_matches_references_builtin(seed, second, carrier):
-    sys = crotonic_default()
-    params = AcquisitionParams(n_points=1024, dwell_s=1.0 / 512.0, t2_s=0.5, carrier_hz=carrier)
+def test_readout_with_zero_differences_matches_references_builtin(seed, second, shift):
+    sys = ancilla_shifted(crotonic_default(), shift)
+    params = AcquisitionParams(n_points=1024, dwell_s=1.0 / 512.0, t2_s=0.5)
     for state in readout_pair(sys, seed, second):
         assert_readout_matches_references(state, sys, params)
 
@@ -675,10 +680,11 @@ def test_readout_with_zero_differences_matches_references_builtin(seed, second, 
     sys=small_composite_systems(),
     seed=st.integers(0, 2**32 - 1),
     second=st.sampled_from(("complement", "zero", "dense")),
-    carrier=st.floats(-20.0, 20.0),
+    shift=st.floats(-20.0, 20.0),
 )
-def test_readout_with_zero_differences_matches_references_composite(sys, seed, second, carrier):
-    params = AcquisitionParams(n_points=2048, dwell_s=1.0 / 256.0, t2_s=1.0, carrier_hz=carrier)
+def test_readout_with_zero_differences_matches_references_composite(sys, seed, second, shift):
+    sys = ancilla_shifted(sys, shift)
+    params = AcquisitionParams(n_points=2048, dwell_s=1.0 / 256.0, t2_s=1.0)
     for state in readout_pair(sys, seed, second):
         assert_readout_matches_references(state, sys, params)
 
@@ -714,13 +720,11 @@ def queried_state(state, system, pattern, backend):
 def reference_readout_cases(draw):
     """A register, its grid and a query: the builtin register or a small composite one."""
     if draw(st.booleans()):
-        system = crotonic_default()
-        carrier = draw(st.sampled_from((0.0, -3.5)))
-        params = AcquisitionParams(n_points=1024, dwell_s=1.0 / 512.0, t2_s=0.5, carrier_hz=carrier)
+        system = ancilla_shifted(crotonic_default(), draw(st.sampled_from((0.0, 3.5))))
+        params = AcquisitionParams(n_points=1024, dwell_s=1.0 / 512.0, t2_s=0.5)
     else:
-        system = draw(small_composite_systems())
-        carrier = draw(st.floats(-20.0, 20.0))
-        params = AcquisitionParams(n_points=2048, dwell_s=1.0 / 256.0, t2_s=1.0, carrier_hz=carrier)
+        system = ancilla_shifted(draw(small_composite_systems()), draw(st.floats(-20.0, 20.0)))
+        params = AcquisitionParams(n_points=2048, dwell_s=1.0 / 256.0, t2_s=1.0)
     bits = draw(st.text("01x", min_size=system.n_database, max_size=system.n_database))
     return system, params, QueryPattern.from_string(bits)
 
@@ -891,7 +895,6 @@ def test_grid_tables_are_kept_per_acquisition():
     grids = [
         base,
         dataclasses.replace(base, t2_s=1.5),
-        dataclasses.replace(base, carrier_hz=0.75),
         dataclasses.replace(base, dwell_s=base.dwell_s * 1.25),
         dataclasses.replace(base, n_points=2 * base.n_points),
     ]
