@@ -5,8 +5,8 @@ Usage: OPENBLAS_NUM_THREADS=1 python scripts/bench_query_layers.py [repeats]
 
 Cases: the builtin register with patterns 100101, 10010x and 1001xx, and a
 synthetic register of 9 database qubits (superincreasing |J_0i| =
-1.5 * 2^(9 - i) Hz, read out on 65536 points so the acquisition is long
-enough) with every bit constrained, each on the ideal and the hard-pulse
+1.5 * 2^(9 - i) Hz, on its ``for_system`` grid) with every bit
+constrained, each on the ideal and the hard-pulse
 backend.  Each case first runs ``run_fetch`` once, so the register is warm
 as in a stream of queries, then times each layer on its own:
 ``build_query_network``, ``expand_to_hard_pulses`` and the schedule's
@@ -23,7 +23,7 @@ import time
 
 from bench_verify import synthetic_config
 
-from nmrfetch import AcquisitionParams, QueryPattern, build_query_network, crotonic_default, expand_to_hard_pulses
+from nmrfetch import QueryPattern, build_query_network, crotonic_default, expand_to_hard_pulses
 from nmrfetch import load_spin_system
 from nmrfetch.cli import RunConfig, _initial_state, run_fetch
 from nmrfetch.compiler import _compressed_product
@@ -67,12 +67,12 @@ def layers(cfg: RunConfig, repeats: int) -> dict:
 def run(repeats: int) -> dict:
     builtin = crotonic_default()
     synthetic = load_spin_system(synthetic_config(9))
-    cases = {f"builtin_{bits}": (builtin, bits, None) for bits in ("100101", "10010x", "1001xx")}
-    cases["synthetic9_101010101"] = (synthetic, "101010101", AcquisitionParams.for_system(synthetic, 65536))
+    cases = {f"builtin_{bits}": (builtin, bits) for bits in ("100101", "10010x", "1001xx")}
+    cases["synthetic9_101010101"] = (synthetic, "101010101")
     out = {}
-    for name, (system, bits, params) in cases.items():
+    for name, (system, bits) in cases.items():
         for backend in ("ideal", "hard_pulse"):
-            cfg = RunConfig(system, QueryPattern.from_string(bits), backend=backend, params=params)
+            cfg = RunConfig(system, QueryPattern.from_string(bits), backend=backend)
             out[f"{name}/{backend}"] = layers(cfg, repeats)
             print(name, backend, out[f"{name}/{backend}"], file=sys.stderr)
     return out

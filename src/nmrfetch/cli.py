@@ -43,6 +43,7 @@ from .compiler import (
 from .operators import rotation_block
 from .plotting import spectrum_svg
 from .spectrometer import (
+    _MIN_POINTS,
     _PICK_THRESHOLD,
     _ROUTE_GUARD,
     AcquisitionParams,
@@ -186,8 +187,8 @@ def run_fetch(cfg: RunConfig) -> RunResult:
     """Refuse an unworkable run, then prepare, query once, read out, decode, verify.
 
     An undecodable register, an acquisition too narrow for its lines or
-    too short for the route guard (``_check_duration``, an explicit
-    ``params`` included), a pattern whose length is not the database size
+    shorter than the readout floor (``_check_duration``: only an explicit
+    ``params`` can be), a pattern whose length is not the database size
     (``ConfigError``), a hard-pulse schedule longer than
     ``_MAX_SCHEDULE_T2`` T2 and a network that mixes a database qubit
     (``CompileError`` from the product) are refused before any state is
@@ -341,7 +342,10 @@ def _add_common(p: argparse.ArgumentParser, pattern_required: bool) -> None:
 
 def _add_acquisition(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--points", type=int, default=AcquisitionParams.n_points, help="FID length (power of two)"
+        "--points",
+        type=int,
+        default=_MIN_POINTS,
+        help="least FID length (power of two); raised to what the register needs",
     )
     p.add_argument(
         "--t2", type=float, default=AcquisitionParams.t2_s, help="coherence decay time in seconds"

@@ -15,10 +15,11 @@ half the ancilla population difference of the item, so items flipped by a
 query show up as inverted peaks.
 
 Two independent readout routes are provided: a closed-form sum of
-absorptive Lorentzians on the frequency grid, and a time-domain FID of the
+absorptive lines on the frequency grid, and a time-domain FID of the
 physically expanded register after a 90-degree ancilla pulse, Fourier
-transformed with the half-first-point correction.  On the default grids
-they agree to well below 1e-6 of the maximum amplitude.  The closed-form
+transformed with the half-first-point correction.  Both model the same
+finite acquisition of N samples, so they agree to rounding on every grid
+(5e-13 of the maximum amplitude on the builtin one).  The closed-form
 route takes its line frequencies from the line table; the FID takes them
 from the diagonal Hamiltonian of the expanded register, so neither route
 can inherit an error of the other.  The closed-form sum of many lines is
@@ -40,8 +41,13 @@ synthesised in blocks, as one matrix product.
 The line table also decides whether a register can be read at all: every
 line frequency must belong to one item, distinct frequencies must lie a
 linewidth apart, and no line may sit under the others' summed tails
-(``_check_decodable``).  A peak then decodes as the line frequency closer
-than half the smallest gap.
+(``_check_decodable``).  It also sizes the grid: ``for_system`` takes the
+fewest points, a power of two, that cover the lines, give the closest two
+four bins and last ``_MIN_ACQUISITION_T2`` T2, since readout work is
+linear in the point count.  Each peak is refined by the parabola through
+the reciprocals of its three samples, exact for a Lorentzian, and then
+decodes as the line frequency closer than half the smallest gap; two peaks
+on one line frequency are refused.
 
 Both routes are linear in the per-item ancilla differences, and a query
 changes those only on the items it matches.  So a run reads out against a
@@ -108,19 +114,25 @@ class DecodeError(SpectrometerError):
 # never shrunk.
 _MAX_POINTS = 2**22
 
+# Smallest acquisition grid, and the lower bound ``for_system`` starts from
+_MIN_POINTS = 256
+
 # An extremum counts as a peak when its magnitude is at least this fraction
 # of the tallest one.  Every readout picks at it, and ``cli`` refuses a
 # schedule long enough for T2 decay to push the signal below it.
 _PICK_THRESHOLD = 0.05
 
 # A readout whose FFT and closed-form spectra disagree beyond this (relative
-# L-inf) is a numerical failure (``DecodeError``).
-_ROUTE_GUARD = 1e-5
+# L-inf) is a numerical failure (``DecodeError``).  Both routes model the same
+# finite acquisition, so they part only by rounding.
+_ROUTE_GUARD = 1e-9
 
-# The closed form sums the infinite-time signal but the FID stops, so the
-# routes part by about exp(-acquisition / T2): ``_check_duration`` refuses a
-# grid shorter than this many T2.  Fixed at import, so a moved guard is reached.
-_MIN_ACQUISITION_T2 = math.log(1.0 / _ROUTE_GUARD)
+# Shortest acquisition, in T2, that ``_check_duration`` lets a run read out.
+# Under it the truncated FID's sidelobes grow into extra peaks (about 1 T2)
+# and the peaks' positions drift from their lines.  At 8 T2 the decoded
+# peaks of the builtin register lie closer to their lines than at 16 T2 with
+# the parabola on the samples themselves; at 4 T2 they lie farther.
+_MIN_ACQUISITION_T2 = 8.0
 
 
 @dataclass(frozen=True)
@@ -140,8 +152,8 @@ class AcquisitionParams:
     def __post_init__(self):
         if not isinstance(self.n_points, numbers.Integral) or isinstance(self.n_points, bool):
             raise SpectrometerError(f"n_points must be an integer, not {self.n_points!r}")
-        if self.n_points < 256 or self.n_points & (self.n_points - 1):
-            raise SpectrometerError("n_points must be a power of two, at least 256")
+        if self.n_points < _MIN_POINTS or self.n_points & (self.n_points - 1):
+            raise SpectrometerError(f"n_points must be a power of two, at least {_MIN_POINTS}")
         if self.n_points > _MAX_POINTS:
             raise SpectrometerError(
                 f"{self.n_points} points exceed the {_MAX_POINTS}-point acquisition cap"
@@ -179,30 +191,30 @@ class AcquisitionParams:
     def for_system(
         cls,
         system: SpinSystem,
-        n_points: int = n_points,  # the fields' own defaults, read in the class body
-        t2_s: float = t2_s,
+        n_points: int = _MIN_POINTS,
+        t2_s: float = t2_s,  # the field's own default, read in the class body
     ) -> "AcquisitionParams":
-        """Choose a grid centred on 0 Hz that covers the register's multiplet and resolves it.
+        """Choose the smallest grid centred on 0 Hz that covers, resolves and lasts.
 
         The spectral width is the smallest power of two at least 10 Hz
-        beyond the width that covers the lines (``_coverage``); the point
-        count is raised if needed so the closest pair of distinct lines
-        spans at least four bins.  An undecodable register is refused first
-        (``_check_decodable``), so that pair is a linewidth apart; a grid
-        that then still needs more than ``_MAX_POINTS`` points (a very long
-        T2) is refused, and so is one that lasts under
-        ``_MIN_ACQUISITION_T2`` T2 (``_check_duration``).
+        beyond the width that covers the lines (``_coverage``).  The point
+        count is the smallest power of two, at least ``n_points``, that
+        lasts ``_MIN_ACQUISITION_T2`` T2 (``_floor_points``) and gives the
+        closest pair of distinct lines at least four bins.  So the readout
+        work, linear in the point count, is what the register needs.  An
+        undecodable register is refused first (``_check_decodable``), so
+        that pair is a linewidth apart; a grid that then needs more than
+        ``_MAX_POINTS`` points (a very long T2) is refused.
         """
         params = cls(n_points=n_points, t2_s=t2_s)  # refuse bad fields first
         _check_decodable(system, params)
         table = _lines(system)
         _, width = _coverage(table, params)
         sw = 2.0 ** math.ceil(math.log2(width + 10.0))
+        n_points = max(n_points, _floor_points(1.0 / sw, t2_s))
         while sw / n_points > table.min_gap_hz / 4.0:
             n_points *= 2
-        params = cls(n_points=n_points, dwell_s=1.0 / sw, t2_s=t2_s)
-        _check_duration(params)
-        return params
+        return cls(n_points=n_points, dwell_s=1.0 / sw, t2_s=t2_s)
 
 
 @dataclass(frozen=True)
@@ -296,13 +308,16 @@ class _Grid:
     """What readout derives from one acquisition grid alone.
 
     ``freqs_hz`` is the ascending frequency axis of the FFT spectrum,
-    ``bin_cs`` the (2 x points) cosines and sines of pi dwell f per bin
-    that the closed-form kernel multiplies by, ``times`` the FID's sample
-    times and ``envelope`` the decay exp(-t / T2) per sample.
+    ``bin_cs`` the (2 x points) cosines and sines of the half angle
+    b = pi dwell f per bin that the closed-form kernel multiplies by,
+    ``bin_cs2`` those of 2 b, which weigh the closed form's finite-sum rows,
+    ``times`` the FID's sample times and ``envelope`` the decay
+    exp(-t / T2) per sample.
     """
 
     freqs_hz: np.ndarray
     bin_cs: np.ndarray
+    bin_cs2: np.ndarray
     times: np.ndarray
     envelope: np.ndarray
 
@@ -386,10 +401,11 @@ def _grid(system: SpinSystem, params: AcquisitionParams) -> _Grid:
         grid = _Grid(
             freqs_hz=freqs,
             bin_cs=np.stack([np.cos(bin_angle), np.sin(bin_angle)]),
+            bin_cs2=np.stack([np.cos(2.0 * bin_angle), np.sin(2.0 * bin_angle)]),
             times=times,
             envelope=np.exp(-times / params.t2_s),
         )
-        _read_only(grid.freqs_hz, grid.bin_cs, grid.times, grid.envelope)
+        _read_only(grid.freqs_hz, grid.bin_cs, grid.bin_cs2, grid.times, grid.envelope)
         model.grids[params] = grid
     return grid
 
@@ -499,17 +515,29 @@ def _check_decodable(system: SpinSystem, params: AcquisitionParams) -> None:
         )
 
 
-def _check_duration(params: AcquisitionParams) -> None:
-    """Refuse a grid that lasts under ``_MIN_ACQUISITION_T2`` T2, where the routes part.
+def _floor_points(dwell_s: float, t2_s: float) -> int:
+    """Fewest points, a power of two, whose acquisition lasts ``_MIN_ACQUISITION_T2`` T2.
 
-    ``for_system`` and ``cli.run_fetch`` ask it; readout does not, so the
-    route comparisons can still read a short grid on purpose.
+    Twice ``_MAX_POINTS`` where none up to the cap does.
     """
-    seconds = params.n_points * params.dwell_s
-    if seconds < _MIN_ACQUISITION_T2 * params.t2_s:
+    points = _MIN_POINTS
+    while points <= _MAX_POINTS and points * dwell_s < _MIN_ACQUISITION_T2 * t2_s:
+        points *= 2
+    return points
+
+
+def _check_duration(params: AcquisitionParams) -> None:
+    """Refuse a grid that lasts under ``_MIN_ACQUISITION_T2`` T2, too short to read out.
+
+    ``cli.run_fetch`` asks it of every grid, and ``for_system`` chooses
+    none shorter (``_floor_points``).  Readout does not ask, so the route
+    comparisons can still read a short grid on purpose.
+    """
+    if params.n_points < _floor_points(params.dwell_s, params.t2_s):
+        seconds = params.n_points * params.dwell_s
         raise SpectrometerError(
             f"acquisition of {params.n_points} points lasts {seconds:.4g} s = {seconds / params.t2_s:.5g} T2,"
-            f" under the {_MIN_ACQUISITION_T2:.5g} T2 = ln(1 / route guard) the routes need; raise --points"
+            f" under the {_MIN_ACQUISITION_T2:g} T2 readout needs; use more points or a shorter T2"
         )
 
 
@@ -587,19 +615,33 @@ def _closed_form_row(
 ) -> np.ndarray:
     """Closed-form absorptive spectrum of per-item ancilla differences on the acquisition grid.
 
-    Each line is the infinite-time limit of the sampled acquisition,
-    summed as a geometric series: amplitude * dwell * Re[(1+z)/(2(1-z))]
-    with z = exp((i 2 pi (f - nu) - 1/t2) * dwell).  As dwell -> 0 this is
-    the textbook Lorentzian A*t2 / (1 + (2 pi (nu-f) t2)^2); at finite
-    dwell it also carries the spectral-window images, so it matches an
-    ideal noiseless FFT readout of the same grid without aliasing error.
-    With d = |z| and theta = 2 pi (f - nu) dwell the real part is
+    Each line is the DFT of its own N sampled, decaying points with the
+    first point halved, as ``_absorptive`` reads the FID, summed as a
+    finite geometric series: amplitude * dwell * Re[(1 - z^N)/(1 - z) - 1/2]
+    with z = exp((i 2 pi (f - nu) - 1/t2) * dwell).  With d = |z| and
+    theta = 2 pi (f - nu) dwell, the infinite part Re[(1+z)/(2(1-z))] is
     (1 - d^2) / (2 |1-z|^2) and |1-z|^2 = (1-d)^2 + 4 d sin^2(theta/2).
-    The half angle splits into a per-line and a per-bin angle, so sines
-    and cosines are taken once, and a block of the line x bin kernel is
-    its 2 sqrt(d) sin(theta/2) as one (lines x 2) @ (2 x bins) product
-    (``_kernel``), weighted by the line amplitudes as lines @ block.
-    Lines that are exactly zero are skipped.
+    As dwell -> 0 and N -> inf this is the textbook Lorentzian
+    A*t2 / (1 + (2 pi (nu-f) t2)^2); at finite dwell and N it also carries
+    the spectral-window images and the truncation ripple, so it is the
+    ideal noiseless FFT readout of the same grid, and the two routes part
+    by rounding alone on every grid (Hoch and Stern, NMR Data Processing,
+    1996, on the DFT of a truncated decaying signal).
+
+    The half angle splits into a per-line angle l = pi dwell f and a
+    per-bin angle b = pi dwell nu, so sines and cosines are taken once,
+    and a block of the line x bin kernel 1 / |1-z|^2 is its
+    2 sqrt(d) sin(l - b) as one (lines x 2) @ (2 x bins) product
+    (``_kernel``).  At the FFT's bins nu N dwell is a whole number offset
+    by N/2, so z^N = c = d^N exp(i 2 pi f N dwell) is one number per line,
+    and the truncation term -Re[c / (1 - z)] = -Re[c (1 - conj z)] / |1-z|^2
+    has the numerator -Re c + d Re[c e^(-2il) e^(2ib)].  So each line puts
+    three weights over the same kernel, alpha = A dwell ((1 - d^2)/2 - Re c),
+    beta = A dwell d Re w and gamma = -A dwell d Im w with w = c e^(-2il),
+    the three weighted kernel sums are taken as (3 x lines) @ block, and
+    each bin combines them as alpha + cos 2b beta + sin 2b gamma, with the
+    bin factors cached in the grid.  Lines that are exactly zero are
+    skipped.
 
     In bins the kernel is 1 / ((1-d)^2 + 4 d sin^2(pi (s - b) / N)) for a
     line at position s: it depends on the distance alone, is periodic in
@@ -617,41 +659,57 @@ def _closed_form_row(
     T_q(u) / (T_q(x0) (x0 - u)), at most 2 rho^-q of the pole term, and a
     far pole lies on or beyond the Bernstein ellipse rho = 3 + sqrt 8 of
     the panel (1.5 panel widths from its centre).  So at a bin t bins from
-    a far line, the line is off by at most 2 rho^-q gamma / sqrt(t^2 +
-    gamma^2) of its own peak, under 3.3e-14 at q = 18.  A far line's node
-    values are summed with the entries of the panels it is near set to
-    zero, so no rounding of a near line's peak leaks into the far field.
-    Where the dense sum costs fewer operations (few lines), it runs
-    alone, a few lines at a time; rows of one kind or the other agree to
-    rounding.  Both share the sin split, which is exact to about
+    a far line, each of the line's three kernel sums is off by at most
+    2 rho^-q gamma / sqrt(t^2 + gamma^2) of its own peak, under 3.3e-14 at
+    q = 18.  The bin factors are applied after interpolation and are at
+    most 1, so the line is off by at most that times
+    |alpha| + |beta| + |gamma| <= (1 + 5 d^N / (1 - d^2)) A dwell (1 - d^2)/2,
+    the infinite sum's weight: a factor 1.9 on the builtin grid.  A far
+    line's node values are summed with the entries of the panels it is
+    near set to zero, so no rounding of a near line's peak leaks into the
+    far field.  Where the dense sum costs fewer operations (few lines), it
+    runs alone, a few lines at a time; rows of one kind or the other agree
+    to rounding.  Both share the sin split, which is exact to about
     eps / (1 - d) relative at a peak: 2e-13 at 16 T2 over 16384 points,
     1.6e-12 at 4 T2 over 65536.
     """
     table = _lines(system)
     amps = _line_amplitudes(difference, table)
-    bin_cs = _grid(system, params).bin_cs
+    grid = _grid(system, params)
+    bin_cs = grid.bin_cs
     points = params.n_points
     dt = params.dwell_s
     decay = math.exp(-dt / params.t2_s)
     one_minus_d = -math.expm1(-dt / params.t2_s)  # no cancellation
     floor = one_minus_d * one_minus_d
     keep = amps != 0.0
-    weights = amps[keep] * dt * one_minus_d * (1.0 + decay) / 2.0
+    scale = amps[keep] * dt
     freq = table.freq_hz[keep]
     line_angle = math.pi * dt * freq
     # sin(l - b) = sin l cos b - cos l sin b; 2 sqrt(d) folds 4 d into the square
     line_sc = 2.0 * math.sqrt(decay) * np.stack([np.sin(line_angle), -np.cos(line_angle)], axis=1)
+    # the phase of z^N in whole turns is f N dwell, cut to its fraction first
+    end_angle = 2.0 * math.pi * np.fmod(freq * (points * dt), 1.0)
+    tail = math.exp(-points * dt / params.t2_s)  # d^N
+    w_angle = end_angle - 2.0 * line_angle
+    weights = np.stack(
+        [
+            scale * (one_minus_d * (1.0 + decay) / 2.0 - tail * np.cos(end_angle)),
+            scale * (decay * tail) * np.cos(w_angle),
+            scale * (-decay * tail) * np.sin(w_angle),
+        ]
+    )
 
-    lines = len(weights)
+    lines = len(scale)
     width = _panel_width(lines, points)
     if width == points:
-        amp = np.zeros(points)
+        amp = np.zeros((3, points))
         rows = max(1, _CHUNK_ELEMENTS // points)
         work = np.empty((rows, points))
         for lo in range(0, lines, rows):
             hi = min(lo + rows, lines)
-            amp += weights[lo:hi] @ _kernel(line_sc[lo:hi], bin_cs, floor, work[: hi - lo])
-        return amp
+            amp += weights[:, lo:hi] @ _kernel(line_sc[lo:hi], bin_cs, floor, work[: hi - lo])
+        return _combine(amp, grid)
 
     panels, q = points // width, _PANEL_NODES
     # bin b has frequency (b - N/2) / (N dwell)
@@ -667,13 +725,14 @@ def _closed_form_row(
     active = np.flatnonzero(near_count)
     k = np.arange(near_count.max())
     near = order[(np.roll(np.cumsum(count) - count, 1)[active, None] + k) % lines]
-    near_weight = np.where(k < near_count[active, None], weights[near], 0.0)  # padding weighs 0
+    # (panels x 3 x near lines), padding weighs 0
+    near_weight = np.where(k < near_count[active, None], weights[:, near], 0.0).transpose(1, 0, 2)
     near_sc = line_sc[near]
     panel_cs = bin_cs.reshape(2, panels, width).swapaxes(0, 1)
     budget = max(1, _CHUNK_ELEMENTS // width)  # near lines x panels per block
     cols = min(len(k), budget)
     group = max(1, budget // cols)
-    amp = np.zeros((panels, width))
+    amp = np.zeros((3, panels, width))
     work = np.empty((group, cols, width))
     for lo in range(0, len(active), group):
         hi = min(lo + group, len(active))
@@ -682,7 +741,7 @@ def _closed_form_row(
         for start in range(0, len(k), cols):
             stop = min(start + cols, len(k))
             block = _kernel(near_sc[lo:hi, start:stop], cs, floor, work[: hi - lo, : stop - start])
-            amp[which] += np.matmul(near_weight[lo:hi, None, start:stop], block)[:, 0]
+            amp[:, which] += np.matmul(near_weight[lo:hi, :, start:stop], block).swapaxes(0, 1)
 
     # far field at the Chebyshev nodes of the first kind on each panel's bins
     angle = (2 * np.arange(q) + 1) * (math.pi / (2 * q))
@@ -690,7 +749,7 @@ def _closed_form_row(
     node_freq = (np.arange(0, points, width)[:, None] + node - points / 2.0) / (points * dt)
     node_angle = math.pi * dt * node_freq.ravel()
     node_cs = np.stack([np.cos(node_angle), np.sin(node_angle)])
-    far = np.zeros(panels * q)
+    far = np.zeros((3, panels * q))
     rows = max(1, _CHUNK_ELEMENTS // (panels * q))
     work = np.empty((rows, panels * q))
     for lo in range(0, lines, rows):
@@ -698,12 +757,20 @@ def _closed_form_row(
         block = _kernel(line_sc[lo:hi], node_cs, floor, work[: hi - lo])
         own = (panel[lo:hi, None] + np.arange(-1, 2)) % panels  # a near line is not far
         block.reshape(hi - lo, panels, q)[np.arange(hi - lo)[:, None], own] = 0.0
-        far += weights[lo:hi] @ block
+        far += weights[:, lo:hi] @ block
     bary = (-1.0) ** np.arange(q) * np.sin(angle)
     interpolate = bary[:, None] / (np.arange(width) - node[:, None])
     interpolate /= interpolate.sum(axis=0)
-    amp += far.reshape(panels, q) @ interpolate
-    return amp.ravel()
+    amp += far.reshape(3, panels, q) @ interpolate
+    return _combine(amp.reshape(3, points), grid)
+
+
+def _combine(amp: np.ndarray, grid: _Grid) -> np.ndarray:
+    """One closed-form row from its three kernel sums: alpha + cos 2b beta + sin 2b gamma per bin."""
+    row = amp[1] * grid.bin_cs2[0]
+    row += amp[0]
+    row += amp[2] * grid.bin_cs2[1]
+    return row
 
 
 def _kernel(line_sc: np.ndarray, bin_cs: np.ndarray, floor: float, out: np.ndarray) -> np.ndarray:
@@ -832,9 +899,10 @@ def _fid_row(
 
     block = 1 << (params.n_points.bit_length() - 1) // 2  # ~sqrt(n_points)
     starts = _phasors(grid.times[::block], omega)
+    starts *= amp[keep]  # in place: the table is the row's largest array
     offsets_in_block = _phasors(grid.times[:block], omega).T
     fid = np.empty(params.n_points, dtype=complex)
-    np.matmul(starts * amp[keep], offsets_in_block, out=fid.reshape(len(starts), block))
+    np.matmul(starts, offsets_in_block, out=fid.reshape(len(starts), block))
     fid *= grid.envelope
     return fid
 
@@ -845,14 +913,23 @@ def _read(
     """One state's FFT spectrum, decoded peaks and route gap (``_route_gap``), from its two rows.
 
     Peaks are picked at ``_PICK_THRESHOLD`` and decoded as arrays; a peak
-    that does not decode raises ``DecodeError``.  The readout keeps their
-    items and amplitudes as read-only arrays, for the verdict, and one
-    ``Peak`` record per peak, built at once.  The spectrum takes the grid's
-    cached axis.
+    that does not decode raises ``DecodeError``, and so do two peaks that
+    decode to one line frequency, since a line has one peak: the second is
+    a sidelobe or an artefact, which would otherwise be read as the item's
+    sign.  The readout keeps their items and amplitudes as read-only
+    arrays, for the verdict, and one ``Peak`` record per peak, built at
+    once.  The spectrum takes the grid's cached axis.
     """
     spectrum = Spectrum(_grid(system, params).freqs_hz, _absorptive(fid, params.dwell_s))
     freq, amp = _pick(spectrum, _PICK_THRESHOLD)
     table, lines = _lines(system), _decode(freq, system)
+    twice = np.flatnonzero(lines[1:] == lines[:-1])  # peaks come by frequency
+    if twice.size:
+        k = int(twice[0])
+        raise DecodeError(
+            f"peaks at {freq[k]:.4f} and {freq[k + 1]:.4f} Hz both decode to the line at"
+            f" {table.freq_hz[lines[k]]:.4f} Hz"
+        )
     item = table.item[lines]
     _read_only(item, amp)
     peaks = _peak_records(freq, amp, lines, table)
@@ -971,11 +1048,18 @@ def _pick(spectrum: Spectrum, threshold_frac: float) -> tuple[np.ndarray, np.nda
     Extrema are found by ``_extrema``; a maximum counts when its sample is
     at least the threshold, a minimum when its negation is.  Only samples
     whose magnitude reaches the threshold can be kept, so the extrema are
-    looked for among those alone.  Peak positions are refined by parabolic
-    interpolation through the three points around each extremum, so line
-    centers are recovered far below the grid spacing.  The refinement runs
-    on the sign-flipped samples of a minimum, so both kinds are refined as
-    maxima, all of them at once.  The peaks come back by frequency.
+    looked for among those alone.  Each peak's position and height are
+    refined by the parabola through the reciprocals 1/y of the three
+    samples around it: an absorptive Lorentzian's reciprocal is a
+    parabola, so its vertex is the line's centre and height, and line
+    centres are recovered far below the grid spacing.  Where a neighbour
+    sample is not positive, the parabola runs through the samples
+    themselves, and so it does where the 1/y parabola's vertex is not
+    positive: a line well under a bin wide, whose 1/y samples are no
+    parabola (the readout floor, ``_MIN_ACQUISITION_T2``, makes every line
+    8 / pi bins wide at half height).  The refinement runs on the
+    sign-flipped samples of a minimum, so both kinds are refined as maxima,
+    all of them at once.  The peaks come back by frequency.
     """
     amp = spectrum.amplitude
     height = threshold_frac * np.max(np.abs(amp), initial=0.0)
@@ -989,12 +1073,26 @@ def _pick(spectrum: Spectrum, threshold_frac: float) -> tuple[np.ndarray, np.nda
     if not idx.size:  # also a flat or one-sample spectrum, which has no grid step
         return np.empty(0), np.empty(0)
     y0, y1, y2 = (sign * amp[idx + k] for k in (-1, 0, 1))
-    denom = y0 - 2.0 * y1 + y2
-    shift = np.divide(0.5 * (y0 - y2), denom, out=np.zeros_like(denom), where=denom != 0.0)
+    shift, value = _vertex(y0, y1, y2)
+    lorentz = (y0 > 0.0) & (y2 > 0.0)  # y1 reaches the threshold, so it is positive
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal y: inf, then nan, falls back
+        inverse_shift, inverse = _vertex(*(1.0 / np.where(lorentz, y, 1.0) for y in (y0, y1, y2)))
+    lorentz &= inverse > 0.0
+    shift = np.where(lorentz, inverse_shift, shift)
+    value = sign * np.where(lorentz, 1.0 / np.where(lorentz, inverse, 1.0), value)
     freq = spectrum.freqs_hz[idx] + shift * (spectrum.freqs_hz[1] - spectrum.freqs_hz[0])
-    value = sign * (y1 - 0.25 * (y0 - y2) * shift)
     order = np.argsort(freq, kind="stable")
     return freq[order], value[order]
+
+
+def _vertex(y0: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offset in bins and value of the vertex of the parabola through (-1, y0), (0, y1), (1, y2).
+
+    The offset is 0 where the three samples are collinear.
+    """
+    denom = y0 - 2.0 * y1 + y2
+    shift = np.divide(0.5 * (y0 - y2), denom, out=np.zeros_like(denom), where=denom != 0.0)
+    return shift, y1 - 0.25 * (y0 - y2) * shift
 
 
 def _decode(freq: np.ndarray, system: SpinSystem) -> np.ndarray:

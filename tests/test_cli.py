@@ -283,42 +283,62 @@ def test_simulate_refuses_a_long_schedule_before_simulating_it(monkeypatch, caps
     assert "configuration error: hard-pulse schedule lasts 3.90563 s (6.509 T2)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["simulate", "spectrum", "run_fetch"])
-def test_an_acquisition_shorter_than_the_route_guard_needs_exits_config(monkeypatch, capsys, command):
-    # at T2 = 3 s the builtin's 32 s grid lasts 10.7 T2 and its route gap
-    # would be 2.19e-5, above the 1e-5 guard: refused before any state,
-    # where it used to fail the guard with exit 4.  Twice the points run.
-    # An explicit grid meets the same check: at T2 = 4 s the same grid lasts
-    # 8 T2, and run_fetch used to prepare its states and then fail the guard
-    if command == "run_fetch":
-        prepared = []
-        real = climod._initial_state
+@pytest.mark.parametrize("t2", [1.5, 1.9, 1.999, 2.0, 2.001, 2.1, 3.0, 4.0])
+@pytest.mark.parametrize("init", ["thermal", "effective_pure"])
+def test_an_explicit_grid_short_of_the_floor_is_refused_before_any_state(monkeypatch, t2, init):
+    # the builtin's 16 s grid lasts 8 T2 at T2 = 2 s: at or above the floor
+    # it verifies on every backend, and below it run_fetch refuses before
+    # a state exists (exit 3 from the command line)
+    prepared = []
+    real = climod._initial_state
 
-        def spy(system, init):
-            prepared.append(init)
-            return real(system, init)
+    def spy(system, init):
+        prepared.append(init)
+        return real(system, init)
 
-        monkeypatch.setattr(climod, "_initial_state", spy)
-        params = AcquisitionParams(n_points=16384, dwell_s=1.0 / 512.0, t2_s=4.0)
-        cfg = RunConfig(crotonic_default(), QueryPattern.from_string("100xxx"), params=params)
-        with pytest.raises(SpectrometerError, match=r"lasts 32 s = 8 T2, under the 11\.513 T2"):
-            run_fetch(cfg)
-        assert prepared == []
-        return
+    monkeypatch.setattr(climod, "_initial_state", spy)
+    params = AcquisitionParams(n_points=8192, dwell_s=1.0 / 512.0, t2_s=t2)
+    for backend in ("ideal", "hard_pulse", "fast_diagonal"):
+        prepared.clear()
+        cfg = RunConfig(crotonic_default(), QueryPattern.from_string("100xxx"), init, backend, params)
+        if t2 <= 2.0:
+            assert run_fetch(cfg).verified and prepared == [init]
+        else:
+            with pytest.raises(SpectrometerError, match=r"lasts 16 s = .* T2, under the 8 T2"):
+                run_fetch(cfg)
+            assert prepared == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+def test_the_command_line_raises_the_points_to_the_floor(capsys, command):
+    # --points is a lower bound: at T2 = 3 s, 8 T2 is 24 s, so the builtin
+    # register needs 16384 points of 1/512 s; a larger lower bound is kept
     argv = [command, "--t2", "3"] + (["--pattern", "100xxx", "--backend", "fast"] if command == "simulate" else [])
-    assert main([*argv, "--points", "32768"]) == EXIT_OK
-    capsys.readouterr()
-    monkeypatch.setattr(climod, "_initial_state", None)
-    assert main(argv) == EXIT_CONFIG
-    assert "lasts 32 s = 10.667 T2, under the 11.513 T2" in capsys.readouterr().err
+    for points, chosen in (("256", 16384), ("16384", 16384), ("32768", 32768)):
+        assert main([*argv, "--points", points]) == EXIT_OK
+        out = capsys.readouterr().out
+        if command == "spectrum":
+            assert f"512 Hz, {chosen} points" in out
+
+
+def test_the_route_gap_reproducer_at_11_52_t2_verifies(capsys):
+    # at T2 = 2.7778 s a 32 s grid lasts 11.52 T2, where a closed form of the
+    # infinite-time signal misses the truncated FID by 1.01e-5, above a 1e-5
+    # guard (exit 4); the finite sum meets it to rounding
+    assert main(["simulate", "--pattern", "100101", "--t2", "2.7778"]) == EXIT_OK
+    assert main(["spectrum", "--t2", "2.7778", "--points", "16384"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "verification: PASS" in out
+    assert float(re.search(r"route gap: (\S+) \(fails above 1e-09\)", out).group(1)) < 1e-11
 
 
 @pytest.mark.parametrize("n", range(6, 12))
 def test_size_sweep_runs_are_refused_before_any_state_or_verify(monkeypatch, tmp_path, capsys, n):
     # superincreasing registers, one negative coupling: every backend and
-    # pattern either verifies or is refused before a state exists.  n <= 8
-    # gets 16 T2 or more and verifies; n = 9, 10 and 11 get 8, 4 and 2 T2
-    # and used to prepare their states and then fail the route guard
+    # pattern either verifies or is refused before a state exists.  Every
+    # grid lasts the 8 T2 floor, so n <= 9 verifies on every backend; from
+    # n = 10 on, fast and ideal verify and the hard-pulse schedule of the
+    # all-constrained pattern (3.0 T2 and more) is refused on its length
     cfg = tmp_path / f"superincreasing{n}.cfg"
     cfg.write_text(superincreasing_config(n, negative=(2,)))
     patterns = [("10" * n)[:n], "x" * n, ("1x0" * n)[:n]]
@@ -339,11 +359,10 @@ def test_size_sweep_runs_are_refused_before_any_state_or_verify(monkeypatch, tmp
                 assert "verification: PASS" in out and prepared, (backend, pattern)
             else:
                 assert code == EXIT_CONFIG and not prepared, (backend, pattern, code, err)
-            assert code == (EXIT_OK if n <= 8 else EXIT_CONFIG), (backend, pattern, err)
-    if n in (9, 10):  # the refusal's advice: more points make the grid long enough
-        argv = ["simulate", "--system", str(cfg), "--pattern", patterns[0], "--backend", "fast"]
-        assert main([*argv, "--points", str(16384 * 2 ** (n - 8))]) == EXIT_OK
-        assert "verification: PASS" in capsys.readouterr().out
+            refused = n >= 10 and backend == "hard" and "x" not in pattern
+            assert code == (EXIT_CONFIG if refused else EXIT_OK), (backend, pattern, err)
+            if refused:
+                assert "hard-pulse schedule lasts" in err
 
 
 def test_run_fetch_all_wild_marks_everything():
@@ -687,8 +706,8 @@ def test_refused_run_prepares_no_state(monkeypatch, capsys, command):
 def test_route_guard_fails_simulate_and_spectrum_reports_gap(monkeypatch, capsys):
     assert main(["spectrum"]) == EXIT_OK
     out = capsys.readouterr().out
-    gap = float(re.search(r"route gap: (\S+) \(fails above 1e-05\)", out).group(1))
-    assert 0.0 < gap < 1e-6
+    gap = float(re.search(r"route gap: (\S+) \(fails above 1e-09\)", out).group(1))
+    assert 0.0 < gap < 1e-11
     monkeypatch.setattr(spectrometer, "_ROUTE_GUARD", 0.0)  # tighter than any real gap
     assert main(["simulate", "--pattern", "100xxx", "--backend", "fast"]) == EXIT_NUMERICAL
     assert main(["spectrum"]) == EXIT_NUMERICAL
@@ -697,25 +716,31 @@ def test_route_guard_fails_simulate_and_spectrum_reports_gap(monkeypatch, capsys
 
 def test_route_guard_fails_on_the_before_state_first(monkeypatch, capsys):
     # one readout pass covers both states, but the before state is still
-    # checked first: its gap is the one the error reports
+    # checked first: the run stops at its gap, and the queried state's rows
+    # are never made.  The two gaps are both rounding and may print alike,
+    # so the order shows in which FID rows were synthesised
     monkeypatch.setattr(spectrometer, "_ROUTE_GUARD", 0.0)
     sys = crotonic_default()
     cfg = RunConfig(sys, QueryPattern.from_string("100xxx"), backend="fast_diagonal")
     params = AcquisitionParams.for_system(sys)
     state = climod._initial_state(sys, cfg.init)
-    queried = apply_query_diagonal(state, cfg.pattern)
-    messages = []
-    for alone in (state, queried):
-        with pytest.raises(DecodeError, match="disagree") as exc:
-            list(spectrometer.readout((alone,), sys, params))
-        messages.append(str(exc.value))
-    assert messages[0] != messages[1]  # the two gaps tell the states apart
+    with pytest.raises(DecodeError, match="disagree") as exc:
+        list(spectrometer.readout((state,), crotonic_default(), params))
+    before = str(exc.value)
+    rows = []
+    real = spectrometer._fid_row
 
+    def spy(difference, system, params):
+        rows.append(difference.copy())
+        return real(difference, system, params)
+
+    monkeypatch.setattr(spectrometer, "_fid_row", spy)
     with pytest.raises(DecodeError) as exc:
         run_fetch(cfg)
-    assert str(exc.value) == messages[0]
+    assert str(exc.value) == before
+    assert len(rows) == 1 and np.array_equal(rows[0], state.ancilla_difference())
     assert main(["simulate", "--pattern", "100xxx", "--backend", "fast"]) == EXIT_NUMERICAL
-    assert messages[0] in capsys.readouterr().err
+    assert before in capsys.readouterr().err
 
 
 def test_decode_failure_comes_before_route_failure(monkeypatch):

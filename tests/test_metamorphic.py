@@ -213,8 +213,12 @@ def assert_whole_bin_shift_keeps_the_fetch(system, pattern, params, k):
 @pytest.mark.parametrize("pattern", ["100101", "1001x1", "x1x0xx"])
 @pytest.mark.parametrize("k", [1, -37, 1200, -3400])
 def test_a_whole_bin_ancilla_shift_moves_the_builtin_peaks(pattern, k):
+    # the shift is k / 16384 of the grid's points, at least one bin: the
+    # slack is 0.215 of the points each side (3525 / 16384), so the
+    # register's own 8192 points shift by 1, 18, 600 and 1700 bins
     system = crotonic_default()
-    params = AcquisitionParams.for_system(system)  # 1/32 Hz bins, 3525 bins of slack each side
+    params = AcquisitionParams.for_system(system)
+    k = (1 if k > 0 else -1) * max(1, round(abs(k) * params.n_points / 16384))
     outcomes = assert_whole_bin_shift_keeps_the_fetch(system, pattern, params, k)
     assert all(isinstance(o, tuple) and o[2] for o in outcomes)
 

@@ -361,12 +361,13 @@ def equal_manifold_weights(real):
 
 
 def shift_decode_one_block(real):
-    # every frequency read as the line frequency above its own
+    # every frequency read as the line frequency above its own, the highest
+    # as the lowest, so no two peaks share a line
     def decode(freq, system):
         table = spectrometer._lines(system)
         real(freq, system)  # the real checks still run
         near = np.abs(np.subtract.outer(freq, table.block_freq)).argmin(axis=1)
-        above = np.minimum(near + 1, len(table.block_freq) - 1)
+        above = (near + 1) % len(table.block_freq)
         return table.by_freq[table.block_start[above]]
 
     return decode
@@ -431,6 +432,29 @@ def test_oracle_check_catches_shifted_decode(monkeypatch, capsys, backend):
     monkeypatch.setattr(spectrometer, "_decode", shift_decode_one_block(spectrometer._decode))
     assert simulate("100101", backend) == EXIT_MISMATCH
     assert "verification: FAIL" in capsys.readouterr().out
+
+
+def keep_one_sidelobe(real):
+    # the ripple one bin beside the tallest peak kept as a peak of its own,
+    # a tenth as tall and of the other sign, as a truncation sidelobe sits:
+    # it decodes onto its peak's line and would make that item inconsistent
+    def pick(spectrum, threshold_frac):
+        freq, amp = real(spectrum, threshold_frac)
+        k = int(np.argmax(np.abs(amp)))
+        freq = np.r_[freq, freq[k] + (spectrum.freqs_hz[1] - spectrum.freqs_hz[0])]
+        amp = np.r_[amp, -0.1 * amp[k]]
+        order = np.argsort(freq, kind="stable")
+        return freq[order], amp[order]
+
+    return pick
+
+
+@pytest.mark.parametrize("backend", ["fast", "ideal", "hard"])
+def test_one_peak_per_line_catches_a_kept_sidelobe(monkeypatch, capsys, backend):
+    assert simulate("100101", backend) == EXIT_OK
+    monkeypatch.setattr(spectrometer, "_pick", keep_one_sidelobe(spectrometer._pick))
+    assert simulate("100101", backend) == EXIT_NUMERICAL
+    assert "both decode to the line at" in capsys.readouterr().err
 
 
 def test_committed_digests_catch_a_moved_verdict(monkeypatch):

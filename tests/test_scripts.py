@@ -107,7 +107,7 @@ def test_bench_readout_layers_times_every_layer():
     assert list(out) == [*builtin, "synthetic8_10101010"]
     layers = ["fid_row", "closed_row", "fft", "gap", "pick", "decode", "records", "verdict", "read", "run_fetch"]
     for case, got in out.items():
-        assert got["points"] == 16384 and got["peaks"] == (256 if case.startswith("synthetic") else 128)
+        assert got["points"] == 8192 and got["peaks"] == (256 if case.startswith("synthetic") else 128)
         assert list(got["ms"]) == layers
         assert all(isinstance(ms, float) and ms > 0.0 for ms in got["ms"].values()), (case, got)
 

@@ -62,8 +62,17 @@ from dense_reference import apply_unitary, rotation, sequence_unitary
 def reference_pick_peaks(spectrum, threshold_frac):
     """scipy.signal.find_peaks on the spectrum and its negation, refined peak by peak.
 
+    The refinement is the parabola through the reciprocals of the three
+    samples, exact for a Lorentzian, or through the samples themselves where
+    a neighbour is not positive or the reciprocals' vertex is not.
     (frequency, amplitude) pairs, by frequency.
     """
+
+    def vertex(y0, y1, y2):
+        denom = y0 - 2.0 * y1 + y2
+        shift = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
+        return shift, y1 - 0.25 * (y0 - y2) * shift
+
     amp = spectrum.amplitude
     top = float(np.max(np.abs(amp))) if amp.size else 0.0
     if top == 0.0:
@@ -74,12 +83,15 @@ def reference_pick_peaks(spectrum, threshold_frac):
         idxs, _ = find_peaks(signed, height=height)
         for i in idxs:
             y0, y1, y2 = signed[i - 1], signed[i], signed[i + 1]
-            denom = y0 - 2.0 * y1 + y2
-            shift = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
+            shift, value = vertex(y0, y1, y2)
+            if y0 > 0.0 and y2 > 0.0:
+                with np.errstate(over="ignore", invalid="ignore"):  # subnormal samples
+                    inverse_shift, inverse = vertex(1.0 / y0, 1.0 / y1, 1.0 / y2)
+                if inverse > 0.0:
+                    shift, value = inverse_shift, 1.0 / inverse
             freq = spectrum.freqs_hz[i] + shift * (
                 spectrum.freqs_hz[1] - spectrum.freqs_hz[0]
             )
-            value = y1 - 0.25 * (y0 - y2) * shift
             sign = 1.0 if signed is amp else -1.0
             peaks.append((float(freq), float(sign * value)))
     return sorted(peaks, key=lambda p: p[0])
@@ -129,7 +141,12 @@ def reference_analytic(state, system, params):
 
 
 def reference_row(diff, system, params):
-    """Closed-form row of per-item ancilla differences, summed one line at a time."""
+    """Closed-form row of per-item ancilla differences, summed one line at a time.
+
+    Each line is the finite sum (1 - z^N)/(1 - z) - 1/2 of its N samples
+    with the first halved, in complex arithmetic at every bin: no split of
+    z^N into per-line and per-bin factors.
+    """
     grid = params.frequency_grid()
     dt = params.dwell_s
     decay = math.exp(-dt / params.t2_s)
@@ -139,7 +156,7 @@ def reference_row(diff, system, params):
         if line_amp == 0.0:
             continue
         z = decay * np.exp(2.0j * math.pi * (line.freq_hz - grid) * dt)
-        amp += line_amp * dt * ((1.0 + z) / (2.0 * (1.0 - z))).real
+        amp += line_amp * dt * ((1.0 - z**params.n_points) / (1.0 - z) - 0.5).real
     return amp
 
 
@@ -327,26 +344,35 @@ def test_grid_above_the_cap_is_refused_not_shrunk():
         AcquisitionParams.for_system(make_system([10.0, 10.0 + 1e-9]), t2_s=1e12)
 
 
-def test_for_system_refuses_an_acquisition_the_route_guard_would_fail():
-    # the routes part by about exp(-acquisition / T2), so below ln(1e5) =
-    # 11.513 T2 the gap would pass the 1e-5 guard.  The builtin grid lasts
-    # 32 s, which is enough up to T2 = 2.7795 s
+def test_for_system_raises_the_points_to_the_readout_floor():
+    # the builtin register needs 512 Hz and, for four bins across its
+    # closest lines, 4096 points; the 8 T2 floor asks for 16 s at T2 = 2 s,
+    # so 8192 points, and a hair past T2 = 2 s twice that
     system = crotonic_default()
-    assert AcquisitionParams.for_system(system, t2_s=2.77).n_points == 16384
-    with pytest.raises(SpectrometerError, match=r"lasts 32 s = 11\.47 T2, under the 11\.513 T2"):
-        AcquisitionParams.for_system(system, t2_s=2.79)
-    assert AcquisitionParams.for_system(system, n_points=32768, t2_s=2.79).n_points == 32768
+    assert AcquisitionParams.for_system(system).n_points == 8192
+    assert AcquisitionParams.for_system(system, t2_s=2.0 * (1.0 + 1e-12)).n_points == 16384
+    # on both sides of every doubling, the grid is the smallest power of two
+    # that covers, resolves and lasts, and the run's own check passes it
+    min_gap = spectrometer._lines(system).min_gap_hz
+    for t2 in sorted({*np.geomspace(0.6, 40.0, 23), *(2.0**k * (1 + e) for k in range(5) for e in (-1e-9, 1e-9))}):
+        p = AcquisitionParams.for_system(system, t2_s=t2)
+        assert p.n_points * p.dwell_s >= 8.0 * t2 and p.spectral_width_hz / p.n_points <= min_gap / 4.0
+        half = p.n_points // 2
+        assert half < 256 or half * p.dwell_s < 8.0 * t2 or p.spectral_width_hz / half > min_gap / 4.0
+        spectrometer._check_duration(p)
+    # --points is a lower bound
+    assert AcquisitionParams.for_system(system, n_points=32768).n_points == 32768
     # the ancilla at 1000 Hz with the receiver left at 0 Hz needs a 4 kHz
-    # spectral width, so its grid lasts 4 T2
+    # spectral width, so 65536 points last 8 T2
     ancilla = system.spins[0]
     moved = SpinSystem((dataclasses.replace(ancilla, offset_hz=1000.0),) + system.spins[1:], system.j_hz)
-    with pytest.raises(SpectrometerError, match=r"32768 points lasts 8 s = 4 T2.*raise --points"):
-        AcquisitionParams.for_system(moved)
-    assert AcquisitionParams.for_system(moved, n_points=131072).n_points == 131072
-    # the bound is fixed at import, so a moved guard does not move it
+    assert AcquisitionParams.for_system(moved).n_points == 65536
+    # an explicit grid short of the floor is refused, and the floor does not
+    # move with the route guard
+    spectrometer._check_duration(AcquisitionParams(8192, 1.0 / 512.0, 2.0))
     with mock.patch.object(spectrometer, "_ROUTE_GUARD", math.inf):
-        with pytest.raises(SpectrometerError, match="under the 11.513 T2"):
-            AcquisitionParams.for_system(system, t2_s=2.79)
+        with pytest.raises(SpectrometerError, match=r"4096 points lasts 8 s = 4 T2, under the 8 T2"):
+            spectrometer._check_duration(AcquisitionParams(4096, 1.0 / 512.0, 2.0))
 
 
 def test_narrow_window_rejected():
@@ -739,17 +765,13 @@ def test_reference_plus_difference_matches_direct_readout(case, backend, init):
     # the run's readout (cached reference plus the difference) against the
     # direct two-state routes, per state, relative to that state's maximum;
     # no peaks are picked, since these grids need not resolve every line.
-    # The builtin grid covers only 4 T2, where the closed form's infinite-time
-    # sum and the truncated FID differ by about 8.5e-3, far beyond the route
-    # guard, so the guard is off: each route is checked against its own
-    # direct form instead.
+    # The builtin grid covers only 4 T2 and the composite one 8 T2; both
+    # routes model the same finite acquisition, so the route guard holds
     system, params, pattern = case
     state = climod._initial_state(system, init)
     states = (state, queried_state(state, system, pattern, backend))
     no_peaks = lambda spectrum, frac: (np.empty(0), np.empty(0))
-    with mock.patch.object(spectrometer, "_pick", no_peaks), mock.patch.object(
-        spectrometer, "_ROUTE_GUARD", math.inf
-    ):
+    with mock.patch.object(spectrometer, "_pick", no_peaks):
         readouts = list(readout(states, system, params))
     fids = [fid_of(s, system, params) for s in states]
     rows = [closed_of(s, system, params) for s in states]
@@ -785,8 +807,6 @@ def test_difference_reads_only_the_items_that_changed(monkeypatch, backend):
 
     monkeypatch.setattr(spectrometer, "_phasors", counting_phasors)
     monkeypatch.setattr(spectrometer, "_line_amplitudes", counting_lines)
-    # a 4 T2 grid: the routes' finite-acquisition gap exceeds the guard
-    monkeypatch.setattr(spectrometer, "_ROUTE_GUARD", math.inf)
     sys = crotonic_default()
     params = AcquisitionParams(n_points=1024, dwell_s=1.0 / 512.0, t2_s=0.5)
     state = thermal_state(sys)
@@ -1056,6 +1076,26 @@ def test_pick_peaks_matches_scipy_reference(amp, start, step, threshold_frac):
     assert got == want
     # bit for bit, signed zeros included
     assert [(f.hex(), a.hex()) for f, a in got] == [(f.hex(), a.hex()) for f, a in want]
+
+
+@pytest.mark.parametrize("t2_dwells", [256.0, 1024.0, 4096.0])
+def test_refinement_recovers_a_sampled_line_centre(t2_dwells):
+    # one line of the closed-form kernel, (1 - d^2) / (2 |1 - z|^2), sampled on
+    # 8192 bins with its centre anywhere between two of them, 32, 8 and 2 T2
+    # long: the 1/y parabola puts the centre back within 1e-8 bins (checked
+    # to 1e-6), where the parabola through the samples misses by 0.007-0.24
+    n, dwell = 8192, 1.0 / 512.0
+    params = AcquisitionParams(n, dwell, t2_dwells * dwell)
+    axis = params.frequency_grid()
+    d = math.exp(-1.0 / t2_dwells)
+    step = axis[1] - axis[0]
+    for offset in np.linspace(-0.5, 0.5, 21):
+        centre = axis[n // 2 + 17] + offset * step
+        z = d * np.exp(2.0j * math.pi * (centre - axis) * dwell)
+        row = (1.0 - d * d) / (2.0 * np.abs(1.0 - z) ** 2)
+        (freq,), (amp,) = _pick(on_grid(row, params), 0.5)
+        assert abs(freq - centre) <= 1e-6 * step
+        assert amp == pytest.approx((1.0 + d) / (2.0 * (1.0 - d)), rel=1e-6)
 
 
 def test_decode_round_trip_every_item():
