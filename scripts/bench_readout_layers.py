@@ -15,9 +15,16 @@ and the closed-form row of its difference from the reference
 (``fid_row``, ``closed_row``), the FFT core (``fft``), the route gap
 (``gap``), peak picking (``pick``), decoding (``decode``), the ``Peak``
 records (``records``) and the verdict (``verdict``); then all of ``_read``
-(``read``) and the whole ``run_fetch``.  Prints one JSON object mapping
-"<register>_<pattern>" to the grid's point count, the queried state's
-peak count and the best wall time of each layer in ms.
+(``read``) and the whole ``run_fetch``, and counts the minor page faults
+per warm ``run_fetch`` (``faults_per_op``, ``ru_minflt`` over the timed
+calls).  Prints one JSON object mapping "<register>_<pattern>" to the
+grid's point count, the queried state's peak count, the faults per op and
+the best wall time of each layer in ms.  Its last entry,
+"synthetic8_cold_reference", times the readout of a fresh register's
+reference: the same synthetic register built anew for every call, then
+its prepared state's FID row (``fid_row``) and its whole reference
+readout (``reference_readout``), each on a register that has read out
+nothing yet.
 Run it against another source tree by pointing PYTHONPATH at its src/.
 """
 
@@ -26,6 +33,7 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
 
 import json
+import resource
 import sys
 import time
 
@@ -86,14 +94,37 @@ def layers(cfg: RunConfig, params: AcquisitionParams, repeats: int) -> dict:
         "records": best_ms(lambda: _peak_records(freq, amp, lines, table), repeats),
         "verdict": best_ms(lambda: _classify(item, amp), repeats),
         "read": best_ms(lambda: _read(fid, closed, system, params), repeats),
-        "run_fetch": best_ms(lambda: run_fetch(cfg), repeats),
     }
-    return {"points": params.n_points, "peaks": len(freq), "ms": ms}
+    faults = minor_faults()
+    ms["run_fetch"] = best_ms(lambda: run_fetch(cfg), repeats)
+    faults_per_op = (minor_faults() - faults) / repeats
+    return {"points": params.n_points, "peaks": len(freq), "faults_per_op": faults_per_op, "ms": ms}
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def cold_reference(config: str, repeats: int) -> dict:
+    """Best times of a fresh register's reference FID row and whole reference readout, in ms."""
+    best = {"fid_row": float("inf"), "reference_readout": float("inf")}
+    for _ in range(repeats):
+        for layer in best:
+            system = load_spin_system(config)
+            params = AcquisitionParams.for_system(system)  # builds the line table, untimed
+            state = _initial_state(system, "effective_pure")
+            if layer == "fid_row":
+                call = lambda: _fid_row(state.ancilla_difference(), system, params)  # noqa: E731
+            else:
+                call = lambda: _reference_readout(state, system, params)  # noqa: E731
+            best[layer] = min(best[layer], best_ms(call, 1))
+    return {"points": params.n_points, "ms": best}
 
 
 def run(repeats: int) -> dict:
     builtin = crotonic_default()
-    synthetic = load_spin_system(synthetic_config(8))
+    config = synthetic_config(8)
+    synthetic = load_spin_system(config)
     cases = {f"builtin_{bits}": (builtin, bits) for bits in ("100101", "10010x", "1001xx", "xxxxxx")}
     cases["synthetic8_10101010"] = (synthetic, "10101010")
     out = {}
@@ -102,6 +133,8 @@ def run(repeats: int) -> dict:
         cfg = RunConfig(system, QueryPattern.from_string(bits), backend="fast_diagonal", params=params)
         out[name] = layers(cfg, params, repeats)
         print(name, out[name], file=sys.stderr)
+    out["synthetic8_cold_reference"] = cold_reference(config, repeats)
+    print("synthetic8_cold_reference", out["synthetic8_cold_reference"], file=sys.stderr)
     return out
 
 

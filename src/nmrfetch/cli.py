@@ -199,8 +199,11 @@ def run_fetch(cfg: RunConfig) -> RunResult:
     gap is checked (``spectrometer.readout``).  The verdict is taken from
     the queried state's decoded peak arrays (``spectrometer._classify``).
     """
-    params = cfg.params or AcquisitionParams.for_system(cfg.system)
-    _check_decodable(cfg.system, params)
+    params = cfg.params
+    if params is None:
+        params = AcquisitionParams.for_system(cfg.system)  # refuses an undecodable register
+    else:
+        _check_decodable(cfg.system, params)
     _check_duration(params)
     _grid(cfg.system, params)  # refuses a grid too narrow for the lines
     expected = tuple(classical_oracle(cfg.pattern, cfg.system.n_database))

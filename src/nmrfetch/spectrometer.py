@@ -32,11 +32,18 @@ All of readout is array code.  Each register gets one readout model,
 built on first use and kept while the register lives: its line table,
 sorted by frequency so that decoding a peak is a binary search, the
 ancilla transitions of its expanded register and the one population
-share of their configurations, per acquisition grid the frequency axis,
-the closed-form kernel's bin table and the FID's sample times and decay
-envelope, and the readouts of the reference states it has been read
-against.  The FID needs no pulse matrix (see ``_fid_row``) and is
-synthesised in blocks, as one matrix product.
+share of their configurations, the acquisitions whose grid covers its
+lines, and the readouts of the reference states it has been read
+against.  What depends on the acquisition alone - the frequency axis,
+the closed-form kernel's bin tables, the FID's decay envelope and the
+work arrays that readout writes into - is built once per acquisition and
+shared by every register (``_acquisition_grid``): a fresh register
+rebuilds none of it, and readout writes its kernel blocks, kernel sums,
+FID term blocks and FFT row into arrays that are already there.  The FID
+needs no pulse matrix (see ``_fid_row``) and is synthesised in blocks, as
+one matrix product; a difference that is the same on every item, as
+every prepared state's is, costs two half-register sums, not one term
+per configuration.
 
 The line table also decides whether a register can be read at all: every
 line frequency must belong to one item, distinct frequencies must lie a
@@ -65,6 +72,7 @@ reads one state as a one-state tuple.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import weakref
@@ -94,6 +102,11 @@ __all__ = [
 # elements per work buffer of the closed-form line sum (512 KiB of float64):
 # a block of dense kernel rows, of near-field panels or of far-field node rows
 _CHUNK_ELEMENTS = 1 << 16
+
+# phasor table entries per block of an FID term sum (64 KiB of complex): a
+# difference of many terms is summed a block of terms at a time, each later
+# block's product added from the grid's work row
+_TERM_ELEMENTS = 1 << 12
 
 # Chebyshev nodes per panel of the closed-form far field, the fewest that
 # keep each far line within 2 (3 + sqrt 8)^-q <= 1e-13 of its peak (18,
@@ -179,10 +192,7 @@ class AcquisitionParams:
     def frequency_grid(self) -> np.ndarray:
         """Ascending frequency axis of the matching FFT spectrum: bin b at (b - N/2) / (N dwell).
 
-        Bit for bit the values of ``fftshift(fftfreq(N, dwell))``, from one
-        product: the fftshift copy left the cached axis where the heap was
-        trimmed and refaulted for every fresh register (about 870 page faults
-        per 8-qubit fetch, against 520).
+        Bit for bit the values of ``fftshift(fftfreq(N, dwell))``.
         """
         n = self.n_points
         return np.arange(-(n // 2), n // 2) * (1.0 / (n * self.dwell_s))
@@ -305,21 +315,30 @@ class _LineTable:
 
 @dataclass(frozen=True, eq=False)
 class _Grid:
-    """What readout derives from one acquisition grid alone.
+    """What readout derives from one acquisition alone, and the work arrays it writes into.
 
     ``freqs_hz`` is the ascending frequency axis of the FFT spectrum,
     ``bin_cs`` the (2 x points) cosines and sines of the half angle
     b = pi dwell f per bin that the closed-form kernel multiplies by,
     ``bin_cs2`` those of 2 b, which weigh the closed form's finite-sum rows,
-    ``times`` the FID's sample times and ``envelope`` the decay
-    exp(-t / T2) per sample.
+    and ``envelope`` the FID's decay exp(-t / T2) per sample; these are
+    read-only.  The rest are work arrays, overwritten by every readout on
+    the grid: ``sums`` the (3 x points) kernel sums of a closed-form row,
+    ``kernel`` its kernel blocks (max(points, ``_CHUNK_ELEMENTS``) float64)
+    and then one (3 x points) product of weights and a block, or of the far
+    field and its interpolation, and ``row`` one complex row: the FFT's
+    input and output, a two-half FID's low half and the later blocks of an
+    FID term sum.  So readout is not reentrant: two threads must not read
+    out on one acquisition at once.
     """
 
     freqs_hz: np.ndarray
     bin_cs: np.ndarray
     bin_cs2: np.ndarray
-    times: np.ndarray
     envelope: np.ndarray
+    sums: np.ndarray
+    kernel: np.ndarray
+    row: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,8 +369,8 @@ class _ReadoutModel:
     the configurations of its non-ancilla spins, the logical item each
     belongs to and its ancilla transition in rad/s, and the one share of
     an item's populations that every configuration holds (see
-    ``_transitions``).  ``grids`` maps an acquisition to its
-    ``_Grid`` (see ``_grid``).  ``references`` maps (acquisition,
+    ``_transitions``).  ``covered`` holds the acquisitions whose grid
+    covers the lines (see ``_grid``).  ``references`` maps (acquisition,
     populations bit pattern) to a reference state's whole ``Readout``
     (see ``_reference_readout``).  Every array is read-only, and the model
     holds no reference to its register, so the weak cache can drop both.
@@ -359,7 +378,7 @@ class _ReadoutModel:
 
     lines: _LineTable
     transitions: tuple[np.ndarray, np.ndarray, float] | None = None
-    grids: dict = field(default_factory=dict)
+    covered: set = field(default_factory=set)
     references: dict = field(default_factory=dict)
 
 
@@ -386,28 +405,45 @@ def _read_only(*arrays: np.ndarray) -> None:
         array.flags.writeable = False
 
 
-def _grid(system: SpinSystem, params: AcquisitionParams) -> _Grid:
-    """The acquisition's frequency axis, bin table and decay envelope, kept in the register's model.
+# Acquisition grids kept at once.  Two suffice: every benchmark workload and
+# every command-line run reads out on at most two acquisitions (the 8- and
+# 9-qubit registers of the synthetic sweep), and an evicted grid is only
+# rebuilt.  A grid holds 15 float64 per point, its kernel blocks included
+# once the points outnumber ``_CHUNK_ELEMENTS``, so at ``_MAX_POINTS`` the
+# cache holds at most 2 x 15 x 8 x 2^22 B = 960 MiB.
+_GRIDS_KEPT = 2
 
-    A grid too narrow for the register's lines is refused (``_check_coverage``).
+
+@functools.lru_cache(maxsize=_GRIDS_KEPT)
+def _acquisition_grid(params: AcquisitionParams) -> _Grid:
+    """The acquisition's frequency axis, bin tables, decay envelope and work arrays, built once."""
+    points = params.n_points
+    freqs = params.frequency_grid()
+    bin_angle = math.pi * params.dwell_s * freqs
+    grid = _Grid(
+        freqs_hz=freqs,
+        bin_cs=np.stack([np.cos(bin_angle), np.sin(bin_angle)]),
+        bin_cs2=np.stack([np.cos(2.0 * bin_angle), np.sin(2.0 * bin_angle)]),
+        envelope=np.exp(-params.times() / params.t2_s),
+        sums=np.empty((3, points)),
+        kernel=np.empty(max(_CHUNK_ELEMENTS, points) + 3 * points),
+        row=np.empty(points, dtype=complex),
+    )
+    _read_only(grid.freqs_hz, grid.bin_cs, grid.bin_cs2, grid.envelope)
+    return grid
+
+
+def _grid(system: SpinSystem, params: AcquisitionParams) -> _Grid:
+    """The acquisition's grid (``_acquisition_grid``), once it is known to cover the register's lines.
+
+    A grid too narrow for the lines is refused (``_check_coverage``); the
+    register's model keeps which acquisitions passed.
     """
     model = _model(system)
-    grid = model.grids.get(params)
-    if grid is None:
+    if params not in model.covered:
         _check_coverage(model.lines, params)
-        freqs = params.frequency_grid()
-        bin_angle = math.pi * params.dwell_s * freqs
-        times = params.times()
-        grid = _Grid(
-            freqs_hz=freqs,
-            bin_cs=np.stack([np.cos(bin_angle), np.sin(bin_angle)]),
-            bin_cs2=np.stack([np.cos(2.0 * bin_angle), np.sin(2.0 * bin_angle)]),
-            times=times,
-            envelope=np.exp(-times / params.t2_s),
-        )
-        _read_only(grid.freqs_hz, grid.bin_cs, grid.bin_cs2, grid.times, grid.envelope)
-        model.grids[params] = grid
-    return grid
+        model.covered.add(params)
+    return _acquisition_grid(params)
 
 
 def _build_line_table(system: SpinSystem) -> _LineTable:
@@ -702,13 +738,16 @@ def _closed_form_row(
 
     lines = len(scale)
     width = _panel_width(lines, points)
+    amp = grid.sums
+    amp.fill(0.0)
+    blocks, product = grid.kernel[: -3 * points], grid.kernel[-3 * points :].reshape(3, points)
     if width == points:
-        amp = np.zeros((3, points))
         rows = max(1, _CHUNK_ELEMENTS // points)
-        work = np.empty((rows, points))
+        work = blocks[: rows * points].reshape(rows, points)
         for lo in range(0, lines, rows):
             hi = min(lo + rows, lines)
-            amp += weights[:, lo:hi] @ _kernel(line_sc[lo:hi], bin_cs, floor, work[: hi - lo])
+            block = _kernel(line_sc[lo:hi], bin_cs, floor, work[: hi - lo])
+            amp += np.matmul(weights[:, lo:hi], block, out=product)
         return _combine(amp, grid)
 
     panels, q = points // width, _PANEL_NODES
@@ -732,8 +771,8 @@ def _closed_form_row(
     budget = max(1, _CHUNK_ELEMENTS // width)  # near lines x panels per block
     cols = min(len(k), budget)
     group = max(1, budget // cols)
-    amp = np.zeros((3, panels, width))
-    work = np.empty((group, cols, width))
+    amp = amp.reshape(3, panels, width)
+    work = blocks[: group * cols * width].reshape(group, cols, width)
     for lo in range(0, len(active), group):
         hi = min(lo + group, len(active))
         which = active[lo:hi]
@@ -751,7 +790,7 @@ def _closed_form_row(
     node_cs = np.stack([np.cos(node_angle), np.sin(node_angle)])
     far = np.zeros((3, panels * q))
     rows = max(1, _CHUNK_ELEMENTS // (panels * q))
-    work = np.empty((rows, panels * q))
+    work = blocks[: rows * panels * q].reshape(rows, panels * q)
     for lo in range(0, lines, rows):
         hi = min(lo + rows, lines)
         block = _kernel(line_sc[lo:hi], node_cs, floor, work[: hi - lo])
@@ -761,8 +800,8 @@ def _closed_form_row(
     bary = (-1.0) ** np.arange(q) * np.sin(angle)
     interpolate = bary[:, None] / (np.arange(width) - node[:, None])
     interpolate /= interpolate.sum(axis=0)
-    amp += far.reshape(3, panels, q) @ interpolate
-    return _combine(amp.reshape(3, points), grid)
+    amp += np.matmul(far.reshape(3, panels, q), interpolate, out=product.reshape(amp.shape))
+    return _combine(grid.sums, grid)
 
 
 def _combine(amp: np.ndarray, grid: _Grid) -> np.ndarray:
@@ -883,28 +922,68 @@ def _fid_row(
 
     A configuration's population difference is its item's times the
     register's one ``share`` (see ``_transitions``).  Samples are
-    synthesised in blocks: with t = (m B + b) dwell, each term exp(i w t)
-    is exp(i w m B dwell) * exp(i w b dwell).  The frequencies of the
-    nonzero configurations and both exponential tables (see ``_phasors``)
-    are built once; the FID is then one (blocks x terms) @ (terms x B)
-    product with the amplitudes folded into the left factor, written into
-    the preallocated row.
+    synthesised in blocks: with t = (m B + b) dwell, a term sum is one
+    (blocks x terms) @ (terms x B) product of two exponential tables
+    (``_term_sum``), written into the preallocated row.  Where the
+    difference is the same on every item - every prepared state, and a
+    query that matches every item - every configuration has one amplitude,
+    and the sum over the 2^m configurations is the product of two
+    half-register sums of 2^(m - m // 2) and 2^(m // 2) terms (``_halves``):
+    the row costs 2 2^(m/2) N instead of 2^m N.  Any other difference is
+    summed term by term over its nonzero configurations, a block of terms
+    at a time (``_TERM_ELEMENTS``), so that no phasor table is a large
+    temporary.
     """
     grid = _grid(system, params)
     item, omega, share = _transitions(system)
-    # receiver phase i times the coherence -i/2 (p0 - p1): a real amplitude
-    amp = 0.5 * difference[item] * share
-    keep = amp != 0.0
-    omega = omega[keep]  # exp(-i (E1 - E0) t)
-
     block = 1 << (params.n_points.bit_length() - 1) // 2  # ~sqrt(n_points)
-    starts = _phasors(grid.times[::block], omega)
-    starts *= amp[keep]  # in place: the table is the row's largest array
-    offsets_in_block = _phasors(grid.times[:block], omega).T
+    starts = np.arange(0, params.n_points, block) * params.dwell_s
+    offsets = np.arange(block) * params.dwell_s
     fid = np.empty(params.n_points, dtype=complex)
-    np.matmul(starts, offsets_in_block, out=fid.reshape(len(starts), block))
+    rows, work = fid.reshape(len(starts), block), grid.row.reshape(len(starts), block)
+    # receiver phase i times the coherence -i/2 (p0 - p1): a real amplitude
+    if difference.min() == difference.max():  # one amplitude on every configuration
+        high, low = _halves(omega)
+        _term_sum(starts, offsets, high, 0.5 * difference[0] * share, rows)
+        _term_sum(starts, offsets, low, 1.0, work)
+        fid *= grid.row
+    else:
+        amp = 0.5 * difference[item] * share
+        keep = np.flatnonzero(amp)
+        step = max(1, _TERM_ELEMENTS // len(starts))
+        for lo in range(0, max(len(keep), 1), step):  # exp(-i (E1 - E0) t)
+            terms = keep[lo : lo + step]
+            _term_sum(starts, offsets, omega[terms], amp[terms], work if lo else rows)
+            if lo:
+                fid += grid.row
     fid *= grid.envelope
     return fid
+
+
+def _halves(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two half-register term sets of the ancilla transitions: omega(hi, 0) - omega(0, 0) and omega(0, lo).
+
+    A configuration d = (hi, lo) splits into its leading m - m // 2 and
+    trailing m // 2 spins.  omega(d) = E(0, d) - E(1, d) holds only the
+    ancilla's offset and its couplings to the spins of d, so it is a sum of
+    one term per spin, and omega(hi, lo) = (omega(hi, 0) - omega(0, 0)) +
+    omega(0, lo): exp(i omega(d) t) summed over d is the product of the two
+    sets' sums.
+    """
+    low = 1 << (len(omega).bit_length() - 1) // 2
+    return omega[::low] - omega[0], omega[:low]
+
+
+def _term_sum(starts: np.ndarray, offsets: np.ndarray, omega: np.ndarray, amp, out: np.ndarray) -> None:
+    """sum_k amp_k exp(i omega_k (s + o)) for every start s and offset o, into ``out`` (starts x offsets).
+
+    exp(i w (s + o)) is exp(i w s) * exp(i w o), so the sum is one
+    (starts x terms) @ (terms x offsets) product of the two ``_phasors``
+    tables, with the amplitudes folded into the left one.
+    """
+    table = _phasors(starts, omega)
+    table *= amp
+    np.matmul(table, _phasors(offsets, omega).T, out=out)
 
 
 def _read(
@@ -920,7 +999,8 @@ def _read(
     arrays, for the verdict, and one ``Peak`` record per peak, built at
     once.  The spectrum takes the grid's cached axis.
     """
-    spectrum = Spectrum(_grid(system, params).freqs_hz, _absorptive(fid, params.dwell_s))
+    grid = _grid(system, params)
+    spectrum = Spectrum(grid.freqs_hz, _absorptive(fid, params.dwell_s, grid.row))
     freq, amp = _pick(spectrum, _PICK_THRESHOLD)
     table, lines = _lines(system), _decode(freq, system)
     twice = np.flatnonzero(lines[1:] == lines[:-1])  # peaks come by frequency
@@ -1004,11 +1084,17 @@ def readout(
         yield read
 
 
-def _absorptive(fid: np.ndarray, dwell_s: float) -> np.ndarray:
-    """Real part of the dwell-scaled, centred DFT of a complex FID, first point halved."""
-    work = fid.copy()
+def _absorptive(fid: np.ndarray, dwell_s: float, work: np.ndarray | None = None) -> np.ndarray:
+    """Real part of the dwell-scaled, centred DFT of a complex FID, first point halved.
+
+    The FID is copied into ``work``, a complex row of its length (a fresh
+    one when None), and transformed there in place.
+    """
+    if work is None:
+        work = np.empty_like(fid)
+    np.copyto(work, fid)
     work[0] *= 0.5
-    spec = np.fft.fft(work)
+    spec = np.fft.fft(work, out=work)
     spec *= dwell_s
     return np.fft.fftshift(spec.real)
 

@@ -104,8 +104,12 @@ def thermal_state(system: SpinSystem, polarization: float = 1e-5) -> DensityStat
     ``polarization`` is the small per-unit-gamma deviation scale (about
     1e-5 for a real spectrometer).  Each spin contributes a sigma_z term
     weighted by its relative gyromagnetic ratio; the result is diagonal
-    with populations (1 + polarization * sum_i gamma_i z_i) / N over the
-    basis, z_i = +-1.
+    with populations (1 + sum_i e_i z_i) / N over the basis, z_i = +-1,
+    where e_i is polarization * gamma_i rounded to a multiple of 2^-52.
+    Every partial sum is then a multiple of 2^-52 below 2 in magnitude, so
+    every population is exact: the populations sum to exactly 1 and the
+    ancilla difference is 2 e_0 / N on every item, bit for bit, as the
+    effective-pure state's is 1 / 2^n.
     """
     if polarization < 0:
         raise StateError("polarization must be non-negative")
@@ -114,14 +118,16 @@ def thermal_state(system: SpinSystem, polarization: float = 1e-5) -> DensityStat
         raise StateError(
             "polarization too large: populations would go negative"
         )
+    # each spin's deviation on the 2^-52 grid, so every sum below is exact
+    spin_dev = np.ldexp(np.rint(np.ldexp(polarization * gammas, 52)), -52)
     m = system.n_spins
     dim = 2**m
     idx = np.arange(dim)
     dev = np.zeros(dim)
     for q in range(m):
         z = 1.0 - 2.0 * ((idx >> (m - 1 - q)) & 1)
-        dev += gammas[q] * z
-    pops = (1.0 + polarization * dev) / dim
+        dev += spin_dev[q] * z
+    pops = (1.0 + dev) / dim
     return DensityState(pops)
 
 

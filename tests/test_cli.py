@@ -679,6 +679,25 @@ def test_spectrum_unresolvable_settings_exit_config(capsys):
     assert err.count("configuration error: lines 0.7 Hz apart are not resolved") == 2
 
 
+@pytest.mark.parametrize("explicit", [False, True])
+def test_run_fetch_decides_decodability_once(monkeypatch, explicit):
+    # for_system asks it when it chooses the grid; an explicit grid is asked once by run_fetch
+    calls = []
+    real = spectrometer._check_decodable
+
+    def counted(system, params):
+        calls.append(params)
+        return real(system, params)
+
+    monkeypatch.setattr(spectrometer, "_check_decodable", counted)
+    monkeypatch.setattr(climod, "_check_decodable", counted)
+    system = crotonic_default()
+    params = AcquisitionParams.for_system(system) if explicit else None
+    calls.clear()
+    assert run_fetch(RunConfig(system, QueryPattern.from_string("100101"), params=params)).verified
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", ["simulate", "spectrum", "run_fetch"])
 def test_refused_run_prepares_no_state(monkeypatch, capsys, command):
     prepared = []

@@ -74,6 +74,12 @@ def fetches(draw):
 @given(case=fetches())
 def test_a_run_is_refused_before_any_state_or_verifies(case):
     system, pattern, backend, init, t2, explicit = case
+    # the premise of the two-half FID, couplings among database spins and all:
+    # omega(hi, lo) = omega(hi, 0) - omega(0, 0) + omega(0, lo) to rounding
+    _, omega, _ = spectrometer._transitions(system)
+    high, low = spectrometer._halves(omega)
+    affine = (high[:, None] + low).ravel()
+    assert np.max(np.abs(affine - omega)) <= 16 * np.finfo(float).eps * np.max(np.abs(omega))
     prepared = []
     real = climod._initial_state
 

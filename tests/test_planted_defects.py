@@ -256,10 +256,10 @@ def scale_closed_form_row(real):
 
 def drop_half_first_point(real):
     # the FFT step of readout without halving the first sample
-    def absorptive(fid, dwell_s):
-        work = fid.copy()
-        work[0] *= 2.0
-        return real(work, dwell_s)
+    def absorptive(fid, dwell_s, *work):
+        doubled = fid.copy()
+        doubled[0] *= 2.0
+        return real(doubled, dwell_s, *work)
 
     return absorptive
 
@@ -432,6 +432,46 @@ def test_oracle_check_catches_shifted_decode(monkeypatch, capsys, backend):
     monkeypatch.setattr(spectrometer, "_decode", shift_decode_one_block(spectrometer._decode))
     assert simulate("100101", backend) == EXIT_MISMATCH
     assert "verification: FAIL" in capsys.readouterr().out
+
+
+def unrebased_high_half(real):
+    # the high half's sum not re-based: omega(0, 0) counted twice
+    def halves(omega):
+        high, low = real(omega)
+        return high + omega[0], low
+
+    return halves
+
+
+def dropped_half(real):
+    # the low half's sum dropped: one term at 0 rad/s in its place
+    def halves(omega):
+        high, _ = real(omega)
+        return high, np.zeros(1)
+
+    return halves
+
+
+@pytest.mark.parametrize("init", ["thermal", "eps"])
+@pytest.mark.parametrize("backend", ["fast", "ideal", "hard"])
+@pytest.mark.parametrize("plant", [unrebased_high_half, dropped_half])
+def test_route_guard_catches_a_wrong_two_half_fid(monkeypatch, capsys, plant, backend, init):
+    # every prepared state is the same on every item, so its FID is the
+    # product of the two half-register sums, and only that FID reads them.
+    # The wrong FID's lines sit off the line table, so decoding refuses
+    # them before the route guard is asked; the guard would refuse them too
+    argv = ["simulate", "--pattern", "100101", "--backend", backend, "--init", init]
+    assert main(argv) == EXIT_OK
+    monkeypatch.setattr(spectrometer, "_halves", plant(spectrometer._halves))
+    assert main(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    system = crotonic_default()
+    params = AcquisitionParams.for_system(system)
+    state = climod._initial_state(system, "thermal" if init == "thermal" else "effective_pure")
+    difference = state.ancilla_difference()
+    fid = spectrometer._fid_row(difference, system, params)
+    closed = spectrometer._closed_form_row(difference, system, params)
+    assert spectrometer._route_gap(spectrometer._absorptive(fid, params.dwell_s), closed) > 1e3 * spectrometer._ROUTE_GUARD
 
 
 def keep_one_sidelobe(real):

@@ -104,10 +104,14 @@ def test_bench_readout_layers_times_every_layer():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     out = json.loads(proc.stdout)
     builtin = [f"builtin_{bits}" for bits in ("100101", "10010x", "1001xx", "xxxxxx")]
-    assert list(out) == [*builtin, "synthetic8_10101010"]
+    assert list(out) == [*builtin, "synthetic8_10101010", "synthetic8_cold_reference"]
+    cold = out.pop("synthetic8_cold_reference")
+    assert cold["points"] == 8192 and list(cold["ms"]) == ["fid_row", "reference_readout"]
+    assert all(isinstance(ms, float) and ms > 0.0 for ms in cold["ms"].values()), cold
     layers = ["fid_row", "closed_row", "fft", "gap", "pick", "decode", "records", "verdict", "read", "run_fetch"]
     for case, got in out.items():
         assert got["points"] == 8192 and got["peaks"] == (256 if case.startswith("synthetic") else 128)
+        assert isinstance(got["faults_per_op"], float) and got["faults_per_op"] >= 0.0
         assert list(got["ms"]) == layers
         assert all(isinstance(ms, float) and ms > 0.0 for ms in got["ms"].values()), (case, got)
 

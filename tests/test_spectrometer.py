@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,7 @@ from nmrfetch import (
     effective_pure_ancilla,
     expand_to_hard_pulses,
     line_table,
+    load_spin_system_file,
     readout,
     thermal_state,
 )
@@ -790,6 +792,73 @@ def test_reference_plus_difference_matches_direct_readout(case, backend, init):
     assert np.array_equal(readouts[0].closed, closed_of(state, system, params))
 
 
+def per_configuration_fid(difference, system, params):
+    """The FID row summed configuration by configuration in complex arithmetic, a few at a time."""
+    item, omega, share = spectrometer._transitions(system)
+    amp = 0.5 * difference[item] * share
+    t = params.times()
+    fid = np.zeros(params.n_points, dtype=complex)
+    for lo in range(0, len(omega), 64):
+        fid += amp[lo : lo + 64] @ np.exp(1.0j * np.outer(omega[lo : lo + 64], t))
+    return fid * np.exp(-t / params.t2_s)
+
+
+def uniform_fid_cases():
+    """(name, register, acquisition): builtin, the composite example and synthetic n = 2-11."""
+    builtin = crotonic_default()
+    composite = load_spin_system_file(Path(__file__).resolve().parents[1] / "scripts" / "composite_negative.cfg")
+    yield "builtin", builtin, AcquisitionParams.for_system(builtin)
+    yield "composite", composite, AcquisitionParams.for_system(composite)
+    rng = np.random.default_rng(11)
+    for n in range(2, 12):
+        system = superincreasing_system(rng, n)
+        # a short grid of the register's own width keeps the reference sum small
+        yield f"synthetic{n}", system, AcquisitionParams(1024, AcquisitionParams.for_system(system).dwell_s)
+
+
+@pytest.mark.parametrize("name, system, params", list(uniform_fid_cases()), ids=lambda x: x if isinstance(x, str) else "")
+def test_two_half_fid_equals_the_per_configuration_sum(monkeypatch, name, system, params):
+    halves = []
+    real = spectrometer._halves
+
+    def spy(omega):
+        halves.append(len(omega))
+        return real(omega)
+
+    monkeypatch.setattr(spectrometer, "_halves", spy)
+    n = system.n_database
+    for state in (thermal_state(system), effective_pure_ancilla(system)):
+        queried = apply_query_diagonal(state, QueryPattern.from_string("x" * n))
+        base = state.ancilla_difference()
+        delta = queried.ancilla_difference() - base  # matches every item: -2 base, on every item
+        for difference in (base, delta):
+            assert np.unique(difference).size == 1
+            got = _fid_row(difference, system, params)
+            assert relative_gap(got, per_configuration_fid(difference, system, params)) <= 1e-12
+    zero = _fid_row(np.zeros(2**n), system, params)
+    assert zero.shape == (params.n_points,) and not zero.any()
+    assert halves == [len(spectrometer._transitions(system)[1])] * 5
+
+
+def test_term_sum_in_blocks_equals_the_per_configuration_sum(monkeypatch):
+    # a difference that varies by item is summed term by term, a block of
+    # terms at a time: 256 terms in blocks of 32 on the builtin grid
+    tables = []
+    real = spectrometer._phasors
+
+    def spy(times, omega):
+        tables.append(len(omega))
+        return real(times, omega)
+
+    monkeypatch.setattr(spectrometer, "_phasors", spy)
+    system = crotonic_default()
+    params = AcquisitionParams.for_system(system)
+    difference = np.random.default_rng(5).normal(size=2**system.n_database)
+    got = _fid_row(difference, system, params)
+    assert relative_gap(got, per_configuration_fid(difference, system, params)) <= 1e-12
+    assert tables == [spectrometer._TERM_ELEMENTS // 128] * 16
+
+
 @pytest.mark.parametrize("backend", ["fast_diagonal", "ideal"])
 def test_difference_reads_only_the_items_that_changed(monkeypatch, backend):
     # FID terms and kernel lines of each readout pass, counted where they are made
@@ -815,8 +884,10 @@ def test_difference_reads_only_the_items_that_changed(monkeypatch, backend):
     for _ in range(2):  # cold, then warm: the reference is read out once
         list(readout((state, queried), sys, params))
     changed = int(np.count_nonzero(delta))
-    # two passes per table (starts and in-block); 4 configurations and 2 lines per item
-    assert terms == [256, 256] + [4 * changed] * 4 and lines == [128] + [2 * changed] * 2
+    # two passes per table (starts and in-block); the reference, the same on
+    # every item, is two half-register sums of 16 of its 256 configurations;
+    # 4 configurations and 2 lines per changed item
+    assert terms == [16] * 4 + [4 * changed] * 4 and lines == [128] + [2 * changed] * 2
     if backend == "fast_diagonal":
         assert np.flatnonzero(delta).tolist() == [37]
     else:  # rounding-level differences are read too: no threshold
@@ -870,13 +941,14 @@ def test_cached_readout_arrays_are_read_only():
     for init in ("thermal", "effective_pure"):
         assert run_fetch(RunConfig(sys, QueryPattern.from_string("100xxx"), init=init)).verified
     model = spectrometer._model(sys)
-    assert len(model.references) == 2 and len(model.grids) == 1
+    assert len(model.references) == 2 and len(model.covered) == 1
     readouts = list(model.references.values())
     assert all(isinstance(r.peaks, tuple) and r.peaks for r in readouts)
-    (grid,) = model.grids.values()
+    (params,) = model.covered
+    grid = spectrometer._grid(sys, params)
     item, omega, share = model.transitions
     assert isinstance(share, float)
-    arrays = [grid.freqs_hz, grid.bin_cs, grid.times, grid.envelope, item, omega]
+    arrays = [grid.freqs_hz, grid.bin_cs, grid.bin_cs2, grid.envelope, item, omega]
     for r in readouts:
         assert r.spectrum.freqs_hz is grid.freqs_hz
         # the peak arrays are the records' items and amplitudes, peak by peak
@@ -926,9 +998,9 @@ def test_grid_tables_are_kept_per_acquisition():
             assert got.verified and hexes(got) == hexes(fresh)
             grid = spectrometer._grid(warm, params)
             assert np.array_equal(grid.freqs_hz, params.frequency_grid())
-            assert np.array_equal(grid.times, params.times())
             assert np.array_equal(grid.envelope, np.exp(-params.times() / params.t2_s))
-    assert len(spectrometer._model(warm).grids) == len(grids)
+            assert grid is spectrometer._acquisition_grid(params)  # one grid per acquisition
+    assert spectrometer._model(warm).covered == set(grids)
 
 
 def test_readout_cache_does_not_keep_the_register_alive():

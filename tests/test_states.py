@@ -30,6 +30,7 @@ from nmrfetch.compiler import (
     ZZEvolution,
     _compressed_product,
 )
+from nmrfetch.spin_system import SPECIES_GAMMA
 from nmrfetch.states import _apply_product, _conjugate_blocks
 
 from conftest import make_system, random_full_system, rounding_bound
@@ -146,6 +147,28 @@ def test_thermal_polarization_bounds():
 def test_thermal_refuses_nan_polarization():
     with pytest.raises(StateError, match="finite"):
         thermal_state(crotonic_default(), polarization=math.nan)
+
+
+@pytest.mark.parametrize("polarization", [1e-5, 1e-3, 0.1])
+def test_thermal_populations_are_exact(polarization):
+    # every spin's deviation sits on the 2^-52 grid, so the populations sum
+    # to exactly 1 and the ancilla difference is one double on every item
+    proton = SPECIES_GAMMA["proton"]
+    registers = [
+        make_system([10.0, 20.0, 5.0]),
+        SpinSystem(
+            (Spin("c", gamma_rel=1.0), Spin("h", gamma_rel=proton), Spin("n", gamma_rel=0.4)),
+            np.array([[0.0, 5.0, 3.0], [5.0, 0.0, 0.0], [3.0, 0.0, 0.0]]),
+        ),
+    ]
+    if polarization * sum(s.gamma_rel for s in crotonic_default().spins) < 1.0:
+        registers.append(crotonic_default())
+    for sys in registers:
+        state = thermal_state(sys, polarization=polarization)
+        assert math.fsum(state.populations) == 1.0
+        diff = state.ancilla_difference()
+        assert np.unique(diff.view(np.int64)).size == 1  # bit for bit
+        assert diff[0] == pytest.approx(2.0 * polarization * sys.spins[0].gamma_rel / 2**sys.n_spins, rel=1e-10)
 
 
 def test_thermal_trace_and_positivity():
