@@ -13,11 +13,11 @@ register's reference readout is cached as in a stream of queries, then
 times each layer of the queried state's readout on its own: the FID row
 and the closed-form row of its difference from the reference
 (``fid_row``, ``closed_row``), the FFT core (``fft``), the route gap
-(``gap``), peak picking (``pick``), decoding (``decode``), the ``Peak``
-records (``records``) and the verdict (``verdict``); then all of ``_read``
-(``read``) and the whole ``run_fetch``, and counts the minor page faults
-per warm ``run_fetch`` (``faults_per_op``, ``ru_minflt`` over the timed
-calls).  Prints one JSON object mapping "<register>_<pattern>" to the
+(``gap``), peak picking (``pick``), decoding (``decode``), building the
+``Peak`` records of a fresh queried readout (``records``) and the verdict
+(``verdict``); then all of ``_read`` (``read``) and the whole
+``run_fetch``, and counts the minor page faults per warm ``run_fetch``
+(``faults_per_op``, ``ru_minflt`` over the timed calls).  Prints one JSON object mapping "<register>_<pattern>" to the
 grid's point count, the queried state's peak count, the faults per op and
 the best wall time of each layer in ms.  Its last entry,
 "synthetic8_cold_reference", times the readout of a fresh register's
@@ -32,6 +32,7 @@ import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
 
+import functools
 import json
 import resource
 import sys
@@ -43,6 +44,7 @@ from nmrfetch import AcquisitionParams, QueryPattern, apply_query_diagonal, crot
 from nmrfetch.cli import RunConfig, _initial_state, run_fetch
 from nmrfetch.spectrometer import (
     _PICK_THRESHOLD,
+    Readout,
     Spectrum,
     _absorptive,
     _classify,
@@ -51,7 +53,6 @@ from nmrfetch.spectrometer import (
     _fid_row,
     _grid,
     _lines,
-    _peak_records,
     _pick,
     _read,
     _reference_readout,
@@ -74,16 +75,15 @@ def layers(cfg: RunConfig, params: AcquisitionParams, repeats: int) -> dict:
     run_fetch(cfg)  # caches the reference readout, as earlier queries would
     state = _initial_state(system, cfg.init)
     queried = apply_query_diagonal(state, cfg.pattern)
-    reference = _reference_readout(state, system, params)
+    _, reference_fid, reference_closed = _reference_readout(state, system, params)
     delta = queried.ancilla_difference() - state.ancilla_difference()
     fid = _fid_row(delta, system, params)
-    fid += reference.fid
+    fid += reference_fid
     closed = _closed_form_row(delta, system, params)
-    closed += reference.closed
+    closed += reference_closed
     spectrum = Spectrum(_grid(system, params).freqs_hz, _absorptive(fid, params.dwell_s))
     freq, amp = _pick(spectrum, _PICK_THRESHOLD)
-    table, lines = _lines(system), _decode(freq, system)
-    item = table.item[lines]
+    item = _lines(system).item[_decode(freq, system)]
     ms = {
         "fid_row": best_ms(lambda: _fid_row(delta, system, params), repeats),
         "closed_row": best_ms(lambda: _closed_form_row(delta, system, params), repeats),
@@ -91,7 +91,8 @@ def layers(cfg: RunConfig, params: AcquisitionParams, repeats: int) -> dict:
         "gap": best_ms(lambda: _route_gap(spectrum.amplitude, closed), repeats),
         "pick": best_ms(lambda: _pick(spectrum, _PICK_THRESHOLD), repeats),
         "decode": best_ms(lambda: _decode(freq, system), repeats),
-        "records": best_ms(lambda: _peak_records(freq, amp, lines, table), repeats),
+        # one fresh queried readout, dropped after this layer; its records are built anew per call
+        "records": best_ms(functools.partial(Readout.peaks.func, _read(fid, closed, system, params)), repeats),
         "verdict": best_ms(lambda: _classify(item, amp), repeats),
         "read": best_ms(lambda: _read(fid, closed, system, params), repeats),
     }

@@ -32,13 +32,13 @@ def main() -> int:
     print(f"verified:     {result.verified}")
 
     out.mkdir(exist_ok=True)
-    (out / "before_spectrum.csv").write_text(spectrum_csv(result.before))
-    (out / "after_spectrum.csv").write_text(spectrum_csv(result.after))
+    (out / "before_spectrum.csv").write_text(spectrum_csv(result.before.spectrum))
+    (out / "after_spectrum.csv").write_text(spectrum_csv(result.after.spectrum))
     (out / "before_spectrum.svg").write_text(
-        spectrum_svg(result.before, title="thermal register, before query")
+        spectrum_svg(result.before.spectrum, title="thermal register, before query")
     )
     (out / "after_spectrum.svg").write_text(
-        spectrum_svg(result.after, title="after query 100xxx: items 32-39 inverted")
+        spectrum_svg(result.after.spectrum, title="after query 100xxx: items 32-39 inverted")
     )
     print(f"artifacts in {out}/")
     return 0 if result.verified else 1

@@ -41,7 +41,7 @@ def main() -> int:
     describe("ideal", network)
     describe("hard pulse", hard)
 
-    gap = _product_distance(_compressed_product(hard, system), _compressed_product(network))
+    gap = _product_distance(_compressed_product(hard, system), _compressed_product(network, system))
     print(f"hard vs ideal propagator distance (global phase removed): {gap:.3e}")
     return 0 if gap < 1e-6 else 1
 

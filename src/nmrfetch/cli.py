@@ -48,7 +48,8 @@ from .spectrometer import (
     _ROUTE_GUARD,
     AcquisitionParams,
     DecodeError,
-    Spectrum,
+    Peak,
+    Readout,
     SpectrometerError,
     _check_decodable,
     _check_duration,
@@ -119,25 +120,31 @@ class RunConfig:
 class RunResult:
     """What one fetch read out and concluded.
 
-    ``before`` and ``peaks_before`` are the register's cached reference
-    readout: every run with the same register, acquisition and prepared
-    state shares them, so their arrays are read-only.  ``after`` is read
-    out afresh on every run; its frequency axis is the acquisition's
-    shared, read-only one.  ``peaks_before`` and ``peaks_after`` are
-    tuples of decoded ``Peak`` records.  The verdict (``marked``,
-    ``inconsistent``) is taken from the queried readout's peak arrays,
-    which hold the items and amplitudes of ``peaks_after`` in its order.
+    ``before`` is the register's cached reference ``Readout``: every run
+    with the same register, acquisition and prepared state shares it, so
+    its arrays are read-only.  ``after`` is read out afresh on every run;
+    its frequency axis is the acquisition's shared, read-only one.  The
+    spectra are ``before.spectrum`` and ``after.spectrum``.  The verdict
+    (``marked``, ``inconsistent``) is taken from the queried readout's
+    peak arrays; ``peaks_before`` and ``peaks_after`` are the readouts'
+    decoded ``Peak`` records, built when first read.
     """
 
-    before: Spectrum
-    after: Spectrum
+    before: Readout
+    after: Readout
     marked: tuple[int, ...]
     expected: tuple[int, ...]
     inconsistent: tuple[int, ...]
     verified: bool
-    peaks_before: tuple
-    peaks_after: tuple
     sequence: GateSequence | None
+
+    @property
+    def peaks_before(self) -> tuple[Peak, ...]:
+        return self.before.peaks
+
+    @property
+    def peaks_after(self) -> tuple[Peak, ...]:
+        return self.after.peaks
 
 
 def classical_oracle(pattern: QueryPattern, n: int) -> list[int]:
@@ -231,19 +238,9 @@ def run_fetch(cfg: RunConfig) -> RunResult:
 
     before, after = readout((state, queried), cfg.system, params)
 
-    verdict = _classify(after.peak_item, after.peak_amplitude)
-    verified = verdict.marked == expected and not verdict.inconsistent
-    return RunResult(
-        before=before.spectrum,
-        after=after.spectrum,
-        marked=verdict.marked,
-        expected=expected,
-        inconsistent=verdict.inconsistent,
-        verified=verified,
-        peaks_before=before.peaks,
-        peaks_after=after.peaks,
-        sequence=sequence,
-    )
+    marked, inconsistent = _classify(after.peak_item, after.peak_amplitude)
+    verified = marked == expected and not inconsistent
+    return RunResult(before, after, marked, expected, inconsistent, verified, sequence)
 
 
 def bench_report(n_bits: int, n_marked: int) -> dict:
@@ -472,12 +469,12 @@ def _cmd_simulate(args) -> int:
     emit(
         {
             "csv": lambda: {
-                "before_spectrum.csv": spectrum_csv(result.before),
-                "after_spectrum.csv": spectrum_csv(result.after),
+                "before_spectrum.csv": spectrum_csv(result.before.spectrum),
+                "after_spectrum.csv": spectrum_csv(result.after.spectrum),
             },
             "svg": lambda: {
-                "before_spectrum.svg": spectrum_svg(result.before, title="before query"),
-                "after_spectrum.svg": spectrum_svg(result.after, title="after query"),
+                "before_spectrum.svg": spectrum_svg(result.before.spectrum, title="before query"),
+                "after_spectrum.svg": spectrum_svg(result.after.spectrum, title="after query"),
             },
             "seq": lambda: {"sequence.seq": format_sequence(result.sequence)},
             "json": lambda: {"result.json": _json_text(payload)},
@@ -555,7 +552,7 @@ def _cmd_verify(args) -> int:
     system = _load_system(args.system)
     pattern = QueryPattern.from_string(args.pattern)
     network = build_query_network(system, pattern)
-    product = _compressed_product(network)
+    product = _compressed_product(network, system)
     oracle = direct_oracle_unitary(system, pattern)
     if not _verdict("compiled network vs direct oracle", _product_distance(product, oracle), 1e-9):
         return EXIT_MISMATCH

@@ -46,9 +46,9 @@ one signed permutation times a diagonal phase, and every maximal run of
 the other pulses is one 2x2 block on the ancilla.  A pulse that mixes a
 database qubit is refused: a query never mixes two items.  A query network
 repeats the same few runs many times, and queries on one register share
-most of them, so each distinct run is composed once per register (once
-per call without one) and applied once per occurrence.  A population state
-is conjugated by the product item by item (``states._apply_product``), and
+most of them, so each distinct run is composed once per register and
+applied once per occurrence.  A population state is conjugated by the
+product item by item (``states._apply_product``), and
 ``_product_distance`` compares two products block by block, so no
 2^n x 2^n matrix is ever built.
 """
@@ -88,7 +88,6 @@ __all__ = [
     "expand_to_hard_pulses",
     "sequence_report",
     "format_sequence",
-    "free_hamiltonian_diagonal",
 ]
 
 _PULSE_AXES = ("x", "-x", "y", "-y")
@@ -380,11 +379,6 @@ def build_query_network(system: SpinSystem, pattern: QueryPattern) -> GateSequen
 # ---------------------------------------------------------------------------
 
 
-def free_hamiltonian_diagonal(system: SpinSystem) -> np.ndarray:
-    """Always-on Hamiltonian diagonal (rad/s) in the logical frame."""
-    return zz_hamiltonian_diagonal(system.offsets_hz(), system.logical_j_hz)
-
-
 def _walsh_pattern(sequency: int, n_segments: int) -> np.ndarray:
     """+-1 sign pattern with the given number of sign changes.
 
@@ -550,11 +544,11 @@ def _mixed_qubit(entry: Entry) -> int:
     return -1
 
 
-def _compressed_product(seq: GateSequence, system: SpinSystem | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The unitary of a gate sequence as one 2x2 ancilla block per item: ``(blocks, src)``.
+def _compressed_product(seq: GateSequence, system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The unitary of a gate sequence on a register as one 2x2 ancilla block per item: ``(blocks, src)``.
 
-    Time order is a right-to-left product.  Hard-pulse sequences need the
-    register to evaluate delays under the always-on Hamiltonian.
+    Time order is a right-to-left product.  Delays evolve under the
+    register's always-on Hamiltonian, in the logical frame.
 
     blocks[i, a, b] is the product's entry in row (a, i) and column
     (b, src[i]), a and b being ancilla bits and i and src[i] items; every
@@ -568,12 +562,12 @@ def _compressed_product(seq: GateSequence, system: SpinSystem | None = None) -> 
     always-on Hamiltonian), a virtual z, a ZZ period or a pulse whose block
     is a signed bit flip (angle = pi mod 2 pi).  One loop walks the codes
     in maximal runs of one label, and each distinct run is composed once
-    and applied once per occurrence.  Given a register, a run is looked up
-    by its entries in the register's memo (``_RegisterWork.runs``) and
-    composed only on a miss, so queries on one register compose each run
-    once per register; an echo block is one entry of a run, keyed by one
-    hash.  A composed run depends only on its gates and the register, so a
-    sequence built by hand composes the runs its own gates make.  A run is
+    and applied once per occurrence.  A run is looked up by its entries in
+    the register's memo (``_RegisterWork.runs``) and composed only on a
+    miss, so queries on one register compose each run once per register;
+    an echo block is one entry of a run, keyed by one hash.  A composed run
+    depends only on its gates and the register, so a sequence built by
+    hand composes the runs its own gates make.  A run is
     composed gate by gate, each echo block's gates in place, so an expanded
     schedule and its flat gate list give bit-identical products.  A
     monomial run is a signed permutation times a diagonal phase, stored as
@@ -600,10 +594,8 @@ def _compressed_product(seq: GateSequence, system: SpinSystem | None = None) -> 
         raise CompileError(
             f"query simulation limited to {MAX_DENSE_QUBITS} spins; the register has {n}"
         )
-    if system is not None and system.n_spins != n:
+    if system.n_spins != n:
         raise CompileError("sequence register size does not match the system")
-    if seq.mode == "hard_pulse" and system is None:
-        raise CompileError("hard-pulse simulation needs the spin system")
     labels = list(map(_mixed_qubit, seq._entries))
     for entry, label in zip(seq._entries, labels):
         if label > 0:
@@ -614,7 +606,7 @@ def _compressed_product(seq: GateSequence, system: SpinSystem | None = None) -> 
     masks = 1 << (n - 1 - np.arange(n))  # index bit of each qubit
 
     z = functools.cache(lambda q: z_eigenvalues(n, q))
-    ham = functools.cache(lambda: free_hamiltonian_diagonal(system))
+    ham = functools.cache(lambda: zz_hamiltonian_diagonal(system.offsets_hz(), system.logical_j_hz))
 
     @functools.cache
     def step(gate: Gate):
@@ -648,7 +640,7 @@ def _compressed_product(seq: GateSequence, system: SpinSystem | None = None) -> 
                 phase = phase + factor
         return (None if np.array_equal(perm, rows) else perm), sign * np.exp(-1.0j * phase)
 
-    memo = {} if system is None else _register_work(system).runs
+    memo = _register_work(system).runs
     acc = np.repeat(np.eye(2, dtype=complex), half, axis=0)  # identity blocks
     src = rows[:half]
     runs = {}

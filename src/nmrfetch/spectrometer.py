@@ -33,9 +33,9 @@ built on first use and kept while the register lives: its line table,
 sorted by frequency so that decoding a peak is a binary search, the
 ancilla transitions of its expanded register and the one population
 share of their configurations, the acquisitions whose grid covers its
-lines, and the readouts of the reference states it has been read
-against.  What depends on the acquisition alone - the frequency axis,
-the closed-form kernel's bin tables, the FID's decay envelope and the
+lines, and the readouts and rows of the reference states it has been
+read against.  What depends on the acquisition alone - the frequency
+axis, the closed-form kernel's bin tables, the FID's decay envelope and the
 work arrays that readout writes into - is built once per acquisition and
 shared by every register (``_acquisition_grid``): a fresh register
 rebuilds none of it, and readout writes its kernel blocks, kernel sums,
@@ -58,16 +58,17 @@ on one line frequency are refused.
 
 Both routes are linear in the per-item ancilla differences, and a query
 changes those only on the items it matches.  So a run reads out against a
-reference (``readout``).  The reference state's whole readout - FID row,
-closed-form row, FFT spectrum, decoded peaks and route gap - is made once
-per acquisition grid and cached in the register's model, read-only; a
+reference (``readout``).  The reference state's readout - FFT spectrum,
+decoded peaks and route gap - and its FID and closed-form rows are made
+once per acquisition grid and cached in the register's model, read-only; a
 readout that raises is not cached.  Every later state of the run is that
 reference's rows plus the readout of its difference from it, which
 synthesises FID terms and evaluates kernel rows only where the difference
 is nonzero, and is then transformed, picked, decoded and compared with
 its closed-form row in full.  Every gap, cached or not, is checked
 against ``_ROUTE_GUARD``.  ``readout`` is the one public route, and
-reads one state as a one-state tuple.
+reads one state as a one-state tuple.  A readout keeps each peak once, as
+arrays; its ``Peak`` records are built only when they are read.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ __all__ = [
     "SpectralLine",
     "Spectrum",
     "Peak",
-    "MarkedClassification",
     "SpectrometerError",
     "DecodeError",
     "Readout",
@@ -256,15 +256,6 @@ class Peak(NamedTuple):
     manifold: str
 
 
-@dataclass(frozen=True)
-class MarkedClassification:
-    """Items sorted by the sign of their decoded peaks."""
-
-    marked: tuple[int, ...]
-    unmarked: tuple[int, ...]
-    inconsistent: tuple[int, ...]
-
-
 # ---------------------------------------------------------------------------
 # expected-line enumeration
 # ---------------------------------------------------------------------------
@@ -343,21 +334,35 @@ class _Grid:
 
 @dataclass(frozen=True, eq=False)
 class Readout:
-    """One state's readout: FID row, closed-form row, FFT spectrum, decoded peaks, route gap.
+    """One state's readout: FFT spectrum, route gap and decoded peaks.
 
-    ``peaks`` holds one ``Peak`` record per picked peak, by frequency, and
-    ``peak_item`` and ``peak_amplitude`` hold the same peaks' decoded items
-    and signed amplitudes as read-only arrays, which the verdict is taken
-    from (``_classify``).
+    Each picked peak is kept once, by frequency, in three read-only arrays:
+    its refined frequency ``peak_freq_hz``, signed amplitude
+    ``peak_amplitude`` and index ``peak_line`` into the register's line
+    table ``table``.  The verdict reads the amplitudes and ``peak_item``,
+    the lines' items (``_classify``).  ``peaks``, one ``Peak`` record per
+    peak, is built on first read and kept, so a cached readout's records
+    are one shared tuple.
     """
 
-    fid: np.ndarray
-    closed: np.ndarray
     spectrum: Spectrum
-    peaks: tuple[Peak, ...]
     gap: float
-    peak_item: np.ndarray
+    peak_freq_hz: np.ndarray
     peak_amplitude: np.ndarray
+    peak_line: np.ndarray
+    table: _LineTable
+
+    @functools.cached_property
+    def peak_item(self) -> np.ndarray:
+        item = self.table.item[self.peak_line]
+        _read_only(item)
+        return item
+
+    @functools.cached_property
+    def peaks(self) -> tuple[Peak, ...]:
+        manifold = map(self.table.manifold.__getitem__, self.peak_line.tolist())
+        fields = (self.peak_freq_hz.tolist(), self.peak_amplitude.tolist(), self.peak_item.tolist())
+        return tuple(map(Peak, *fields, manifold))
 
 
 @dataclass(eq=False)
@@ -371,9 +376,10 @@ class _ReadoutModel:
     an item's populations that every configuration holds (see
     ``_transitions``).  ``covered`` holds the acquisitions whose grid
     covers the lines (see ``_grid``).  ``references`` maps (acquisition,
-    populations bit pattern) to a reference state's whole ``Readout``
-    (see ``_reference_readout``).  Every array is read-only, and the model
-    holds no reference to its register, so the weak cache can drop both.
+    populations bit pattern) to a reference state's ``Readout`` and its
+    FID and closed-form rows (see ``_reference_readout``).  Every array is
+    read-only, and the model holds no reference to its register, so the
+    weak cache can drop both.
     """
 
     lines: _LineTable
@@ -989,15 +995,13 @@ def _term_sum(starts: np.ndarray, offsets: np.ndarray, omega: np.ndarray, amp, o
 def _read(
     fid: np.ndarray, closed: np.ndarray, system: SpinSystem, params: AcquisitionParams
 ) -> Readout:
-    """One state's FFT spectrum, decoded peaks and route gap (``_route_gap``), from its two rows.
+    """One state's FFT spectrum, route gap (``_route_gap``) and decoded peaks, from its two rows.
 
     Peaks are picked at ``_PICK_THRESHOLD`` and decoded as arrays; a peak
     that does not decode raises ``DecodeError``, and so do two peaks that
     decode to one line frequency, since a line has one peak: the second is
     a sidelobe or an artefact, which would otherwise be read as the item's
-    sign.  The readout keeps their items and amplitudes as read-only
-    arrays, for the verdict, and one ``Peak`` record per peak, built at
-    once.  The spectrum takes the grid's cached axis.
+    sign.  The spectrum takes the grid's cached axis.
     """
     grid = _grid(system, params)
     spectrum = Spectrum(grid.freqs_hz, _absorptive(fid, params.dwell_s, grid.row))
@@ -1010,10 +1014,8 @@ def _read(
             f"peaks at {freq[k]:.4f} and {freq[k + 1]:.4f} Hz both decode to the line at"
             f" {table.freq_hz[lines[k]]:.4f} Hz"
         )
-    item = table.item[lines]
-    _read_only(item, amp)
-    peaks = _peak_records(freq, amp, lines, table)
-    return Readout(fid, closed, spectrum, peaks, _route_gap(spectrum.amplitude, closed), item, amp)
+    _read_only(freq, amp, lines)
+    return Readout(spectrum, _route_gap(spectrum.amplitude, closed), freq, amp, lines, table)
 
 
 def _route_gap(amplitude: np.ndarray, closed: np.ndarray) -> float:
@@ -1024,27 +1026,26 @@ def _route_gap(amplitude: np.ndarray, closed: np.ndarray) -> float:
 
 def _reference_readout(
     state: DensityState, system: SpinSystem, params: AcquisitionParams
-) -> Readout:
-    """A reference state's whole readout, cached in the register's model.
+) -> tuple[Readout, np.ndarray, np.ndarray]:
+    """A reference state's ``Readout``, FID row and closed-form row, cached in the register's model.
 
-    The cache key is the acquisition and the bit pattern of the state's
-    populations, so a hit is the same state on the same grid, bit for bit,
-    and a cached and a freshly computed reference are identical.  A
-    readout that raises is not cached, and the cached arrays are read-only.
+    The rows are kept because later states add their differences to them
+    (``readout``).  The cache key is the acquisition and the bit pattern of
+    the state's populations, so a hit is the same state on the same grid,
+    bit for bit, and a cached and a freshly computed reference are
+    identical.  A readout that raises is not cached, and the cached arrays
+    are read-only.
     """
     difference = _difference(state, system)
     references = _model(system).references
     key = (params, state.populations.tobytes())
     cached = references.get(key)
     if cached is None:
-        cached = _read(
-            _fid_row(difference, system, params),
-            _closed_form_row(difference, system, params),
-            system,
-            params,
-        )
-        _read_only(cached.fid, cached.closed, cached.spectrum.amplitude)
-        references[key] = cached
+        fid = _fid_row(difference, system, params)
+        closed = _closed_form_row(difference, system, params)
+        read = _read(fid, closed, system, params)
+        _read_only(fid, closed, read.spectrum.amplitude)
+        cached = references[key] = (read, fid, closed)
     return cached
 
 
@@ -1066,16 +1067,16 @@ def readout(
     before the second's.  Readouts are made only when asked for, so a
     failure on one state stops the work on the next.
     """
-    reference = _reference_readout(states[0], system, params)
+    reference, reference_fid, reference_closed = _reference_readout(states[0], system, params)
     base = states[0].ancilla_difference()
     for k, state in enumerate(states):
         read = reference
         if k:
             delta = _difference(state, system) - base
             fid = _fid_row(delta, system, params)
-            fid += reference.fid
+            fid += reference_fid
             closed = _closed_form_row(delta, system, params)
-            closed += reference.closed
+            closed += reference_closed
             read = _read(fid, closed, system, params)
         if read.gap > _ROUTE_GUARD:
             raise DecodeError(
@@ -1207,16 +1208,8 @@ def _decode(freq: np.ndarray, system: SpinSystem) -> np.ndarray:
     return table.by_freq[table.block_start[block]]
 
 
-def _peak_records(
-    freq: np.ndarray, amp: np.ndarray, lines: np.ndarray, table: _LineTable
-) -> tuple[Peak, ...]:
-    """One decoded ``Peak`` per (frequency, amplitude, line-table index), built in one ``map``."""
-    manifold = map(table.manifold.__getitem__, lines.tolist())
-    return tuple(map(Peak, freq.tolist(), amp.tolist(), table.item[lines].tolist(), manifold))
-
-
-def _classify(item: np.ndarray, amps: np.ndarray) -> MarkedClassification:
-    """Split the items of decoded peaks, given as arrays, by the signs of their amplitudes.
+def _classify(item: np.ndarray, amps: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The marked and the inconsistent items of decoded peaks, given as arrays, in ascending order.
 
     An item counts as marked only when every one of its resolved manifold
     peaks is negative; items whose manifolds disagree in sign, or that
@@ -1227,11 +1220,7 @@ def _classify(item: np.ndarray, amps: np.ndarray) -> MarkedClassification:
     count = np.bincount(where, minlength=len(items))
     negative = np.bincount(where, amps < 0, minlength=len(items)) == count
     positive = np.bincount(where, amps > 0, minlength=len(items)) == count
-    return MarkedClassification(
-        tuple(items[negative].tolist()),
-        tuple(items[positive].tolist()),
-        tuple(items[~negative & ~positive].tolist()),
-    )
+    return tuple(items[negative].tolist()), tuple(items[~negative & ~positive].tolist())
 
 
 def spectrum_csv(spectrum: Spectrum) -> str:

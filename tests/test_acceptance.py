@@ -31,7 +31,7 @@ from nmrfetch import (
 )
 from nmrfetch.cli import RunConfig, run_fetch
 from nmrfetch.compiler import Delay, GateSequence, SelectivePulse, VirtualZ, ZZEvolution
-from nmrfetch.spectrometer import _decode, _lines
+from nmrfetch.spectrometer import _closed_form_row, _decode, _lines
 
 from conftest import make_system, random_full_system
 from dense_reference import apply_unitary, controlled_phase_direct, sequence_unitary
@@ -128,9 +128,9 @@ def test_criterion_05_fid_route_agreement(capsys):
         params = AcquisitionParams(n_points=16384, dwell_s=1.0 / 512.0, t2_s=2.0)
         before = effective_pure_ancilla(sys)
         after = apply_query_diagonal(before, QueryPattern.from_string("100xxx"))
-        for read in readout((before, after), sys, params):
-            scale = np.max(np.abs(read.closed))
-            gap = np.max(np.abs(read.spectrum.amplitude - read.closed)) / scale
+        for state, read in zip((before, after), readout((before, after), sys, params)):
+            closed = _closed_form_row(state.ancilla_difference(), sys, params)
+            gap = np.max(np.abs(read.spectrum.amplitude - closed)) / np.max(np.abs(closed))
             assert gap <= 1e-6, f"route gap {gap:.3e}"
         assert time.monotonic() - box["start"] < 60.0
 
@@ -144,7 +144,7 @@ def test_criterion_06_thermal_equals_effective_pure(capsys):
         for init in ("thermal", "effective_pure"):
             res = run_fetch(RunConfig(sys, pat, init=init, backend="ideal"))
             results[init] = res
-            spectra[init] = res.after.amplitude
+            spectra[init] = res.after.spectrum.amplitude
         a, b = spectra["thermal"], spectra["effective_pure"]
         cosine = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
         assert cosine >= 0.999, f"cosine similarity {cosine:.6f}"

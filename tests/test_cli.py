@@ -235,7 +235,7 @@ def test_warm_run_transforms_and_picks_only_the_queried_state(monkeypatch, backe
     for init in ("thermal", "effective_pure", "thermal"):
         calls.clear()
         result = run_fetch(RunConfig(sys, QueryPattern.from_string("100101"), init=init, backend=backend))
-        assert result.verified and not result.before.amplitude.flags.writeable
+        assert result.verified and not result.before.spectrum.amplitude.flags.writeable
         per_run.append(sorted(calls))
     cold, warm = ["_absorptive", "_absorptive", "_pick", "_pick"], ["_absorptive", "_pick"]
     assert per_run == [cold, cold, warm]  # each init is its own reference
@@ -841,7 +841,7 @@ def test_blockwise_verify_matches_the_dense_reference(register):
         pattern = QueryPattern.from_string(text)
         network = build_query_network(system, pattern)
         hard = expand_to_hard_pulses(network, system)
-        product = _compressed_product(network)
+        product = _compressed_product(network, system)
         hard_product = _compressed_product(hard, system)
         dense = scatter(*product)
         fast = apply_query_diagonal(state, pattern).populations

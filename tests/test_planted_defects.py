@@ -310,7 +310,7 @@ def test_warm_readout_catches_planted_defect(monkeypatch, warm_run, backend, def
     monkeypatch.undo()
     again = run_fetch(cfg)
     assert again.verified and again.before is clean.before
-    assert np.array_equal(again.after.amplitude, clean.after.amplitude)
+    assert np.array_equal(again.after.spectrum.amplitude, clean.after.spectrum.amplitude)
 
 
 def test_a_reference_readout_that_raises_is_not_cached(monkeypatch):
@@ -332,7 +332,7 @@ def test_a_reference_readout_that_raises_is_not_cached(monkeypatch):
     result = run_fetch(cfg)
     fresh = run_fetch(RunConfig(crotonic_default(), cfg.pattern, backend=cfg.backend))
     assert result.verified and result.peaks_before == fresh.peaks_before
-    assert np.array_equal(result.before.amplitude, fresh.before.amplitude)
+    assert np.array_equal(result.before.spectrum.amplitude, fresh.before.spectrum.amplitude)
 
 
 # ---------------------------------------------------------------------------

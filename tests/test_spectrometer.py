@@ -28,6 +28,7 @@ from nmrfetch import (
     effective_pure_ancilla,
     expand_to_hard_pulses,
     line_table,
+    load_spin_system,
     load_spin_system_file,
     readout,
     thermal_state,
@@ -38,8 +39,8 @@ from nmrfetch.cli import RunConfig, run_fetch
 from nmrfetch.operators import zz_hamiltonian_diagonal
 from nmrfetch.spectrometer import (
     _PICK_THRESHOLD,
-    MarkedClassification,
     Peak,
+    Readout,
     _absorptive,
     _classify,
     _closed_form_row,
@@ -50,8 +51,10 @@ from nmrfetch.spectrometer import (
     spectrum_csv,
 )
 
-from conftest import ancilla_shifted, make_system
+from conftest import ancilla_shifted, make_system, superincreasing_config
 from dense_reference import apply_unitary, rotation, sequence_unitary
+
+COMPOSITE = Path(__file__).resolve().parents[1] / "scripts" / "composite_negative.cfg"
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +524,10 @@ def test_fid_matches_analytic_route():
     # FFT spectrum against its closed-form row, on the acquisition's axis
     sys = crotonic_default()
     params = AcquisitionParams.for_system(sys)
-    (read,) = readout((effective_pure_ancilla(sys),), sys, params)
+    state = effective_pure_ancilla(sys)
+    (read,) = readout((state,), sys, params)
     assert np.array_equal(read.spectrum.freqs_hz, params.frequency_grid())
-    assert relative_gap(read.spectrum.amplitude, read.closed) < 1e-6
+    assert relative_gap(read.spectrum.amplitude, closed_of(state, sys, params)) < 1e-6
 
 
 def test_methyl_composite_closed_form():
@@ -636,8 +640,9 @@ def test_closed_form_row_matches_the_per_line_sum(register, seed, n_points, shif
 def test_off_centre_multiplet_routes_agree_and_decode():
     sys = ancilla_shifted(crotonic_default(), -5.0)
     params = AcquisitionParams.for_system(sys)
-    (read,) = readout((effective_pure_ancilla(sys),), sys, params)
-    assert relative_gap(read.spectrum.amplitude, read.closed) < 1e-6
+    state = effective_pure_ancilla(sys)
+    (read,) = readout((state,), sys, params)
+    assert relative_gap(read.spectrum.amplitude, closed_of(state, sys, params)) < 1e-6
     assert sorted((p.item, p.manifold) for p in read.peaks) == sorted(
         (l.item, l.manifold) for l in line_table(sys)
     )
@@ -775,10 +780,16 @@ def test_reference_plus_difference_matches_direct_readout(case, backend, init):
     no_peaks = lambda spectrum, frac: (np.empty(0), np.empty(0))
     with mock.patch.object(spectrometer, "_pick", no_peaks):
         readouts = list(readout(states, system, params))
+    # the run's rows: the reference entry's, and those plus the difference's
+    _, reference_fid, reference_closed = spectrometer._reference_readout(state, system, params)
+    delta = states[1].ancilla_difference() - state.ancilla_difference()
+    run_rows = [
+        (reference_fid, reference_closed),
+        (reference_fid + _fid_row(delta, system, params), reference_closed + _closed_form_row(delta, system, params)),
+    ]
     fids = [fid_of(s, system, params) for s in states]
     rows = [closed_of(s, system, params) for s in states]
-    for read, want_fid, want in zip(readouts, fids, rows):
-        fid, closed = read.fid, read.closed
+    for read, (fid, closed), want_fid, want in zip(readouts, run_rows, fids, rows):
         assert np.max(np.abs(fid - want_fid)) <= 1e-12 * np.max(np.abs(want_fid))
         assert np.max(np.abs(closed - want)) <= 1e-12 * np.max(np.abs(want))
         # the spectrum and the gap are those of the FFT step on these rows
@@ -788,8 +799,8 @@ def test_reference_plus_difference_matches_direct_readout(case, backend, init):
         top = np.max(np.abs(closed))
         assert read.gap == float(np.max(np.abs(amplitude - closed))) / top
     # the reference is read out alone, so its rows are the one-state rows exactly
-    assert np.array_equal(readouts[0].fid, fid_of(state, system, params))
-    assert np.array_equal(readouts[0].closed, closed_of(state, system, params))
+    assert np.array_equal(reference_fid, fid_of(state, system, params))
+    assert np.array_equal(reference_closed, closed_of(state, system, params))
 
 
 def per_configuration_fid(difference, system, params):
@@ -806,7 +817,7 @@ def per_configuration_fid(difference, system, params):
 def uniform_fid_cases():
     """(name, register, acquisition): builtin, the composite example and synthetic n = 2-11."""
     builtin = crotonic_default()
-    composite = load_spin_system_file(Path(__file__).resolve().parents[1] / "scripts" / "composite_negative.cfg")
+    composite = load_spin_system_file(COMPOSITE)
     yield "builtin", builtin, AcquisitionParams.for_system(builtin)
     yield "composite", composite, AcquisitionParams.for_system(composite)
     rng = np.random.default_rng(11)
@@ -896,7 +907,8 @@ def test_difference_reads_only_the_items_that_changed(monkeypatch, backend):
 
 def hexes(result):
     """Every float of a run's spectra and peaks, as float.hex strings."""
-    arrays = (result.before.freqs_hz, result.before.amplitude, result.after.freqs_hz, result.after.amplitude)
+    arrays = [s.spectrum.freqs_hz for s in (result.before, result.after)]
+    arrays += [s.spectrum.amplitude for s in (result.before, result.after)]
     peaks = [
         (p.freq_hz.hex(), p.amplitude.hex(), p.item, p.manifold)
         for p in result.peaks_before + result.peaks_after
@@ -927,10 +939,10 @@ def test_warm_run_is_bit_identical_to_a_fresh_register(backend, init):
         # the before readout is the cached one, shared and read-only; the
         # after spectrum is computed afresh on every run
         assert second.before is first.before and second.peaks_before is first.peaks_before
-        assert not first.before.amplitude.flags.writeable
+        assert not first.before.spectrum.amplitude.flags.writeable
         _, *fresh_pairs = itertools.product(  # all but (before, before)
-            (first.before.amplitude, first.after.amplitude),
-            (second.before.amplitude, second.after.amplitude),
+            (first.before.spectrum.amplitude, first.after.spectrum.amplitude),
+            (second.before.spectrum.amplitude, second.after.spectrum.amplitude),
         )
         for a, b in fresh_pairs:
             assert not np.shares_memory(a, b)
@@ -942,19 +954,17 @@ def test_cached_readout_arrays_are_read_only():
         assert run_fetch(RunConfig(sys, QueryPattern.from_string("100xxx"), init=init)).verified
     model = spectrometer._model(sys)
     assert len(model.references) == 2 and len(model.covered) == 1
-    readouts = list(model.references.values())
-    assert all(isinstance(r.peaks, tuple) and r.peaks for r in readouts)
+    entries = list(model.references.values())
+    assert all(isinstance(r.peaks, tuple) and r.peaks for r, _, _ in entries)
     (params,) = model.covered
     grid = spectrometer._grid(sys, params)
     item, omega, share = model.transitions
     assert isinstance(share, float)
     arrays = [grid.freqs_hz, grid.bin_cs, grid.bin_cs2, grid.envelope, item, omega]
-    for r in readouts:
-        assert r.spectrum.freqs_hz is grid.freqs_hz
-        # the peak arrays are the records' items and amplitudes, peak by peak
-        assert r.peak_item.tolist() == [p.item for p in r.peaks]
-        assert r.peak_amplitude.tolist() == [p.amplitude for p in r.peaks]
-        arrays += [r.fid, r.closed, r.spectrum.amplitude, r.peak_item, r.peak_amplitude]
+    for r, fid, closed in entries:
+        assert r.spectrum.freqs_hz is grid.freqs_hz and r.table is model.lines
+        assert_records_carry_arrays(r)
+        arrays += [fid, closed, r.spectrum.amplitude, r.peak_freq_hz, r.peak_amplitude, r.peak_line, r.peak_item]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -972,11 +982,11 @@ def test_reference_cache_hit_needs_the_same_populations_bit_for_bit():
     pops[5] = np.nextafter(pops[5], 1.0)
     nudged = DensityState(pops)
     other = spectrometer._reference_readout(nudged, sys, params)
-    assert other is not cached and not np.array_equal(other.fid, cached.fid)
-    assert np.array_equal(other.fid, fid_of(nudged, sys, params))
+    assert other[0] is not cached[0] and not np.array_equal(other[1], cached[1])
+    assert np.array_equal(other[1], fid_of(nudged, sys, params))
     # and another grid is another reference too
     wider = AcquisitionParams(n_points=2048, dwell_s=1.0 / 512.0, t2_s=0.5)
-    assert spectrometer._reference_readout(state, sys, wider).fid.shape == (2048,)
+    assert spectrometer._reference_readout(state, sys, wider)[1].shape == (2048,)
 
 
 def test_grid_tables_are_kept_per_acquisition():
@@ -1303,9 +1313,7 @@ def test_refused_or_every_item_classifies(system, t2, init, data):
     table = spectrometer._lines(system)
     for s, marked in zip((state, queried), ((), expected)):
         freq, amp = _pick(on_grid(closed_of(s, system, params), params), _PICK_THRESHOLD)
-        verdict = _classify(table.item[_decode(freq, system)], amp)
-        assert verdict.marked == marked and verdict.inconsistent == ()
-        assert verdict.unmarked == tuple(i for i in range(2**n) if i not in marked)
+        assert _classify(table.item[_decode(freq, system)], amp) == (marked, ())
 
 
 def brute_buried(table, width_hz):
@@ -1353,7 +1361,7 @@ def test_decode_peaks_annotates():
 
 def test_decode_and_classify_take_no_peaks():
     assert decode_all([], crotonic_default()) == []
-    assert _classify(np.empty(0, dtype=int), np.empty(0)) == MarkedClassification((), (), ())
+    assert _classify(np.empty(0, dtype=int), np.empty(0)) == ((), ())
 
 
 def test_monotonic_item_order():
@@ -1366,10 +1374,7 @@ def test_monotonic_item_order():
 
 def test_classify_marked():
     # items 3, 3, 1, 2, 2: item 2's manifolds disagree in sign
-    cls = _classify(np.array([3, 3, 1, 2, 2]), np.array([-1.0, -0.4, 1.0, 1.0, -1.0]))
-    assert cls.marked == (3,)
-    assert cls.unmarked == (1,)
-    assert cls.inconsistent == (2,)
+    assert _classify(np.array([3, 3, 1, 2, 2]), np.array([-1.0, -0.4, 1.0, 1.0, -1.0])) == ((3,), (2,))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1384,13 +1389,12 @@ def test_classify_marked_matches_per_item_grouping(entries):
     for item, amp in entries:
         by_item.setdefault(item, []).append(amp)
     item = np.array([i for i, _ in entries], dtype=int)
-    cls = _classify(item, np.array([a for _, a in entries], dtype=float))
+    marked, inconsistent = _classify(item, np.array([a for _, a in entries], dtype=float))
     negative = [i for i, a in sorted(by_item.items()) if all(x < 0 for x in a)]
     positive = [i for i, a in sorted(by_item.items()) if all(x > 0 for x in a)]
-    assert cls.marked == tuple(negative)
-    assert cls.unmarked == tuple(positive)
-    assert cls.inconsistent == tuple(i for i in sorted(by_item) if i not in negative + positive)
-    assert all(type(i) is int for i in cls.marked + cls.unmarked + cls.inconsistent)
+    assert marked == tuple(negative)
+    assert inconsistent == tuple(i for i in sorted(by_item) if i not in negative + positive)
+    assert all(type(i) is int for i in marked + inconsistent)
 
 
 def test_classify_requires_decoded_peaks():
@@ -1402,9 +1406,12 @@ def test_classify_requires_decoded_peaks():
 
 
 def assert_records_carry_arrays(read):
-    """A readout's ``Peak`` records hold its peak arrays' items and amplitudes, bit for bit, in order."""
-    assert [p.item for p in read.peaks] == read.peak_item.tolist()
+    """A readout's ``Peak`` records hold its peak arrays, field by field, bit for bit, in order."""
+    assert [p.freq_hz.hex() for p in read.peaks] == [f.hex() for f in read.peak_freq_hz.tolist()]
     assert [p.amplitude.hex() for p in read.peaks] == [a.hex() for a in read.peak_amplitude.tolist()]
+    assert [p.item for p in read.peaks] == read.peak_item.tolist() == read.table.item[read.peak_line].tolist()
+    assert [p.manifold for p in read.peaks] == [read.table.manifold[k] for k in read.peak_line.tolist()]
+    assert all(type(p.freq_hz) is float and type(p.amplitude) is float and type(p.item) is int for p in read.peaks)
 
 
 def record_verdict(peaks):
@@ -1429,34 +1436,40 @@ def record_verdict(peaks):
     )
 )
 def test_array_verdict_matches_classify_marked_over_records(entries):
-    # records built from peak arrays of builtin lines, read-only as the
+    # records built from read-only peak arrays of builtin lines, as the
     # readout keeps them, carry those arrays exactly (signed zeros and
     # subnormals included), so a verdict over the records is the array verdict
     table = spectrometer._lines(crotonic_default())
     lines = np.array([k for k, _ in entries], dtype=int)
     amp = np.array([a for _, a in entries], dtype=float)
     freq = table.freq_hz[lines]
-    item = table.item[lines]
-    item.flags.writeable = amp.flags.writeable = False
-    peaks = spectrometer._peak_records(freq, amp, lines, table)
-    manifold = [table.manifold[k] for k in lines]
-    assert [(p.freq_hz, p.manifold) for p in peaks] == list(zip(freq.tolist(), manifold))
-    assert [p.item for p in peaks] == item.tolist()
-    assert [p.amplitude.hex() for p in peaks] == [a.hex() for a in amp.tolist()]
-    assert all(type(p.amplitude) is float and type(p.item) is int for p in peaks)
-    got = _classify(item, amp)
-    assert got == record_verdict(peaks)
-    assert all(type(i) is int for i in got.marked + got.unmarked + got.inconsistent)
-    # an item with a zero peak, of either sign, is neither marked nor unmarked
+    lines.flags.writeable = amp.flags.writeable = freq.flags.writeable = False
+    read = Readout(Spectrum(np.empty(0), np.empty(0)), 0.0, freq, amp, lines, table)
+    assert_records_carry_arrays(read)
+    assert read.peaks is read.peaks  # built once, then kept
+    got = _classify(read.peak_item, amp)
+    assert got == record_verdict(read.peaks)
+    assert all(type(i) is int for i in got[0] + got[1])
+    # an item with a zero peak, of either sign, is not marked
     zero = {int(table.item[k]) for k, a in entries if a == 0.0}
-    assert zero <= set(got.inconsistent)
+    assert zero <= set(got[1])
+
+
+# each register with the patterns its runs query: the builtin one, the
+# composite test register and a synthetic one of 8 database qubits
+RECORD_REGISTERS = {
+    "builtin": (crotonic_default, ("100101", "10x1x0")),
+    "composite": (lambda: load_spin_system_file(COMPOSITE), ("1x01", "0110")),
+    "synthetic8": (lambda: load_spin_system(superincreasing_config(8, negative=(2, 5))), ("1x0x10x1",)),
+}
 
 
 @pytest.mark.parametrize("backend", ["fast_diagonal", "ideal", "hard_pulse"])
 @pytest.mark.parametrize("init", ["thermal", "effective_pure"])
 def test_run_fetch_verdict_is_classify_marked_of_its_peaks(monkeypatch, backend, init):
     # result.json writes the records while the verdict comes from the arrays:
-    # each readout of the run must carry the same peaks both ways
+    # each readout of the run must carry the same peaks both ways, on every
+    # register of RECORD_REGISTERS
     reads = []
 
     def keeping(states, system, params):
@@ -1465,16 +1478,41 @@ def test_run_fetch_verdict_is_classify_marked_of_its_peaks(monkeypatch, backend,
             yield read
 
     monkeypatch.setattr(climod, "readout", keeping)
-    for bits in ("100101", "10x1x0"):
-        reads.clear()
-        result = run_fetch(RunConfig(crotonic_default(), QueryPattern.from_string(bits), init=init, backend=backend))
-        before, after = reads
-        assert (result.peaks_before, result.peaks_after) == (before.peaks, after.peaks)
-        for read in reads:
-            assert_records_carry_arrays(read)
-        verdict = record_verdict(result.peaks_after)
-        assert (result.marked, result.inconsistent) == (verdict.marked, verdict.inconsistent)
-        assert result.verified and result.marked == result.expected
+    for make, patterns in RECORD_REGISTERS.values():
+        for bits in patterns:
+            reads.clear()
+            result = run_fetch(RunConfig(make(), QueryPattern.from_string(bits), init=init, backend=backend))
+            before, after = reads
+            assert (result.before, result.after) == (before, after)
+            assert result.peaks_before is before.peaks and result.peaks_after is after.peaks
+            for read in reads:
+                assert_records_carry_arrays(read)
+            assert (result.marked, result.inconsistent) == record_verdict(result.peaks_after)
+            assert result.verified and result.marked == result.expected
+
+
+def test_run_fetch_builds_no_record_until_one_is_read(monkeypatch):
+    # the verdict reads the peak arrays alone: a run builds its Peak records
+    # only when they are read, and then once per readout
+    built = []
+
+    class Counted(Peak):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            built.append(fields)
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(spectrometer, "Peak", Counted)
+    system = crotonic_default()
+    cfg = RunConfig(system, QueryPattern.from_string("100xxx"), backend="fast_diagonal")
+    result = run_fetch(cfg)
+    assert result.verified and built == []
+    peaks = result.peaks_after
+    assert len(built) == len(peaks) == 128 and result.peaks_after is peaks
+    assert len(result.peaks_before) == 128 and len(built) == 256
+    again = run_fetch(cfg)  # the cached reference keeps its one tuple
+    assert again.peaks_before is result.peaks_before and len(built) == 256
 
 
 def test_peak_record_contract():
@@ -1485,13 +1523,15 @@ def test_peak_record_contract():
     for name in Peak._fields:
         with pytest.raises(AttributeError):
             setattr(peak, name, 1)
-    # a readout's records are decoded, by frequency, of plain Python types
-    sys = crotonic_default()
-    (read,) = readout((effective_pure_ancilla(sys),), sys, AcquisitionParams.for_system(sys))
-    assert len(read.peaks) == 128 and all(type(p) is Peak for p in read.peaks)
-    assert [p.freq_hz for p in read.peaks] == sorted(p.freq_hz for p in read.peaks)
-    assert {type(v) for p in read.peaks for v in p} == {float, int, str}
-    assert_records_carry_arrays(read)
+    # a readout's records are decoded, by frequency, of plain Python types,
+    # on a register of plain spins, of composite ones and of 8 database qubits
+    for name, count in (("builtin", 128), ("composite", 32), ("synthetic8", 256)):
+        sys = RECORD_REGISTERS[name][0]()
+        (read,) = readout((effective_pure_ancilla(sys),), sys, AcquisitionParams.for_system(sys))
+        assert len(read.peaks) == count and all(type(p) is Peak for p in read.peaks)
+        assert [p.freq_hz for p in read.peaks] == sorted(p.freq_hz for p in read.peaks)
+        assert {type(v) for p in read.peaks for v in p} == {float, int, str}
+        assert_records_carry_arrays(read)
 
 
 # ---------------------------------------------------------------------------
@@ -1507,7 +1547,7 @@ def test_query_scales_total_integral():
     after = apply_query_diagonal(before, QueryPattern.from_string("1xx"))  # 4 of 8 items -> integral 0
     after2 = apply_query_diagonal(before, QueryPattern.from_string("11x"))  # 2 of 8 -> factor 1/2
     int_before, int_after, int_after2 = (
-        r.closed.sum() for r in readout((before, after, after2), sys, params)
+        closed_of(s, sys, params).sum() for s in (before, after, after2)
     )
     assert int_after == pytest.approx(0.0, abs=1e-9 * abs(int_before))
     assert int_after2 / int_before == pytest.approx(0.5, rel=1e-9)
